@@ -22,25 +22,30 @@ from .enumeration import (
     CountTable,
     MalformedOverpartition,
     Overpartition,
+    add_tail,
     check_G_conditions,
     count_all_overpartitions,
     count_F,
     count_G,
     count_G_andrews_k0,
+    walk_G,
 )
 from .recurrence_engine import (
     ChainBroken,
     ChainReport,
     ChainState,
     ConventionOutOfRange,
+    NegativeExponents,
     NotStabilized,
     RecRow,
+    RoundTripMismatch,
     build_rec_row,
     coeff_b,
     coeff_c,
     coeff_e,
     coeff_f,
     g_series,
+    g_table,
     limit_u,
     run_recurrence,
     verify_chain,
@@ -73,9 +78,10 @@ __all__ = [
     "substitute_x",
     "Overpartition", "CountTable", "MalformedOverpartition",
     "count_all_overpartitions", "count_F", "check_G_conditions", "count_G",
-    "count_G_andrews_k0",
+    "count_G_andrews_k0", "walk_G", "add_tail",
     "RecRow", "ChainState", "ChainReport", "ChainBroken",
-    "ConventionOutOfRange", "NotStabilized", "g_series", "verify_lemma1",
+    "ConventionOutOfRange", "NotStabilized", "NegativeExponents",
+    "RoundTripMismatch", "g_series", "g_table", "verify_lemma1",
     "verify_lemma2", "verify_eq_357", "build_rec_row", "run_recurrence",
     "verify_key_lemma", "coeff_c", "coeff_b", "coeff_e", "coeff_f",
     "verify_Tmj", "verify_chain", "limit_u",

@@ -1,7 +1,8 @@
 """Command-line front end: counting, series expansion, verification.
 
 Exit codes are CI-grade: 0 when every requested check passes, 1 when a
-mathematical mismatch or nonzero residual is found, 2 on invalid input.
+mathematical mismatch or nonzero residual is found or a computation fails
+mid-way (``MATH_FAILURES``), 2 on invalid input.
 JSON output is canonical (sorted keys, exponent-sorted terms, counts and
 coefficients as strings) so byte equality is a meaningful comparison.
 """
@@ -18,6 +19,9 @@ from .alpha_system import InvalidSystem, build_system
 from .enumeration import count_F, count_G
 from .recurrence_engine import (
     ChainBroken,
+    NegativeExponents,
+    NotStabilized,
+    RoundTripMismatch,
     g_series,
     limit_u,
     run_recurrence,
@@ -28,13 +32,17 @@ from .recurrence_engine import (
     verify_lemma2,
     verify_Tmj,
 )
-from .series_ring import DPoly, product_F
+from .series_ring import DPoly, NonUnitLeadingTerm, product_F
 
 #: Built-in verification battery used by ``verify --battery``.
 BATTERY = ((3, (1, 2)), (7, (1, 2, 4)), (9, (1, 3, 5)), (15, (1, 2, 4, 8)))
 
 ALL_CHECKS = ("lemma1", "lemma2", "eq357", "key", "rec", "tmj", "chain",
               "theorem")
+
+#: Mathematical failures raised mid-computation; they exit 1, not 2.
+MATH_FAILURES = (NonUnitLeadingTerm, NotStabilized, NegativeExponents,
+                 RoundTripMismatch)
 
 
 @dataclass
@@ -356,6 +364,9 @@ def main(argv=None):
         if cfg.command == "expand":
             return cmd_expand(cfg)
         return cmd_verify(cfg)
+    except MATH_FAILURES as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (InvalidSystem, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -236,23 +236,23 @@ def check_G_conditions(sys, op):
     return True
 
 
-def count_G(sys, n_max, largest_bound=None, largest_flag=None):
-    """Count gap-condition overpartitions, optionally capping the largest part.
+def walk_G(sys, n_max):
+    """Walk the gap-condition class by its largest part, smallest first.
 
-    ``largest_bound`` restricts the largest part; ``largest_flag``
-    (``"overlined"`` or ``"non-overlined"``) further restricts its
-    overline status.  With no options this is the full gap-condition
-    count; with both it is one of the bounded-largest-part counters that
-    feed the recurrence machinery.  The ``(0, 0)`` entry stays 1 in
-    every variant.
+    Yields ``(first, tail)`` for every admissible part size
+    ``first <= n_max`` in increasing order.  ``tail[(k, n)]`` counts the
+    gap-condition overpartitions of ``n`` whose largest part is an
+    overlined ``first`` and which have ``k`` non-overlined parts; with
+    that part non-overlined instead the same count sits at ``k + 1``.
+    Summing the yields up to a bound ``m`` therefore gives the bounded
+    counter ``g_m``, so one walk serves every largest-part bound.
 
-    Enumeration walks parts in decreasing order, pruning with the gap
-    bound; completions are memoized by (remaining, previous part).
+    Below the largest part, parts are placed in decreasing order, pruned
+    with the gap bound; completions are memoized by (remaining, previous
+    part) for the whole walk.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if largest_flag not in (None, "overlined", "non-overlined"):
-        raise ValueError(f"unknown largest_flag {largest_flag!r}")
     alpha_set = set(sys.alpha)
     admissible = [s for s in range(1, n_max + 1)
                   if beta(sys, -s) in alpha_set]
@@ -283,19 +283,50 @@ def count_G(sys, n_max, largest_bound=None, largest_flag=None):
         memo[key] = out
         return out
 
-    entries = {(0, 0): 1}
+    for first in admissible:
+        tail = {}
+        for n in range(first, n_max + 1):
+            for k, c in completions(n - first, first).items():
+                tail[(k, n)] = c
+        yield first, tail
+
+
+def add_tail(entries, tail, largest_flag=None):
+    """Add one :func:`walk_G` tail into the ``(k, n)`` table ``entries``.
+
+    ``largest_flag`` keeps only the overlined (``"overlined"``) or only
+    the non-overlined (``"non-overlined"``) largest part; ``None`` keeps
+    both.
+    """
     want_over = largest_flag in (None, "overlined")
     want_plain = largest_flag in (None, "non-overlined")
-    for first in admissible:
+    for (k, n), c in tail.items():
+        if want_over:
+            entries[(k, n)] = entries.get((k, n), 0) + c
+        if want_plain:
+            entries[(k + 1, n)] = entries.get((k + 1, n), 0) + c
+
+
+def count_G(sys, n_max, largest_bound=None, largest_flag=None):
+    """Count gap-condition overpartitions, optionally capping the largest part.
+
+    ``largest_bound`` restricts the largest part; ``largest_flag``
+    (``"overlined"`` or ``"non-overlined"``) further restricts its
+    overline status.  With no options this is the full gap-condition
+    count; with both it is one of the bounded-largest-part counters that
+    feed the recurrence machinery.  The ``(0, 0)`` entry stays 1 in
+    every variant.  The count is the sum of :func:`walk_G` up to the
+    bound.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    if largest_flag not in (None, "overlined", "non-overlined"):
+        raise ValueError(f"unknown largest_flag {largest_flag!r}")
+    entries = {(0, 0): 1}
+    for first, tail in walk_G(sys, n_max):
         if largest_bound is not None and first > largest_bound:
             break
-        for n in range(first, n_max + 1):
-            sub = completions(n - first, first)
-            for k, c in sub.items():
-                if want_over:
-                    entries[(k, n)] = entries.get((k, n), 0) + c
-                if want_plain:
-                    entries[(k + 1, n)] = entries.get((k + 1, n), 0) + c
+        add_tail(entries, tail, largest_flag)
     return CountTable(n_max, entries)
 
 

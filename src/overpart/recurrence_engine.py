@@ -25,11 +25,13 @@ verification passes iff the residual is identically zero.  Negative
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from .alpha_system import alpha_weight_sum, build_system
-from .enumeration import count_G
+from .enumeration import add_tail, walk_G
 from .series_ring import QLaurent, XSeries, product_F, qbinomial, substitute_x
 
 
@@ -39,6 +41,14 @@ class ConventionOutOfRange(ValueError):
 
 class NotStabilized(RuntimeError):
     """Recurrence coefficients still moving at the stopping index."""
+
+
+class NegativeExponents(RuntimeError):
+    """A recurrence iterate has a term below ``q^0``."""
+
+
+class RoundTripMismatch(RuntimeError):
+    """Multiplying a quotient back by its divisor missed the dividend."""
 
 
 class ChainBroken(RuntimeError):
@@ -57,11 +67,60 @@ def _sign(p):
 # -- bounded-largest-part series --------------------------------------
 
 
+class _Ladder:
+    """Every bounded counter ``g_m`` at one truncation, from one walk.
+
+    :func:`walk_G` places the largest part in increasing order, so the
+    running total after each admissible size ``first`` is ``g_first``.
+    Rung ``i`` is the total after the first ``i`` sizes, kept as a
+    read-only count table keyed ``(k, n)``; its series is built once, on
+    first use.  The walk is pulled only as far as the bounds asked for so
+    far need, so a lone small bound does not pay for the whole
+    truncation.
+    """
+
+    def __init__(self, sys, trunc):
+        self.sys = sys
+        self.trunc = trunc
+        self._restart()
+
+    def _restart(self):
+        self._walk = walk_G(self.sys, self.trunc)
+        self._running = {(0, 0): 1}
+        self._sizes = []
+        self._tables = [MappingProxyType(dict(self._running))]
+        self._series = {}
+
+    def rung(self, m):
+        """``(table, series)`` for the largest-part bound ``m``."""
+        try:
+            while self._walk is not None and (
+                    not self._sizes or self._sizes[-1] < m):
+                self._pull()
+        except BaseException:
+            self._restart()     # a generator that raised cannot resume
+            raise
+        i = bisect_right(self._sizes, m)
+        table = self._tables[i]
+        if i not in self._series:
+            self._series[i] = QLaurent.from_terms(
+                self.trunc, ((n, k, c) for (k, n), c in table.items()))
+        return table, self._series[i]
+
+    def _pull(self):
+        step = next(self._walk, None)
+        if step is None:
+            self._walk = None
+            return
+        first, tail = step
+        add_tail(self._running, tail)
+        self._sizes.append(first)
+        self._tables.append(MappingProxyType(dict(self._running)))
+
+
 @lru_cache(maxsize=None)
-def _g_positive(sys, m, trunc):
-    table = count_G(sys, trunc, largest_bound=m)
-    return QLaurent.from_terms(
-        trunc, ((n, k, c) for (k, n), c in table.entries.items()))
+def _ladder(sys, trunc):
+    return _Ladder(sys, trunc)
 
 
 def _band(sys, mm):
@@ -71,28 +130,31 @@ def _band(sys, mm):
     return min(mm // sys.N, sys.r - 1)
 
 
-def g_series(sys, m, trunc):
-    """Generating function for gap-condition overpartitions, largest <= m.
-
-    Positive ``m`` enumerates; ``m <= 0`` returns the constant
-    ``(-d)**band`` prescribed by the band convention, which is what the
-    recurrences expect whenever a peeled subscript drops below zero.
-    """
+def _g_entry(sys, m, trunc):
+    """``(table, series)`` for ``g_m``: a ladder rung or a band constant."""
     if trunc < 0:
         raise ValueError("trunc must be non-negative")
     if m >= 1:
-        return _g_positive(sys, m, trunc)
+        return _ladder(sys, trunc).rung(m)
     band = _band(sys, -m)
-    return QLaurent.monomial(trunc, 0, band, _sign(band))
+    return (MappingProxyType({(band, 0): _sign(band)}),
+            QLaurent.monomial(trunc, 0, band, _sign(band)))
 
 
-@lru_cache(maxsize=None)
-def _psi_entries(sys, m, n_max):
-    """Count table behind ``g_series`` as a plain dict, keyed ``(k, n)``."""
-    if m >= 1:
-        return dict(count_G(sys, n_max, largest_bound=m).entries)
-    band = _band(sys, -m)
-    return {(band, 0): _sign(band)}
+def g_series(sys, m, trunc):
+    """Generating function for gap-condition overpartitions, largest <= m.
+
+    Positive ``m`` reads the system's ladder; ``m <= 0`` returns the
+    constant ``(-d)**band`` prescribed by the band convention, which is
+    what the recurrences expect whenever a peeled subscript drops below
+    zero.
+    """
+    return _g_entry(sys, m, trunc)[1]
+
+
+def g_table(sys, m, trunc):
+    """Count table behind ``g_series``: read-only, keyed ``(k, n)``."""
+    return _g_entry(sys, m, trunc)[0]
 
 
 def verify_lemma1(sys, j, m, n_max):
@@ -118,10 +180,10 @@ def verify_lemma1(sys, j, m, n_max):
     am = sys.alpha[m - 1]
     am1 = sys.alpha[m] if m < len(sys.alpha) else sys.a_ext
     w, v = sys.w_table[am], sys.v_table[am]
-    tab_a = _psi_entries(sys, j * N - am, n_max)
-    tab_b = _psi_entries(sys, j * N - am1, n_max)
-    tab_c = _psi_entries(sys, (j - w) * N - v, n_max)
-    tab_d = _psi_entries(sys, (j - w + 1) * N - v, n_max)
+    tab_a = g_table(sys, j * N - am, n_max)
+    tab_b = g_table(sys, j * N - am1, n_max)
+    tab_c = g_table(sys, (j - w) * N - v, n_max)
+    tab_d = g_table(sys, (j - w + 1) * N - v, n_max)
     k_hi = max((k for tab in (tab_a, tab_b, tab_c, tab_d) for k, _ in tab),
                default=0) + 1
     bad = []
@@ -291,7 +353,8 @@ def run_recurrence(sys, ell_max, trunc):
 
     Each step solves for ``u_ell`` by exact series division; the divisor
     always starts with constant term 1 for a valid system, and a
-    violation surfaces as ``NonUnitLeadingTerm``.
+    violation surfaces as ``NonUnitLeadingTerm``; an iterate with a term
+    below ``q^0`` raises ``NegativeExponents``.
     """
     if trunc < 0:
         raise ValueError("trunc must be non-negative")
@@ -307,7 +370,10 @@ def run_recurrence(sys, ell_max, trunc):
             u = us[idx] if idx >= 0 else _initial_u(sys, -idx, trunc)
             rhs = rhs + coeff * u
         u_ell = rhs.divide(row.lhs)
-        assert u_ell.min_exp >= 0, "recurrence produced negative exponents"
+        if u_ell.min_exp < 0:
+            raise NegativeExponents(
+                f"recurrence produced negative exponents at ell={ell}: "
+                f"q^{u_ell.min_exp}")
         us.append(u_ell)
     return us
 
@@ -631,7 +697,8 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     xprod = _x_factor_product(sys, x_trunc, work)
     G = f.divide(xprod)
     g_recon = G * xprod
-    assert g_recon == f, "x-product division failed to invert"
+    if g_recon != f:
+        raise RoundTripMismatch("x-product division failed to invert")
     res = G - G.shift_x(1)
     for m in range(1, r + 1):
         rows = []

@@ -1,8 +1,7 @@
 import pytest
 
 from overpart import build_system
-
-BATTERY = ((3, (1, 2)), (7, (1, 2, 4)), (9, (1, 3, 5)), (15, (1, 2, 4, 8)))
+from overpart.cli import BATTERY
 
 
 @pytest.fixture(scope="session")

@@ -28,16 +28,7 @@ from overpart import (
     verify_lemma2,
     verify_Tmj,
 )
-
-BATTERY = ((3, (1, 2)), (7, (1, 2, 4)), (9, (1, 3, 5)), (15, (1, 2, 4, 8)))
-
-
-def series_entries(series):
-    return {(d, q): c for q, d, c in series.terms()}
-
-
-def table_entries(table):
-    return {kn: c for kn, c in table.entries.items() if c}
+from overpart.cli import BATTERY, _series_entries, _table_entries
 
 
 class Timer:
@@ -78,10 +69,10 @@ def test_criterion_2_overpartition_sanity():
 def test_criterion_3_theorem_battery(N, a):
     with Timer() as t:
         sys_ = build_system(a, N)
-        f_tab = table_entries(count_F(sys_, 40))
-        g_tab = table_entries(count_G(sys_, 40))
-        prod = series_entries(product_F(sys_, 40))
-        lim = series_entries(limit_u(sys_, 40))
+        f_tab = _table_entries(count_F(sys_, 40))
+        g_tab = _table_entries(count_G(sys_, 40))
+        prod = _series_entries(product_F(sys_, 40))
+        lim = _series_entries(limit_u(sys_, 40))
         assert f_tab == g_tab
         assert {(d, q) for d, q in prod} == set(f_tab)
         assert prod == {(d, q): c for (d, q), c in f_tab.items()}

@@ -1,8 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from overpart import (
+    NegativeExponents,
+    NonUnitLeadingTerm,
+    NotStabilized,
+    RoundTripMismatch,
+    cli,
+)
 from overpart.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *args):
@@ -148,3 +161,73 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--N", "6", "--a", "1,2,4",
                              "--checks", "tmj")
         assert code == 2
+
+
+def _raiser(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+class TestExitCodes:
+    """Mathematical failures exit 1 with an ``error:`` line; bad input 2."""
+
+    @pytest.mark.parametrize("exc", [
+        NonUnitLeadingTerm("divisor has no unit constant term"),
+        NotStabilized("coefficients still moving"),
+    ])
+    def test_limit_failures_exit_1(self, capsys, monkeypatch, exc):
+        monkeypatch.setattr(cli, "limit_u", _raiser(exc))
+        code, out, err = run_cli(capsys, "verify", "--N", "3", "--a", "1,2",
+                                 "--trunc", "6", "--checks", "theorem")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {exc}\n"
+        code, _, err = run_cli(capsys, "expand", "--what", "limit",
+                               "--N", "3", "--a", "1,2", "--trunc", "6")
+        assert code == 1
+        assert err == f"error: {exc}\n"
+
+    @pytest.mark.parametrize("exc", [
+        NegativeExponents("recurrence produced negative exponents"),
+        NonUnitLeadingTerm("divisor has no unit constant term"),
+    ])
+    def test_recurrence_failures_exit_1(self, capsys, monkeypatch, exc):
+        monkeypatch.setattr(cli, "run_recurrence", _raiser(exc))
+        code, _, err = run_cli(capsys, "verify", "--N", "7", "--a", "1,2,4",
+                               "--trunc", "10", "--checks", "rec",
+                               "--output", "json")
+        assert code == 1
+        assert err == f"error: {exc}\n"
+
+    def test_chain_round_trip_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_chain", _raiser(
+            RoundTripMismatch("x-product division failed to invert")))
+        code, _, err = run_cli(capsys, "verify", "--N", "3", "--a", "1,2",
+                               "--trunc", "10", "--checks", "chain")
+        assert code == 1
+        assert err.startswith("error: x-product")
+
+    def test_input_errors_still_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "expand", "--what", "gm", "--m", "-99",
+                               "--N", "7", "--a", "1,2,4")
+        assert code == 2
+        assert err.startswith("error: ")
+
+
+def test_checks_survive_python_O():
+    # -O strips assert statements; the verdict must not depend on them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    argv = ["-m", "overpart.cli", "verify", "--N", "7", "--a", "1,2,4",
+            "--checks", "rec,chain", "--trunc", "20", "--x-trunc", "3",
+            "--output", "json"]
+    plain = subprocess.run([sys.executable, *argv], env=env,
+                           capture_output=True, timeout=120)
+    optimized = subprocess.run([sys.executable, "-O", *argv], env=env,
+                               capture_output=True, timeout=120)
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout
+    assert json.loads(plain.stdout)["verdict"] == "pass"

@@ -1,18 +1,26 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from overpart import (
     CountTable,
     MalformedOverpartition,
     Overpartition,
+    beta,
+    build_system,
     check_G_conditions,
     count_all_overpartitions,
     count_F,
     count_G,
     count_G_andrews_k0,
+    g_series,
+    g_table,
     product_F,
+    walk_G,
 )
 
-from conftest import gen_overpartitions
+from conftest import BATTERY, gen_overpartitions
 
 
 def brute_table(sys_, n_max, predicate):
@@ -223,3 +231,80 @@ class TestCountTable:
         b = CountTable(2, {(0, 0): 1, (1, 2): 4})
         assert a.first_mismatch(b) == (1, 2, 3, 4)
         assert a.first_mismatch(a) is None
+
+
+@lru_cache(maxsize=None)
+def valid_overpartitions(n_max):
+    """Every structurally valid overpartition of each ``1 <= n <= n_max``."""
+    out = []
+    for n in range(1, n_max + 1):
+        for parts in gen_overpartitions(n):
+            op = Overpartition(parts)
+            try:
+                op.validate()
+            except MalformedOverpartition:
+                continue
+            out.append(op)
+    return tuple(out)
+
+
+def check_ladder(sys_, n_max):
+    """Every largest-part bound ``-N..n_max+N`` against generate-and-filter.
+
+    ``g_series``/``g_table`` must give the bounded count (the band
+    constant ``(-d)^band`` once ``m <= -N``), and ``count_G`` must give it
+    for every largest-part flag.
+    """
+    members = [op for op in valid_overpartitions(n_max)
+               if check_G_conditions(sys_, op)]
+
+    def oracle(bound, flag):
+        entries = {(0, 0): 1}
+        for op in members:
+            size, overlined = op.parts[0]
+            if size > bound or (flag == "overlined" and not overlined) \
+                    or (flag == "non-overlined" and overlined):
+                continue
+            entries[(op.k, op.n)] = entries.get((op.k, op.n), 0) + 1
+        return entries
+
+    for m in range(-sys_.N, n_max + sys_.N + 1):
+        band = min(-m // sys_.N, sys_.r - 1) if m <= 0 else 0
+        want = oracle(m, None) if band == 0 else {(band, 0): (-1) ** band}
+        series = {(d, q): c for q, d, c in g_series(sys_, m, n_max).terms()}
+        assert series == want, (sys_.N, sys_.a, m)
+        assert dict(g_table(sys_, m, n_max)) == want, (sys_.N, sys_.a, m)
+        for flag in (None, "overlined", "non-overlined"):
+            got = count_G(sys_, n_max, largest_bound=m, largest_flag=flag)
+            assert got == CountTable(n_max, oracle(m, flag)), \
+                (sys_.N, sys_.a, m, flag)
+
+
+@st.composite
+def admissible_systems(draw):
+    """``(N, A)`` with ``r <= 3``, each generator above the smaller ones'
+    sum, and ``sum(A) <= N <= sum(A) + 3``."""
+    a = []
+    for _ in range(draw(st.integers(1, 3))):
+        a.append(sum(a) + draw(st.integers(1, 3)))
+    return sum(a) + draw(st.integers(0, 3)), tuple(a)
+
+
+class TestLargestPartLadder:
+    def test_walk_visits_admissible_sizes_in_order(self, battery):
+        for sys_ in battery:
+            alpha = set(sys_.alpha)
+            sizes = [first for first, _ in walk_G(sys_, 20)]
+            assert sizes == [s for s in range(1, 21)
+                             if beta(sys_, -s) in alpha]
+
+    @pytest.mark.parametrize("N,a", BATTERY)
+    def test_battery_against_generate_and_filter(self, N, a):
+        check_ladder(build_system(a, N), 12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(admissible_systems(), st.integers(0, 10))
+    def test_random_systems_against_generate_and_filter(self, system,
+                                                        n_max):
+        N, a = system
+        check_ladder(build_system(a, N), n_max)

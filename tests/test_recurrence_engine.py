@@ -4,15 +4,20 @@ from overpart import (
     ChainBroken,
     ConventionOutOfRange,
     DPoly,
+    NegativeExponents,
     NotStabilized,
     QLaurent,
+    RoundTripMismatch,
+    XSeries,
     build_rec_row,
     build_system,
     coeff_b,
     coeff_c,
     coeff_e,
     coeff_f,
+    count_G,
     g_series,
+    g_table,
     limit_u,
     alpha_weight_sum,
     pochhammer_expand,
@@ -48,6 +53,57 @@ class TestGSeries:
         g8 = g_series(sys7, 8, 8)
         assert g8.coefficient(8) == DPoly({0: 1, 1: 2, 2: 1})
         assert g8.coefficient(0) == DPoly.const(1)
+
+    def test_shared_tables_are_read_only(self, sys7):
+        series_before = list(g_series(sys7, 8, 12).terms())
+        lemma_before = verify_lemma1(sys7, 2, 1, 12)
+        for m in (8, -8):
+            table = g_table(sys7, m, 12)
+            before = dict(table)
+            with pytest.raises(TypeError):
+                table[(0, 8)] = 99
+            with pytest.raises(TypeError):
+                del table[next(iter(before))]
+            assert dict(g_table(sys7, m, 12)) == before
+        assert list(g_series(sys7, 8, 12).terms()) == series_before
+        assert verify_lemma1(sys7, 2, 1, 12) == lemma_before == []
+
+    def test_lone_bound_pulls_walk_only_that_far(self, sys7, monkeypatch):
+        real = recurrence_engine.walk_G
+        pulled = []
+
+        def counting(sys, trunc):
+            for first, tail in real(sys, trunc):
+                pulled.append(first)
+                yield first, tail
+        monkeypatch.setattr(recurrence_engine, "walk_G", counting)
+        ladder = recurrence_engine._Ladder(sys7, 40)
+        table, _ = ladder.rung(8)
+        assert pulled[-1] == 8
+        assert dict(table) == count_G(sys7, 40, largest_bound=8).entries
+        ladder.rung(99)
+        assert pulled[-1] == 40
+        assert ladder.rung(8)[0] is table
+
+    def test_interrupted_walk_starts_over(self, sys7, monkeypatch):
+        want = g_series(sys7, 30, 30)
+        real = recurrence_engine.walk_G
+        starts = []
+
+        def flaky(sys, trunc):
+            starts.append(trunc)
+            for i, step in enumerate(real(sys, trunc)):
+                if len(starts) == 1 and i == 3:
+                    raise KeyboardInterrupt
+                yield step
+        monkeypatch.setattr(recurrence_engine, "walk_G", flaky)
+        ladder = recurrence_engine._Ladder(sys7, 30)
+        with pytest.raises(KeyboardInterrupt):
+            ladder.rung(30)
+        table, series = ladder.rung(30)
+        assert len(starts) == 2
+        assert dict(table) == count_G(sys7, 30).entries
+        assert series == want
 
 
 class TestPeelingIdentities:
@@ -246,6 +302,19 @@ class TestLimit:
                 assert us[ell].coefficient(n) == us[8].coefficient(n), \
                     (ell, n)
 
+    def test_negative_exponents_raise(self, sys7, monkeypatch):
+        # shift every right-hand coefficient down one power of q, so u_1
+        # picks up a q^-1 term
+        real = recurrence_engine.build_rec_row
+
+        def shifted(sys, ell, trunc):
+            row = real(sys, ell, trunc)
+            rhs = tuple(c.scale_by_monomial(-1, 0, 1) for c in row.rhs)
+            return recurrence_engine.RecRow(lhs=row.lhs, rhs=rhs, ell=ell)
+        monkeypatch.setattr(recurrence_engine, "build_rec_row", shifted)
+        with pytest.raises(NegativeExponents):
+            recurrence_engine.run_recurrence(sys7, 2, 10)
+
     def test_not_stabilized_diagnostic(self, sys7, monkeypatch):
         def drifting(sys, ell_max, trunc):
             return [QLaurent.monomial(trunc, 0, 0, ell + 1)
@@ -295,6 +364,12 @@ class TestChain:
         sys2 = build_system([1], 2)
         with pytest.raises(ValueError):
             verify_chain(sys2, 4, 4, 10)
+
+    def test_round_trip_mismatch_raises(self, sys3, monkeypatch):
+        # a "quotient" that is the dividend itself cannot multiply back
+        monkeypatch.setattr(XSeries, "divide", lambda self, den: self)
+        with pytest.raises(RoundTripMismatch):
+            verify_chain(sys3, 4, 4, 12)
 
     def test_broken_chain_reports_stage(self, sys3, monkeypatch):
         # corrupt the reduced-product comparison to exercise the failure path
