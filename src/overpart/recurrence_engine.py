@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 
 from .alpha_system import alpha_weight_sum, build_system
@@ -74,8 +74,9 @@ class _Ladder:
     running total after each admissible size ``first`` is ``g_first``.
     Rung ``i`` is the total after the first ``i`` sizes, kept as a
     read-only count table keyed ``(k, n)``; its series is built once, on
-    first use.  The walk is pulled only as far as the bounds asked for so
-    far need, so a lone small bound does not pay for the whole
+    first use, with a read-only q-map and read-only d-rows, since every
+    caller shares it.  The walk is pulled only as far as the bounds asked
+    for so far need, so a lone small bound does not pay for the whole
     truncation.
     """
 
@@ -103,8 +104,12 @@ class _Ladder:
         i = bisect_right(self._sizes, m)
         table = self._tables[i]
         if i not in self._series:
-            self._series[i] = QLaurent.from_terms(
+            series = QLaurent.from_terms(
                 self.trunc, ((n, k, c) for (k, n), c in table.items()))
+            for row in series.coeffs.values():
+                row.coeffs = MappingProxyType(row.coeffs)
+            series.coeffs = MappingProxyType(series.coeffs)
+            self._series[i] = series
         return table, self._series[i]
 
     def _pull(self):
@@ -157,6 +162,28 @@ def g_table(sys, m, trunc):
     return _g_entry(sys, m, trunc)[0]
 
 
+def _peel_cutoffs(sys, j, m):
+    """``(alpha(m), alpha(m+1))`` for the peeling identities at ``(j, m)``;
+    the subset sum after the last one is ``a_ext = N + a(1)``."""
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    if not 1 <= m <= len(sys.alpha):
+        raise ValueError(f"m outside 1..{len(sys.alpha)}")
+    am1 = sys.alpha[m] if m < len(sys.alpha) else sys.a_ext
+    return sys.alpha[m - 1], am1
+
+
+def _peeled(sys, j, al, trunc):
+    """``q^(jN-al) (g[(j-w)N-v] + d g[(j-w+1)N-v])``, with ``w, v`` the
+    weight data of the subset sum ``al``: what peeling ``al`` removes."""
+    N = sys.N
+    w, v = sys.w_table[al], sys.v_table[al]
+    return (g_series(sys, (j - w) * N - v, trunc)
+            .scale_by_monomial(j * N - al, 0, 1)
+            + g_series(sys, (j - w + 1) * N - v, trunc)
+            .scale_by_monomial(j * N - al, 1, 1))
+
+
 def verify_lemma1(sys, j, m, n_max):
     """Count-level peeling identity at adjacent subset-sum cutoffs.
 
@@ -170,30 +197,28 @@ def verify_lemma1(sys, j, m, n_max):
     with ``w, v`` the weight data of ``alpha(m)`` and
     ``n' = n - jN + alpha(m)``.  (The removed part is overlined in the
     first term and non-overlined in the second, hence the ``k - 1``.)
-    Returns the list of offending ``(k, n)`` cells, empty on success.
+    Only a cell present in one of the four tables, after the shift, can
+    differ, so only those cells are visited.  Returns the offending
+    ``(k, n, lhs, rhs)`` cells ordered by ``n`` then ``k``, empty on
+    success.
     """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    if not 1 <= m <= len(sys.alpha):
-        raise ValueError(f"m outside 1..{len(sys.alpha)}")
+    am, am1 = _peel_cutoffs(sys, j, m)
     N = sys.N
-    am = sys.alpha[m - 1]
-    am1 = sys.alpha[m] if m < len(sys.alpha) else sys.a_ext
     w, v = sys.w_table[am], sys.v_table[am]
     tab_a = g_table(sys, j * N - am, n_max)
     tab_b = g_table(sys, j * N - am1, n_max)
     tab_c = g_table(sys, (j - w) * N - v, n_max)
     tab_d = g_table(sys, (j - w + 1) * N - v, n_max)
-    k_hi = max((k for tab in (tab_a, tab_b, tab_c, tab_d) for k, _ in tab),
-               default=0) + 1
+    shift = j * N - am
+    cells = set(tab_a) | set(tab_b)
+    cells.update((k, n + shift) for k, n in tab_c)
+    cells.update((k + 1, n + shift) for k, n in tab_d)
     bad = []
-    for n in range(n_max + 1):
-        shift = n - j * N + am
-        for k in range(k_hi + 1):
-            lhs = tab_a.get((k, n), 0) - tab_b.get((k, n), 0)
-            rhs = tab_c.get((k, shift), 0) + tab_d.get((k - 1, shift), 0)
-            if lhs != rhs:
-                bad.append((k, n, lhs, rhs))
+    for n, k in sorted((n, k) for k, n in cells if n <= n_max):
+        lhs = tab_a.get((k, n), 0) - tab_b.get((k, n), 0)
+        rhs = tab_c.get((k, n - shift), 0) + tab_d.get((k - 1, n - shift), 0)
+        if lhs != rhs:
+            bad.append((k, n, lhs, rhs))
     return bad
 
 
@@ -203,21 +228,11 @@ def verify_lemma2(sys, j, m, trunc):
     Zero iff ``g[jN-alpha(m)] = g[jN-alpha(m+1)]
     + q^(jN-alpha(m)) * (g[(j-w)N-v] + d * g[(j-w+1)N-v])``.
     """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    if not 1 <= m <= len(sys.alpha):
-        raise ValueError(f"m outside 1..{len(sys.alpha)}")
+    am, am1 = _peel_cutoffs(sys, j, m)
     N = sys.N
-    am = sys.alpha[m - 1]
-    am1 = sys.alpha[m] if m < len(sys.alpha) else sys.a_ext
-    w, v = sys.w_table[am], sys.v_table[am]
-    res = g_series(sys, j * N - am, trunc)
-    res = res - g_series(sys, j * N - am1, trunc)
-    res = res - g_series(sys, (j - w) * N - v, trunc).scale_by_monomial(
-        j * N - am, 0, 1)
-    res = res - g_series(sys, (j - w + 1) * N - v, trunc).scale_by_monomial(
-        j * N - am, 1, 1)
-    return res
+    return (g_series(sys, j * N - am, trunc)
+            - g_series(sys, j * N - am1, trunc)
+            - _peeled(sys, j, am, trunc))
 
 
 def verify_eq_357(sys, j, k, trunc):
@@ -246,11 +261,7 @@ def verify_eq_357(sys, j, k, trunc):
     for al in sys.alpha:
         if al >= ak:
             break
-        w, v = sys.w_table[al], sys.v_table[al]
-        res35 = res35 - g_series(sys, (j - w) * N - v, trunc) \
-            .scale_by_monomial(j * N - al, 0, 1)
-        res35 = res35 - g_series(sys, (j - w + 1) * N - v, trunc) \
-            .scale_by_monomial(j * N - al, 1, 1)
+        res35 = res35 - _peeled(sys, j, al, trunc)
 
     res37 = None
     if k <= sys.r:
@@ -348,6 +359,19 @@ def _initial_u(sys, k, trunc):
     return QLaurent.monomial(trunc, 0, k, _sign(k))
 
 
+def _rec_rhs(sys, row, us, trunc):
+    """``sum_j rhs[j-1] u_(ell-j)`` for ``row``; ``u`` below index 0 is
+    read from the seeds."""
+    total = QLaurent.zero(trunc)
+    for j, coeff in enumerate(row.rhs, 1):
+        if coeff.is_zero():
+            continue
+        idx = row.ell - j
+        u = us[idx] if idx >= 0 else _initial_u(sys, -idx, trunc)
+        total = total + coeff * u
+    return total
+
+
 def run_recurrence(sys, ell_max, trunc):
     """Iterate the main recurrence; returns ``[u_0, ..., u_ell_max]``.
 
@@ -361,15 +385,7 @@ def run_recurrence(sys, ell_max, trunc):
     us = [QLaurent.one(trunc)]
     for ell in range(1, ell_max + 1):
         row = build_rec_row(sys, ell, trunc)
-        rhs = QLaurent.zero(trunc)
-        for j in range(1, sys.r + 1):
-            coeff = row.rhs[j - 1]
-            if coeff.is_zero():
-                continue
-            idx = ell - j
-            u = us[idx] if idx >= 0 else _initial_u(sys, -idx, trunc)
-            rhs = rhs + coeff * u
-        u_ell = rhs.divide(row.lhs)
+        u_ell = _rec_rhs(sys, row, us, trunc).divide(row.lhs)
         if u_ell.min_exp < 0:
             raise NegativeExponents(
                 f"recurrence produced negative exponents at ell={ell}: "
@@ -420,26 +436,28 @@ def coeff_c(sys, k, j, trunc=0):
     return qbinomial(j - 1, k, -sys.N, trunc).scale_by_monomial(shift, k, 1)
 
 
+def _weight_pair(sys, bound_index, m, j, trunc):
+    """``(d^(m-1) W(j+m-1) + d^m W(j+m)) [j+m-1, m-1]_(q^-N)``, with ``W``
+    the weight sums of the subset sums below ``a(bound_index)``."""
+    w1 = alpha_weight_sum(sys, bound_index, j + m - 1, trunc) \
+        .scale_by_monomial(0, m - 1, 1)
+    w2 = alpha_weight_sum(sys, bound_index, j + m, trunc) \
+        .scale_by_monomial(0, m, 1)
+    return (w1 + w2) * qbinomial(j + m - 1, m - 1, -sys.N, trunc)
+
+
 def coeff_b(sys, m, j, trunc=0):
     """Weight-sum pair over all subset sums, times ``[j+m-1, m-1]_(q^-N)``."""
     if m < 1 or j < 1:
         raise ValueError("need m >= 1 and j >= 1")
-    w1 = alpha_weight_sum(sys, sys.r + 1, j + m - 1, trunc) \
-        .scale_by_monomial(0, m - 1, 1)
-    w2 = alpha_weight_sum(sys, sys.r + 1, j + m, trunc) \
-        .scale_by_monomial(0, m, 1)
-    return (w1 + w2) * qbinomial(j + m - 1, m - 1, -sys.N, trunc)
+    return _weight_pair(sys, sys.r + 1, m, j, trunc)
 
 
 def coeff_e(sys, m, j, trunc=0):
     """Weight-sum pair below ``a(r)``, times ``[j+m-1, m-1]_(q^-N)``."""
     if m < 1 or j < 0:
         raise ValueError("need m >= 1 and j >= 0")
-    w1 = alpha_weight_sum(sys, sys.r, j + m - 1, trunc) \
-        .scale_by_monomial(0, m - 1, 1)
-    w2 = alpha_weight_sum(sys, sys.r, j + m, trunc) \
-        .scale_by_monomial(0, m, 1)
-    return (w1 + w2) * qbinomial(j + m - 1, m - 1, -sys.N, trunc)
+    return _weight_pair(sys, sys.r, m, j, trunc)
 
 
 def coeff_f(sys, m, k, trunc=0):
@@ -450,6 +468,44 @@ def coeff_f(sys, m, k, trunc=0):
     return qbinomial(m - 1, k, -sys.N, trunc).scale_by_monomial(shift, 0, 1)
 
 
+class _Family(dict):
+    """Coefficient table ``key -> coeff(sys, *key)`` at trunc 0, each entry
+    built on its first lookup.
+
+    Every member of the four families has exponents <= 0, so it is exact
+    at trunc 0 and may be raised to any truncation with ``with_trunc``.
+    """
+
+    def __init__(self, coeff, sys):
+        super().__init__()
+        self._build = partial(coeff, sys)
+
+    def __missing__(self, key):
+        value = self[key] = self._build(*key)
+        return value
+
+
+def _families(sys):
+    """The tables ``(c, b, e, f)``, empty until read."""
+    return tuple(_Family(coeff, sys)
+                 for coeff in (coeff_c, coeff_b, coeff_e, coeff_f))
+
+
+def _tmj(sys, m, j, c, b, e, f):
+    """Both sides of ``T(m, j)`` (see :func:`verify_Tmj`) at trunc 0,
+    read from the tables ``c, b, e, f``."""
+    lhs = QLaurent.zero(0)
+    for k in range(min(j - 1, m - 1) + 1):
+        lhs = lhs + c[k, j] * b[m - k, j]
+    rhs = QLaurent.zero(0)
+    for k in range(min(m - 1, j) + 1):
+        rhs = rhs + f[m, k] * e[m, j - k]
+    for k in range(min(m - 1, j - 1) + 1):
+        rhs = rhs + (f[m, k] * e[m, j - k - 1]) \
+            .scale_by_monomial(-sys.a[-1], 0, 1)
+    return lhs, rhs
+
+
 def verify_Tmj(sys, m, j):
     """Equality of the two assembled q-difference-equation coefficients.
 
@@ -458,15 +514,7 @@ def verify_Tmj(sys, m, j):
     """
     if not (1 <= m <= sys.r and 1 <= j <= sys.r):
         raise ValueError("need 1 <= m, j <= r")
-    lhs = QLaurent.zero(0)
-    for k in range(min(j - 1, m - 1) + 1):
-        lhs = lhs + coeff_c(sys, k, j) * coeff_b(sys, m - k, j)
-    rhs = QLaurent.zero(0)
-    for k in range(min(m - 1, j) + 1):
-        rhs = rhs + coeff_f(sys, m, k) * coeff_e(sys, m, j - k)
-    for k in range(min(m - 1, j - 1) + 1):
-        rhs = rhs + (coeff_f(sys, m, k) * coeff_e(sys, m, j - k - 1)) \
-            .scale_by_monomial(-sys.a[-1], 0, 1)
+    lhs, rhs = _tmj(sys, m, j, *_families(sys))
     return lhs == rhs
 
 
@@ -543,38 +591,57 @@ class ChainReport:
         }
 
 
-def _weight_pair(sys, m, trunc):
-    """``d^(m-1) W(r, m-1) + d^m W(r, m)`` with W the cutoff weight sums."""
-    w1 = alpha_weight_sum(sys, sys.r, m - 1, trunc) \
-        .scale_by_monomial(0, m - 1, 1)
-    w2 = alpha_weight_sum(sys, sys.r, m, trunc).scale_by_monomial(0, m, 1)
-    return w1 + w2
-
-
-def _beta_lhs_multiplier(sys, ell, trunc):
-    """``1 + sum_j (-1)^j q^(j l N) * weight_pair(j)``."""
-    total = QLaurent.one(trunc)
-    for j in range(1, sys.r + 1):
-        total = total + _weight_pair(sys, j, trunc) \
-            .scale_by_monomial(j * ell * sys.N, 0, _sign(j))
-    return total
-
-
-def _chain_pad(sys):
-    """Extra q-headroom so residuals are exact despite negative shifts."""
-    min_c = min((coeff_c(sys, k, j).min_exp
+def _chain_pad(sys, c, b, e, f):
+    """Extra q-headroom so residuals are exact despite negative shifts;
+    reads, and so fills, every table entry the chain uses."""
+    min_c = min((c[k, j].min_exp
                  for j in range(1, sys.r + 1) for k in range(j)), default=0)
-    min_b = min((coeff_b(sys, m, j).min_exp
+    min_b = min((b[m, j].min_exp
                  for j in range(1, sys.r + 1)
                  for m in range(1, sys.r + 1)), default=0)
-    min_e = min((coeff_e(sys, m, j).min_exp
+    min_e = min((e[m, j].min_exp
                  for m in range(1, sys.r + 1)
                  for j in range(sys.r + 1)), default=0)
-    min_f = min((coeff_f(sys, m, k).min_exp
+    min_f = min((f[m, k].min_exp
                  for m in range(1, sys.r + 1) for k in range(m)), default=0)
     return max(sys.N,
                -(min_c + min_b),
                -(min_f + min_e) + sys.a[-1])
+
+
+def _qdiff_residual(sys, F, M, trunc):
+    """First nonzero ``(x, q, d, c)`` below ``q^trunc``, or None, of
+    ``F - xF - sum_m (-1)^(m+1) M_m(x) F(xq^(mN))``, where
+    ``M_m(x) = sum_j M[m, j] q^(mjN) x^j`` and a missing pair is 0."""
+    N, x_trunc = sys.N, F.x_trunc
+    zero = QLaurent.zero(F.trunc)
+    res = F - F.shift_x(1)
+    for m in range(1, sys.r + 1):
+        mult = XSeries(x_trunc, [
+            M.get((m, j), zero).scale_by_monomial(m * j * N, 0, 1)
+            for j in range(x_trunc + 1)])
+        res = res - (mult * substitute_x(F, m, N)) * _sign(m + 1)
+    return res.with_q_trunc(trunc).first_nonzero()
+
+
+def _rec_residual(sys, ys, M, ell_hi, trunc):
+    """First offender ``(ell, q, d, c)`` below ``q^trunc``, or None, of
+    ``y_l = y_(l-1) + sum_(j<=min(r,l)) (sum_m (-1)^(m+1) q^(mlN) M[m, j])
+    y_(l-j)`` for ``1 <= l <= ell_hi``: the ``x^l`` coefficient of
+    :func:`_qdiff_residual`'s equation for ``F = sum_l y_l x^l``."""
+    N, r = sys.N, sys.r
+    for ell in range(1, ell_hi + 1):
+        res = ys[ell] - ys[ell - 1]
+        for j in range(min(r, ell) + 1):
+            mult = QLaurent.zero(res.trunc)
+            for m in range(1, r + 1):
+                mult = mult + M[m, j].scale_by_monomial(
+                    m * ell * N, 0, _sign(m + 1))
+            res = res - mult * ys[ell - j]
+        res = res.with_trunc(trunc)
+        if not res.is_zero():
+            return (ell,) + res.first_nonzero()
+    return None
 
 
 def _x_factor_product(sys, x_trunc, trunc):
@@ -610,8 +677,21 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     if ell_max < x_trunc:
         raise ValueError("ell_max must be at least x_trunc")
     N, r, a1, ar = sys.N, sys.r, sys.a[0], sys.a[-1]
-    work = trunc + _chain_pad(sys)
+    families = _families(sys)
+    work = trunc + _chain_pad(sys, *families)
     one = QLaurent.one(work)
+
+    # multipliers M[m, j] of the three q-difference equations: each has
+    # the weight pair e(m, 0) at j = 0 (f(m, 0) = 1), then the left side
+    # of T(m, j), its right side, or e(m, j)
+    e = families[2]
+    left = {(m, 0): e[m, 0] for m in range(1, r + 1)}
+    right = dict(left)
+    for m in range(1, r + 1):
+        for j in range(1, r + 1):
+            left[m, j], right[m, j] = _tmj(sys, m, j, *families)
+    left, right, e = ({key: val.with_trunc(work) for key, val in tab.items()}
+                      for tab in (left, right, e))
 
     u = run_recurrence(sys, ell_max, work)
 
@@ -623,15 +703,6 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
         den = den * (one - QLaurent.monomial(work, ell * N))
         betas.append((u[ell] * num).divide(den))
 
-    fam_c = {(k, j): coeff_c(sys, k, j, work)
-             for j in range(1, r + 1) for k in range(j)}
-    fam_b = {(m, j): coeff_b(sys, m, j, work)
-             for j in range(1, r + 1) for m in range(1, r + 1)}
-    fam_e = {(m, j): coeff_e(sys, m, j, work)
-             for m in range(1, r + 1) for j in range(r + 1)}
-    fam_f = {(m, k): coeff_f(sys, m, k, work)
-             for m in range(1, r + 1) for k in range(m)}
-
     report = ChainReport(system=sys, trunc=trunc, x_trunc=x_trunc)
 
     def record(name, residual_first_offender):
@@ -639,59 +710,11 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
         detail = "" if ok else f"first offender {residual_first_offender}"
         report.stages.append(ChainStage(name, ok, detail))
 
-    # coefficient recurrence for beta
-    offender = None
-    for ell in range(1, ell_max + 1):
-        res = _beta_lhs_multiplier(sys, ell, work) * betas[ell]
-        res = res - betas[ell - 1]
-        for j in range(1, min(r, ell) + 1):
-            mult = QLaurent.zero(work)
-            for h in range(1, r + 1):
-                for k in range(min(j - 1, h - 1) + 1):
-                    mult = mult + (fam_c[(k, j)] * fam_b[(h - k, j)]) \
-                        .scale_by_monomial(h * ell * N, 0, _sign(h + 1))
-            res = res - mult * betas[ell - j]
-        res = res.with_trunc(trunc)
-        if not res.is_zero():
-            offender = (ell,) + res.first_nonzero()
-            break
-    record("rec_prime", offender)
-
-    # q-difference equation for f
+    record("rec_prime", _rec_residual(sys, betas, left, ell_max, trunc))
     f = XSeries(x_trunc, betas[:x_trunc + 1])
-    res = f - f.shift_x(1)
-    for m in range(1, r + 1):
-        rows = [_weight_pair(sys, m, work)]
-        for j in range(1, x_trunc + 1):
-            acc = QLaurent.zero(work)
-            if j <= r:
-                for k in range(min(j - 1, m - 1) + 1):
-                    acc = acc + fam_c[(k, j)] * fam_b[(m - k, j)]
-            rows.append(acc.scale_by_monomial(m * j * N, 0, 1))
-        mult = XSeries(x_trunc, rows)
-        res = res - (mult * substitute_x(f, m, N)) * _sign(m + 1)
-    res = res.with_q_trunc(trunc)
-    record("eq", res.first_nonzero())
-
+    record("eq", _qdiff_residual(sys, f, left, trunc))
     # the same series satisfies the reduced-form q-difference equation
-    res = f - f.shift_x(1)
-    for m in range(1, r + 1):
-        rows = []
-        for nu in range(x_trunc + 1):
-            acc = QLaurent.zero(work)
-            if nu <= r - 1:
-                for mu in range(min(m - 1, nu) + 1):
-                    acc = acc + fam_f[(m, mu)] * fam_e[(m, nu - mu)]
-            if 1 <= nu <= r:
-                tail = QLaurent.zero(work)
-                for mu in range(min(m - 1, nu - 1) + 1):
-                    tail = tail + fam_f[(m, mu)] * fam_e[(m, nu - mu - 1)]
-                acc = acc + tail.scale_by_monomial(-ar, 0, 1)
-            rows.append(acc.scale_by_monomial(m * nu * N, 0, 1))
-        mult = XSeries(x_trunc, rows)
-        res = res - (mult * substitute_x(f, m, N)) * _sign(m + 1)
-    res = res.with_q_trunc(trunc)
-    record("eq_prime", res.first_nonzero())
+    record("eq_prime", _qdiff_residual(sys, f, right, trunc))
 
     # divide out the x-product and check the quotient's equation
     xprod = _x_factor_product(sys, x_trunc, work)
@@ -699,35 +722,9 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     g_recon = G * xprod
     if g_recon != f:
         raise RoundTripMismatch("x-product division failed to invert")
-    res = G - G.shift_x(1)
-    for m in range(1, r + 1):
-        rows = []
-        for j in range(x_trunc + 1):
-            if j <= r - 1:
-                rows.append(fam_e[(m, j)].scale_by_monomial(m * j * N, 0, 1))
-            else:
-                rows.append(QLaurent.zero(work))
-        mult = XSeries(x_trunc, rows)
-        res = res - (mult * substitute_x(G, m, N)) * _sign(m + 1)
-    res = res.with_q_trunc(trunc)
-    record("eq_dprime", res.first_nonzero())
-
-    # coefficient recurrence for s
+    record("eq_dprime", _qdiff_residual(sys, G, e, trunc))
     s = list(G.coeffs)
-    offender = None
-    for ell in range(1, x_trunc + 1):
-        res = _beta_lhs_multiplier(sys, ell, work) * s[ell] - s[ell - 1]
-        for j in range(1, min(r, ell) + 1):
-            mult = QLaurent.zero(work)
-            for m in range(1, r + 1):
-                mult = mult + fam_e[(m, j)].scale_by_monomial(
-                    m * ell * N, 0, _sign(m + 1))
-            res = res - mult * s[ell - j]
-        res = res.with_trunc(trunc)
-        if not res.is_zero():
-            offender = (ell,) + res.first_nonzero()
-            break
-    record("rec_dprime", offender)
+    record("rec_dprime", _rec_residual(sys, s, e, x_trunc, trunc))
 
     # mu satisfies the reduced system's main recurrence
     reduced = build_system(sys.a[:-1], N)
@@ -744,15 +741,8 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
         if offender is not None:
             break
         row = build_rec_row(reduced, ell, work)
-        res = row.lhs * mus[ell]
-        for j in range(1, reduced.r + 1):
-            coeff = row.rhs[j - 1]
-            if coeff.is_zero():
-                continue
-            idx = ell - j
-            val = mus[idx] if idx >= 0 else _initial_u(reduced, -idx, work)
-            res = res - coeff * val
-        res = res.with_trunc(trunc)
+        res = (row.lhs * mus[ell]
+               - _rec_rhs(reduced, row, mus, work)).with_trunc(trunc)
         if not res.is_zero():
             offender = (ell,) + res.first_nonzero()
     record("rec_reduced", offender)

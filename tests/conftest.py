@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from overpart import build_system
 from overpart.cli import BATTERY
@@ -43,3 +44,13 @@ def gen_overpartitions(n, max_part=None):
         for rest in gen_overpartitions(n - size, size):
             yield ((size, False),) + rest
             yield ((size, True),) + rest
+
+
+@st.composite
+def admissible_systems(draw, r_min=1, r_max=3):
+    """``(N, A)`` with ``r_min <= r <= r_max``, each generator 1 to 3 above
+    the smaller ones' sum, and ``sum(A) <= N <= sum(A) + 3``."""
+    a = []
+    for _ in range(draw(st.integers(r_min, r_max))):
+        a.append(sum(a) + draw(st.integers(1, 3)))
+    return sum(a) + draw(st.integers(0, 3)), tuple(a)

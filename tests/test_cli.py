@@ -221,8 +221,8 @@ def test_checks_survive_python_O():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     argv = ["-m", "overpart.cli", "verify", "--N", "7", "--a", "1,2,4",
-            "--checks", "rec,chain", "--trunc", "20", "--x-trunc", "3",
-            "--output", "json"]
+            "--checks", ",".join(cli.ALL_CHECKS), "--trunc", "20",
+            "--x-trunc", "3", "--output", "json"]
     plain = subprocess.run([sys.executable, *argv], env=env,
                            capture_output=True, timeout=120)
     optimized = subprocess.run([sys.executable, "-O", *argv], env=env,

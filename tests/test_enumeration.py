@@ -20,7 +20,7 @@ from overpart import (
     walk_G,
 )
 
-from conftest import BATTERY, gen_overpartitions
+from conftest import BATTERY, admissible_systems, gen_overpartitions
 
 
 def brute_table(sys_, n_max, predicate):
@@ -278,16 +278,6 @@ def check_ladder(sys_, n_max):
             got = count_G(sys_, n_max, largest_bound=m, largest_flag=flag)
             assert got == CountTable(n_max, oracle(m, flag)), \
                 (sys_.N, sys_.a, m, flag)
-
-
-@st.composite
-def admissible_systems(draw):
-    """``(N, A)`` with ``r <= 3``, each generator above the smaller ones'
-    sum, and ``sum(A) <= N <= sum(A) + 3``."""
-    a = []
-    for _ in range(draw(st.integers(1, 3))):
-        a.append(sum(a) + draw(st.integers(1, 3)))
-    return sum(a) + draw(st.integers(0, 3)), tuple(a)
 
 
 class TestLargestPartLadder:

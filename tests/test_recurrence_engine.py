@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from overpart import (
     ChainBroken,
@@ -15,6 +16,7 @@ from overpart import (
     coeff_c,
     coeff_e,
     coeff_f,
+    count_F,
     count_G,
     g_series,
     g_table,
@@ -31,7 +33,9 @@ from overpart import (
     verify_lemma2,
     verify_Tmj,
 )
-from overpart import recurrence_engine
+from overpart import cli, recurrence_engine
+
+from conftest import admissible_systems
 
 
 class TestGSeries:
@@ -65,6 +69,11 @@ class TestGSeries:
             with pytest.raises(TypeError):
                 del table[next(iter(before))]
             assert dict(g_table(sys7, m, 12)) == before
+        series = g_series(sys7, 8, 12)
+        with pytest.raises(TypeError):
+            series.coeffs[8] = DPoly.const(99)
+        with pytest.raises(TypeError):
+            series.coeffs[0].coeffs[0] = 5
         assert list(g_series(sys7, 8, 12).terms()) == series_before
         assert verify_lemma1(sys7, 2, 1, 12) == lemma_before == []
 
@@ -115,6 +124,35 @@ class TestPeelingIdentities:
         for j in range(1, 8):
             for m in range(1, 4):
                 assert verify_lemma1(sys3, j, m, 20) == [], (j, m)
+
+    # j = 2, m = 3 on 7/{1,2,4}: alpha(3) = 3 = 1 + 2, so w = 2, v = 1 and
+    # the four tables are g_11, g_10, g_-1 and g_6, shifted by n' = n - 11
+    @pytest.mark.parametrize("bound,cell,want,dl,dr", [
+        (11, (1, 12), (1, 12), 1, 0),     # a cell of g_11
+        (10, (20, 20), (20, 20), -1, 0),  # a cell no table holds
+        (-1, (5, 2), (5, 13), 0, 1),      # g_-1 at (k, n')
+        (6, (0, 3), (1, 14), 0, 1),       # g_6 at (k - 1, n')
+        (6, (15, 3), (16, 14), 0, 1),     # the same, where no table holds
+    ])
+    def test_lemma1_reports_the_perturbed_cell(self, sys7, monkeypatch,
+                                               bound, cell, want, dl, dr):
+        real = recurrence_engine.g_table
+        held = set().union(*(real(sys7, mm, 20) for mm in (11, 10, -1, 6)))
+        assert not held & {(20, 20), (16, 14), (15, 3)}
+
+        def perturbed(sys, m, trunc):
+            table = real(sys, m, trunc)
+            if m != bound:
+                return table
+            out = dict(table)
+            out[cell] = out.get(cell, 0) + 1
+            return out
+        monkeypatch.setattr(recurrence_engine, "g_table", perturbed)
+        k, n = want
+        value = real(sys7, 11, 20).get(want, 0) - real(sys7, 10, 20).get(
+            want, 0)
+        assert verify_lemma1(sys7, 2, 3, 20) == [(k, n, value + dl,
+                                                  value + dr)]
 
     def test_lemma2_examples(self, sys7, sys3):
         assert verify_lemma2(sys7, 2, 1, 20).is_zero()
@@ -225,6 +263,13 @@ class TestRunRecurrence:
         for ell in range(6):
             assert us[ell] == g_series(sys7, 7 * ell - 1, 25), ell
 
+    def test_rhs_reads_seeds_below_u0(self, sys7):
+        # a term reaching u_(-2) reads the seed (-d)^2
+        one = QLaurent.one(5)
+        row = recurrence_engine.RecRow(lhs=one, rhs=(one, one, one), ell=1)
+        assert recurrence_engine._rec_rhs(sys7, row, [one], 5) == \
+            one - QLaurent.monomial(5, 0, 1) + QLaurent.monomial(5, 0, 2)
+
 
 class TestKeyLemma:
     def test_degenerate_cutoff(self, sys7):
@@ -285,6 +330,19 @@ class TestLimit:
 
     def test_equals_product(self, sys9):
         assert limit_u(sys9, 40) == product_F(sys9, 40)
+
+    @settings(max_examples=60, deadline=None)
+    @given(admissible_systems(r_max=4), st.integers(0, 30))
+    def test_random_systems_counts_product_limit(self, system, trunc):
+        sys_ = build_system(system[1], system[0])
+        # N = a(1) with one generator is left out: product_F starts its
+        # product at q^0 there and the recurrence's leading term is 1 - d
+        assume(sys_.N > sys_.a[-1])
+        counted = count_F(sys_, trunc)
+        assert count_G(sys_, trunc) == counted
+        product = product_F(sys_, trunc)
+        assert cli._series_entries(product) == cli._table_entries(counted)
+        assert limit_u(sys_, trunc) == product
 
     def test_d0_equals_distinct_product(self, sys7):
         lim = limit_u(sys7, 25).d0()
@@ -383,3 +441,99 @@ class TestChain:
         names_ok = [st.name for st in exc.value.report.stages
                     if st.residual_zero]
         assert "rec_prime" in names_ok
+
+    def test_broken_reduced_recurrence_reports_ell(self, sys3, monkeypatch):
+        # one extra q^4 on the reduced system's u_(l-1) multiplier at l = 2
+        real = recurrence_engine.build_rec_row
+
+        def bad_row(sys, ell, trunc):
+            row = real(sys, ell, trunc)
+            if sys.r == 1 and ell == 2:
+                rhs = (row.rhs[0] + QLaurent.monomial(trunc, 4),)
+                return recurrence_engine.RecRow(row.lhs, rhs, ell)
+            return row
+        monkeypatch.setattr(recurrence_engine, "build_rec_row", bad_row)
+        with pytest.raises(ChainBroken) as exc:
+            verify_chain(sys3, 5, 5, 20)
+        failed = [(st_.name, st_.detail) for st_ in exc.value.report.stages
+                  if not st_.residual_zero]
+        assert failed == [("rec_reduced", "first offender (2, 4, 0, -1)")]
+
+    @pytest.mark.parametrize("side,stages", [
+        (0, ["rec_prime", "eq"]), (1, ["eq_prime"])])
+    def test_broken_tmj_side_reports_ell(self, sys3, monkeypatch, side,
+                                         stages):
+        # one extra 1 on one side of T(1, 2) reaches x^2 (and ell = 2) first
+        real = recurrence_engine._tmj
+
+        def bad_tmj(sys, m, j, *families):
+            sides = list(real(sys, m, j, *families))
+            if (m, j) == (1, 2):
+                sides[side] = sides[side] + QLaurent.one(0)
+            return tuple(sides)
+        monkeypatch.setattr(recurrence_engine, "_tmj", bad_tmj)
+        with pytest.raises(ChainBroken) as exc:
+            verify_chain(sys3, 5, 5, 20)
+        failed = [(st_.name, st_.detail) for st_ in exc.value.report.stages
+                  if not st_.residual_zero]
+        assert failed == [(name, "first offender (2, 6, 0, -1)")
+                          for name in stages]
+
+    @settings(max_examples=25, deadline=None)
+    @given(admissible_systems(r_min=2), st.integers(0, 12),
+           st.integers(0, 3), st.integers(0, 2))
+    def test_random_systems(self, system, trunc, x_trunc, extra):
+        sys_ = build_system(system[1], system[0])
+        report = verify_chain(sys_, x_trunc + extra, x_trunc, trunc)
+        assert report.verdict == "pass"
+        for m in range(1, sys_.r + 1):
+            for j in range(1, sys_.r + 1):
+                assert verify_Tmj(sys_, m, j), (m, j)
+
+
+class TestChainResiduals:
+    """Each residual helper names the first perturbed ``ell`` or x-degree.
+
+    The inputs are the ``s`` and ``G`` of a passing 3/{1,2} chain and the
+    ``e`` table, whose equations they satisfy.
+    """
+
+    @pytest.fixture(scope="class")
+    def chain3(self, sys3):
+        state = verify_chain(sys3, 5, 5, 20).state
+        work = state.u[0].trunc
+        e = {(m, j): coeff_e(sys3, m, j, work)
+             for m in (1, 2) for j in range(3)}
+        return state, e
+
+    def test_rec_residual_names_perturbed_s(self, sys3, chain3):
+        state, e = chain3
+        assert recurrence_engine._rec_residual(sys3, state.s, e, 5, 20) \
+            is None
+        s = list(state.s)
+        s[3] = s[3] + QLaurent.monomial(s[3].trunc, 4, 1)
+        assert recurrence_engine._rec_residual(sys3, s, e, 5, 20) \
+            == (3, 4, 1, 1)
+
+    def test_rec_residual_names_perturbed_row(self, sys3, chain3):
+        state, e = chain3
+        e = dict(e)
+        e[1, 2] = e[1, 2] + QLaurent.one(e[1, 2].trunc)
+        assert recurrence_engine._rec_residual(sys3, state.s, e, 5, 20) \
+            == (2, 6, 0, -1)
+
+    def test_qdiff_residual_names_perturbed_series(self, sys3, chain3):
+        state, e = chain3
+        G = state.G
+        assert recurrence_engine._qdiff_residual(sys3, G, e, 20) is None
+        rows = list(G.coeffs)
+        rows[3] = rows[3] + QLaurent.monomial(G.trunc, 4, 1)
+        assert recurrence_engine._qdiff_residual(
+            sys3, XSeries(G.x_trunc, rows), e, 20) == (3, 4, 1, 1)
+
+    def test_qdiff_residual_names_perturbed_row(self, sys3, chain3):
+        state, e = chain3
+        e = dict(e)
+        e[2, 1] = e[2, 1] + QLaurent.one(e[2, 1].trunc)
+        assert recurrence_engine._qdiff_residual(sys3, state.G, e, 20) \
+            == (1, 6, 0, 1)
