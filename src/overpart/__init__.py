@@ -45,7 +45,6 @@ from .recurrence_engine import (
     coeff_e,
     coeff_f,
     g_series,
-    g_table,
     limit_u,
     run_recurrence,
     verify_chain,
@@ -81,7 +80,7 @@ __all__ = [
     "count_G_andrews_k0", "walk_G", "add_tail",
     "RecRow", "ChainState", "ChainReport", "ChainBroken",
     "ConventionOutOfRange", "NotStabilized", "NegativeExponents",
-    "RoundTripMismatch", "g_series", "g_table", "verify_lemma1",
+    "RoundTripMismatch", "g_series", "verify_lemma1",
     "verify_lemma2", "verify_eq_357", "build_rec_row", "run_recurrence",
     "verify_key_lemma", "coeff_c", "coeff_b", "coeff_e", "coeff_f",
     "verify_Tmj", "verify_chain", "limit_u",

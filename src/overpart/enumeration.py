@@ -291,42 +291,26 @@ def walk_G(sys, n_max):
         yield first, tail
 
 
-def add_tail(entries, tail, largest_flag=None):
-    """Add one :func:`walk_G` tail into the ``(k, n)`` table ``entries``.
-
-    ``largest_flag`` keeps only the overlined (``"overlined"``) or only
-    the non-overlined (``"non-overlined"``) largest part; ``None`` keeps
-    both.
-    """
-    want_over = largest_flag in (None, "overlined")
-    want_plain = largest_flag in (None, "non-overlined")
+def add_tail(entries, tail):
+    """Add one :func:`walk_G` tail into the ``(k, n)`` table ``entries``,
+    with its largest part overlined (at ``k``) and non-overlined (at
+    ``k + 1``)."""
     for (k, n), c in tail.items():
-        if want_over:
-            entries[(k, n)] = entries.get((k, n), 0) + c
-        if want_plain:
-            entries[(k + 1, n)] = entries.get((k + 1, n), 0) + c
+        entries[(k, n)] = entries.get((k, n), 0) + c
+        entries[(k + 1, n)] = entries.get((k + 1, n), 0) + c
 
 
-def count_G(sys, n_max, largest_bound=None, largest_flag=None):
-    """Count gap-condition overpartitions, optionally capping the largest part.
+def count_G(sys, n_max):
+    """Count gap-condition overpartitions: the sum of :func:`walk_G`.
 
-    ``largest_bound`` restricts the largest part; ``largest_flag``
-    (``"overlined"`` or ``"non-overlined"``) further restricts its
-    overline status.  With no options this is the full gap-condition
-    count; with both it is one of the bounded-largest-part counters that
-    feed the recurrence machinery.  The ``(0, 0)`` entry stays 1 in
-    every variant.  The count is the sum of :func:`walk_G` up to the
-    bound.
+    The ``(0, 0)`` entry is 1 (the empty overpartition).  The counters
+    with a bounded largest part are ``recurrence_engine.g_series``.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if largest_flag not in (None, "overlined", "non-overlined"):
-        raise ValueError(f"unknown largest_flag {largest_flag!r}")
     entries = {(0, 0): 1}
-    for first, tail in walk_G(sys, n_max):
-        if largest_bound is not None and first > largest_bound:
-            break
-        add_tail(entries, tail, largest_flag)
+    for _, tail in walk_G(sys, n_max):
+        add_tail(entries, tail)
     return CountTable(n_max, entries)
 
 
@@ -341,7 +325,7 @@ def count_G_andrews_k0(sys, n_max):
     the count identity (it admits 11 + 3 of 14 in the (7, {1,2,4})
     system, whose congruence side has only 6 + 5 + 3), so the larger
     part it is.  Used to cross-check the ``k = 0`` column of
-    :func:`count_G`, which it reproduces through a flag-free code path.
+    :func:`count_G`, which it reproduces through an independent code path.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")

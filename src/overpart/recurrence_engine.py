@@ -70,14 +70,14 @@ def _sign(p):
 class _Ladder:
     """Every bounded counter ``g_m`` at one truncation, from one walk.
 
-    :func:`walk_G` places the largest part in increasing order, so the
-    running total after each admissible size ``first`` is ``g_first``.
-    Rung ``i`` is the total after the first ``i`` sizes, kept as a
-    read-only count table keyed ``(k, n)``; its series is built once, on
-    first use, with a read-only q-map and read-only d-rows, since every
-    caller shares it.  The walk is pulled only as far as the bounds asked
-    for so far need, so a lone small bound does not pay for the whole
-    truncation.
+    :func:`walk_G` places the largest part in increasing order, so adding
+    the tail of each admissible size ``first`` to the series before it
+    gives ``g_first``.  Rung ``i`` is the series after the first ``i``
+    sizes.  Addition shares every row it does not touch, so a rung's rows
+    below its newest size are the previous rung's own objects; only the
+    new rows and the q-map are made read-only, since every caller shares
+    them.  The walk is pulled only as far as the bounds asked for so far
+    need, so a lone small bound does not pay for the whole truncation.
     """
 
     def __init__(self, sys, trunc):
@@ -87,13 +87,12 @@ class _Ladder:
 
     def _restart(self):
         self._walk = walk_G(self.sys, self.trunc)
-        self._running = {(0, 0): 1}
         self._sizes = []
-        self._tables = [MappingProxyType(dict(self._running))]
-        self._series = {}
+        # not QLaurent.one, whose row is a shared module constant
+        self._series = [_frozen(QLaurent.monomial(self.trunc, 0), (0,))]
 
     def rung(self, m):
-        """``(table, series)`` for the largest-part bound ``m``."""
+        """The series ``g_m`` for the largest-part bound ``m``."""
         try:
             while self._walk is not None and (
                     not self._sizes or self._sizes[-1] < m):
@@ -101,16 +100,7 @@ class _Ladder:
         except BaseException:
             self._restart()     # a generator that raised cannot resume
             raise
-        i = bisect_right(self._sizes, m)
-        table = self._tables[i]
-        if i not in self._series:
-            series = QLaurent.from_terms(
-                self.trunc, ((n, k, c) for (k, n), c in table.items()))
-            for row in series.coeffs.values():
-                row.coeffs = MappingProxyType(row.coeffs)
-            series.coeffs = MappingProxyType(series.coeffs)
-            self._series[i] = series
-        return table, self._series[i]
+        return self._series[bisect_right(self._sizes, m)]
 
     def _pull(self):
         step = next(self._walk, None)
@@ -118,9 +108,21 @@ class _Ladder:
             self._walk = None
             return
         first, tail = step
-        add_tail(self._running, tail)
+        entries = {}
+        add_tail(entries, tail)
+        added = QLaurent.from_terms(
+            self.trunc, ((n, k, c) for (k, n), c in entries.items()))
         self._sizes.append(first)
-        self._tables.append(MappingProxyType(dict(self._running)))
+        self._series.append(_frozen(self._series[-1] + added, added.coeffs))
+
+
+def _frozen(series, exps):
+    """``series`` with its rows at ``exps`` and its q-map made read-only."""
+    for e in exps:
+        row = series.coeffs[e]
+        row.coeffs = MappingProxyType(row.coeffs)
+    series.coeffs = MappingProxyType(series.coeffs)
+    return series
 
 
 @lru_cache(maxsize=None)
@@ -135,31 +137,20 @@ def _band(sys, mm):
     return min(mm // sys.N, sys.r - 1)
 
 
-def _g_entry(sys, m, trunc):
-    """``(table, series)`` for ``g_m``: a ladder rung or a band constant."""
+def g_series(sys, m, trunc):
+    """Generating function for gap-condition overpartitions, largest <= m.
+
+    Positive ``m`` reads the system's ladder, whose series are read-only;
+    ``m <= 0`` returns the constant ``(-d)**band`` prescribed by the band
+    convention, which is what the recurrences expect whenever a peeled
+    subscript drops below zero.
+    """
     if trunc < 0:
         raise ValueError("trunc must be non-negative")
     if m >= 1:
         return _ladder(sys, trunc).rung(m)
     band = _band(sys, -m)
-    return (MappingProxyType({(band, 0): _sign(band)}),
-            QLaurent.monomial(trunc, 0, band, _sign(band)))
-
-
-def g_series(sys, m, trunc):
-    """Generating function for gap-condition overpartitions, largest <= m.
-
-    Positive ``m`` reads the system's ladder; ``m <= 0`` returns the
-    constant ``(-d)**band`` prescribed by the band convention, which is
-    what the recurrences expect whenever a peeled subscript drops below
-    zero.
-    """
-    return _g_entry(sys, m, trunc)[1]
-
-
-def g_table(sys, m, trunc):
-    """Count table behind ``g_series``: read-only, keyed ``(k, n)``."""
-    return _g_entry(sys, m, trunc)[0]
+    return QLaurent.monomial(trunc, 0, band, _sign(band))
 
 
 def _peel_cutoffs(sys, j, m):
@@ -197,26 +188,29 @@ def verify_lemma1(sys, j, m, n_max):
     with ``w, v`` the weight data of ``alpha(m)`` and
     ``n' = n - jN + alpha(m)``.  (The removed part is overlined in the
     first term and non-overlined in the second, hence the ``k - 1``.)
-    Only a cell present in one of the four tables, after the shift, can
-    differ, so only those cells are visited.  Returns the offending
-    ``(k, n, lhs, rhs)`` cells ordered by ``n`` then ``k``, empty on
-    success.
+    The four tables are the cells of the four ``g_series``, the last two
+    shifted to the left-hand side's ``(k, n)``; only a cell present in
+    one of them can differ, so only those cells are visited.  Returns the
+    offending ``(k, n, lhs, rhs)`` cells ordered by ``n`` then ``k``,
+    empty on success.
     """
     am, am1 = _peel_cutoffs(sys, j, m)
     N = sys.N
     w, v = sys.w_table[am], sys.v_table[am]
-    tab_a = g_table(sys, j * N - am, n_max)
-    tab_b = g_table(sys, j * N - am1, n_max)
-    tab_c = g_table(sys, (j - w) * N - v, n_max)
-    tab_d = g_table(sys, (j - w + 1) * N - v, n_max)
     shift = j * N - am
-    cells = set(tab_a) | set(tab_b)
-    cells.update((k, n + shift) for k, n in tab_c)
-    cells.update((k + 1, n + shift) for k, n in tab_d)
+    tab_a, tab_b, tab_c, tab_d = (
+        {(k + dk, n + dn): c
+         for n, row in g_series(sys, bound, n_max).coeffs.items()
+         for k, c in row.coeffs.items()}
+        for bound, dk, dn in ((j * N - am, 0, 0), (j * N - am1, 0, 0),
+                              ((j - w) * N - v, 0, shift),
+                              ((j - w + 1) * N - v, 1, shift)))
     bad = []
-    for n, k in sorted((n, k) for k, n in cells if n <= n_max):
+    for n, k in sorted((n, k) for k, n in
+                       tab_a.keys() | tab_b.keys() | tab_c.keys() | tab_d.keys()
+                       if n <= n_max):
         lhs = tab_a.get((k, n), 0) - tab_b.get((k, n), 0)
-        rhs = tab_c.get((k, n - shift), 0) + tab_d.get((k - 1, n - shift), 0)
+        rhs = tab_c.get((k, n), 0) + tab_d.get((k, n), 0)
         if lhs != rhs:
             bad.append((k, n, lhs, rhs))
     return bad
@@ -327,28 +321,37 @@ def _elimination_sum(sys, bound_index, j, ell, trunc):
     return total
 
 
+def _elimination_row(sys, k, ell, trunc):
+    """``(lhs, rhs)`` of the elimination identity with cutoff ``a(k)``:
+    ``lhs = prod_(j<k) (1 - d q^(lN - a(j)))`` and ``rhs[j-1]`` the inner
+    sum times ``prod_(h<j) (1 - q^((l-h)N))``, which multiplies
+    ``g[(l-j)N-a(1)]``."""
+    one = QLaurent.one(trunc)
+    lhs = one
+    for g in sys.a[:k - 1]:
+        lhs = lhs * (one - QLaurent.monomial(trunc, ell * sys.N - g, 1))
+    rhs = []
+    for j in range(1, k):
+        term = _elimination_sum(sys, k, j, ell, trunc)
+        if not term.is_zero():
+            term = term * _h_product(sys, j, ell, trunc)
+        rhs.append(term)
+    return lhs, rhs
+
+
 def build_rec_row(sys, ell, trunc):
     """Materialize every coefficient of the main recurrence at ``ell``.
 
-    ``lhs = prod_j (1 - d q^(lN - a(j)))``; the ``u_(ell-1)`` multiplier
-    carries a standalone 1 on top of its inner sum, and each ``rhs[j-1]``
-    is weighted by ``prod_(h<j) (1 - q^((l-h)N))``, which kills every
-    term reaching below ``u_0``.
+    The elimination row at the top cutoff ``k = r + 1``: ``lhs = prod_j
+    (1 - d q^(lN - a(j)))``; the ``u_(ell-1)`` multiplier carries a
+    standalone 1 on top of its inner sum, and each ``rhs[j-1]`` is
+    weighted by ``prod_(h<j) (1 - q^((l-h)N))``, which kills every term
+    reaching below ``u_0``.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    N = sys.N
-    one = QLaurent.one(trunc)
-    lhs = one
-    for g in sys.a:
-        lhs = lhs * (one - QLaurent.monomial(trunc, ell * N - g, 1))
-    rhs = []
-    for j in range(1, sys.r + 1):
-        coeff = _elimination_sum(sys, sys.r + 1, j, ell, trunc)
-        if j == 1:
-            coeff = coeff + one
-        hp = _h_product(sys, j, ell, trunc)
-        rhs.append(coeff * hp if not hp.is_zero() else hp)
+    lhs, rhs = _elimination_row(sys, sys.r + 1, ell, trunc)
+    rhs[0] = rhs[0] + QLaurent.one(trunc)
     return RecRow(lhs=lhs, rhs=tuple(rhs), ell=ell)
 
 
@@ -408,20 +411,12 @@ def verify_key_lemma(sys, k, ell, trunc):
         raise ValueError("ell must be >= 1")
     N = sys.N
     a1 = sys.a[0]
-    one = QLaurent.one(trunc)
-    lhs = one
-    for i in range(1, k):
-        lhs = lhs * (one - QLaurent.monomial(trunc, ell * N - sys.a[i - 1], 1))
+    lhs, rhs = _elimination_row(sys, k, ell, trunc)
     res = lhs * g_series(sys, ell * N - a1, trunc)
     res = res - g_series(sys, ell * N - sys.generator(k), trunc)
-    for j in range(1, k):
-        inner = _elimination_sum(sys, k, j, ell, trunc)
-        if inner.is_zero():
-            continue
-        hp = _h_product(sys, j, ell, trunc)
-        if hp.is_zero():
-            continue
-        res = res - inner * hp * g_series(sys, (ell - j) * N - a1, trunc)
+    for j, term in enumerate(rhs, 1):
+        if not term.is_zero():
+            res = res - term * g_series(sys, (ell - j) * N - a1, trunc)
     return res
 
 

@@ -640,11 +640,12 @@ def product_F(sys, trunc):
     Expands ``prod_j (-q^(N-a(j)); q^N)_inf / (d q^(N-a(j)); q^N)_inf``:
     the coefficient of ``q^n d^k`` counts overpartitions of ``n`` whose
     parts are all congruent to some ``-a(j)`` modulo ``N``, with ``k``
-    non-overlined parts.
+    non-overlined parts.  A generator ``a(j) = N`` allows the parts
+    ``0 mod N``, so its factors start at ``q^N``, the least such part.
     """
     result = QLaurent.one(trunc)
     for g in sys.a:
-        e = sys.N - g
+        e = (sys.N - g) or sys.N
         result = result * pochhammer_expand(-1, 0, e, sys.N, None, trunc)
         result = result.divide(pochhammer_expand(1, 1, e, sys.N, None, trunc))
     return result

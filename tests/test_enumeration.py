@@ -15,10 +15,10 @@ from overpart import (
     count_G,
     count_G_andrews_k0,
     g_series,
-    g_table,
     product_F,
     walk_G,
 )
+from overpart import cli
 
 from conftest import BATTERY, admissible_systems, gen_overpartitions
 
@@ -37,6 +37,11 @@ def brute_table(sys_, n_max, predicate):
                 key = (op.k, n)
                 entries[key] = entries.get(key, 0) + 1
     return CountTable(n_max, entries)
+
+
+def g_cells(sys_, m, n_max):
+    """The ``(k, n)`` cells of ``g_series``, the bounded counter."""
+    return cli._series_entries(g_series(sys_, m, n_max))
 
 
 class TestOverpartition:
@@ -139,21 +144,9 @@ class TestCountG:
     def test_flagship_n8(self, sys7):
         assert count_G(sys7, 8).row(8) == [1, 2, 1]
 
-    def test_overlined_largest_filter(self, sys7):
-        table = count_G(sys7, 8, largest_bound=8, largest_flag="overlined")
-        # 8~ at k=0 and 5~+3 at k=1
-        assert table.get(0, 8) == 1
-        assert table.get(1, 8) == 1
-        assert table.get(2, 8) == 0
-
     def test_trivial_n0(self, sys7):
-        for flag in (None, "overlined", "non-overlined"):
-            table = count_G(sys7, 0, largest_bound=5, largest_flag=flag)
-            assert table.entries == {(0, 0): 1}
-
-    def test_bad_flag(self, sys7):
-        with pytest.raises(ValueError):
-            count_G(sys7, 5, largest_flag="sometimes")
+        assert count_G(sys7, 0).entries == {(0, 0): 1}
+        assert g_cells(sys7, 5, 0) == {(0, 0): 1}
 
     def test_against_generate_and_filter(self, battery):
         for sys_ in battery:
@@ -167,28 +160,14 @@ class TestCountG:
                 sys7, 12,
                 lambda op: check_G_conditions(sys7, op)
                 and (not op.parts or op.parts[0][0] <= bound))
-            assert count_G(sys7, 12, largest_bound=bound) == want
-
-    def test_overline_symmetry(self, battery):
-        # toggling the overline of the largest part swaps the two
-        # bounded counters, shifting k by one
-        for sys_ in battery:
-            for bound in (4, 9, 14):
-                over = count_G(sys_, 14, largest_bound=bound,
-                               largest_flag="overlined")
-                plain = count_G(sys_, 14, largest_bound=bound,
-                                largest_flag="non-overlined")
-                for n in range(1, 15):
-                    for k in range(1, 16):
-                        assert over.get(k - 1, n) == plain.get(k, n), \
-                            (sys_.N, bound, k, n)
+            assert g_cells(sys7, bound, 12) == want.entries
 
     def test_monotone_in_bound(self, sys7):
-        prev = count_G(sys7, 15, largest_bound=0)
+        prev = g_cells(sys7, 0, 15)
         for bound in range(1, 17):
-            cur = count_G(sys7, 15, largest_bound=bound)
-            for (k, n), c in prev.entries.items():
-                assert cur.get(k, n) >= c
+            cur = g_cells(sys7, bound, 15)
+            for kn, c in prev.items():
+                assert cur.get(kn, 0) >= c
             prev = cur
 
     def test_sides_agree(self, battery):
@@ -251,33 +230,24 @@ def valid_overpartitions(n_max):
 def check_ladder(sys_, n_max):
     """Every largest-part bound ``-N..n_max+N`` against generate-and-filter.
 
-    ``g_series``/``g_table`` must give the bounded count (the band
-    constant ``(-d)^band`` once ``m <= -N``), and ``count_G`` must give it
-    for every largest-part flag.
+    ``g_series`` must give the bounded count (the band constant
+    ``(-d)^band`` once ``m <= -N``), and ``count_G`` the unbounded one.
     """
     members = [op for op in valid_overpartitions(n_max)
                if check_G_conditions(sys_, op)]
 
-    def oracle(bound, flag):
+    def oracle(bound):
         entries = {(0, 0): 1}
         for op in members:
-            size, overlined = op.parts[0]
-            if size > bound or (flag == "overlined" and not overlined) \
-                    or (flag == "non-overlined" and overlined):
-                continue
-            entries[(op.k, op.n)] = entries.get((op.k, op.n), 0) + 1
+            if op.parts[0][0] <= bound:
+                entries[(op.k, op.n)] = entries.get((op.k, op.n), 0) + 1
         return entries
 
     for m in range(-sys_.N, n_max + sys_.N + 1):
         band = min(-m // sys_.N, sys_.r - 1) if m <= 0 else 0
-        want = oracle(m, None) if band == 0 else {(band, 0): (-1) ** band}
-        series = {(d, q): c for q, d, c in g_series(sys_, m, n_max).terms()}
-        assert series == want, (sys_.N, sys_.a, m)
-        assert dict(g_table(sys_, m, n_max)) == want, (sys_.N, sys_.a, m)
-        for flag in (None, "overlined", "non-overlined"):
-            got = count_G(sys_, n_max, largest_bound=m, largest_flag=flag)
-            assert got == CountTable(n_max, oracle(m, flag)), \
-                (sys_.N, sys_.a, m, flag)
+        want = oracle(m) if band == 0 else {(band, 0): (-1) ** band}
+        assert g_cells(sys_, m, n_max) == want, (sys_.N, sys_.a, m)
+    assert count_G(sys_, n_max) == CountTable(n_max, oracle(n_max))
 
 
 class TestLargestPartLadder:

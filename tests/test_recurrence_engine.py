@@ -19,7 +19,6 @@ from overpart import (
     count_F,
     count_G,
     g_series,
-    g_table,
     limit_u,
     alpha_weight_sum,
     pochhammer_expand,
@@ -32,6 +31,7 @@ from overpart import (
     verify_lemma1,
     verify_lemma2,
     verify_Tmj,
+    walk_G,
 )
 from overpart import cli, recurrence_engine
 
@@ -61,14 +61,6 @@ class TestGSeries:
     def test_shared_tables_are_read_only(self, sys7):
         series_before = list(g_series(sys7, 8, 12).terms())
         lemma_before = verify_lemma1(sys7, 2, 1, 12)
-        for m in (8, -8):
-            table = g_table(sys7, m, 12)
-            before = dict(table)
-            with pytest.raises(TypeError):
-                table[(0, 8)] = 99
-            with pytest.raises(TypeError):
-                del table[next(iter(before))]
-            assert dict(g_table(sys7, m, 12)) == before
         series = g_series(sys7, 8, 12)
         with pytest.raises(TypeError):
             series.coeffs[8] = DPoly.const(99)
@@ -77,7 +69,24 @@ class TestGSeries:
         assert list(g_series(sys7, 8, 12).terms()) == series_before
         assert verify_lemma1(sys7, 2, 1, 12) == lemma_before == []
 
+    def test_adjacent_rungs_share_rows_below_the_newer_size(self, sys9):
+        sizes = [first for first, _ in walk_G(sys9, 20)]
+        for lower, upper in zip(sizes, sizes[1:]):
+            old, new = g_series(sys9, lower, 20), g_series(sys9, upper, 20)
+            below = [e for e in old.coeffs if e < upper]
+            assert below, (lower, upper)
+            for e in below:
+                assert new.coeffs[e] is old.coeffs[e], (lower, upper, e)
+            with pytest.raises(TypeError):
+                new.coeffs[upper] = DPoly.const(99)
+            for row in new.coeffs.values():
+                with pytest.raises(TypeError):
+                    row.coeffs[0] = 5
+        # rung 0 builds its own row: QLaurent.one's is a module constant
+        assert type(QLaurent.one(5).coeffs[0].coeffs) is dict
+
     def test_lone_bound_pulls_walk_only_that_far(self, sys7, monkeypatch):
+        want = g_series(sys7, 8, 40)
         real = recurrence_engine.walk_G
         pulled = []
 
@@ -87,12 +96,12 @@ class TestGSeries:
                 yield first, tail
         monkeypatch.setattr(recurrence_engine, "walk_G", counting)
         ladder = recurrence_engine._Ladder(sys7, 40)
-        table, _ = ladder.rung(8)
+        series = ladder.rung(8)
         assert pulled[-1] == 8
-        assert dict(table) == count_G(sys7, 40, largest_bound=8).entries
+        assert series == want
         ladder.rung(99)
         assert pulled[-1] == 40
-        assert ladder.rung(8)[0] is table
+        assert ladder.rung(8) is series
 
     def test_interrupted_walk_starts_over(self, sys7, monkeypatch):
         want = g_series(sys7, 30, 30)
@@ -109,9 +118,9 @@ class TestGSeries:
         ladder = recurrence_engine._Ladder(sys7, 30)
         with pytest.raises(KeyboardInterrupt):
             ladder.rung(30)
-        table, series = ladder.rung(30)
+        series = ladder.rung(30)
         assert len(starts) == 2
-        assert dict(table) == count_G(sys7, 30).entries
+        assert cli._series_entries(series) == count_G(sys7, 30).entries
         assert series == want
 
 
@@ -136,21 +145,20 @@ class TestPeelingIdentities:
     ])
     def test_lemma1_reports_the_perturbed_cell(self, sys7, monkeypatch,
                                                bound, cell, want, dl, dr):
-        real = recurrence_engine.g_table
-        held = set().union(*(real(sys7, mm, 20) for mm in (11, 10, -1, 6)))
+        real = recurrence_engine.g_series
+        held = set().union(*(cli._series_entries(real(sys7, mm, 20))
+                             for mm in (11, 10, -1, 6)))
         assert not held & {(20, 20), (16, 14), (15, 3)}
 
         def perturbed(sys, m, trunc):
-            table = real(sys, m, trunc)
+            series = real(sys, m, trunc)
             if m != bound:
-                return table
-            out = dict(table)
-            out[cell] = out.get(cell, 0) + 1
-            return out
-        monkeypatch.setattr(recurrence_engine, "g_table", perturbed)
+                return series
+            return series + QLaurent.monomial(trunc, cell[1], cell[0])
+        monkeypatch.setattr(recurrence_engine, "g_series", perturbed)
         k, n = want
-        value = real(sys7, 11, 20).get(want, 0) - real(sys7, 10, 20).get(
-            want, 0)
+        value = real(sys7, 11, 20).coefficient_int(n, k) - real(
+            sys7, 10, 20).coefficient_int(n, k)
         assert verify_lemma1(sys7, 2, 3, 20) == [(k, n, value + dl,
                                                   value + dr)]
 
@@ -335,8 +343,8 @@ class TestLimit:
     @given(admissible_systems(r_max=4), st.integers(0, 30))
     def test_random_systems_counts_product_limit(self, system, trunc):
         sys_ = build_system(system[1], system[0])
-        # N = a(1) with one generator is left out: product_F starts its
-        # product at q^0 there and the recurrence's leading term is 1 - d
+        # N = a(1) with one generator is left out: the recurrence's
+        # leading term at ell = 1 is 1 - d there
         assume(sys_.N > sys_.a[-1])
         counted = count_F(sys_, trunc)
         assert count_G(sys_, trunc) == counted

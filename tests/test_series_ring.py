@@ -10,11 +10,14 @@ from overpart import (
     QLaurent,
     TruncationMismatch,
     XSeries,
+    build_system,
+    count_F,
     pochhammer_expand,
     product_F,
     qbinomial,
     substitute_x,
 )
+from overpart import cli
 
 
 # -- independent oracles ----------------------------------------------
@@ -353,6 +356,13 @@ class TestProductF:
                 dist = dist * pochhammer_expand(
                     -1, 0, sys_.N - g, sys_.N, None, 25)
             assert full == dist
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    def test_generator_equal_to_modulus(self, N):
+        # parts are 0 mod N, so the factors start at q^N, not at q^0
+        sys_ = build_system([N], N)
+        assert cli._series_entries(product_F(sys_, 20)) == \
+            count_F(sys_, 20).entries
 
 
 # -- XSeries -------------------------------------------------------------
