@@ -14,6 +14,7 @@ denotes the number of non-overlined parts.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .alpha_system import beta
@@ -248,56 +249,74 @@ def walk_G(sys, n_max):
     counter ``g_m``, so one walk serves every largest-part bound.
 
     Below the largest part, parts are placed in decreasing order, pruned
-    with the gap bound; completions are memoized by (remaining, previous
-    part) for the whole walk.
+    with the gap bound.  The ways to fill ``n_rem`` below a part depend
+    on that part only through the largest sizes it admits next, one
+    non-overlined and one overlined, so for each ``n_rem`` the walk
+    keeps running totals, over the admissible sizes in increasing order,
+    of the ways to fill ``n_rem`` with that size as its largest part.  A
+    completion is two of those totals, found by bisection, with no scan;
+    each list is extended only as far as a cutoff asks.  Filling recurses
+    two frames per part placed, but the walk fills the small remainders
+    first, so the stack stays a few frames deep.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     alpha_set = set(sys.alpha)
     admissible = [s for s in range(1, n_max + 1)
                   if beta(sys, -s) in alpha_set]
-    memo = {}
+    u_plain = []        # largest allowed non-overlined part below each size
+    for s in admissible:
+        res = beta(sys, -s)
+        u_plain.append(
+            s - sys.N * (sys.w_table[res] - 1) - sys.v_table[res] + res)
+    smallest_ok = [_smallest_part_ok(sys, s) for s in admissible]
+    # totals[n_rem][c]: {k: count} over the first c admissible sizes s of
+    # the ways to fill n_rem with largest part s
+    totals = [[{}] for _ in range(n_max + 1)]
 
-    def completions(n_rem, prev):
-        # ways to extend below an already placed part `prev`
+    def upto(n_rem, u):
+        c = bisect_right(admissible, min(n_rem, u))
+        row = totals[n_rem]
+        while len(row) <= c:
+            i = len(row) - 1
+            out = dict(row[-1])
+            fill(out, n_rem - admissible[i], i)
+            row.append(out)
+        return row[c]
+
+    def fill(out, n_rem, i):
+        # add into `out` the ways to fill n_rem below a placed admissible[i]
         if n_rem == 0:
-            return {0: 1} if _smallest_part_ok(sys, prev) else {}
-        key = (n_rem, prev)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        res = beta(sys, -prev)
-        base = sys.N * (sys.w_table[res] - 1) + sys.v_table[res] - res
-        u_plain = prev - base           # largest allowed non-overlined part
-        u_over = u_plain - sys.N        # largest allowed overlined part
-        out = {}
-        for s in admissible:
-            if s > n_rem or s > u_plain:
-                break
-            sub = completions(n_rem - s, s)
-            for k, c in sub.items():
-                out[k + 1] = out.get(k + 1, 0) + c
-            if s <= u_over:
-                for k, c in sub.items():
-                    out[k] = out.get(k, 0) + c
-        memo[key] = out
-        return out
+            if smallest_ok[i]:
+                out[0] = out.get(0, 0) + 1
+            return
+        for k, c in upto(n_rem, u_plain[i] - sys.N).items():   # overlined
+            out[k] = out.get(k, 0) + c
+        for k, c in upto(n_rem, u_plain[i]).items():
+            out[k + 1] = out.get(k + 1, 0) + c
 
-    for first in admissible:
-        tail = {}
-        for n in range(first, n_max + 1):
-            for k, c in completions(n - first, first).items():
-                tail[(k, n)] = c
-        yield first, tail
+    try:
+        for i, first in enumerate(admissible):
+            tail = {}
+            for n in range(first, n_max + 1):
+                below = {}
+                fill(below, n - first, i)
+                for k, c in below.items():
+                    tail[(k, n)] = c
+            yield first, tail
+    finally:
+        # upto and fill refer to each other, so the totals would otherwise
+        # wait for the cycle collector once the walk ends
+        totals.clear()
 
 
-def add_tail(entries, tail):
-    """Add one :func:`walk_G` tail into the ``(k, n)`` table ``entries``,
-    with its largest part overlined (at ``k``) and non-overlined (at
-    ``k + 1``)."""
+def add_tail(rows, tail):
+    """Add one :func:`walk_G` tail into the rows ``{n: {k: count}}``, with
+    its largest part overlined (at ``k``) and non-overlined (at ``k + 1``)."""
     for (k, n), c in tail.items():
-        entries[(k, n)] = entries.get((k, n), 0) + c
-        entries[(k + 1, n)] = entries.get((k + 1, n), 0) + c
+        row = rows.setdefault(n, {})
+        row[k] = row.get(k, 0) + c
+        row[k + 1] = row.get(k + 1, 0) + c
 
 
 def count_G(sys, n_max):
@@ -308,10 +327,11 @@ def count_G(sys, n_max):
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    entries = {(0, 0): 1}
+    rows = {0: {0: 1}}
     for _, tail in walk_G(sys, n_max):
-        add_tail(entries, tail)
-    return CountTable(n_max, entries)
+        add_tail(rows, tail)
+    return CountTable(n_max, {(k, n): c for n, row in rows.items()
+                              for k, c in row.items()})
 
 
 def count_G_andrews_k0(sys, n_max):

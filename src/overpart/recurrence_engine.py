@@ -32,7 +32,8 @@ from types import MappingProxyType
 
 from .alpha_system import alpha_weight_sum, build_system
 from .enumeration import add_tail, walk_G
-from .series_ring import QLaurent, XSeries, product_F, qbinomial, substitute_x
+from .series_ring import (
+    DPoly, QLaurent, XSeries, product_F, qbinomial, substitute_x)
 
 
 class ConventionOutOfRange(ValueError):
@@ -73,11 +74,12 @@ class _Ladder:
     :func:`walk_G` places the largest part in increasing order, so adding
     the tail of each admissible size ``first`` to the series before it
     gives ``g_first``.  Rung ``i`` is the series after the first ``i``
-    sizes.  Addition shares every row it does not touch, so a rung's rows
-    below its newest size are the previous rung's own objects; only the
-    new rows and the q-map are made read-only, since every caller shares
-    them.  The walk is pulled only as far as the bounds asked for so far
-    need, so a lone small bound does not pay for the whole truncation.
+    sizes.  A rung builds only the rows its tail touches, straight from
+    the tail, so its rows below its newest size are the previous rung's
+    own objects; each row and q-map is read-only from the start, since
+    every caller shares them.  The walk is pulled only as far as the
+    bounds asked for so far need, so a lone small bound does not pay for
+    the whole truncation.
     """
 
     def __init__(self, sys, trunc):
@@ -88,8 +90,7 @@ class _Ladder:
     def _restart(self):
         self._walk = walk_G(self.sys, self.trunc)
         self._sizes = []
-        # not QLaurent.one, whose row is a shared module constant
-        self._series = [_frozen(QLaurent.monomial(self.trunc, 0), (0,))]
+        self._series = [self._grown({}, {0: {0: 1}})]
 
     def rung(self, m):
         """The series ``g_m`` for the largest-part bound ``m``."""
@@ -108,21 +109,25 @@ class _Ladder:
             self._walk = None
             return
         first, tail = step
-        entries = {}
-        add_tail(entries, tail)
-        added = QLaurent.from_terms(
-            self.trunc, ((n, k, c) for (k, n), c in entries.items()))
+        rows = {}
+        add_tail(rows, tail)
         self._sizes.append(first)
-        self._series.append(_frozen(self._series[-1] + added, added.coeffs))
+        self._series.append(self._grown(self._series[-1].coeffs, rows))
 
-
-def _frozen(series, exps):
-    """``series`` with its rows at ``exps`` and its q-map made read-only."""
-    for e in exps:
-        row = series.coeffs[e]
-        row.coeffs = MappingProxyType(row.coeffs)
-    series.coeffs = MappingProxyType(series.coeffs)
-    return series
+    def _grown(self, coeffs, rows):
+        """The read-only series with q-map ``coeffs`` plus ``rows``
+        (``{n: {k: count}}``, taken over); rows it does not touch are
+        shared with ``coeffs``.  Counts are positive and ``n <= trunc``,
+        so there is nothing to clean."""
+        coeffs = dict(coeffs)
+        for n, row in rows.items():
+            p = DPoly._wrap(row)
+            old = coeffs.get(n)
+            if old is not None:
+                p = old + p
+            p.coeffs = MappingProxyType(p.coeffs)
+            coeffs[n] = p
+        return QLaurent._wrap_clean(self.trunc, MappingProxyType(coeffs))
 
 
 @lru_cache(maxsize=None)

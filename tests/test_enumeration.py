@@ -1,3 +1,5 @@
+import inspect
+import sys
 from functools import lru_cache
 
 import pytest
@@ -174,6 +176,24 @@ class TestCountG:
         for sys_ in battery:
             assert count_F(sys_, 20) == count_G(sys_, 20)
 
+    @pytest.mark.parametrize("N,a", BATTERY)
+    def test_sides_agree_at_trunc_160(self, N, a):
+        sys_ = build_system(a, N)
+        assert count_F(sys_, 160) == count_G(sys_, 160)
+
+    def test_runs_under_a_low_recursion_limit(self, sys3):
+        # filling n below a part recurses two frames per part placed, and
+        # 3/{1,2} admits 120 ones; the walk fills the smaller sizes and
+        # remainders first, so it stays a few frames deep
+        want = count_G(sys3, 120)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            got = count_G(sys3, 120)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
+
 
 class TestAndrewsK0:
     def test_flagship_n8(self, sys7):
@@ -268,3 +288,61 @@ class TestLargestPartLadder:
                                                         n_max):
         N, a = system
         check_ladder(build_system(a, N), n_max)
+
+
+def scan_walk(sys_, n_max):
+    """Reference for :func:`walk_G`: below each placed part, scan every
+    admissible size, with completions memoized by (remaining, previous
+    part)."""
+    alpha_set = set(sys_.alpha)
+    admissible = [s for s in range(1, n_max + 1)
+                  if beta(sys_, -s) in alpha_set]
+    memo = {}
+
+    def completions(n_rem, prev):
+        res = beta(sys_, -prev)
+        if n_rem == 0:
+            return {0: 1} if prev >= sys_.N * (sys_.w_table[res] - 1) else {}
+        key = (n_rem, prev)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        base = sys_.N * (sys_.w_table[res] - 1) + sys_.v_table[res] - res
+        u_plain = prev - base
+        u_over = u_plain - sys_.N
+        out = {}
+        for s in admissible:
+            if s > n_rem or s > u_plain:
+                break
+            sub = completions(n_rem - s, s)
+            for k, c in sub.items():
+                out[k + 1] = out.get(k + 1, 0) + c
+            if s <= u_over:
+                for k, c in sub.items():
+                    out[k] = out.get(k, 0) + c
+        memo[key] = out
+        return out
+
+    for first in admissible:
+        tail = {}
+        for n in range(first, n_max + 1):
+            for k, c in completions(n - first, first).items():
+                tail[(k, n)] = c
+        yield first, tail
+
+
+class TestWalkAgainstScan:
+    """Generate-and-filter reaches only n of about 12; the scan checks
+    the walk's yields, exactly, at the larger sizes."""
+
+    @pytest.mark.parametrize("N,a", BATTERY)
+    def test_battery(self, N, a):
+        sys_ = build_system(a, N)
+        assert list(walk_G(sys_, 40)) == list(scan_walk(sys_, 40))
+
+    @settings(max_examples=40, deadline=None)
+    @given(admissible_systems(), st.integers(0, 25))
+    def test_random_systems(self, system, n_max):
+        N, a = system
+        sys_ = build_system(a, N)
+        assert list(walk_G(sys_, n_max)) == list(scan_walk(sys_, n_max))
