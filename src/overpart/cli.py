@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .alpha_system import InvalidSystem, build_system
 from .enumeration import count_F, count_G
@@ -43,25 +42,6 @@ ALL_CHECKS = ("lemma1", "lemma2", "eq357", "key", "rec", "tmj", "chain",
 #: Mathematical failures raised mid-computation; they exit 1, not 2.
 MATH_FAILURES = (NonUnitLeadingTerm, NotStabilized, NegativeExponents,
                  RoundTripMismatch)
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: one command plus every numeric knob it needs."""
-
-    command: str
-    side: str = "all"
-    N: int = 0
-    a: tuple = ()
-    n_max: int = 40
-    trunc: int = 40
-    x_trunc: int = 6
-    ell_max: int = None
-    checks: tuple = ("theorem",)
-    output: str = "table"
-    battery: bool = False
-    what: str = "product"
-    m: int = None
 
 
 def _emit_json(obj):
@@ -97,21 +77,21 @@ def _write_count_csv(tables):
             writer.writerow(([side] if multi else []) + row)
 
 
-def cmd_count(cfg):
+def cmd_count(args):
     """Emit the congruence-side and/or gap-side count tables."""
-    sys_ = build_system(cfg.a, cfg.N)
+    sys_ = build_system(args.a, args.N)
     tables = []
-    if cfg.side in ("F", "all"):
-        tables.append(("F", count_F(sys_, cfg.n_max)))
-    if cfg.side in ("G", "all"):
-        tables.append(("G", count_G(sys_, cfg.n_max)))
+    if args.side in ("F", "all"):
+        tables.append(("F", count_F(sys_, args.n_max)))
+    if args.side in ("G", "all"):
+        tables.append(("G", count_G(sys_, args.n_max)))
     verdict = None
     mismatch = None
-    if cfg.side == "all":
+    if args.side == "all":
         mismatch = tables[0][1].first_mismatch(tables[1][1])
         verdict = "pass" if mismatch is None else "fail"
 
-    if cfg.output == "json":
+    if args.output == "json":
         obj = {side: t.to_json_obj(sys_, side) for side, t in tables}
         if verdict is not None:
             obj["verdict"] = verdict
@@ -120,7 +100,7 @@ def cmd_count(cfg):
                 else {"k": mismatch[0], "n": mismatch[1],
                       "F": str(mismatch[2]), "G": str(mismatch[3])})
         _emit_json(obj)
-    elif cfg.output == "csv":
+    elif args.output == "csv":
         _write_count_csv(tables)
         if verdict is not None:
             print(f"# verdict: {verdict}", file=sys.stderr)
@@ -132,24 +112,24 @@ def cmd_count(cfg):
     return 0 if verdict in (None, "pass") else 1
 
 
-def cmd_expand(cfg):
+def cmd_expand(args):
     """Emit a series: the infinite product, the recurrence limit, or g_m."""
-    sys_ = build_system(cfg.a, cfg.N)
-    if cfg.what == "product":
-        series = product_F(sys_, cfg.trunc)
-    elif cfg.what == "limit":
-        series = limit_u(sys_, cfg.trunc)
-    elif cfg.what == "gm":
-        if cfg.m is None:
+    sys_ = build_system(args.a, args.N)
+    if args.what == "product":
+        series = product_F(sys_, args.trunc)
+    elif args.what == "limit":
+        series = limit_u(sys_, args.trunc)
+    elif args.what == "gm":
+        if args.m is None:
             raise ValueError("--what gm needs --m")
-        series = g_series(sys_, cfg.m, cfg.trunc)
+        series = g_series(sys_, args.m, args.trunc)
     else:
-        raise ValueError(f"unknown series {cfg.what!r}")
-    if cfg.output == "json":
+        raise ValueError(f"unknown series {args.what!r}")
+    if args.output == "json":
         _emit_json(series.to_json_obj())
     else:
-        print(f"# {cfg.what} for N={sys_.N}, a={list(sys_.a)}, "
-              f"trunc={cfg.trunc}")
+        print(f"# {args.what} for N={sys_.N}, a={list(sys_.a)}, "
+              f"trunc={args.trunc}")
         by_exp = {}
         for e, deg, c in series.terms():
             by_exp.setdefault(e, {})[deg] = c
@@ -172,13 +152,13 @@ def _sweep(cases):
     return {"cases": total, "failures": failures, "first_failure": first}
 
 
-def _run_checks(sys_, cfg):
+def _run_checks(sys_, args, checks):
     results = []
-    trunc = cfg.trunc
+    trunc = args.trunc
     j_hi = trunc // sys_.N + 1
     n_alpha = len(sys_.alpha)
 
-    for name in cfg.checks:
+    for name in checks:
         if name == "lemma1":
             cases = ((f"j={j},m={m}",
                       not verify_lemma1(sys_, j, m, trunc))
@@ -221,14 +201,17 @@ def _run_checks(sys_, cfg):
                      for j in range(1, sys_.r + 1))
             res = _sweep(cases)
         elif name == "chain":
-            ell_max = cfg.ell_max if cfg.ell_max is not None else cfg.x_trunc
+            ell_max = (args.ell_max if args.ell_max is not None
+                       else args.x_trunc)
             try:
-                verify_chain(sys_, ell_max, cfg.x_trunc, trunc)
+                verify_chain(sys_, ell_max, args.x_trunc, trunc)
                 res = {"cases": 1, "failures": 0, "first_failure": None}
             except ChainBroken as exc:
+                failed = exc.report.first_failure()
                 res = {"cases": 1, "failures": 1,
-                       "first_failure": f"stage {exc.stage}"}
-            res["x_trunc"] = cfg.x_trunc
+                       "first_failure": f"stage {failed.name}: "
+                                        f"{failed.detail}"}
+            res["x_trunc"] = args.x_trunc
             res["ell_max"] = ell_max
         elif name == "theorem":
             f_tab = _table_entries(count_F(sys_, trunc))
@@ -248,23 +231,30 @@ def _run_checks(sys_, cfg):
     return results
 
 
-def cmd_verify(cfg):
+def cmd_verify(args):
     """Run the selected checks on one system or the whole battery."""
-    systems = (BATTERY if cfg.battery else ((cfg.N, cfg.a),))
+    names = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+    for c in names:
+        if c not in ALL_CHECKS:
+            raise ValueError(f"unknown check {c!r}; "
+                             f"choose from {','.join(ALL_CHECKS)}")
+    if not args.battery and not args.a:
+        raise ValueError("either --battery or --N/--a is required")
+    systems = (BATTERY if args.battery else ((args.N, args.a),))
     overall = []
     for N, a in systems:
         sys_ = build_system(a, N)
-        checks = _run_checks(sys_, cfg)
+        checks = _run_checks(sys_, args, names)
         verdict = ("pass" if all(c["failures"] == 0 for c in checks)
                    else "fail")
         overall.append({
             "system": {"N": sys_.N, "a": list(sys_.a)},
-            "trunc": cfg.trunc,
+            "trunc": args.trunc,
             "checks": checks,
             "verdict": verdict,
         })
     passed = all(entry["verdict"] == "pass" for entry in overall)
-    if cfg.output == "json":
+    if args.output == "json":
         _emit_json({"systems": overall,
                     "verdict": "pass" if passed else "fail"})
     else:
@@ -300,8 +290,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_system(p, required=True):
-        p.add_argument("--N", type=int, required=required, help="modulus")
-        p.add_argument("--a", type=_parse_a, required=required,
+        p.add_argument("--N", type=int, required=required, default=0,
+                       help="modulus")
+        p.add_argument("--a", type=_parse_a, required=required, default=(),
                        help="comma-separated generators, e.g. 1,2,4")
 
     p_count = sub.add_parser("count", help="emit count tables")
@@ -336,34 +327,14 @@ def build_parser():
     return parser
 
 
-def config_from_args(args):
-    cfg = RunConfig(command=args.command)
-    for name in ("side", "N", "a", "n_max", "trunc", "x_trunc", "ell_max",
-                 "output", "battery", "what", "m"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if args.command == "verify":
-        checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-        for c in checks:
-            if c not in ALL_CHECKS:
-                raise ValueError(f"unknown check {c!r}; "
-                                 f"choose from {','.join(ALL_CHECKS)}")
-        cfg.checks = checks
-        if not cfg.battery and not cfg.a:
-            raise ValueError("either --battery or --N/--a is required")
-    return cfg
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        if cfg.command == "count":
-            return cmd_count(cfg)
-        if cfg.command == "expand":
-            return cmd_expand(cfg)
-        return cmd_verify(cfg)
+        if args.command == "count":
+            return cmd_count(args)
+        if args.command == "expand":
+            return cmd_expand(args)
+        return cmd_verify(args)
     except MATH_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -168,10 +168,15 @@ def _table_from_size_set(sizes, n_max):
         return out
 
     entries = {}
-    for n in range(n_max + 1):
-        for k, c in rec(n, 0).items():
-            if c:
-                entries[(k, n)] = c
+    try:
+        for n in range(n_max + 1):
+            for k, c in rec(n, 0).items():
+                if c:
+                    entries[(k, n)] = c
+    finally:
+        # rec refers to itself, so the memo would otherwise wait for the
+        # cycle collector once the table is built
+        memo.clear()
     table = CountTable(n_max, entries)
     table.entries[(0, 0)] = 1
     return table

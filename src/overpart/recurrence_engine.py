@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import MappingProxyType
 
 from .alpha_system import alpha_weight_sum, build_system
@@ -468,40 +468,20 @@ def coeff_f(sys, m, k, trunc=0):
     return qbinomial(m - 1, k, -sys.N, trunc).scale_by_monomial(shift, 0, 1)
 
 
-class _Family(dict):
-    """Coefficient table ``key -> coeff(sys, *key)`` at trunc 0, each entry
-    built on its first lookup.
+def _tmj(sys, m, j):
+    """Both sides of ``T(m, j)`` (see :func:`verify_Tmj`) at trunc 0.
 
-    Every member of the four families has exponents <= 0, so it is exact
-    at trunc 0 and may be raised to any truncation with ``with_trunc``.
+    Every member of ``c, b, e, f`` has exponents <= 0, so the products
+    are exact at trunc 0.
     """
-
-    def __init__(self, coeff, sys):
-        super().__init__()
-        self._build = partial(coeff, sys)
-
-    def __missing__(self, key):
-        value = self[key] = self._build(*key)
-        return value
-
-
-def _families(sys):
-    """The tables ``(c, b, e, f)``, empty until read."""
-    return tuple(_Family(coeff, sys)
-                 for coeff in (coeff_c, coeff_b, coeff_e, coeff_f))
-
-
-def _tmj(sys, m, j, c, b, e, f):
-    """Both sides of ``T(m, j)`` (see :func:`verify_Tmj`) at trunc 0,
-    read from the tables ``c, b, e, f``."""
     lhs = QLaurent.zero(0)
     for k in range(min(j - 1, m - 1) + 1):
-        lhs = lhs + c[k, j] * b[m - k, j]
+        lhs = lhs + coeff_c(sys, k, j) * coeff_b(sys, m - k, j)
     rhs = QLaurent.zero(0)
     for k in range(min(m - 1, j) + 1):
-        rhs = rhs + f[m, k] * e[m, j - k]
+        rhs = rhs + coeff_f(sys, m, k) * coeff_e(sys, m, j - k)
     for k in range(min(m - 1, j - 1) + 1):
-        rhs = rhs + (f[m, k] * e[m, j - k - 1]) \
+        rhs = rhs + (coeff_f(sys, m, k) * coeff_e(sys, m, j - k - 1)) \
             .scale_by_monomial(-sys.a[-1], 0, 1)
     return lhs, rhs
 
@@ -514,7 +494,7 @@ def verify_Tmj(sys, m, j):
     """
     if not (1 <= m <= sys.r and 1 <= j <= sys.r):
         raise ValueError("need 1 <= m, j <= r")
-    lhs, rhs = _tmj(sys, m, j, *_families(sys))
+    lhs, rhs = _tmj(sys, m, j)
     return lhs == rhs
 
 
@@ -591,22 +571,20 @@ class ChainReport:
         }
 
 
-def _chain_pad(sys, c, b, e, f):
-    """Extra q-headroom so residuals are exact despite negative shifts;
-    reads, and so fills, every table entry the chain uses."""
-    min_c = min((c[k, j].min_exp
-                 for j in range(1, sys.r + 1) for k in range(j)), default=0)
-    min_b = min((b[m, j].min_exp
-                 for j in range(1, sys.r + 1)
-                 for m in range(1, sys.r + 1)), default=0)
-    min_e = min((e[m, j].min_exp
-                 for m in range(1, sys.r + 1)
-                 for j in range(sys.r + 1)), default=0)
-    min_f = min((f[m, k].min_exp
-                 for m in range(1, sys.r + 1) for k in range(m)), default=0)
-    return max(sys.N,
-               -(min_c + min_b),
-               -(min_f + min_e) + sys.a[-1])
+def _chain_pad(sys, *tables):
+    """Headroom above ``trunc`` that keeps the chain's residuals exact:
+    minus the most negative exponent of ``q^(mjN) M[m, j]`` over the
+    multiplier tables, clamped at 0.
+
+    Only these multipliers reach below ``q^0``, and a residual applies
+    ``M[m, j]`` with at least ``q^(mjN)``.  The recurrence rows have no
+    negative exponents (checked on 12 systems, ``ell <= 7``); the factors
+    in ``num``, ``den``, the x-product and ``mu`` have none either, and
+    each divisor starts with the constant 1.  So ``u``, ``beta``, ``G``
+    and ``mu`` stay exact up to the working truncation.
+    """
+    return max(0, -min(M.min_exp + m * j * sys.N
+                       for tab in tables for (m, j), M in tab.items()))
 
 
 def _qdiff_residual(sys, F, M, trunc):
@@ -677,19 +655,19 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     if ell_max < x_trunc:
         raise ValueError("ell_max must be at least x_trunc")
     N, r, a1, ar = sys.N, sys.r, sys.a[0], sys.a[-1]
-    families = _families(sys)
-    work = trunc + _chain_pad(sys, *families)
-    one = QLaurent.one(work)
-
-    # multipliers M[m, j] of the three q-difference equations: each has
-    # the weight pair e(m, 0) at j = 0 (f(m, 0) = 1), then the left side
-    # of T(m, j), its right side, or e(m, j)
-    e = families[2]
+    # multipliers M[m, j] of the three q-difference equations, at trunc 0:
+    # each has the weight pair e(m, 0) at j = 0 (f(m, 0) = 1), then the
+    # left side of T(m, j), its right side, or e(m, j)
+    e = {(m, j): coeff_e(sys, m, j)
+         for m in range(1, r + 1) for j in range(r + 1)}
     left = {(m, 0): e[m, 0] for m in range(1, r + 1)}
     right = dict(left)
     for m in range(1, r + 1):
         for j in range(1, r + 1):
-            left[m, j], right[m, j] = _tmj(sys, m, j, *families)
+            left[m, j], right[m, j] = _tmj(sys, m, j)
+    work = trunc + _chain_pad(sys, left, right, e)
+    one = QLaurent.one(work)
+    # every entry has exponents <= 0, so raising it with with_trunc is exact
     left, right, e = ({key: val.with_trunc(work) for key, val in tab.items()}
                       for tab in (left, right, e))
 

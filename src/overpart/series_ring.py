@@ -362,9 +362,10 @@ class QLaurent:
         """Re-truncate to ``new_trunc``.
 
         Lowering drops terms above the new bound.  Raising keeps the
-        terms as-is and asserts nothing new appears below the raised
-        bound, so it is only sound for exact Laurent polynomials (all
-        terms known), not for genuinely truncated series.
+        terms as-is and checks nothing: the caller must know that no
+        term between the old and the new bound was dropped, as for an
+        exact Laurent polynomial whose exponents all lie at or below the
+        old bound.
         """
         if new_trunc == self.trunc:
             return self

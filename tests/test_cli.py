@@ -10,8 +10,10 @@ from overpart import (
     NegativeExponents,
     NonUnitLeadingTerm,
     NotStabilized,
+    QLaurent,
     RoundTripMismatch,
     cli,
+    recurrence_engine,
 )
 from overpart.cli import main
 
@@ -161,6 +163,32 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--N", "6", "--a", "1,2,4",
                              "--checks", "tmj")
         assert code == 2
+
+    def test_missing_modulus_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--a", "1,2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: modulus must be positive\n"
+
+    def test_chain_failure_names_first_offender(self, capsys, monkeypatch):
+        # one extra 1 on the left side of T(1, 2) first shows at ell = 2
+        real = recurrence_engine._tmj
+
+        def bad_tmj(sys, m, j):
+            lhs, rhs = real(sys, m, j)
+            if (m, j) == (1, 2):
+                lhs = lhs + QLaurent.one(0)
+            return lhs, rhs
+        monkeypatch.setattr(recurrence_engine, "_tmj", bad_tmj)
+        code, out, err = run_cli(capsys, "verify", "--N", "3", "--a", "1,2",
+                                 "--trunc", "20", "--x-trunc", "5",
+                                 "--checks", "chain", "--output", "json")
+        assert code == 1
+        assert err == ""
+        check = json.loads(out)["systems"][0]["checks"][0]
+        assert check["failures"] == 1
+        assert check["first_failure"] \
+            == "stage rec_prime: first offender (2, 6, 0, -1)"
 
 
 def _raiser(exc):

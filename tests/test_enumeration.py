@@ -1,5 +1,7 @@
+import gc
 import inspect
 import sys
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -115,6 +117,22 @@ class TestCountF:
             got = {(d, e): c for e, d, c in series.terms()}
             want = {kn: c for kn, c in table.entries.items() if c}
             assert got == want
+
+    def test_memo_freed_without_a_collection(self, sys3):
+        # the memo reaches 1.7 MiB at n = 100; what stays after the table
+        # is dropped is the interpreter's tuple and dict free lists
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = count_F(sys3, 100)
+            assert table.entries[(0, 100)] > 0
+            del table
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 2 ** 19
 
 
 class TestCheckGConditions:

@@ -474,8 +474,8 @@ class TestChain:
         # one extra 1 on one side of T(1, 2) reaches x^2 (and ell = 2) first
         real = recurrence_engine._tmj
 
-        def bad_tmj(sys, m, j, *families):
-            sides = list(real(sys, m, j, *families))
+        def bad_tmj(sys, m, j):
+            sides = list(real(sys, m, j))
             if (m, j) == (1, 2):
                 sides[side] = sides[side] + QLaurent.one(0)
             return tuple(sides)
@@ -497,6 +497,100 @@ class TestChain:
         for m in range(1, sys_.r + 1):
             for j in range(1, sys_.r + 1):
                 assert verify_Tmj(sys_, m, j), (m, j)
+
+
+def _family_pad(sys, *tables):
+    """The pad read off the unscaled families ``c, b, e, f`` instead of the
+    multipliers as applied: far larger (11, 50, 64 and 189 on the battery),
+    so a reference for the outputs below ``q^trunc``."""
+    r = sys.r
+    min_c = min(coeff_c(sys, k, j).min_exp
+                for j in range(1, r + 1) for k in range(j))
+    min_b = min(coeff_b(sys, m, j).min_exp
+                for j in range(1, r + 1) for m in range(1, r + 1))
+    min_e = min(coeff_e(sys, m, j).min_exp
+                for m in range(1, r + 1) for j in range(r + 1))
+    min_f = min(coeff_f(sys, m, k).min_exp
+                for m in range(1, r + 1) for k in range(m))
+    return max(sys.N, -(min_c + min_b), -(min_f + min_e) + sys.a[-1])
+
+
+def _chain_outputs(sys_, ell_max, x_trunc, trunc):
+    """Stage names and details, report JSON and every state series cut to
+    ``trunc``, of a passing or failing chain."""
+    try:
+        report = verify_chain(sys_, ell_max, x_trunc, trunc)
+    except ChainBroken as exc:
+        report = exc.report
+    state = report.state
+    cut = {name: [x.with_trunc(trunc) for x in getattr(state, name)]
+           for name in ("u", "beta", "s", "mu")}
+    cut.update({name: getattr(state, name).with_q_trunc(trunc)
+                for name in ("f", "G", "g")})
+    return ([(st_.name, st_.detail) for st_ in report.stages],
+            report.to_json_obj(), cut)
+
+
+class TestChainPad:
+    """The working truncation is ``trunc`` plus the headroom of the
+    multipliers as applied, and that headroom is sharp."""
+
+    def test_battery_pads(self, battery):
+        pads = []
+        for sys_ in battery:
+            state = verify_chain(sys_, 2, 2, 10).state
+            pads.append(state.u[0].trunc - 10)
+        assert pads == [1, 3, 4, 7]
+
+    @pytest.mark.parametrize("bad_side", [None, 0])
+    def test_battery_matches_family_pad(self, battery, monkeypatch,
+                                        bad_side):
+        # bad_side perturbs one side of T(1, 2), so details are non-empty
+        real = recurrence_engine._tmj
+
+        def tmj(sys, m, j):
+            sides = list(real(sys, m, j))
+            if (m, j) == (1, 2) and bad_side is not None:
+                sides[bad_side] = sides[bad_side] + QLaurent.one(0)
+            return tuple(sides)
+        monkeypatch.setattr(recurrence_engine, "_tmj", tmj)
+        for sys_ in battery:
+            got = _chain_outputs(sys_, 5, 5, 30)
+            with monkeypatch.context() as patch:
+                patch.setattr(recurrence_engine, "_chain_pad", _family_pad)
+                want = _chain_outputs(sys_, 5, 5, 30)
+            assert got == want, (sys_.N, sys_.a)
+            assert (bad_side is None) == all(
+                detail == "" for _, detail in got[0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(admissible_systems(r_min=2), st.integers(0, 12),
+           st.integers(0, 3), st.integers(0, 2))
+    def test_random_systems_match_family_pad(self, system, trunc, x_trunc,
+                                             extra):
+        sys_ = build_system(system[1], system[0])
+        got = _chain_outputs(sys_, x_trunc + extra, x_trunc, trunc)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(recurrence_engine, "_chain_pad", _family_pad)
+            want = _chain_outputs(sys_, x_trunc + extra, x_trunc, trunc)
+        assert got == want
+
+    # 15/{1,2,4,8} still passes at pad - 1 at this depth, so it is not a case
+    @pytest.mark.parametrize("system,offender", [
+        ((3, (1, 2)), (1, 30, 14, 1)),
+        ((7, (1, 2, 4)), (2, 30, 2, -1)),
+        ((9, (1, 3, 5)), (1, 30, 3, -1)),
+    ])
+    def test_one_below_the_pad_breaks_eq(self, monkeypatch, system,
+                                         offender):
+        real = recurrence_engine._chain_pad
+        monkeypatch.setattr(recurrence_engine, "_chain_pad",
+                            lambda sys, *tables: real(sys, *tables) - 1)
+        with pytest.raises(ChainBroken) as exc:
+            verify_chain(build_system(system[1], system[0]), 5, 5, 30)
+        assert exc.value.stage == "eq"
+        assert exc.value.report.first_failure().detail \
+            == f"first offender {offender}"
 
 
 class TestChainResiduals:
