@@ -56,12 +56,10 @@ from .recurrence_engine import (
 )
 from .series_ring import (
     DPoly,
-    NonConvergent,
     NonUnitLeadingTerm,
     QLaurent,
     TruncationMismatch,
     XSeries,
-    pochhammer_expand,
     product_F,
     qbinomial,
     substitute_x,
@@ -72,9 +70,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AlphaSystem", "InvalidSystem", "DominanceViolated", "SumsNotDistinct",
     "ModulusTooSmall", "build_system", "beta", "alpha_weight_sum",
-    "DPoly", "QLaurent", "XSeries", "TruncationMismatch", "NonConvergent",
-    "NonUnitLeadingTerm", "qbinomial", "pochhammer_expand", "product_F",
-    "substitute_x",
+    "DPoly", "QLaurent", "XSeries", "TruncationMismatch",
+    "NonUnitLeadingTerm", "qbinomial", "product_F", "substitute_x",
     "Overpartition", "CountTable", "MalformedOverpartition",
     "count_all_overpartitions", "count_F", "check_G_conditions", "count_G",
     "count_G_andrews_k0", "walk_G", "add_tail",

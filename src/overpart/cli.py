@@ -21,6 +21,7 @@ from .recurrence_engine import (
     NegativeExponents,
     NotStabilized,
     RoundTripMismatch,
+    _ladder,
     g_series,
     limit_u,
     run_recurrence,
@@ -234,6 +235,8 @@ def _run_checks(sys_, args, checks):
 def cmd_verify(args):
     """Run the selected checks on one system or the whole battery."""
     names = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+    if not names:
+        raise ValueError(f"no check given; choose from {','.join(ALL_CHECKS)}")
     for c in names:
         if c not in ALL_CHECKS:
             raise ValueError(f"unknown check {c!r}; "
@@ -341,6 +344,8 @@ def main(argv=None):
     except (InvalidSystem, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        _ladder.cache_clear()     # the g_m ladders live for one command
 
 
 if __name__ == "__main__":

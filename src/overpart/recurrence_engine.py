@@ -254,7 +254,6 @@ def verify_eq_357(sys, j, k, trunc):
     N = sys.N
     a1 = sys.a[0]
     ak = sys.generator(k)
-    one = QLaurent.one(trunc)
 
     res35 = g_series(sys, j * N - a1, trunc) - g_series(sys, j * N - ak, trunc)
     for al in sys.alpha:
@@ -265,13 +264,13 @@ def verify_eq_357(sys, j, k, trunc):
     res37 = None
     if k <= sys.r:
         ak1 = sys.generator(k + 1)
-        lhs = (one - QLaurent.monomial(trunc, j * N - ak, 1)) \
-            * g_series(sys, j * N - ak, trunc)
+        lhs = g_series(sys, j * N - ak, trunc)
+        lhs = lhs + lhs.scale_by_monomial(j * N - ak, 1, -1)
         res37 = lhs - g_series(sys, j * N - ak1, trunc)
         res37 = res37 - g_series(sys, (j - 1) * N - a1, trunc) \
             .scale_by_monomial(N - ak, 0, 1)
-        back = (one - QLaurent.monomial(trunc, (j - 1) * N)) \
-            * g_series(sys, (j - 1) * N - ak, trunc)
+        back = g_series(sys, (j - 1) * N - ak, trunc)
+        back = back + back.scale_by_monomial((j - 1) * N, 0, -1)
         res37 = res37 + back.scale_by_monomial(N - ak, 0, 1)
     return res35, res37
 
@@ -289,17 +288,6 @@ class RecRow:
     lhs: QLaurent
     rhs: tuple
     ell: int
-
-
-def _h_product(sys, j, ell, trunc):
-    """``prod_(h=1)^(j-1) (1 - q^((ell-h)N))``; zero when ``j > ell``."""
-    prod = QLaurent.one(trunc)
-    for h in range(1, j):
-        prod = prod * (QLaurent.one(trunc)
-                       - QLaurent.monomial(trunc, (ell - h) * sys.N))
-        if prod.is_zero():
-            break
-    return prod
 
 
 def _elimination_sum(sys, bound_index, j, ell, trunc):
@@ -330,16 +318,15 @@ def _elimination_row(sys, k, ell, trunc):
     """``(lhs, rhs)`` of the elimination identity with cutoff ``a(k)``:
     ``lhs = prod_(j<k) (1 - d q^(lN - a(j)))`` and ``rhs[j-1]`` the inner
     sum times ``prod_(h<j) (1 - q^((l-h)N))``, which multiplies
-    ``g[(l-j)N-a(1)]``."""
-    one = QLaurent.one(trunc)
-    lhs = one
+    ``g[(l-j)N-a(1)]``; the factor ``h = l`` is 0, so ``j > l`` gives 0."""
+    lhs = QLaurent.one(trunc)
     for g in sys.a[:k - 1]:
-        lhs = lhs * (one - QLaurent.monomial(trunc, ell * sys.N - g, 1))
+        lhs = lhs + lhs.scale_by_monomial(ell * sys.N - g, 1, -1)
     rhs = []
     for j in range(1, k):
         term = _elimination_sum(sys, k, j, ell, trunc)
-        if not term.is_zero():
-            term = term * _h_product(sys, j, ell, trunc)
+        for h in range(1, j):
+            term = term + term.scale_by_monomial((ell - h) * sys.N, 0, -1)
         rhs.append(term)
     return lhs, rhs
 
@@ -625,15 +612,8 @@ def _rec_residual(sys, ys, M, ell_hi, trunc):
 def _x_factor_product(sys, x_trunc, trunc):
     """``prod_(k>=1) (1 + x q^(kN - a(r)))`` at the given truncations."""
     prod = XSeries.one(x_trunc, trunc)
-    if x_trunc == 0:
-        return prod
-    k = 1
-    while k * sys.N - sys.a[-1] <= trunc:
-        row = [QLaurent.one(trunc),
-               QLaurent.monomial(trunc, k * sys.N - sys.a[-1])]
-        row += [QLaurent.zero(trunc)] * (x_trunc - 1)
-        prod = prod * XSeries(x_trunc, row)
-        k += 1
+    for e in range(sys.N - sys.a[-1], trunc + 1, sys.N):
+        prod = prod + prod.shift_x(1) * QLaurent.monomial(trunc, e)
     return prod
 
 
@@ -677,8 +657,8 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     num = one
     den = one
     for ell in range(1, ell_max + 1):
-        num = num * (one - QLaurent.monomial(work, ell * N - ar, 1))
-        den = den * (one - QLaurent.monomial(work, ell * N))
+        num = num + num.scale_by_monomial(ell * N - ar, 1, -1)
+        den = den + den.scale_by_monomial(ell * N, 0, -1)
         betas.append((u[ell] * num).divide(den))
 
     report = ChainReport(system=sys, trunc=trunc, x_trunc=x_trunc)
@@ -710,7 +690,7 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     prod = one
     for ell, s_ell in enumerate(s):
         if ell >= 1:
-            prod = prod * (one - QLaurent.monomial(work, N * ell))
+            prod = prod + prod.scale_by_monomial(N * ell, 0, -1)
         mus.append(s_ell * prod)
     offender = None
     if mus[0] != QLaurent.one(work):

@@ -27,10 +27,6 @@ class TruncationMismatch(ValueError):
     """Operands carry different q- or x-truncations."""
 
 
-class NonConvergent(ValueError):
-    """Infinite product whose factors do not tend to 1 coefficientwise."""
-
-
 class NonUnitLeadingTerm(ValueError):
     """Series division by a divisor that does not start with constant 1."""
 
@@ -336,18 +332,18 @@ class QLaurent:
             row = dict(self.coeffs[e].coeffs) if e in self.coeffs else {}
             for ed, pd in den_items:
                 prev = quo.get(e - ed)
-                if not prev:
+                if prev is None:
                     if e - ed < nmin:
                         break
                     continue
                 for d1, c1 in pd.coeffs.items():
-                    for d2, c2 in prev.items():
+                    for d2, c2 in prev.coeffs.items():
                         deg = d1 + d2
                         row[deg] = row.get(deg, 0) - c1 * c2
             row = {deg: c for deg, c in row.items() if c}
             if row:
-                quo[e] = row
-        return QLaurent._wrap(self.trunc, quo)
+                quo[e] = DPoly._wrap(row)
+        return QLaurent._wrap_clean(self.trunc, quo)
 
     def d0(self):
         """Specialize d = 0, keeping only the ``d**0`` part."""
@@ -602,39 +598,6 @@ def qbinomial(m, r, base_exp, trunc=None):
         trunc, ((e, 0, c) for e, c in zip(exps, coeffs) if c))
 
 
-def pochhammer_expand(t_sign, t_d_degree, offset_exp, step_exp,
-                      num_factors, trunc):
-    """Expand ``prod_j (1 - t * q**(offset_exp + j*step_exp))`` exactly.
-
-    ``t`` is the monomial ``t_sign * d**t_d_degree``.  ``num_factors``
-    counts the factors, or ``None`` for the infinite product; factors
-    whose exponent exceeds ``trunc`` contribute nothing and stop the
-    expansion.  The infinite case needs ``offset_exp >= 1`` so that each
-    truncated coefficient is reached by finitely many factors.
-    """
-    if t_sign not in (1, -1):
-        raise ValueError("t_sign must be +1 or -1")
-    if t_d_degree not in (0, 1):
-        raise ValueError("t_d_degree must be 0 or 1")
-    if step_exp <= 0:
-        raise ValueError("step_exp must be positive")
-    infinite = num_factors is None
-    if infinite and offset_exp <= 0:
-        raise NonConvergent(
-            "infinite product needs a positive starting exponent")
-    result = QLaurent.one(trunc)
-    j = 0
-    while infinite or j < num_factors:
-        e = offset_exp + j * step_exp
-        if e > trunc:
-            break
-        factor = QLaurent.one(trunc) + QLaurent.monomial(
-            trunc, e, t_d_degree, -t_sign)
-        result = result * factor
-        j += 1
-    return result
-
-
 def product_F(sys, trunc):
     """Generating function for congruence-restricted overpartitions.
 
@@ -643,12 +606,17 @@ def product_F(sys, trunc):
     parts are all congruent to some ``-a(j)`` modulo ``N``, with ``k``
     non-overlined parts.  A generator ``a(j) = N`` allows the parts
     ``0 mod N``, so its factors start at ``q^N``, the least such part.
+    The product is built one factor at a time: a shift-and-add for each
+    ``1 + q^e`` and a one-term division for each ``1 - d q^e``.
     """
+    if trunc < 0:
+        raise ValueError("trunc must be non-negative")
     result = QLaurent.one(trunc)
     for g in sys.a:
-        e = (sys.N - g) or sys.N
-        result = result * pochhammer_expand(-1, 0, e, sys.N, None, trunc)
-        result = result.divide(pochhammer_expand(1, 1, e, sys.N, None, trunc))
+        for e in range((sys.N - g) or sys.N, trunc + 1, sys.N):
+            result = result + result.scale_by_monomial(e)
+            result = result.divide(
+                QLaurent.one(trunc) + QLaurent.monomial(trunc, e, 1, -1))
     return result
 
 

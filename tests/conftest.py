@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from overpart import build_system
+from overpart import QLaurent, build_system
 from overpart.cli import BATTERY
 
 
@@ -44,6 +44,17 @@ def gen_overpartitions(n, max_part=None):
         for rest in gen_overpartitions(n - size, size):
             yield ((size, False),) + rest
             yield ((size, True),) + rest
+
+
+def factor_product(trunc, exps, d_deg=0, c=1):
+    """``prod_(e in exps) (1 + c d^d_deg q^e)``, multiplied out with the
+    general ``*``, so that it stays independent of the package's
+    shift-and-add factor updates."""
+    one = QLaurent.one(trunc)
+    out = one
+    for e in exps:
+        out = out * (one + QLaurent.monomial(trunc, e, d_deg, c))
+    return out
 
 
 @st.composite

@@ -17,7 +17,6 @@ from overpart import (
     count_G_andrews_k0,
     g_series,
     limit_u,
-    pochhammer_expand,
     product_F,
     qbinomial,
     run_recurrence,
@@ -29,6 +28,8 @@ from overpart import (
     verify_Tmj,
 )
 from overpart.cli import BATTERY, _series_entries, _table_entries
+
+from conftest import factor_product
 
 
 class Timer:
@@ -126,8 +127,8 @@ def test_criterion_6_single_generator_closed_form():
         sys2 = build_system([1], 2)
         us = run_recurrence(sys2, 10, 30)
         for ell in range(11):
-            num = pochhammer_expand(-1, 0, 1, 2, ell, 30)
-            den = pochhammer_expand(1, 1, 1, 2, ell, 30)
+            num = factor_product(30, range(1, 2 * ell, 2))
+            den = factor_product(30, range(1, 2 * ell, 2), 1, -1)
             assert us[ell] == num.divide(den), ell
     report(6, "one-generator recurrence equals its partial-product "
               "closed form up to l=10", t.seconds, 5.0)
@@ -196,8 +197,8 @@ def test_criterion_8_specializations():
             lim0 = limit_u(sys_, 40).d0()
             distinct = QLaurent.one(40)
             for g in sys_.a:
-                distinct = distinct * pochhammer_expand(
-                    -1, 0, N - g, N, None, 40)
+                distinct = distinct * factor_product(
+                    40, range(N - g, 41, N))
             assert lim0 == distinct, N
     report(8, "zero-marker column matches the flag-free oracle and the "
               "d=0 limit is the distinct-part product", t.seconds, 60.0)

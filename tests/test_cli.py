@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -241,6 +242,31 @@ class TestExitCodes:
                                "--N", "7", "--a", "1,2,4")
         assert code == 2
         assert err.startswith("error: ")
+        code, out, err = run_cli(capsys, "expand", "--N", "7", "--a", "1,2,4",
+                                 "--trunc", "-1", "--output", "json")
+        assert (code, out) == (2, "")
+        assert err == "error: trunc must be non-negative\n"
+        code, out, err = run_cli(capsys, "verify", "--N", "7", "--a", "1,2,4",
+                                 "--checks", ",", "--output", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no check given; choose from lemma1,")
+
+
+def test_ladder_cache_lives_for_one_command(capsys):
+    recurrence_engine._ladder.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = main(["verify", "--N", "3", "--a", "1,2", "--checks",
+                     "lemma2,rec", "--trunc", "44", "--output", "json"])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    assert recurrence_engine._ladder.cache_info().currsize == 0
+    # the 3/{1,2} ladder at trunc 44 alone holds about 2 MiB
+    assert held < 2**19, held
 
 
 def test_checks_survive_python_O():

@@ -21,7 +21,6 @@ from overpart import (
     g_series,
     limit_u,
     alpha_weight_sum,
-    pochhammer_expand,
     product_F,
     qbinomial,
     run_recurrence,
@@ -35,7 +34,7 @@ from overpart import (
 )
 from overpart import cli, recurrence_engine
 
-from conftest import admissible_systems
+from conftest import admissible_systems, factor_product
 
 
 class TestGSeries:
@@ -262,8 +261,8 @@ class TestRunRecurrence:
         sys2 = build_system([1], 2)
         us = run_recurrence(sys2, 10, 30)
         for ell in range(1, 11):
-            num = pochhammer_expand(-1, 0, 1, 2, ell, 30)
-            den = pochhammer_expand(1, 1, 1, 2, ell, 30)
+            num = factor_product(30, range(1, 2 * ell, 2))
+            den = factor_product(30, range(1, 2 * ell, 2), 1, -1)
             assert us[ell] == num.divide(den), ell
 
     def test_matches_enumeration(self, sys7):
@@ -356,7 +355,7 @@ class TestLimit:
         lim = limit_u(sys7, 25).d0()
         want = QLaurent.one(25)
         for g in sys7.a:
-            want = want * pochhammer_expand(-1, 0, 7 - g, 7, None, 25)
+            want = want * factor_product(25, range(7 - g, 26, 7))
         assert lim == want
 
     def test_stabilization_profile(self, sys3):

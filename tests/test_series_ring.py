@@ -5,19 +5,20 @@ from hypothesis import given, settings, strategies as st
 
 from overpart import (
     DPoly,
-    NonConvergent,
     NonUnitLeadingTerm,
     QLaurent,
     TruncationMismatch,
     XSeries,
     build_system,
     count_F,
-    pochhammer_expand,
+    count_all_overpartitions,
     product_F,
     qbinomial,
     substitute_x,
 )
 from overpart import cli
+
+from conftest import factor_product
 
 
 # -- independent oracles ----------------------------------------------
@@ -214,6 +215,21 @@ class TestRingLaws:
         assert f * QLaurent.one(8) == f
         assert f + QLaurent.zero(8) == f
 
+    @given(term_lists, st.integers(0, 8), st.integers(0, 1),
+           st.sampled_from((1, -1)))
+    @settings(max_examples=60, deadline=None)
+    def test_factor_by_shift_and_add(self, tf, e, k, c):
+        # how every product site applies one factor 1 + c d^k q^e; for
+        # e >= 1 the factor starts with 1, so dividing by it undoes it.
+        # e stays at or below trunc: a built factor drops a q^e past it,
+        # which q^-1 * q^e could bring back into range
+        x = QLaurent.from_terms(8, tf)
+        factor = QLaurent.one(8) + QLaurent.monomial(8, e, k, c)
+        got = x + x.scale_by_monomial(e, k, c)
+        assert got == x * factor
+        if e >= 1:
+            assert got.divide(factor) == x
+
     def test_truncation_is_not_associative_past_the_bound(self):
         # the boundary case that motivates the explicit headroom used by
         # the chain checks: q^-1 * (q^4 * q^5) truncates the inner
@@ -307,38 +323,30 @@ class TestQBinomial:
 
 class TestPochhammer:
     def test_distinct_parts_expansion(self):
-        got = pochhammer_expand(-1, 0, 1, 1, None, 12)
+        # every part is 0 mod 1: (-q; q)_inf / (d q; q)_inf counts all
+        # overpartitions, and at d = 0 the partitions into distinct parts
+        got = product_F(build_system([1], 1), 12)
+        assert cli._series_entries(got) == \
+            cli._table_entries(count_all_overpartitions(12))
+        dist = got.d0()
         for n in range(13):
-            assert got.coefficient_int(n, 0) == distinct_partition_count(n)
+            assert dist.coefficient_int(n, 0) == distinct_partition_count(n)
         # frozen low-order values
-        assert [got.coefficient_int(n, 0) for n in range(6)] == \
+        assert [dist.coefficient_int(n, 0) for n in range(6)] == \
             [1, 1, 1, 2, 2, 3]
 
-    def test_single_factor(self):
-        got = pochhammer_expand(1, 1, 1, 1, 1, 5)
-        assert got == QLaurent.one(5) - QLaurent.monomial(5, 1, 1)
-
     def test_inverse_even_parts(self):
-        den = pochhammer_expand(1, 1, 2, 2, None, 10)
-        inv = QLaurent.one(10).divide(den)
+        # 1 / (d q^2; q^2)_inf, one factor 1 - d q^e divided out at a time
+        inv = QLaurent.one(10)
+        for e in range(2, 11, 2):
+            inv = inv.divide(
+                QLaurent.one(10) + QLaurent.monomial(10, e, 1, -1))
         # q^6: even-part partitions by length: 2+2+2, 4+2, 6
         assert inv.coefficient(6) == DPoly({1: 1, 2: 1, 3: 1})
         for n in range(0, 11, 2):
             want = even_partitions_by_length(n)
             for length, cnt in want.items():
                 assert inv.coefficient_int(n, length) == cnt
-
-    def test_infinite_needs_positive_offset(self):
-        with pytest.raises(NonConvergent):
-            pochhammer_expand(-1, 0, 0, 1, None, 5)
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            pochhammer_expand(2, 0, 1, 1, None, 5)
-        with pytest.raises(ValueError):
-            pochhammer_expand(1, 2, 1, 1, None, 5)
-        with pytest.raises(ValueError):
-            pochhammer_expand(1, 0, 1, 0, None, 5)
 
 
 class TestProductF:
@@ -353,8 +361,7 @@ class TestProductF:
             full = product_F(sys_, 25).d0()
             dist = QLaurent.one(25)
             for g in sys_.a:
-                dist = dist * pochhammer_expand(
-                    -1, 0, sys_.N - g, sys_.N, None, 25)
+                dist = dist * factor_product(25, range(sys_.N - g, 26, sys_.N))
             assert full == dist
 
     @pytest.mark.parametrize("N", [1, 2, 3, 5])

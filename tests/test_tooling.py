@@ -32,3 +32,34 @@ def test_all_lists_exactly_the_public_names():
     assert len(set(listed)) == len(listed)
     assert [name for name in listed if not hasattr(overpart, name)] == []
     assert set(listed) - {"__version__"} == public
+
+
+def _is_binomial(node):
+    # <one> +/- QLaurent.monomial(...), either way round
+    return (isinstance(node, ast.BinOp)
+            and isinstance(node.op, (ast.Add, ast.Sub))
+            and any(isinstance(side, ast.Call)
+                    and isinstance(side.func, ast.Attribute)
+                    and side.func.attr == "monomial"
+                    and isinstance(side.func.value, ast.Name)
+                    and side.func.value.id == "QLaurent"
+                    for side in (node.left, node.right)))
+
+
+def test_no_binomial_factor_fed_to_the_general_product():
+    # a factor 1 + c d^k q^e is applied as x + x.scale_by_monomial(e, k, c)
+    # (or divided out with QLaurent.divide), never multiplied out term by
+    # term against every term of x
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                operands = (node.left, node.right)
+            elif (isinstance(node, ast.AugAssign)
+                  and isinstance(node.op, ast.Mult)):
+                operands = (node.value,)
+            else:
+                continue
+            if any(_is_binomial(op) for op in operands):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
