@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -103,6 +104,35 @@ class TestExpand:
         obj = json.loads(out)
         assert out == json.dumps(obj, sort_keys=True,
                                  separators=(",", ":")) + "\n"
+
+
+#: sha256 of the stdout of each command run on the battery systems in turn
+PINNED_FORMATS = {
+    ("count", "--side", "all", "--n-max", "30", "--output", "json"):
+        "f9a85e506adc35f6c63617fadd56da3a17864adfa1f70aa9739211e5eb93995e",
+    ("count", "--side", "all", "--n-max", "30", "--output", "csv"):
+        "373f3aaa2f5a6bfb3b137ed3416ca933583f47923198cbc67c4e637170b6636c",
+    ("count", "--side", "all", "--n-max", "30", "--output", "table"):
+        "d58ce8ae4dfb12879533b0ceebdd7712a026a8c583dd3a64fb876eea5f2854ff",
+    ("count", "--side", "G", "--n-max", "30", "--output", "csv"):
+        "97996bb33950fd13cf3ad7e856d2081b25faa9234976f0b5c97969a4a6b8a231",
+    ("expand", "--what", "product", "--trunc", "30", "--output", "table"):
+        "3d56a823db86ee1f8d394dbf471ebb5f5af05dd09caff8da4e2c675a2c2857f0",
+    ("expand", "--what", "gm", "--m", "20", "--trunc", "30",
+     "--output", "table"):
+        "f65a2c5faad895892ff4c6d5d87d7497fddbbd0e8e051408adf0a9f05ca014a3",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_FORMATS, ids=" ".join)
+def test_count_and_expand_output_is_pinned(capsys, argv):
+    digest = hashlib.sha256()
+    for N, a in cli.BATTERY:
+        code, out, _ = run_cli(capsys, *argv, "--N", str(N),
+                               "--a", ",".join(map(str, a)))
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == PINNED_FORMATS[argv]
 
 
 class TestVerify:
