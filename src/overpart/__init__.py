@@ -19,7 +19,6 @@ from .alpha_system import (
     build_system,
 )
 from .enumeration import (
-    CountTable,
     MalformedOverpartition,
     Overpartition,
     add_tail,
@@ -72,7 +71,7 @@ __all__ = [
     "ModulusTooSmall", "build_system", "beta", "alpha_weight_sum",
     "DPoly", "QLaurent", "XSeries", "TruncationMismatch",
     "NonUnitLeadingTerm", "qbinomial", "product_F", "substitute_x",
-    "Overpartition", "CountTable", "MalformedOverpartition",
+    "Overpartition", "MalformedOverpartition",
     "count_all_overpartitions", "count_F", "check_G_conditions", "count_G",
     "count_G_andrews_k0", "walk_G", "add_tail",
     "RecRow", "ChainState", "ChainReport", "ChainBroken",

@@ -2,7 +2,9 @@
 
 Exit codes are CI-grade: 0 when every requested check passes, 1 when a
 mathematical mismatch or nonzero residual is found or a computation fails
-mid-way (``MATH_FAILURES``), 2 on invalid input.
+mid-way (``MATH_FAILURES``), 2 on invalid input, including a system
+outside a check's domain (one generator with ``N = a(1)`` for the
+peeling and recurrence checks).
 JSON output is canonical (sorted keys, exponent-sorted terms, counts and
 coefficients as strings) so byte equality is a meaningful comparison.
 """
@@ -32,7 +34,7 @@ from .recurrence_engine import (
     verify_lemma2,
     verify_Tmj,
 )
-from .series_ring import DPoly, NonUnitLeadingTerm, product_F
+from .series_ring import NonUnitLeadingTerm, product_F
 
 #: Built-in verification battery used by ``verify --battery``.
 BATTERY = ((3, (1, 2)), (7, (1, 2, 4)), (9, (1, 3, 5)), (15, (1, 2, 4, 8)))
@@ -49,33 +51,42 @@ def _emit_json(obj):
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def _series_entries(series):
-    return {(deg, e): c for e, deg, c in series.terms()}
+def _width(series):
+    """Largest ``d``-degree of a count series, whose constant term is 1."""
+    return max(p.degree for p in series.coeffs.values())
 
 
-def _table_entries(table):
-    return {kn: c for kn, c in table.entries.items() if c}
+def _count_rows(series, width):
+    """``[c(0, n), ..., c(width, n)]`` for each ``n`` up to the truncation."""
+    return [[series.coefficient_int(n, k) for k in range(width + 1)]
+            for n in range(series.trunc + 1)]
 
 
-def _print_count_table(table, label):
-    width = table.max_k()
+def _count_json(series, side, sys_):
+    rows = _count_rows(series, _width(series))
+    return {"system": {"N": sys_.N, "a": list(sys_.a)},
+            "n_max": series.trunc, "side": side,
+            "rows": [{"n": n, "by_k": [str(c) for c in row]}
+                     for n, row in enumerate(rows)]}
+
+
+def _print_count_table(series, label):
+    width = _width(series)
     head = " ".join(f"k={k}" for k in range(width + 1))
     print(f"{label}  n | {head}")
-    for n in range(table.n_max + 1):
-        row = " ".join(str(c) for c in table.row(n, width))
-        print(f"{label} {n:3d} | {row}")
+    for n, row in enumerate(_count_rows(series, width)):
+        print(f"{label} {n:3d} | {' '.join(str(c) for c in row)}")
 
 
 def _write_count_csv(tables):
     writer = csv.writer(sys.stdout)
-    width = max(t.max_k() for _, t in tables)
+    width = max(_width(series) for _, series in tables)
     multi = len(tables) > 1
     head = ["n"] + [f"k{k}" for k in range(width + 1)]
     writer.writerow((["side"] if multi else []) + head)
-    for side, table in tables:
-        for n in range(table.n_max + 1):
-            row = [n] + table.row(n, width)
-            writer.writerow(([side] if multi else []) + row)
+    for side, series in tables:
+        for n, row in enumerate(_count_rows(series, width)):
+            writer.writerow(([side] if multi else []) + [n] + row)
 
 
 def cmd_count(args):
@@ -86,28 +97,30 @@ def cmd_count(args):
         tables.append(("F", count_F(sys_, args.n_max)))
     if args.side in ("G", "all"):
         tables.append(("G", count_G(sys_, args.n_max)))
-    verdict = None
-    mismatch = None
+    verdict = mismatch = None
     if args.side == "all":
-        mismatch = tables[0][1].first_mismatch(tables[1][1])
-        verdict = "pass" if mismatch is None else "fail"
+        (_, f), (_, g) = tables
+        first = (f - g).first_nonzero()      # in (n, then k) order
+        verdict = "pass" if first is None else "fail"
+        if first is not None:
+            n, k, _ = first
+            mismatch = {"k": k, "n": n, "F": str(f.coefficient_int(n, k)),
+                        "G": str(g.coefficient_int(n, k))}
 
     if args.output == "json":
-        obj = {side: t.to_json_obj(sys_, side) for side, t in tables}
+        obj = {side: _count_json(series, side, sys_)
+               for side, series in tables}
         if verdict is not None:
             obj["verdict"] = verdict
-            obj["first_mismatch"] = (
-                None if mismatch is None
-                else {"k": mismatch[0], "n": mismatch[1],
-                      "F": str(mismatch[2]), "G": str(mismatch[3])})
+            obj["first_mismatch"] = mismatch
         _emit_json(obj)
     elif args.output == "csv":
         _write_count_csv(tables)
         if verdict is not None:
             print(f"# verdict: {verdict}", file=sys.stderr)
     else:
-        for side, t in tables:
-            _print_count_table(t, side)
+        for side, series in tables:
+            _print_count_table(series, side)
         if verdict is not None:
             print(f"verdict: {verdict}")
     return 0 if verdict in (None, "pass") else 1
@@ -131,11 +144,8 @@ def cmd_expand(args):
     else:
         print(f"# {args.what} for N={sys_.N}, a={list(sys_.a)}, "
               f"trunc={args.trunc}")
-        by_exp = {}
-        for e, deg, c in series.terms():
-            by_exp.setdefault(e, {})[deg] = c
-        for e in sorted(by_exp):
-            print(f"q^{e}: {DPoly(by_exp[e])}")
+        for e in sorted(series.coeffs):
+            print(f"q^{e}: {series.coeffs[e]}")
     return 0
 
 
@@ -215,14 +225,12 @@ def _run_checks(sys_, args, checks):
             res["x_trunc"] = args.x_trunc
             res["ell_max"] = ell_max
         elif name == "theorem":
-            f_tab = _table_entries(count_F(sys_, trunc))
-            g_tab = _table_entries(count_G(sys_, trunc))
-            prod = _series_entries(product_F(sys_, trunc))
-            lim = _series_entries(limit_u(sys_, trunc))
+            f_counts = count_F(sys_, trunc)
+            prod = product_F(sys_, trunc)
             cases = [
-                ("count_F == count_G", f_tab == g_tab),
-                ("count_F == product", f_tab == prod),
-                ("product == limit", prod == lim),
+                ("count_F == count_G", f_counts == count_G(sys_, trunc)),
+                ("count_F == product", f_counts == prod),
+                ("product == limit", prod == limit_u(sys_, trunc)),
             ]
             res = _sweep(cases)
         else:
@@ -241,6 +249,9 @@ def cmd_verify(args):
         if c not in ALL_CHECKS:
             raise ValueError(f"unknown check {c!r}; "
                              f"choose from {','.join(ALL_CHECKS)}")
+    for flag, value in (("--trunc", args.trunc), ("--x-trunc", args.x_trunc)):
+        if value < 0:
+            raise ValueError(f"{flag} must be non-negative")
     if not args.battery and not args.a:
         raise ValueError("either --battery or --N/--a is required")
     systems = (BATTERY if args.battery else ((args.N, args.a),))

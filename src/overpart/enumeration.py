@@ -9,15 +9,19 @@ else in the package verifies.
 
 An overpartition is a weakly decreasing sequence of parts in which the
 first occurrence of each part size may be overlined; ``k`` always
-denotes the number of non-overlined parts.
+denotes the number of non-overlined parts.  Every counter returns a
+``QLaurent`` truncated at ``n_max``, used only as a container: the
+coefficient of ``d^k q^n`` is the count of size ``n`` with ``k``
+non-overlined parts.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .alpha_system import beta
+from .series_ring import QLaurent
 
 
 class MalformedOverpartition(ValueError):
@@ -77,66 +81,6 @@ class Overpartition:
         return " + ".join(f"{s}~" if o else str(s) for s, o in self.parts)
 
 
-@dataclass
-class CountTable:
-    """Exact counts indexed by ``(k, n)`` with ``0 <= n <= n_max``.
-
-    Entry ``(0, 0)`` is always 1 (the empty overpartition).  Absent
-    entries are zero.
-    """
-
-    n_max: int
-    entries: dict = field(default_factory=dict)
-
-    def get(self, k, n):
-        return self.entries.get((k, n), 0)
-
-    def max_k(self):
-        return max((k for k, _ in self.entries), default=0)
-
-    def row(self, n, width=None):
-        """Counts for fixed ``n`` as a list over ``k = 0..width``."""
-        if width is None:
-            width = self.max_k()
-        return [self.get(k, n) for k in range(width + 1)]
-
-    def sum_over_k(self, n):
-        return sum(c for (k, nn), c in self.entries.items() if nn == n)
-
-    def __eq__(self, other):
-        if not isinstance(other, CountTable):
-            return NotImplemented
-        return (self.n_max == other.n_max
-                and _nonzero(self.entries) == _nonzero(other.entries))
-
-    def first_mismatch(self, other):
-        """First ``(k, n, self_count, other_count)`` difference, or None."""
-        keys = sorted(set(_nonzero(self.entries)) | set(_nonzero(other.entries)),
-                      key=lambda kn: (kn[1], kn[0]))
-        for k, n in keys:
-            if self.get(k, n) != other.get(k, n):
-                return (k, n, self.get(k, n), other.get(k, n))
-        return None
-
-    def to_json_obj(self, system=None, side=None):
-        obj = {}
-        if system is not None:
-            obj["system"] = {"N": system.N, "a": list(system.a)}
-        obj["n_max"] = self.n_max
-        if side is not None:
-            obj["side"] = side
-        width = self.max_k()
-        obj["rows"] = [
-            {"n": n, "by_k": [str(c) for c in self.row(n, width)]}
-            for n in range(self.n_max + 1)
-        ]
-        return obj
-
-
-def _nonzero(entries):
-    return {kn: c for kn, c in entries.items() if c}
-
-
 def _table_from_size_set(sizes, n_max):
     """Count overpartitions of each ``n <= n_max`` with parts in ``sizes``.
 
@@ -167,19 +111,13 @@ def _table_from_size_set(sizes, n_max):
         memo[key] = out
         return out
 
-    entries = {}
     try:
-        for n in range(n_max + 1):
-            for k, c in rec(n, 0).items():
-                if c:
-                    entries[(k, n)] = c
+        rows = {n: rec(n, 0) for n in range(n_max + 1)}
     finally:
         # rec refers to itself, so the memo would otherwise wait for the
-        # cycle collector once the table is built
+        # cycle collector once the counts are built
         memo.clear()
-    table = CountTable(n_max, entries)
-    table.entries[(0, 0)] = 1
-    return table
+    return QLaurent._wrap(n_max, rows)
 
 
 def count_all_overpartitions(n_max):
@@ -192,9 +130,9 @@ def count_all_overpartitions(n_max):
 def count_F(sys, n_max):
     """Count overpartitions with every part ``= -a(i) mod N``.
 
-    Direct enumeration over admissible part sizes; entry ``(k, n)`` is
-    the number of such overpartitions of ``n`` with ``k`` non-overlined
-    parts.
+    Direct enumeration over admissible part sizes; the coefficient of
+    ``d^k q^n`` is the number of such overpartitions of ``n`` with ``k``
+    non-overlined parts.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
@@ -327,7 +265,7 @@ def add_tail(rows, tail):
 def count_G(sys, n_max):
     """Count gap-condition overpartitions: the sum of :func:`walk_G`.
 
-    The ``(0, 0)`` entry is 1 (the empty overpartition).  The counters
+    The constant term is 1 (the empty overpartition).  The counters
     with a bounded largest part are ``recurrence_engine.g_series``.
     """
     if n_max < 0:
@@ -335,8 +273,7 @@ def count_G(sys, n_max):
     rows = {0: {0: 1}}
     for _, tail in walk_G(sys, n_max):
         add_tail(rows, tail)
-    return CountTable(n_max, {(k, n): c for n, row in rows.items()
-                              for k, c in row.items()})
+    return QLaurent._wrap(n_max, rows)
 
 
 def count_G_andrews_k0(sys, n_max):
@@ -376,10 +313,9 @@ def count_G_andrews_k0(sys, n_max):
         memo[key] = total
         return total
 
-    entries = {(0, 0): 1}
+    rows = {0: {0: 1}}
     for first in admissible:
         for n in range(first, n_max + 1):
-            c = completions(n - first, first)
-            if c:
-                entries[(0, n)] = entries.get((0, n), 0) + c
-    return CountTable(n_max, entries)
+            row = rows.setdefault(n, {0: 0})
+            row[0] += completions(n - first, first)
+    return QLaurent._wrap(n_max, rows)

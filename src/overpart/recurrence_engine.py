@@ -37,7 +37,8 @@ from .series_ring import (
 
 
 class ConventionOutOfRange(ValueError):
-    """Negative series index beyond the band convention's domain."""
+    """Negative series index beyond the band convention's domain, or a
+    system the band convention does not cover (``N = a(1)``)."""
 
 
 class NotStabilized(RuntimeError):
@@ -135,6 +136,22 @@ def _ladder(sys, trunc):
     return _Ladder(sys, trunc)
 
 
+def _require_ladder_domain(sys):
+    """Reject a system outside the identity ladder's domain.
+
+    ``build_system`` forces ``N > a(r)`` once there are two generators,
+    so this is one generator with ``N = a(1)``.  There the ladder's
+    identities are themselves false at ``j = 1`` or ``ell = 1``: on
+    ``2/{2}`` the recurrence leaves ``lhs * g_0 - rhs = -1 - d`` at
+    ``ell = 1``, since the band convention for ``g_0`` and below does
+    not cover the case.  The counts and the product still agree there.
+    """
+    if sys.a[-1] == sys.N:
+        raise ConventionOutOfRange(
+            f"N = a(1) = {sys.N} lies outside the peeling and recurrence "
+            "identities, which need N > a(r)")
+
+
 def _band(sys, mm):
     if mm > sys.r * sys.N:
         raise ConventionOutOfRange(
@@ -165,6 +182,7 @@ def _peel_cutoffs(sys, j, m):
         raise ValueError("j must be >= 1")
     if not 1 <= m <= len(sys.alpha):
         raise ValueError(f"m outside 1..{len(sys.alpha)}")
+    _require_ladder_domain(sys)
     am1 = sys.alpha[m] if m < len(sys.alpha) else sys.a_ext
     return sys.alpha[m - 1], am1
 
@@ -251,6 +269,7 @@ def verify_eq_357(sys, j, k, trunc):
         raise ValueError("j must be >= 1")
     if not 1 <= k <= sys.r + 1:
         raise ValueError(f"k outside 1..{sys.r + 1}")
+    _require_ladder_domain(sys)
     N = sys.N
     a1 = sys.a[0]
     ak = sys.generator(k)
@@ -319,6 +338,7 @@ def _elimination_row(sys, k, ell, trunc):
     ``lhs = prod_(j<k) (1 - d q^(lN - a(j)))`` and ``rhs[j-1]`` the inner
     sum times ``prod_(h<j) (1 - q^((l-h)N))``, which multiplies
     ``g[(l-j)N-a(1)]``; the factor ``h = l`` is 0, so ``j > l`` gives 0."""
+    _require_ladder_domain(sys)
     lhs = QLaurent.one(trunc)
     for g in sys.a[:k - 1]:
         lhs = lhs + lhs.scale_by_monomial(ell * sys.N - g, 1, -1)

@@ -46,6 +46,11 @@ def gen_overpartitions(n, max_part=None):
             yield ((size, True),) + rest
 
 
+def cells(series):
+    """The nonzero ``(k, n)`` cells of a count series ``sum c d^k q^n``."""
+    return {(k, n): c for n, k, c in series.terms()}
+
+
 def factor_product(trunc, exps, d_deg=0, c=1):
     """``prod_(e in exps) (1 + c d^d_deg q^e)``, multiplied out with the
     general ``*``, so that it stays independent of the package's

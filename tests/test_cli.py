@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from overpart import (
     NegativeExponents,
@@ -18,6 +21,8 @@ from overpart import (
     recurrence_engine,
 )
 from overpart.cli import main
+
+from conftest import admissible_systems
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -66,6 +71,45 @@ class TestCount:
         lines = out.strip().splitlines()
         assert lines[0] == "n,k0,k1,k2"
         assert lines[-1] == "2,1,2,1"
+
+    def test_json_shape(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--N", "3", "--a", "1,2",
+                               "--n-max", "2", "--side", "G",
+                               "--output", "json")
+        assert code == 0
+        assert json.loads(out) == {"G": {
+            "system": {"N": 3, "a": [1, 2]},
+            "n_max": 2,
+            "side": "G",
+            "rows": [
+                {"n": 0, "by_k": ["1", "0", "0"]},
+                {"n": 1, "by_k": ["1", "1", "0"]},
+                {"n": 2, "by_k": ["1", "2", "1"]},
+            ],
+        }}
+
+    def test_first_mismatch_names_the_perturbed_cell(self, capsys,
+                                                     monkeypatch):
+        # two cells off; (k, n) = (2, 5) comes first in (n, then k) order
+        real = cli.count_G
+
+        def perturbed(sys, n_max):
+            return (real(sys, n_max) + QLaurent.monomial(n_max, 5, 2)
+                    + QLaurent.monomial(n_max, 6, 0))
+        monkeypatch.setattr(cli, "count_G", perturbed)
+        argv = ("count", "--N", "7", "--a", "1,2,4", "--n-max", "8",
+                "--side", "all")
+        code, out, _ = run_cli(capsys, *argv, "--output", "json")
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["verdict"] == "fail"
+        assert obj["first_mismatch"] == {"k": 2, "n": 5, "F": "0", "G": "1"}
+        assert obj["G"]["rows"][5]["by_k"] == ["1", "1", "1"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert out.endswith("verdict: fail\n")
+        code, _, err = run_cli(capsys, *argv, "--output", "csv")
+        assert (code, err) == (1, "# verdict: fail\n")
 
 
 class TestExpand:
@@ -149,6 +193,18 @@ class TestVerify:
         assert code == 0
         assert "verdict: pass" in out
 
+    def test_theorem_fails_on_a_perturbed_count(self, capsys, monkeypatch):
+        real = cli.count_G
+        monkeypatch.setattr(cli, "count_G", lambda sys, n_max: real(
+            sys, n_max) + QLaurent.monomial(n_max, 5, 2))
+        code, out, _ = run_cli(capsys, "verify", "--N", "7", "--a", "1,2,4",
+                               "--trunc", "8", "--checks", "theorem",
+                               "--output", "json")
+        assert code == 1
+        check = json.loads(out)["systems"][0]["checks"][0]
+        assert (check["failures"], check["first_failure"]) \
+            == (1, "count_F == count_G")
+
     def test_residual_checks_json(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--N", "3", "--a", "1,2",
                                "--trunc", "12",
@@ -195,6 +251,14 @@ class TestVerify:
                              "--checks", "tmj")
         assert code == 2
 
+    @pytest.mark.parametrize("checks", ["theorem", "rec", "chain"])
+    @pytest.mark.parametrize("flag", ["--trunc", "--x-trunc"])
+    def test_negative_truncation_names_the_flag(self, capsys, checks, flag):
+        code, out, err = run_cli(capsys, "verify", "--N", "7", "--a",
+                                 "1,2,4", "--checks", checks, flag, "-1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be non-negative\n"
+
     def test_missing_modulus_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--a", "1,2")
         assert code == 2
@@ -220,6 +284,49 @@ class TestVerify:
         assert check["failures"] == 1
         assert check["first_failure"] \
             == "stage rec_prime: first offender (2, 6, 0, -1)"
+
+
+class TestOneGeneratorAtModulus:
+    """One generator with ``N = a(1)`` lies outside the peeling and
+    recurrence identities: their checks exit 2, while the counts, the
+    product, ``g_m`` and ``T(m, j)`` still work."""
+
+    @pytest.mark.parametrize("N,checks", [
+        (2, "theorem"), (3, "rec"), (3, "lemma1"), (3, "lemma2"),
+        (3, "eq357"), (3, "key")])
+    def test_ladder_checks_exit_2(self, capsys, N, checks):
+        code, out, err = run_cli(capsys, "verify", "--N", str(N), "--a",
+                                 str(N), "--checks", checks, "--trunc", "12")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: N = a(1) = {N} lies outside")
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--n-max", "12"),
+        ("expand", "--what", "product", "--trunc", "12"),
+        ("expand", "--what", "gm", "--m", "9", "--trunc", "12"),
+        ("verify", "--checks", "tmj"),
+    ])
+    def test_counts_product_gm_and_tmj_still_work(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--N", "3", "--a", "3")
+        assert (code, err) == (0, "")
+        assert out
+
+
+@settings(max_examples=30, deadline=None)
+@given(admissible_systems(), st.integers(0, 20))
+def test_ladder_checks_on_drawn_systems(system, trunc):
+    N, a = system
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", "--N", str(N), "--a", ",".join(map(str, a)),
+                     "--checks", "lemma1,lemma2,eq357,key,rec,tmj",
+                     "--trunc", str(trunc), "--output", "json"])
+    if N == a[-1]:
+        assert (code, out.getvalue()) == (2, "")
+    else:
+        assert code == 0
+        assert json.loads(out.getvalue())["verdict"] == "pass"
 
 
 def _raiser(exc):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from overpart import (
-    CountTable,
+    DPoly,
     MalformedOverpartition,
     Overpartition,
     beta,
@@ -18,18 +18,18 @@ from overpart import (
     count_F,
     count_G,
     count_G_andrews_k0,
+    QLaurent,
     g_series,
     product_F,
     walk_G,
 )
-from overpart import cli
 
-from conftest import BATTERY, admissible_systems, gen_overpartitions
+from conftest import BATTERY, admissible_systems, cells, gen_overpartitions
 
 
 def brute_table(sys_, n_max, predicate):
     """Generate-and-filter oracle, independent of the pruned DFS."""
-    entries = {(0, 0): 1}
+    terms = [(0, 0, 1)]
     for n in range(1, n_max + 1):
         for parts in gen_overpartitions(n):
             op = Overpartition(parts)
@@ -38,14 +38,8 @@ def brute_table(sys_, n_max, predicate):
             except MalformedOverpartition:
                 continue
             if predicate(op):
-                key = (op.k, n)
-                entries[key] = entries.get(key, 0) + 1
-    return CountTable(n_max, entries)
-
-
-def g_cells(sys_, m, n_max):
-    """The ``(k, n)`` cells of ``g_series``, the bounded counter."""
-    return cli._series_entries(g_series(sys_, m, n_max))
+                terms.append((n, op.k, 1))
+    return QLaurent.from_terms(n_max, terms)
 
 
 class TestOverpartition:
@@ -70,16 +64,16 @@ class TestOverpartition:
 
 class TestCountAll:
     def test_fourteen_overpartitions_of_four(self):
-        table = count_all_overpartitions(4)
-        assert table.sum_over_k(4) == 14
+        row = count_all_overpartitions(4).coefficient(4)
+        assert sum(row.coeffs.values()) == 14
 
     def test_empty(self):
-        table = count_all_overpartitions(0)
-        assert table.entries == {(0, 0): 1}
+        assert count_all_overpartitions(0) == QLaurent.one(0)
 
     def test_eight_overpartitions_of_three(self):
         # 3, 3~, 2+1, 2~+1, 2+1~, 2~+1~, 1+1+1, 1~+1+1
-        assert count_all_overpartitions(3).sum_over_k(3) == 8
+        row = count_all_overpartitions(3).coefficient(3)
+        assert sum(row.coeffs.values()) == 8
 
     def test_against_generate_and_filter(self):
         want = brute_table(None, 10, lambda op: True)
@@ -88,17 +82,15 @@ class TestCountAll:
 
 class TestCountF:
     def test_flagship_n8(self, sys7):
-        table = count_F(sys7, 8)
-        assert table.row(8) == [1, 2, 1]
+        assert count_F(sys7, 8).coefficient(8) == DPoly({0: 1, 1: 2, 2: 1})
 
     def test_empty_row(self, sys7):
-        assert count_F(sys7, 0).entries == {(0, 0): 1}
+        assert count_F(sys7, 0) == QLaurent.one(0)
 
     def test_small_system_n2(self, sys3):
         # parts congruent to 1 or 2 mod 3, so sizes 1 and 2 both enter:
         # 2~ | 2, 1~+1 | 1+1 give the k-split 1, 2, 1
-        table = count_F(sys3, 2)
-        assert table.row(2) == [1, 2, 1]
+        assert count_F(sys3, 2).coefficient(2) == DPoly({0: 1, 1: 2, 2: 1})
 
     def test_against_generate_and_filter(self, sys7, sys3):
         from overpart import beta
@@ -112,11 +104,7 @@ class TestCountF:
 
     def test_matches_product_coefficients(self, battery):
         for sys_ in battery:
-            table = count_F(sys_, 25)
-            series = product_F(sys_, 25)
-            got = {(d, e): c for e, d, c in series.terms()}
-            want = {kn: c for kn, c in table.entries.items() if c}
-            assert got == want
+            assert count_F(sys_, 25) == product_F(sys_, 25)
 
     def test_memo_freed_without_a_collection(self, sys3):
         # the memo reaches 1.7 MiB at n = 100; what stays after the table
@@ -126,7 +114,7 @@ class TestCountF:
         try:
             base = tracemalloc.get_traced_memory()[0]
             table = count_F(sys3, 100)
-            assert table.entries[(0, 100)] > 0
+            assert table.coefficient_int(100, 0) > 0
             del table
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
@@ -162,11 +150,11 @@ class TestCheckGConditions:
 
 class TestCountG:
     def test_flagship_n8(self, sys7):
-        assert count_G(sys7, 8).row(8) == [1, 2, 1]
+        assert count_G(sys7, 8).coefficient(8) == DPoly({0: 1, 1: 2, 2: 1})
 
     def test_trivial_n0(self, sys7):
-        assert count_G(sys7, 0).entries == {(0, 0): 1}
-        assert g_cells(sys7, 5, 0) == {(0, 0): 1}
+        assert count_G(sys7, 0) == QLaurent.one(0)
+        assert g_series(sys7, 5, 0) == QLaurent.one(0)
 
     def test_against_generate_and_filter(self, battery):
         for sys_ in battery:
@@ -180,12 +168,12 @@ class TestCountG:
                 sys7, 12,
                 lambda op: check_G_conditions(sys7, op)
                 and (not op.parts or op.parts[0][0] <= bound))
-            assert g_cells(sys7, bound, 12) == want.entries
+            assert g_series(sys7, bound, 12) == want
 
     def test_monotone_in_bound(self, sys7):
-        prev = g_cells(sys7, 0, 15)
+        prev = cells(g_series(sys7, 0, 15))
         for bound in range(1, 17):
-            cur = g_cells(sys7, bound, 15)
+            cur = cells(g_series(sys7, bound, 15))
             for kn, c in prev.items():
                 assert cur.get(kn, 0) >= c
             prev = cur
@@ -215,39 +203,15 @@ class TestCountG:
 
 class TestAndrewsK0:
     def test_flagship_n8(self, sys7):
-        table = count_G_andrews_k0(sys7, 8)
-        assert table.get(0, 8) == 1
+        assert count_G_andrews_k0(sys7, 8).coefficient_int(8, 0) == 1
 
     def test_n0(self, sys7):
-        assert count_G_andrews_k0(sys7, 0).entries == {(0, 0): 1}
+        assert count_G_andrews_k0(sys7, 0) == QLaurent.one(0)
 
     def test_matches_k0_column(self, battery):
         for sys_ in battery:
-            full = count_G(sys_, 25)
-            k0 = count_G_andrews_k0(sys_, 25)
-            for n in range(26):
-                assert full.get(0, n) == k0.get(0, n), (sys_.N, n)
-
-
-class TestCountTable:
-    def test_json_shape(self, sys3):
-        obj = count_G(sys3, 2).to_json_obj(sys3, "G")
-        assert obj == {
-            "system": {"N": 3, "a": [1, 2]},
-            "n_max": 2,
-            "side": "G",
-            "rows": [
-                {"n": 0, "by_k": ["1", "0", "0"]},
-                {"n": 1, "by_k": ["1", "1", "0"]},
-                {"n": 2, "by_k": ["1", "2", "1"]},
-            ],
-        }
-
-    def test_first_mismatch(self):
-        a = CountTable(2, {(0, 0): 1, (1, 2): 3})
-        b = CountTable(2, {(0, 0): 1, (1, 2): 4})
-        assert a.first_mismatch(b) == (1, 2, 3, 4)
-        assert a.first_mismatch(a) is None
+            assert count_G(sys_, 25).d0() == count_G_andrews_k0(sys_, 25), \
+                sys_.N
 
 
 @lru_cache(maxsize=None)
@@ -284,8 +248,8 @@ def check_ladder(sys_, n_max):
     for m in range(-sys_.N, n_max + sys_.N + 1):
         band = min(-m // sys_.N, sys_.r - 1) if m <= 0 else 0
         want = oracle(m) if band == 0 else {(band, 0): (-1) ** band}
-        assert g_cells(sys_, m, n_max) == want, (sys_.N, sys_.a, m)
-    assert count_G(sys_, n_max) == CountTable(n_max, oracle(n_max))
+        assert cells(g_series(sys_, m, n_max)) == want, (sys_.N, sys_.a, m)
+    assert cells(count_G(sys_, n_max)) == oracle(n_max)
 
 
 class TestLargestPartLadder:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from overpart import (
     ChainBroken,
@@ -32,9 +32,9 @@ from overpart import (
     verify_Tmj,
     walk_G,
 )
-from overpart import cli, recurrence_engine
+from overpart import recurrence_engine
 
-from conftest import admissible_systems, factor_product
+from conftest import admissible_systems, cells, factor_product
 
 
 class TestGSeries:
@@ -51,6 +51,23 @@ class TestGSeries:
     def test_convention_domain(self, sys7):
         with pytest.raises(ConventionOutOfRange):
             g_series(sys7, -22, 5)
+
+    @pytest.mark.parametrize("check", [
+        lambda s: verify_lemma1(s, 1, 1, 12),
+        lambda s: verify_lemma2(s, 1, 1, 12),
+        lambda s: verify_eq_357(s, 1, 1, 12),
+        lambda s: verify_key_lemma(s, 1, 1, 12),
+        lambda s: build_rec_row(s, 1, 12),
+        lambda s: run_recurrence(s, 1, 12),
+        lambda s: limit_u(s, 12),
+    ])
+    def test_one_generator_at_modulus_is_out_of_domain(self, check):
+        # the ladder's identities fail at j = 1 or ell = 1 when N = a(1);
+        # the bounded counters themselves are still exact there
+        sys_ = build_system([3], 3)
+        with pytest.raises(ConventionOutOfRange):
+            check(sys_)
+        assert g_series(sys_, 6, 6) == count_G(sys_, 6)
 
     def test_flagship_coefficient(self, sys7):
         g8 = g_series(sys7, 8, 8)
@@ -119,7 +136,7 @@ class TestGSeries:
             ladder.rung(30)
         series = ladder.rung(30)
         assert len(starts) == 2
-        assert cli._series_entries(series) == count_G(sys7, 30).entries
+        assert series == count_G(sys7, 30)
         assert series == want
 
 
@@ -145,7 +162,7 @@ class TestPeelingIdentities:
     def test_lemma1_reports_the_perturbed_cell(self, sys7, monkeypatch,
                                                bound, cell, want, dl, dr):
         real = recurrence_engine.g_series
-        held = set().union(*(cli._series_entries(real(sys7, mm, 20))
+        held = set().union(*(cells(real(sys7, mm, 20))
                              for mm in (11, 10, -1, 6)))
         assert not held & {(20, 20), (16, 14), (15, 3)}
 
@@ -342,14 +359,16 @@ class TestLimit:
     @given(admissible_systems(r_max=4), st.integers(0, 30))
     def test_random_systems_counts_product_limit(self, system, trunc):
         sys_ = build_system(system[1], system[0])
-        # N = a(1) with one generator is left out: the recurrence's
-        # leading term at ell = 1 is 1 - d there
-        assume(sys_.N > sys_.a[-1])
         counted = count_F(sys_, trunc)
         assert count_G(sys_, trunc) == counted
         product = product_F(sys_, trunc)
-        assert cli._series_entries(product) == cli._table_entries(counted)
-        assert limit_u(sys_, trunc) == product
+        assert product == counted
+        if sys_.N == sys_.a[-1]:
+            # one generator with N = a(1): the recurrence is out of domain
+            with pytest.raises(ConventionOutOfRange):
+                limit_u(sys_, trunc)
+        else:
+            assert limit_u(sys_, trunc) == product
 
     def test_d0_equals_distinct_product(self, sys7):
         lim = limit_u(sys7, 25).d0()

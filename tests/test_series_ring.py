@@ -16,7 +16,6 @@ from overpart import (
     qbinomial,
     substitute_x,
 )
-from overpart import cli
 
 from conftest import factor_product
 
@@ -326,8 +325,7 @@ class TestPochhammer:
         # every part is 0 mod 1: (-q; q)_inf / (d q; q)_inf counts all
         # overpartitions, and at d = 0 the partitions into distinct parts
         got = product_F(build_system([1], 1), 12)
-        assert cli._series_entries(got) == \
-            cli._table_entries(count_all_overpartitions(12))
+        assert got == count_all_overpartitions(12)
         dist = got.d0()
         for n in range(13):
             assert dist.coefficient_int(n, 0) == distinct_partition_count(n)
@@ -368,8 +366,7 @@ class TestProductF:
     def test_generator_equal_to_modulus(self, N):
         # parts are 0 mod N, so the factors start at q^N, not at q^0
         sys_ = build_system([N], N)
-        assert cli._series_entries(product_F(sys_, 20)) == \
-            count_F(sys_, 20).entries
+        assert product_F(sys_, 20) == count_F(sys_, 20)
 
 
 # -- XSeries -------------------------------------------------------------
