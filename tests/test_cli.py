@@ -165,6 +165,12 @@ PINNED_FORMATS = {
     ("expand", "--what", "gm", "--m", "20", "--trunc", "30",
      "--output", "table"):
         "f65a2c5faad895892ff4c6d5d87d7497fddbbd0e8e051408adf0a9f05ca014a3",
+    ("verify", "--checks", "lemma1,lemma2,eq357,key,rec,tmj", "--trunc", "30",
+     "--output", "json"):
+        "c934a440971e91b4b25016485f79ad5c765fee3f3adbd554ce9c2c0e3a9656f8",
+    ("verify", "--checks", "chain", "--trunc", "30", "--x-trunc", "4",
+     "--output", "json"):
+        "cf706709ee23ac5f40b445e15faaf2520f162e8934f5a5f7d999927ba9530b2b",
 }
 
 

@@ -151,13 +151,17 @@ class TestPeelingIdentities:
                 assert verify_lemma1(sys3, j, m, 20) == [], (j, m)
 
     # j = 2, m = 3 on 7/{1,2,4}: alpha(3) = 3 = 1 + 2, so w = 2, v = 1 and
-    # the four tables are g_11, g_10, g_-1 and g_6, shifted by n' = n - 11
+    # the four series are g_11, g_10, g_-1 and g_6, shifted by n' = n - 11;
+    # `cell` holds the (k, n) cells added to one of them and `want` the
+    # offending cells in the order reported
     @pytest.mark.parametrize("bound,cell,want,dl,dr", [
-        (11, (1, 12), (1, 12), 1, 0),     # a cell of g_11
-        (10, (20, 20), (20, 20), -1, 0),  # a cell no table holds
-        (-1, (5, 2), (5, 13), 0, 1),      # g_-1 at (k, n')
-        (6, (0, 3), (1, 14), 0, 1),       # g_6 at (k - 1, n')
-        (6, (15, 3), (16, 14), 0, 1),     # the same, where no table holds
+        (11, ((1, 12),), ((1, 12),), 1, 0),      # a cell of g_11
+        (10, ((20, 20),), ((20, 20),), -1, 0),   # a cell no series holds
+        (-1, ((5, 2),), ((5, 13),), 0, 1),       # g_-1 at (k, n')
+        (6, ((0, 3),), ((1, 14),), 0, 1),        # g_6 at (k - 1, n')
+        (6, ((15, 3),), ((16, 14),), 0, 1),      # the same, where none holds
+        # two cells of one rung come out in (n, then k) order
+        (11, ((1, 14), (2, 12)), ((2, 12), (1, 14)), 1, 0),
     ])
     def test_lemma1_reports_the_perturbed_cell(self, sys7, monkeypatch,
                                                bound, cell, want, dl, dr):
@@ -170,13 +174,16 @@ class TestPeelingIdentities:
             series = real(sys, m, trunc)
             if m != bound:
                 return series
-            return series + QLaurent.monomial(trunc, cell[1], cell[0])
+            for k, n in cell:
+                series = series + QLaurent.monomial(trunc, n, k)
+            return series
         monkeypatch.setattr(recurrence_engine, "g_series", perturbed)
-        k, n = want
-        value = real(sys7, 11, 20).coefficient_int(n, k) - real(
-            sys7, 10, 20).coefficient_int(n, k)
-        assert verify_lemma1(sys7, 2, 3, 20) == [(k, n, value + dl,
-                                                  value + dr)]
+        bad = []
+        for k, n in want:
+            value = real(sys7, 11, 20).coefficient_int(n, k) - real(
+                sys7, 10, 20).coefficient_int(n, k)
+            bad.append((k, n, value + dl, value + dr))
+        assert verify_lemma1(sys7, 2, 3, 20) == bad
 
     def test_lemma2_examples(self, sys7, sys3):
         assert verify_lemma2(sys7, 2, 1, 20).is_zero()
