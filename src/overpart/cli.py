@@ -24,6 +24,7 @@ from .recurrence_engine import (
     NotStabilized,
     RoundTripMismatch,
     _ladder,
+    _require_ladder_domain,
     g_series,
     limit_u,
     run_recurrence,
@@ -225,6 +226,7 @@ def _run_checks(sys_, args, checks):
             res["x_trunc"] = args.x_trunc
             res["ell_max"] = ell_max
         elif name == "theorem":
+            _require_ladder_domain(sys_)    # limit_u's check, before counting
             f_counts = count_F(sys_, trunc)
             prod = product_F(sys_, trunc)
             cases = [

@@ -367,22 +367,17 @@ def build_rec_row(sys, ell, trunc):
     return RecRow(lhs=lhs, rhs=tuple(rhs), ell=ell)
 
 
-def _initial_u(sys, k, trunc):
-    """Virtual seed ``u_(-k) = (-d)^k`` for ``0 <= k <= r - 1``."""
-    if not 0 <= k <= sys.r - 1:
-        raise ValueError(f"no seed value for index -{k}")
-    return QLaurent.monomial(trunc, 0, k, _sign(k))
-
-
 def _rec_rhs(sys, row, us, trunc):
     """``sum_j rhs[j-1] u_(ell-j)`` for ``row``; ``u`` below index 0 is
-    read from the seeds."""
+    ``g[(ell-j)N-a(1)]``, the band convention's ``(-d)^(j-ell)`` since
+    ``N > a(1)`` in the ladder's domain."""
     total = QLaurent.zero(trunc)
     for j, coeff in enumerate(row.rhs, 1):
         if coeff.is_zero():
             continue
         idx = row.ell - j
-        u = us[idx] if idx >= 0 else _initial_u(sys, -idx, trunc)
+        u = (us[idx] if idx >= 0
+             else g_series(sys, idx * sys.N - sys.a[0], trunc))
         total = total + coeff * u
     return total
 
@@ -436,11 +431,10 @@ def verify_key_lemma(sys, k, ell, trunc):
 
 
 def coeff_c(sys, k, j, trunc=0):
-    """``q^(-N k(k+1)/2 - k a(r)) [j-1, k]_(q^-N) d^k``."""
+    """``d^k f(j, k) = q^(-N k(k+1)/2 - k a(r)) [j-1, k]_(q^-N) d^k``."""
     if k < 0 or j < 1:
         raise ValueError("need k >= 0 and j >= 1")
-    shift = -sys.N * k * (k + 1) // 2 - k * sys.a[-1]
-    return qbinomial(j - 1, k, -sys.N, trunc).scale_by_monomial(shift, k, 1)
+    return coeff_f(sys, j, k, trunc).scale_by_monomial(0, k, 1)
 
 
 def _weight_pair(sys, bound_index, m, j, trunc):
@@ -673,13 +667,14 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
 
     u = run_recurrence(sys, ell_max, work)
 
+    # den[ell] = prod_(h<=ell) (1 - q^(hN)), also mu's multiplier
     betas = [u[0]]
     num = one
-    den = one
+    den = [one]
     for ell in range(1, ell_max + 1):
         num = num + num.scale_by_monomial(ell * N - ar, 1, -1)
-        den = den + den.scale_by_monomial(ell * N, 0, -1)
-        betas.append((u[ell] * num).divide(den))
+        den.append(den[-1] + den[-1].scale_by_monomial(ell * N, 0, -1))
+        betas.append((u[ell] * num).divide(den[ell]))
 
     report = ChainReport(system=sys, trunc=trunc, x_trunc=x_trunc)
 
@@ -706,12 +701,7 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
 
     # mu satisfies the reduced system's main recurrence
     reduced = build_system(sys.a[:-1], N)
-    mus = []
-    prod = one
-    for ell, s_ell in enumerate(s):
-        if ell >= 1:
-            prod = prod + prod.scale_by_monomial(N * ell, 0, -1)
-        mus.append(s_ell * prod)
+    mus = [s_ell * den_ell for s_ell, den_ell in zip(s, den)]
     offender = None
     if mus[0] != QLaurent.one(work):
         offender = (0, "mu_0 != 1")

@@ -487,9 +487,7 @@ class XSeries:
         return XSeries(self.x_trunc, [-a for a in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, DPoly)):
-            return XSeries(self.x_trunc, [a * other for a in self.coeffs])
-        if isinstance(other, QLaurent):
+        if isinstance(other, (int, DPoly, QLaurent)):
             return XSeries(self.x_trunc, [a * other for a in self.coeffs])
         self._require_same(other)
         out = [QLaurent.zero(self.trunc) for _ in range(self.x_trunc + 1)]

@@ -306,6 +306,15 @@ class TestOneGeneratorAtModulus:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: N = a(1) = {N} lies outside")
 
+    def test_theorem_rejects_the_system_before_counting(self, capsys,
+                                                        monkeypatch):
+        for name in ("count_F", "count_G", "product_F"):
+            monkeypatch.setattr(cli, name, _raiser(AssertionError(name)))
+        code, out, err = run_cli(capsys, "verify", "--N", "2", "--a", "2",
+                                 "--checks", "theorem", "--trunc", "200")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: N = a(1) = 2 lies outside")
+
     @pytest.mark.parametrize("argv", [
         ("count", "--n-max", "12"),
         ("expand", "--what", "product", "--trunc", "12"),

@@ -151,15 +151,15 @@ class TestPeelingIdentities:
                 assert verify_lemma1(sys3, j, m, 20) == [], (j, m)
 
     # j = 2, m = 3 on 7/{1,2,4}: alpha(3) = 3 = 1 + 2, so w = 2, v = 1 and
-    # the four series are g_11, g_10, g_-1 and g_6, shifted by n' = n - 11;
+    # the four tables are g_11, g_10, g_-1 and g_6, shifted by n' = n - 11;
     # `cell` holds the (k, n) cells added to one of them and `want` the
     # offending cells in the order reported
     @pytest.mark.parametrize("bound,cell,want,dl,dr", [
-        (11, ((1, 12),), ((1, 12),), 1, 0),      # a cell of g_11
-        (10, ((20, 20),), ((20, 20),), -1, 0),   # a cell no series holds
-        (-1, ((5, 2),), ((5, 13),), 0, 1),       # g_-1 at (k, n')
-        (6, ((0, 3),), ((1, 14),), 0, 1),        # g_6 at (k - 1, n')
-        (6, ((15, 3),), ((16, 14),), 0, 1),      # the same, where none holds
+        (11, ((1, 12),), ((1, 12),), 1, 0),     # a cell of g_11
+        (10, ((20, 20),), ((20, 20),), -1, 0),  # a cell no table holds
+        (-1, ((5, 2),), ((5, 13),), 0, 1),      # g_-1 at (k, n')
+        (6, ((0, 3),), ((1, 14),), 0, 1),       # g_6 at (k - 1, n')
+        (6, ((15, 3),), ((16, 14),), 0, 1),     # that, where no table holds
         # two cells of one rung come out in (n, then k) order
         (11, ((1, 14), (2, 12)), ((2, 12), (1, 14)), 1, 0),
     ])
