@@ -165,6 +165,8 @@ PINNED_FORMATS = {
     ("expand", "--what", "gm", "--m", "20", "--trunc", "30",
      "--output", "table"):
         "f65a2c5faad895892ff4c6d5d87d7497fddbbd0e8e051408adf0a9f05ca014a3",
+    ("expand", "--what", "limit", "--trunc", "30", "--output", "json"):
+        "1f9d20bf45bbb1500fbe22265bd598651fbc4a86244fdaebeb08ca428e53849b",
     ("verify", "--checks", "lemma1,lemma2,eq357,key,rec,tmj", "--trunc", "30",
      "--output", "json"):
         "c934a440971e91b4b25016485f79ad5c765fee3f3adbd554ce9c2c0e3a9656f8",

@@ -236,33 +236,41 @@ class TestRecRow:
             row = build_rec_row(sys_, 2, 12)
             assert row.lhs.d0() == QLaurent.one(12)
 
-    def test_independent_reassembly(self, sys7):
-        # same coefficients assembled per subset sum instead of grouped
-        # by weight
-        trunc, ell, N = 30, 2, sys7.N
-        row = build_rec_row(sys7, ell, trunc)
-        one = QLaurent.one(trunc)
-        for j in range(1, sys7.r + 1):
-            total = one if j == 1 else QLaurent.zero(trunc)
-            for al in sys7.alpha:
-                m = sys7.w_table[al] - j
-                if not 0 <= m <= sys7.r - j:
-                    continue
-                combo = QLaurent.zero(trunc)
-                b1 = qbinomial(j + m - 1, m - 1, -N, trunc)
-                if not b1.is_zero():
-                    sign = -1 if (m - 1) % 2 else 1
-                    combo = combo + b1.scale_by_monomial(
-                        ell * (m - 1) * N, 0, sign)
-                sign = -1 if m % 2 else 1
-                combo = combo + qbinomial(j + m, m, -N, trunc) \
-                    .scale_by_monomial(ell * m * N, 0, sign)
-                total = total + combo.scale_by_monomial(ell * N - al, m, 1)
-            hreach = one
-            for h in range(1, j):
-                hreach = hreach * (one - QLaurent.monomial(
-                    trunc, (ell - h) * N))
-            assert row.rhs[j - 1] == total * hreach, j
+    def test_independent_reassembly(self, battery):
+        # every elimination row assembled per subset sum below a(k) instead
+        # of grouped by weight; only the top cutoff carries the standalone 1.
+        # At trunc (r + 2) N every q^(lN - alpha) with l <= r + 1 is kept.
+        for sys_ in battery:
+            N, r = sys_.N, sys_.r
+            trunc = (r + 2) * N
+            zero, one = QLaurent.zero(trunc), QLaurent.one(trunc)
+            for k in range(1, r + 2):
+                for ell in range(1, r + 2):
+                    if k == r + 1:
+                        rhs = build_rec_row(sys_, ell, trunc).rhs
+                    else:
+                        rhs = recurrence_engine._elimination_row(
+                            sys_, k, ell, trunc)[1]
+                    want = []
+                    for j in range(1, k):
+                        total = one if (j, k) == (1, r + 1) else zero
+                        for al in sys_.alpha:
+                            m = sys_.w_table[al] - j
+                            if al >= sys_.generator(k) or m < 0:
+                                continue
+                            combo = zero
+                            if m >= 1:
+                                combo = qbinomial(j + m - 1, m - 1, -N, trunc) \
+                                    .scale_by_monomial(ell * (m - 1) * N, 0,
+                                                       (-1) ** (m - 1))
+                            combo = combo + qbinomial(j + m, m, -N, trunc) \
+                                .scale_by_monomial(ell * m * N, 0, (-1) ** m)
+                            total = total + combo.scale_by_monomial(
+                                ell * N - al, m, 1)
+                        want.append(total * factor_product(
+                            trunc, [(ell - h) * N for h in range(1, j)],
+                            0, -1))
+                    assert list(rhs) == want, (sys_, k, ell)
 
 
 class TestRunRecurrence:

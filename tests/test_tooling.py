@@ -63,3 +63,22 @@ def test_no_binomial_factor_fed_to_the_general_product():
             if any(_is_binomial(op) for op in operands):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_every_private_function_is_referenced_in_the_package():
+    # a private helper whose last caller went away is dead code
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    defined, used = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_")
+                    and not node.name.endswith("__")):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined
+    assert sorted(defined - used) == []
