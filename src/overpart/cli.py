@@ -254,6 +254,9 @@ def cmd_verify(args):
     for flag, value in (("--trunc", args.trunc), ("--x-trunc", args.x_trunc)):
         if value < 0:
             raise ValueError(f"{flag} must be non-negative")
+    if ("chain" in names and args.ell_max is not None
+            and args.ell_max < args.x_trunc):
+        raise ValueError("--ell-max must be at least --x-trunc")
     if not args.battery and not args.a:
         raise ValueError("either --battery or --N/--a is required")
     systems = (BATTERY if args.battery else ((args.N, args.a),))

@@ -301,7 +301,11 @@ def verify_eq_357(sys, j, k, trunc):
 class RecRow:
     """One materialized instance of the main recurrence at index ``ell``.
 
-    ``lhs`` multiplies ``u_ell``; ``rhs[j-1]`` multiplies ``u_(ell-j)``.
+    ``lhs`` multiplies ``u_ell``; ``rhs[j-1]`` multiplies ``u_(ell-j)``
+    and is ``sum_(m=1)^(r+1-j) (-1)^(m+1) q^(m ell N) b(m, j)`` (plus 1
+    at ``j = 1``) times ``prod_(h<j) (1 - q^((ell-h)N))``, with ``b`` the
+    weight pairs of :func:`coeff_b`.  ``rhs`` has ``min(r, ell)``
+    entries: it stops at ``u_0``.
     """
 
     lhs: QLaurent
@@ -309,42 +313,32 @@ class RecRow:
     ell: int
 
 
-def _elimination_sum(sys, bound_index, j, ell, trunc):
-    """Inner double sum of the elimination identity.
-
-    ``sum_m d^m (sum_(alpha < a(bound_index), w(alpha)=j+m) q^(lN-alpha))
-    * ((-1)^(m-1) q^(l(m-1)N) [j+m-1, m-1] + (-1)^m q^(lmN) [j+m, m])``
-    with the Gaussian binomials at base ``q^-N``.
-    """
-    N = sys.N
+def _multiplier(N, ell, column, trunc):
+    """``sum_m (-1)^(m+1) q^(m ell N) M[m, j]`` for ``column`` the entries
+    ``M[1, j], M[2, j], ...`` of one multiplier table."""
     total = QLaurent.zero(trunc)
-    for m in range(0, bound_index - j):
-        wsum = alpha_weight_sum(sys, bound_index, j + m, trunc)
-        if wsum.is_zero():
-            continue
-        combo = QLaurent.zero(trunc)
-        b1 = qbinomial(j + m - 1, m - 1, -N, trunc)
-        if not b1.is_zero():
-            combo = combo + b1.scale_by_monomial(
-                ell * (m - 1) * N, 0, _sign(m - 1))
-        b2 = qbinomial(j + m, m, -N, trunc)
-        combo = combo + b2.scale_by_monomial(ell * m * N, 0, _sign(m))
-        total = total + (wsum * combo).scale_by_monomial(ell * N, m, 1)
+    for m, M in enumerate(column, 1):
+        total = total + M.scale_by_monomial(m * ell * N, 0, _sign(m + 1))
     return total
 
 
 def _elimination_row(sys, k, ell, trunc):
     """``(lhs, rhs)`` of the elimination identity with cutoff ``a(k)``:
-    ``lhs = prod_(j<k) (1 - d q^(lN - a(j)))`` and ``rhs[j-1]`` the inner
-    sum times ``prod_(h<j) (1 - q^((l-h)N))``, which multiplies
-    ``g[(l-j)N-a(1)]``; the factor ``h = l`` is 0, so ``j > l`` gives 0."""
+    ``lhs = prod_(j<k) (1 - d q^(lN - a(j)))`` and ``rhs[j-1]``, which
+    multiplies ``g[(l-j)N-a(1)]``, the inner sum ``sum_(m=1)^(k-j)
+    (-1)^(m+1) q^(mlN) W_k(m, j)`` times ``prod_(h<j) (1 - q^((l-h)N))``,
+    with ``W_k`` the weight pairs of :func:`_weight_pair` below ``a(k)``.
+    The factor ``h = l`` is 0, so ``rhs`` stops at ``j = min(k - 1, l)``.
+    """
     _require_ladder_domain(sys)
     lhs = QLaurent.one(trunc)
     for g in sys.a[:k - 1]:
         lhs = lhs + lhs.scale_by_monomial(ell * sys.N - g, 1, -1)
     rhs = []
-    for j in range(1, k):
-        term = _elimination_sum(sys, k, j, ell, trunc)
+    for j in range(1, min(k - 1, ell) + 1):
+        pairs = (_weight_pair(sys, k, m, j, trunc)
+                 for m in range(1, k - j + 1))
+        term = _multiplier(sys.N, ell, pairs, trunc)
         for h in range(1, j):
             term = term + term.scale_by_monomial((ell - h) * sys.N, 0, -1)
         rhs.append(term)
@@ -355,10 +349,11 @@ def build_rec_row(sys, ell, trunc):
     """Materialize every coefficient of the main recurrence at ``ell``.
 
     The elimination row at the top cutoff ``k = r + 1``: ``lhs = prod_j
-    (1 - d q^(lN - a(j)))``; the ``u_(ell-1)`` multiplier carries a
-    standalone 1 on top of its inner sum, and each ``rhs[j-1]`` is
-    weighted by ``prod_(h<j) (1 - q^((l-h)N))``, which kills every term
-    reaching below ``u_0``.
+    (1 - d q^(lN - a(j)))``; each ``rhs[j-1]`` is the inner sum
+    ``sum_(m=1)^(r+1-j) (-1)^(m+1) q^(mlN) b(m, j)`` over the weight
+    pairs of :func:`coeff_b`, the ``u_(ell-1)`` one plus a standalone 1,
+    times ``prod_(h<j) (1 - q^((l-h)N))``.  That product is 0 for every
+    term reaching below ``u_0``, so ``rhs`` has ``min(r, ell)`` entries.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -367,18 +362,15 @@ def build_rec_row(sys, ell, trunc):
     return RecRow(lhs=lhs, rhs=tuple(rhs), ell=ell)
 
 
-def _rec_rhs(sys, row, us, trunc):
-    """``sum_j rhs[j-1] u_(ell-j)`` for ``row``; ``u`` below index 0 is
-    ``g[(ell-j)N-a(1)]``, the band convention's ``(-d)^(j-ell)`` since
-    ``N > a(1)`` in the ladder's domain."""
+def _rec_rhs(row, us, trunc):
+    """``sum_j rhs[j-1] u_(ell-j)`` for ``row``, which stops at ``u_0``."""
+    if len(row.rhs) > row.ell:
+        raise ValueError(f"a row at ell={row.ell} has {len(row.rhs)} "
+                         "terms and reaches below u_0")
     total = QLaurent.zero(trunc)
     for j, coeff in enumerate(row.rhs, 1):
-        if coeff.is_zero():
-            continue
-        idx = row.ell - j
-        u = (us[idx] if idx >= 0
-             else g_series(sys, idx * sys.N - sys.a[0], trunc))
-        total = total + coeff * u
+        if not coeff.is_zero():
+            total = total + coeff * us[row.ell - j]
     return total
 
 
@@ -395,7 +387,7 @@ def run_recurrence(sys, ell_max, trunc):
     us = [QLaurent.one(trunc)]
     for ell in range(1, ell_max + 1):
         row = build_rec_row(sys, ell, trunc)
-        u_ell = _rec_rhs(sys, row, us, trunc).divide(row.lhs)
+        u_ell = _rec_rhs(row, us, trunc).divide(row.lhs)
         if u_ell.min_exp < 0:
             raise NegativeExponents(
                 f"recurrence produced negative exponents at ell={ell}: "
@@ -612,10 +604,8 @@ def _rec_residual(sys, ys, M, ell_hi, trunc):
     for ell in range(1, ell_hi + 1):
         res = ys[ell] - ys[ell - 1]
         for j in range(min(r, ell) + 1):
-            mult = QLaurent.zero(res.trunc)
-            for m in range(1, r + 1):
-                mult = mult + M[m, j].scale_by_monomial(
-                    m * ell * N, 0, _sign(m + 1))
+            mult = _multiplier(N, ell, (M[m, j] for m in range(1, r + 1)),
+                               res.trunc)
             res = res - mult * ys[ell - j]
         res = res.with_trunc(trunc)
         if not res.is_zero():
@@ -710,7 +700,7 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
             break
         row = build_rec_row(reduced, ell, work)
         res = (row.lhs * mus[ell]
-               - _rec_rhs(reduced, row, mus, work)).with_trunc(trunc)
+               - _rec_rhs(row, mus, work)).with_trunc(trunc)
         if not res.is_zero():
             offender = (ell,) + res.first_nonzero()
     record("rec_reduced", offender)

@@ -267,6 +267,14 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be non-negative\n"
 
+    @pytest.mark.parametrize("ell_max", ["2", "-1"])
+    def test_short_ell_max_names_the_flag(self, capsys, ell_max):
+        code, out, err = run_cli(capsys, "verify", "--N", "7", "--a",
+                                 "1,2,4", "--checks", "chain", "--x-trunc",
+                                 "4", "--ell-max", ell_max)
+        assert (code, out) == (2, "")
+        assert err == "error: --ell-max must be at least --x-trunc\n"
+
     def test_missing_modulus_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--a", "1,2")
         assert code == 2

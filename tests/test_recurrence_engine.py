@@ -228,8 +228,8 @@ class TestRecRow:
 
     def test_first_step_only_reaches_back_one(self, sys7):
         row = build_rec_row(sys7, 1, 15)
+        assert len(row.rhs) == 1
         assert not row.rhs[0].is_zero()
-        assert all(c.is_zero() for c in row.rhs[1:])
 
     def test_lhs_at_d0_is_one(self, battery):
         for sys_ in battery:
@@ -240,6 +240,7 @@ class TestRecRow:
         # every elimination row assembled per subset sum below a(k) instead
         # of grouped by weight; only the top cutoff carries the standalone 1.
         # At trunc (r + 2) N every q^(lN - alpha) with l <= r + 1 is kept.
+        # A row stops at u_0, and every reassembled term beyond it is 0.
         for sys_ in battery:
             N, r = sys_.N, sys_.r
             trunc = (r + 2) * N
@@ -270,7 +271,10 @@ class TestRecRow:
                         want.append(total * factor_product(
                             trunc, [(ell - h) * N for h in range(1, j)],
                             0, -1))
-                    assert list(rhs) == want, (sys_, k, ell)
+                    assert len(rhs) == min(k - 1, ell), (sys_, k, ell)
+                    assert list(rhs) == want[:len(rhs)], (sys_, k, ell)
+                    assert all(t.is_zero() for t in want[len(rhs):]), \
+                        (sys_, k, ell)
 
 
 class TestRunRecurrence:
@@ -302,12 +306,13 @@ class TestRunRecurrence:
         for ell in range(6):
             assert us[ell] == g_series(sys7, 7 * ell - 1, 25), ell
 
-    def test_rhs_reads_seeds_below_u0(self, sys7):
-        # a term reaching u_(-2) reads the seed (-d)^2
+    def test_rhs_rejects_a_row_reaching_below_u0(self):
+        # rhs[1] would multiply u_(-1), which a list index would read as
+        # the last iterate
         one = QLaurent.one(5)
-        row = recurrence_engine.RecRow(lhs=one, rhs=(one, one, one), ell=1)
-        assert recurrence_engine._rec_rhs(sys7, row, [one], 5) == \
-            one - QLaurent.monomial(5, 0, 1) + QLaurent.monomial(5, 0, 2)
+        row = recurrence_engine.RecRow(lhs=one, rhs=(one, one), ell=1)
+        with pytest.raises(ValueError, match="below u_0"):
+            recurrence_engine._rec_rhs(row, [one, one], 5)
 
 
 class TestKeyLemma:
