@@ -324,8 +324,8 @@ def _multiplier(N, ell, column, trunc):
 
 def _elimination_row(sys, k, ell, trunc):
     """``(lhs, rhs)`` of the elimination identity with cutoff ``a(k)``:
-    ``lhs = prod_(j<k) (1 - d q^(lN - a(j)))`` and ``rhs[j-1]``, which
-    multiplies ``g[(l-j)N-a(1)]``, the inner sum ``sum_(m=1)^(k-j)
+    ``lhs = prod_(j<k) (1 - d q^(lN - a(j)))`` and ``rhs[j-1]`` (which
+    multiplies ``g[(l-j)N-a(1)]``) the inner sum ``sum_(m=1)^(k-j)
     (-1)^(m+1) q^(mlN) W_k(m, j)`` times ``prod_(h<j) (1 - q^((l-h)N))``,
     with ``W_k`` the weight pairs of :func:`_weight_pair` below ``a(k)``.
     The factor ``h = l`` is 0, so ``rhs`` stops at ``j = min(k - 1, l)``.
