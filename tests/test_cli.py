@@ -160,11 +160,16 @@ PINNED_FORMATS = {
         "d58ce8ae4dfb12879533b0ceebdd7712a026a8c583dd3a64fb876eea5f2854ff",
     ("count", "--side", "G", "--n-max", "30", "--output", "csv"):
         "97996bb33950fd13cf3ad7e856d2081b25faa9234976f0b5c97969a4a6b8a231",
+    ("count", "--side", "G", "--n-max", "80", "--output", "json"):
+        "50eb2183d78fc8528ff1b99cea50b8f95f9a582f1d547931dd8215e947548f2c",
     ("expand", "--what", "product", "--trunc", "30", "--output", "table"):
         "3d56a823db86ee1f8d394dbf471ebb5f5af05dd09caff8da4e2c675a2c2857f0",
     ("expand", "--what", "gm", "--m", "20", "--trunc", "30",
      "--output", "table"):
         "f65a2c5faad895892ff4c6d5d87d7497fddbbd0e8e051408adf0a9f05ca014a3",
+    ("expand", "--what", "gm", "--m", "50", "--trunc", "60",
+     "--output", "json"):
+        "6ebb2e0d6558c2a2e73b165a79f57c2aefcb03b1a3bbd3efe67c051fbef5b755",
     ("expand", "--what", "limit", "--trunc", "30", "--output", "json"):
         "1f9d20bf45bbb1500fbe22265bd598651fbc4a86244fdaebeb08ca428e53849b",
     ("verify", "--checks", "lemma1,lemma2,eq357,key,rec,tmj", "--trunc", "30",
@@ -266,6 +271,12 @@ class TestVerify:
                                  "1,2,4", "--checks", checks, flag, "-1")
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be non-negative\n"
+
+    def test_negative_n_max_names_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--N", "7", "--a", "1,2,4",
+                                 "--n-max", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: --n-max must be non-negative\n"
 
     @pytest.mark.parametrize("ell_max", ["2", "-1"])
     def test_short_ell_max_names_the_flag(self, capsys, ell_max):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -389,6 +391,17 @@ class TestLimit:
                 limit_u(sys_, trunc)
         else:
             assert limit_u(sys_, trunc) == product
+
+    def test_keeps_a_bounded_window_of_iterates(self, sys3):
+        # the limit compares the last two iterates, and each step reads
+        # back at most r of them; keeping all 23 peaks near 2.4 MiB
+        tracemalloc.start()
+        try:
+            limit_u(sys3, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_d0_equals_distinct_product(self, sys7):
         lim = limit_u(sys7, 25).d0()
