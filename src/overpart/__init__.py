@@ -21,13 +21,11 @@ from .alpha_system import (
 from .enumeration import (
     MalformedOverpartition,
     Overpartition,
-    add_tail,
     check_G_conditions,
     count_all_overpartitions,
     count_F,
     count_G,
     count_G_andrews_k0,
-    walk_G,
 )
 from .recurrence_engine import (
     ChainBroken,
@@ -73,7 +71,7 @@ __all__ = [
     "NonUnitLeadingTerm", "qbinomial", "product_F", "substitute_x",
     "Overpartition", "MalformedOverpartition",
     "count_all_overpartitions", "count_F", "check_G_conditions", "count_G",
-    "count_G_andrews_k0", "walk_G", "add_tail",
+    "count_G_andrews_k0",
     "RecRow", "ChainState", "ChainReport", "ChainBroken",
     "ConventionOutOfRange", "NotStabilized", "NegativeExponents",
     "RoundTripMismatch", "g_series", "verify_lemma1",

@@ -92,6 +92,8 @@ def _write_count_csv(tables):
 
 def cmd_count(args):
     """Emit the congruence-side and/or gap-side count tables."""
+    if args.n_max < 0:
+        raise ValueError("--n-max must be non-negative")
     sys_ = build_system(args.a, args.N)
     tables = []
     if args.side in ("F", "all"):

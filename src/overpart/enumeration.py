@@ -180,99 +180,92 @@ def check_G_conditions(sys, op):
     return True
 
 
-def walk_G(sys, n_max):
-    """Walk the gap-condition class by its largest part, smallest first.
-
-    Yields ``(first, tail)`` for every admissible part size
-    ``first <= n_max`` in increasing order.  ``tail[(k, n)]`` counts the
-    gap-condition overpartitions of ``n`` whose largest part is an
-    overlined ``first`` and which have ``k`` non-overlined parts; with
-    that part non-overlined instead the same count sits at ``k + 1``.
-    Summing the yields up to a bound ``m`` therefore gives the bounded
-    counter ``g_m``, so one walk serves every largest-part bound.
+class _Completions:
+    """The ways to complete a gap-condition overpartition below its
+    largest part, for every admissible part size ``<= n_max``.
 
     Below the largest part, parts are placed in decreasing order, pruned
     with the gap bound.  The ways to fill ``n_rem`` below a part depend
     on that part only through the largest sizes it admits next, one
-    non-overlined and one overlined, so for each ``n_rem`` the walk
+    non-overlined and one overlined, so for each ``n_rem`` the table
     keeps running totals, over the admissible sizes in increasing order,
     of the ways to fill ``n_rem`` with that size as its largest part.  A
     completion is two of those totals, found by bisection, with no scan;
     each list is extended only as far as a cutoff asks.  Filling recurses
-    two frames per part placed, but the walk fills the small remainders
-    first, so the stack stays a few frames deep.
+    two frames per part placed, but every caller fills the small
+    remainders first, so the stack stays a few frames deep.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    alpha_set = set(sys.alpha)
-    admissible = [s for s in range(1, n_max + 1)
-                  if beta(sys, -s) in alpha_set]
-    u_plain = []        # largest allowed non-overlined part below each size
-    for s in admissible:
-        res = beta(sys, -s)
-        u_plain.append(
-            s - sys.N * (sys.w_table[res] - 1) - sys.v_table[res] + res)
-    smallest_ok = [_smallest_part_ok(sys, s) for s in admissible]
-    # totals[n_rem][c]: {k: count} over the first c admissible sizes s of
-    # the ways to fill n_rem with largest part s
-    totals = [[{}] for _ in range(n_max + 1)]
 
-    def upto(n_rem, u):
-        c = bisect_right(admissible, min(n_rem, u))
-        row = totals[n_rem]
+    def __init__(self, sys, n_max):
+        alpha_set = set(sys.alpha)
+        self.N = sys.N
+        self.admissible = [s for s in range(1, n_max + 1)
+                           if beta(sys, -s) in alpha_set]
+        self.u_plain = []   # largest allowed non-overlined part below each
+        for s in self.admissible:
+            res = beta(sys, -s)
+            self.u_plain.append(
+                s - sys.N * (sys.w_table[res] - 1) - sys.v_table[res] + res)
+        self.smallest_ok = [_smallest_part_ok(sys, s)
+                            for s in self.admissible]
+        # totals[n_rem][c]: {k: count} over the first c admissible sizes s
+        # of the ways to fill n_rem with largest part s
+        self.totals = [[{}] for _ in range(n_max + 1)]
+
+    def upto(self, n_rem, u):
+        c = bisect_right(self.admissible, min(n_rem, u))
+        row = self.totals[n_rem]
         while len(row) <= c:
             i = len(row) - 1
             out = dict(row[-1])
-            fill(out, n_rem - admissible[i], i)
+            self.fill(out, n_rem - self.admissible[i], i)
             row.append(out)
         return row[c]
 
-    def fill(out, n_rem, i):
-        # add into `out` the ways to fill n_rem below a placed admissible[i]
+    def fill(self, out, n_rem, i):
+        """Add into ``out`` the ways to fill ``n_rem`` below a placed
+        ``admissible[i]``, by number of non-overlined parts."""
         if n_rem == 0:
-            if smallest_ok[i]:
+            if self.smallest_ok[i]:
                 out[0] = out.get(0, 0) + 1
             return
-        for k, c in upto(n_rem, u_plain[i] - sys.N).items():   # overlined
+        u = self.u_plain[i]
+        for k, c in self.upto(n_rem, u - self.N).items():    # overlined
             out[k] = out.get(k, 0) + c
-        for k, c in upto(n_rem, u_plain[i]).items():
+        for k, c in self.upto(n_rem, u).items():
             out[k + 1] = out.get(k + 1, 0) + c
 
-    try:
-        for i, first in enumerate(admissible):
-            tail = {}
-            for n in range(first, n_max + 1):
-                below = {}
-                fill(below, n - first, i)
-                for k, c in below.items():
-                    tail[(k, n)] = c
-            yield first, tail
-    finally:
-        # upto and fill refer to each other, so the totals would otherwise
-        # wait for the cycle collector once the walk ends
-        totals.clear()
-
-
-def add_tail(rows, tail):
-    """Add one :func:`walk_G` tail into the rows ``{n: {k: count}}``, with
-    its largest part overlined (at ``k``) and non-overlined (at ``k + 1``)."""
-    for (k, n), c in tail.items():
-        row = rows.setdefault(n, {})
-        row[k] = row.get(k, 0) + c
-        row[k + 1] = row.get(k + 1, 0) + c
+    def row(self, n, start, stop):
+        """``{k: count}`` of the gap-condition overpartitions of ``n``
+        whose largest part is ``admissible[i]`` for ``start <= i < stop``:
+        the completions are summed first, then that part is placed once,
+        overlined (at ``k``) and non-overlined (at ``k + 1``)."""
+        below = {}
+        for i in range(start, stop):
+            self.fill(below, n - self.admissible[i], i)
+        out = {}
+        for k, c in below.items():
+            out[k] = out.get(k, 0) + c
+            out[k + 1] = out.get(k + 1, 0) + c
+        return out
 
 
 def count_G(sys, n_max):
-    """Count gap-condition overpartitions: the sum of :func:`walk_G`.
+    """Count gap-condition overpartitions, by largest part.
 
-    The constant term is 1 (the empty overpartition).  The counters
-    with a bounded largest part are ``recurrence_engine.g_series``.
+    Row ``n`` sums the completions of every admissible largest part
+    ``<= n``.  The constant term is 1 (the empty overpartition).  The
+    counters with a bounded largest part are
+    ``recurrence_engine.g_series``.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
+    table = _Completions(sys, n_max)
     rows = {0: {0: 1}}
-    for _, tail in walk_G(sys, n_max):
-        add_tail(rows, tail)
+    for n in range(1, n_max + 1):
+        row = table.row(n, 0, bisect_right(table.admissible, n))
+        if row:
+            rows[n] = row
     return QLaurent._wrap(n_max, rows)
 
 

@@ -26,12 +26,14 @@ verification passes iff the residual is identically zero.  Negative
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count, islice
 from types import MappingProxyType
 
 from .alpha_system import alpha_weight_sum, build_system
-from .enumeration import add_tail, walk_G
+from .enumeration import _Completions
 from .series_ring import (
     DPoly, QLaurent, XSeries, product_F, qbinomial, substitute_x)
 
@@ -70,50 +72,41 @@ def _sign(p):
 
 
 class _Ladder:
-    """Every bounded counter ``g_m`` at one truncation, from one walk.
+    """Every bounded counter ``g_m`` at one truncation, from one
+    completions table.
 
-    :func:`walk_G` places the largest part in increasing order, so adding
-    the tail of each admissible size ``first`` to the series before it
-    gives ``g_first``.  Rung ``i`` is the series after the first ``i``
-    sizes.  A rung builds only the rows its tail touches, straight from
-    the tail, so its rows below its newest size are the previous rung's
-    own objects; each row and q-map is read-only from the start, since
-    every caller shares them.  The walk is pulled only as far as the
-    bounds asked for so far need, so a lone small bound does not pay for
-    the whole truncation.
+    Rung ``i`` is ``g`` with largest part at most the ``i``-th admissible
+    size ``first`` (rung 0 is the empty overpartition alone): the rung
+    before it plus, for each ``n >= first``, the overpartitions of ``n``
+    whose largest part is ``first``.  A rung builds only those rows, so
+    its rows below ``first`` are the previous rung's own objects; each
+    row and q-map is read-only from the start, since every caller shares
+    them.  Rungs are built only as far as the bounds asked for so far
+    need, so a lone small bound does not pay for the whole truncation.
+    A rung is appended only once it is complete, so an interrupted build
+    leaves the ladder as it was.
     """
 
     def __init__(self, sys, trunc):
-        self.sys = sys
         self.trunc = trunc
-        self._restart()
-
-    def _restart(self):
-        self._walk = walk_G(self.sys, self.trunc)
-        self._sizes = []
+        self._table = _Completions(sys, trunc)
+        self._sizes = self._table.admissible
         self._series = [self._grown({}, {0: {0: 1}})]
 
     def rung(self, m):
         """The series ``g_m`` for the largest-part bound ``m``."""
-        try:
-            while self._walk is not None and (
-                    not self._sizes or self._sizes[-1] < m):
-                self._pull()
-        except BaseException:
-            self._restart()     # a generator that raised cannot resume
-            raise
-        return self._series[bisect_right(self._sizes, m)]
-
-    def _pull(self):
-        step = next(self._walk, None)
-        if step is None:
-            self._walk = None
-            return
-        first, tail = step
-        rows = {}
-        add_tail(rows, tail)
-        self._sizes.append(first)
-        self._series.append(self._grown(self._series[-1].coeffs, rows))
+        c = bisect_right(self._sizes, m)
+        while len(self._series) <= c:
+            i = len(self._series) - 1
+            rows = {}
+            for n in range(self._sizes[i], self.trunc + 1):
+                row = self._table.row(n, i, i + 1)
+                if row:
+                    rows[n] = row
+            self._series.append(self._grown(self._series[-1].coeffs, rows))
+        if len(self._series) > len(self._sizes):
+            self._table = None      # every rung is built
+        return self._series[c]
 
     def _grown(self, coeffs, rows):
         """The read-only series with q-map ``coeffs`` plus ``rows``
@@ -363,15 +356,32 @@ def build_rec_row(sys, ell, trunc):
 
 
 def _rec_rhs(row, us, trunc):
-    """``sum_j rhs[j-1] u_(ell-j)`` for ``row``, which stops at ``u_0``."""
+    """``sum_j rhs[j-1] u_(ell-j)`` for ``row``, which stops at ``u_0``;
+    ``us`` ends at ``u_(ell-1)``."""
     if len(row.rhs) > row.ell:
         raise ValueError(f"a row at ell={row.ell} has {len(row.rhs)} "
                          "terms and reaches below u_0")
     total = QLaurent.zero(trunc)
     for j, coeff in enumerate(row.rhs, 1):
         if not coeff.is_zero():
-            total = total + coeff * us[row.ell - j]
+            total = total + coeff * us[-j]
     return total
+
+
+def _iterates(sys, trunc):
+    """Yield ``u_0, u_1, ...`` of the main recurrence, keeping only the
+    last ``r``: the row at ``ell`` reads back ``min(r, ell)`` of them."""
+    us = deque([QLaurent.one(trunc)], maxlen=sys.r)
+    yield us[0]
+    for ell in count(1):
+        row = build_rec_row(sys, ell, trunc)
+        u_ell = _rec_rhs(row, us, trunc).divide(row.lhs)
+        if u_ell.min_exp < 0:
+            raise NegativeExponents(
+                f"recurrence produced negative exponents at ell={ell}: "
+                f"q^{u_ell.min_exp}")
+        us.append(u_ell)
+        yield u_ell
 
 
 def run_recurrence(sys, ell_max, trunc):
@@ -384,16 +394,7 @@ def run_recurrence(sys, ell_max, trunc):
     """
     if trunc < 0:
         raise ValueError("trunc must be non-negative")
-    us = [QLaurent.one(trunc)]
-    for ell in range(1, ell_max + 1):
-        row = build_rec_row(sys, ell, trunc)
-        u_ell = _rec_rhs(row, us, trunc).divide(row.lhs)
-        if u_ell.min_exp < 0:
-            raise NegativeExponents(
-                f"recurrence produced negative exponents at ell={ell}: "
-                f"q^{u_ell.min_exp}")
-        us.append(u_ell)
-    return us
+    return list(islice(_iterates(sys, trunc), max(ell_max, 0) + 1))
 
 
 def verify_key_lemma(sys, k, ell, trunc):
@@ -499,17 +500,19 @@ def limit_u(sys, trunc):
 
     Runs until the index ``ell`` satisfies ``ell*N - a(1) > trunc`` plus
     one extra step, checks that the two final iterates agree on every
-    retained coefficient, and returns the frozen series.
+    retained coefficient, and returns the frozen series.  Only those two
+    iterates are kept.
     """
     if trunc < 0:
         raise ValueError("trunc must be non-negative")
     ell_stop = (trunc + sys.a[0]) // sys.N + 1
-    us = run_recurrence(sys, ell_stop + 1, trunc)
-    if us[-1] != us[-2]:
+    prev, last = deque(islice(_iterates(sys, trunc), ell_stop + 2),
+                       maxlen=2)
+    if last != prev:
         raise NotStabilized(
             f"coefficients still moving between steps {ell_stop} "
             f"and {ell_stop + 1}")
-    return us[-1]
+    return last
 
 
 # -- the transformation chain ------------------------------------------
@@ -700,7 +703,7 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
             break
         row = build_rec_row(reduced, ell, work)
         res = (row.lhs * mus[ell]
-               - _rec_rhs(row, mus, work)).with_trunc(trunc)
+               - _rec_rhs(row, mus[:ell], work)).with_trunc(trunc)
         if not res.is_zero():
             offender = (ell,) + res.first_nonzero()
     record("rec_reduced", offender)

@@ -21,8 +21,9 @@ from overpart import (
     QLaurent,
     g_series,
     product_F,
-    walk_G,
 )
+from overpart import recurrence_engine
+from overpart.enumeration import _Completions
 
 from conftest import BATTERY, admissible_systems, cells, gen_overpartitions
 
@@ -189,16 +190,18 @@ class TestCountG:
 
     def test_runs_under_a_low_recursion_limit(self, sys3):
         # filling n below a part recurses two frames per part placed, and
-        # 3/{1,2} admits 120 ones; the walk fills the smaller sizes and
-        # remainders first, so it stays a few frames deep
+        # 3/{1,2} admits 120 ones; count_G (row by row) and the ladder
+        # (rung by rung) fill the small remainders first, so they stay a
+        # few frames deep
         want = count_G(sys3, 120)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 100)
         try:
             got = count_G(sys3, 120)
+            top = recurrence_engine._Ladder(sys3, 120).rung(120)
         finally:
             sys.setrecursionlimit(limit)
-        assert got == want
+        assert got == top == want
 
 
 class TestAndrewsK0:
@@ -256,7 +259,7 @@ class TestLargestPartLadder:
     def test_walk_visits_admissible_sizes_in_order(self, battery):
         for sys_ in battery:
             alpha = set(sys_.alpha)
-            sizes = [first for first, _ in walk_G(sys_, 20)]
+            sizes = _Completions(sys_, 20).admissible
             assert sizes == [s for s in range(1, 21)
                              if beta(sys_, -s) in alpha]
 
@@ -273,7 +276,10 @@ class TestLargestPartLadder:
 
 
 def scan_walk(sys_, n_max):
-    """Reference for :func:`walk_G`: below each placed part, scan every
+    """Reference for the gap side by largest part: yields ``(first,
+    tail)`` for each admissible size, where ``tail[(k, n)]`` counts the
+    overpartitions of ``n`` with largest part an overlined ``first`` and
+    ``k`` non-overlined parts.  Below each placed part it scans every
     admissible size, with completions memoized by (remaining, previous
     part)."""
     alpha_set = set(sys_.alpha)
@@ -313,18 +319,28 @@ def scan_walk(sys_, n_max):
         yield first, tail
 
 
+def check_against_scan(sys_, n_max):
+    """The scan's tails, summed up to each admissible bound, give
+    ``g_series`` there, and summed up to ``n_max``, ``count_G``."""
+    want = {(0, 0): 1}
+    for first, tail in scan_walk(sys_, n_max):
+        for (k, n), c in tail.items():
+            want[(k, n)] = want.get((k, n), 0) + c
+            want[(k + 1, n)] = want.get((k + 1, n), 0) + c
+        assert cells(g_series(sys_, first, n_max)) == want, first
+    assert cells(count_G(sys_, n_max)) == want
+
+
 class TestWalkAgainstScan:
     """Generate-and-filter reaches only n of about 12; the scan checks
-    the walk's yields, exactly, at the larger sizes."""
+    the ladder and the unbounded count, exactly, at the larger sizes."""
 
     @pytest.mark.parametrize("N,a", BATTERY)
     def test_battery(self, N, a):
-        sys_ = build_system(a, N)
-        assert list(walk_G(sys_, 40)) == list(scan_walk(sys_, 40))
+        check_against_scan(build_system(a, N), 40)
 
     @settings(max_examples=40, deadline=None)
     @given(admissible_systems(), st.integers(0, 25))
     def test_random_systems(self, system, n_max):
         N, a = system
-        sys_ = build_system(a, N)
-        assert list(walk_G(sys_, n_max)) == list(scan_walk(sys_, n_max))
+        check_against_scan(build_system(a, N), n_max)

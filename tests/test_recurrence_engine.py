@@ -1,4 +1,6 @@
 import tracemalloc
+from bisect import bisect_right
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from overpart import (
     g_series,
     limit_u,
     alpha_weight_sum,
+    beta,
     product_F,
     qbinomial,
     run_recurrence,
@@ -32,9 +35,9 @@ from overpart import (
     verify_lemma1,
     verify_lemma2,
     verify_Tmj,
-    walk_G,
 )
 from overpart import recurrence_engine
+from overpart.enumeration import _Completions
 
 from conftest import admissible_systems, cells, factor_product
 
@@ -88,7 +91,8 @@ class TestGSeries:
         assert verify_lemma1(sys7, 2, 1, 12) == lemma_before == []
 
     def test_adjacent_rungs_share_rows_below_the_newer_size(self, sys9):
-        sizes = [first for first, _ in walk_G(sys9, 20)]
+        alpha = set(sys9.alpha)
+        sizes = [s for s in range(1, 21) if beta(sys9, -s) in alpha]
         for lower, upper in zip(sizes, sizes[1:]):
             old, new = g_series(sys9, lower, 20), g_series(sys9, upper, 20)
             below = [e for e in old.coeffs if e < upper]
@@ -103,43 +107,37 @@ class TestGSeries:
         # rung 0 builds its own row: QLaurent.one's is a module constant
         assert type(QLaurent.one(5).coeffs[0].coeffs) is dict
 
-    def test_lone_bound_pulls_walk_only_that_far(self, sys7, monkeypatch):
+    def test_lone_bound_builds_rungs_only_that_far(self, sys7):
         want = g_series(sys7, 8, 40)
-        real = recurrence_engine.walk_G
-        pulled = []
-
-        def counting(sys, trunc):
-            for first, tail in real(sys, trunc):
-                pulled.append(first)
-                yield first, tail
-        monkeypatch.setattr(recurrence_engine, "walk_G", counting)
         ladder = recurrence_engine._Ladder(sys7, 40)
+        sizes = ladder._sizes
         series = ladder.rung(8)
-        assert pulled[-1] == 8
+        assert len(ladder._series) == bisect_right(sizes, 8) + 1
         assert series == want
         ladder.rung(99)
-        assert pulled[-1] == 40
+        assert len(ladder._series) == len(sizes) + 1
+        assert ladder._table is None      # freed once every rung is built
+        assert sizes[-1] <= 40
         assert ladder.rung(8) is series
 
-    def test_interrupted_walk_starts_over(self, sys7, monkeypatch):
-        want = g_series(sys7, 30, 30)
-        real = recurrence_engine.walk_G
-        starts = []
+    def test_interrupted_fill_leaves_a_working_ladder(self, sys7,
+                                                      monkeypatch):
+        want = count_G(sys7, 30)
+        real = _Completions.fill
+        calls = []
 
-        def flaky(sys, trunc):
-            starts.append(trunc)
-            for i, step in enumerate(real(sys, trunc)):
-                if len(starts) == 1 and i == 3:
-                    raise KeyboardInterrupt
-                yield step
-        monkeypatch.setattr(recurrence_engine, "walk_G", flaky)
+        def flaky(self, out, n_rem, i):
+            calls.append(i)
+            if len(calls) == 200:
+                raise KeyboardInterrupt
+            real(self, out, n_rem, i)
+        monkeypatch.setattr(_Completions, "fill", flaky)
         ladder = recurrence_engine._Ladder(sys7, 30)
         with pytest.raises(KeyboardInterrupt):
             ladder.rung(30)
-        series = ladder.rung(30)
-        assert len(starts) == 2
-        assert series == count_G(sys7, 30)
-        assert series == want
+        assert 1 < len(ladder._series) < len(ladder._sizes) + 1
+        assert ladder.rung(30) == want
+        assert len(calls) > 200
 
 
 class TestPeelingIdentities:
@@ -433,10 +431,10 @@ class TestLimit:
             recurrence_engine.run_recurrence(sys7, 2, 10)
 
     def test_not_stabilized_diagnostic(self, sys7, monkeypatch):
-        def drifting(sys, ell_max, trunc):
-            return [QLaurent.monomial(trunc, 0, 0, ell + 1)
-                    for ell in range(ell_max + 1)]
-        monkeypatch.setattr(recurrence_engine, "run_recurrence", drifting)
+        def drifting(sys, trunc):
+            return (QLaurent.monomial(trunc, 0, 0, ell + 1)
+                    for ell in count())
+        monkeypatch.setattr(recurrence_engine, "_iterates", drifting)
         with pytest.raises(NotStabilized):
             recurrence_engine.limit_u(sys7, 10)
 
