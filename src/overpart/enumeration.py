@@ -263,9 +263,7 @@ def count_G(sys, n_max):
     table = _Completions(sys, n_max)
     rows = {0: {0: 1}}
     for n in range(1, n_max + 1):
-        row = table.row(n, 0, bisect_right(table.admissible, n))
-        if row:
-            rows[n] = row
+        rows[n] = table.row(n, 0, bisect_right(table.admissible, n))
     return QLaurent._wrap(n_max, rows)
 
 
