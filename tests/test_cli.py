@@ -162,6 +162,9 @@ PINNED_FORMATS = {
         "97996bb33950fd13cf3ad7e856d2081b25faa9234976f0b5c97969a4a6b8a231",
     ("count", "--side", "G", "--n-max", "80", "--output", "json"):
         "50eb2183d78fc8528ff1b99cea50b8f95f9a582f1d547931dd8215e947548f2c",
+    # counts up to 40 bits on 3/{1,2}
+    ("count", "--side", "all", "--n-max", "200", "--output", "json"):
+        "a1a04844115786c3da21cbcc85f15ca902177c43f2e7420feb078023c52abd6d",
     ("expand", "--what", "product", "--trunc", "30", "--output", "table"):
         "3d56a823db86ee1f8d394dbf471ebb5f5af05dd09caff8da4e2c675a2c2857f0",
     ("expand", "--what", "gm", "--m", "20", "--trunc", "30",
