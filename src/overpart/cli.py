@@ -131,6 +131,8 @@ def cmd_count(args):
 
 def cmd_expand(args):
     """Emit a series: the infinite product, the recurrence limit, or g_m."""
+    if args.trunc < 0:
+        raise ValueError("--trunc must be non-negative")
     sys_ = build_system(args.a, args.N)
     if args.what == "product":
         series = product_F(sys_, args.trunc)

@@ -13,6 +13,14 @@ denotes the number of non-overlined parts.  Every counter returns a
 ``QLaurent`` truncated at ``n_max``, used only as a container: the
 coefficient of ``d^k q^n`` is the count of size ``n`` with ``k``
 non-overlined parts.
+
+While counting, a vector of counts by ``k`` is packed into one int, with
+the count at ``k`` in the ``width``-bit slot starting at bit
+``k * width``: placing a non-overlined part is a shift by ``width`` and
+summing vectors is ``+``.  Every packed count is the size of a set of
+overpartitions of some ``m <= n_max``, so it is at most ``pbar(n_max)``,
+the number of overpartitions of ``n_max``; a ``width`` one bit more than
+``pbar(n_max)`` needs keeps every sum in its slot.
 """
 
 from __future__ import annotations
@@ -81,38 +89,69 @@ class Overpartition:
         return " + ".join(f"{s}~" if o else str(s) for s, o in self.parts)
 
 
+def _overpartition_count(n):
+    """``pbar(n)``, the number of overpartitions of ``n``: the coefficient of
+    ``q^n`` in ``prod_s (1 + q^s) / (1 - q^s)``."""
+    c = [1] + [0] * n
+    for s in range(1, n + 1):
+        for i in range(s, n + 1):           # times 1 / (1 - q^s)
+            c[i] += c[i - s]
+        for i in range(n, s - 1, -1):       # times 1 + q^s
+            c[i] += c[i - s]
+    return c[n]
+
+
+def _slot_width(n_max):
+    """Bits per ``k`` slot of a packed count vector up to ``n_max``."""
+    return _overpartition_count(n_max).bit_length() + 1
+
+
+def _unpack(packed, width):
+    """``{k: count}`` of the nonzero slots of a packed count vector."""
+    mask = (1 << width) - 1
+    out = {}
+    k = 0
+    while packed:
+        c = packed & mask
+        if c:
+            out[k] = c
+        packed >>= width
+        k += 1
+    return out
+
+
 def _table_from_size_set(sizes, n_max):
     """Count overpartitions of each ``n <= n_max`` with parts in ``sizes``.
 
     Per size a multiplicity is chosen freely; if positive, the first
     copy is either overlined or not.  Counts are refined by the number
-    of non-overlined parts.
+    of non-overlined parts, packed by :func:`_slot_width`.
     """
     sizes = sorted(sizes)
+    width = _slot_width(n_max)
     memo = {}
 
     def rec(n_rem, idx):
         if n_rem == 0:
-            return {0: 1}
+            return 1
         if idx >= len(sizes) or sizes[idx] > n_rem:
-            return {}
+            return 0
         key = (n_rem, idx)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        out = dict(rec(n_rem, idx + 1))
         s = sizes[idx]
-        mu = 1
-        while mu * s <= n_rem:
-            for k, c in rec(n_rem - mu * s, idx + 1).items():
-                out[k + mu] = out.get(k + mu, 0) + c          # none overlined
-                out[k + mu - 1] = out.get(k + mu - 1, 0) + c  # first overlined
-            mu += 1
+        # mu copies of s: mu - 1 non-overlined parts with the first copy
+        # overlined, mu with none
+        placed = 0
+        for mu in range(1, n_rem // s + 1):
+            placed += rec(n_rem - mu * s, idx + 1) << ((mu - 1) * width)
+        out = rec(n_rem, idx + 1) + placed + (placed << width)
         memo[key] = out
         return out
 
     try:
-        rows = {n: rec(n, 0) for n in range(n_max + 1)}
+        rows = {n: _unpack(rec(n, 0), width) for n in range(n_max + 1)}
     finally:
         # rec refers to itself, so the memo would otherwise wait for the
         # cycle collector once the counts are built
@@ -193,12 +232,14 @@ class _Completions:
     completion is two of those totals, found by bisection, with no scan;
     each list is extended only as far as a cutoff asks.  Filling recurses
     two frames per part placed, but every caller fills the small
-    remainders first, so the stack stays a few frames deep.
+    remainders first, so the stack stays a few frames deep.  Totals and
+    completions are count vectors packed by ``width``.
     """
 
     def __init__(self, sys, n_max):
         alpha_set = set(sys.alpha)
         self.N = sys.N
+        self.width = _slot_width(n_max)
         self.admissible = [s for s in range(1, n_max + 1)
                            if beta(sys, -s) in alpha_set]
         self.u_plain = []   # largest allowed non-overlined part below each
@@ -208,46 +249,35 @@ class _Completions:
                 s - sys.N * (sys.w_table[res] - 1) - sys.v_table[res] + res)
         self.smallest_ok = [_smallest_part_ok(sys, s)
                             for s in self.admissible]
-        # totals[n_rem][c]: {k: count} over the first c admissible sizes s
-        # of the ways to fill n_rem with largest part s
-        self.totals = [[{}] for _ in range(n_max + 1)]
+        # totals[n_rem][c]: over the first c admissible sizes s, the ways
+        # to fill n_rem with largest part s
+        self.totals = [[0] for _ in range(n_max + 1)]
 
     def upto(self, n_rem, u):
         c = bisect_right(self.admissible, min(n_rem, u))
         row = self.totals[n_rem]
         while len(row) <= c:
             i = len(row) - 1
-            out = dict(row[-1])
-            self.fill(out, n_rem - self.admissible[i], i)
-            row.append(out)
+            row.append(row[-1] + self.fill(n_rem - self.admissible[i], i))
         return row[c]
 
-    def fill(self, out, n_rem, i):
-        """Add into ``out`` the ways to fill ``n_rem`` below a placed
-        ``admissible[i]``, by number of non-overlined parts."""
+    def fill(self, n_rem, i):
+        """The ways to fill ``n_rem`` below a placed ``admissible[i]``."""
         if n_rem == 0:
-            if self.smallest_ok[i]:
-                out[0] = out.get(0, 0) + 1
-            return
+            return 1 if self.smallest_ok[i] else 0
         u = self.u_plain[i]
-        for k, c in self.upto(n_rem, u - self.N).items():    # overlined
-            out[k] = out.get(k, 0) + c
-        for k, c in self.upto(n_rem, u).items():
-            out[k + 1] = out.get(k + 1, 0) + c
+        return (self.upto(n_rem, u - self.N)                  # overlined
+                + (self.upto(n_rem, u) << self.width))
 
     def row(self, n, start, stop):
         """``{k: count}`` of the gap-condition overpartitions of ``n``
         whose largest part is ``admissible[i]`` for ``start <= i < stop``:
         the completions are summed first, then that part is placed once,
         overlined (at ``k``) and non-overlined (at ``k + 1``)."""
-        below = {}
+        below = 0
         for i in range(start, stop):
-            self.fill(below, n - self.admissible[i], i)
-        out = {}
-        for k, c in below.items():
-            out[k] = out.get(k, 0) + c
-            out[k + 1] = out.get(k + 1, 0) + c
-        return out
+            below += self.fill(n - self.admissible[i], i)
+        return _unpack(below + (below << self.width), self.width)
 
 
 def count_G(sys, n_max):

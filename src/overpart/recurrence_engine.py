@@ -315,22 +315,32 @@ def _multiplier(N, ell, column, trunc):
     return total
 
 
-def _elimination_row(sys, k, ell, trunc):
+def _weight_columns(sys, k, j_max, trunc):
+    """Columns ``j = 1..j_max`` of the weight pairs below ``a(k)``: column
+    ``j`` is ``W_k(m, j)`` of :func:`_weight_pair` for ``m = 1..k-j``.
+    They do not depend on ``ell``."""
+    return [[_weight_pair(sys, k, m, j, trunc) for m in range(1, k - j + 1)]
+            for j in range(1, j_max + 1)]
+
+
+def _elimination_row(sys, k, ell, trunc, columns=None):
     """``(lhs, rhs)`` of the elimination identity with cutoff ``a(k)``:
     ``lhs = prod_(j<k) (1 - d q^(lN - a(j)))`` and ``rhs[j-1]`` (which
     multiplies ``g[(l-j)N-a(1)]``) the inner sum ``sum_(m=1)^(k-j)
     (-1)^(m+1) q^(mlN) W_k(m, j)`` times ``prod_(h<j) (1 - q^((l-h)N))``,
-    with ``W_k`` the weight pairs of :func:`_weight_pair` below ``a(k)``.
-    The factor ``h = l`` is 0, so ``rhs`` stops at ``j = min(k - 1, l)``.
+    with ``W_k`` the weight pairs below ``a(k)``, read from ``columns``
+    (of :func:`_weight_columns`, built here if not given).  The factor
+    ``h = l`` is 0, so ``rhs`` stops at ``j = min(k - 1, l)``.
     """
     _require_ladder_domain(sys)
+    j_max = min(k - 1, ell)
+    if columns is None:
+        columns = _weight_columns(sys, k, j_max, trunc)
     lhs = QLaurent.one(trunc)
     for g in sys.a[:k - 1]:
         lhs = lhs + lhs.scale_by_monomial(ell * sys.N - g, 1, -1)
     rhs = []
-    for j in range(1, min(k - 1, ell) + 1):
-        pairs = (_weight_pair(sys, k, m, j, trunc)
-                 for m in range(1, k - j + 1))
+    for j, pairs in enumerate(columns[:j_max], 1):
         term = _multiplier(sys.N, ell, pairs, trunc)
         for h in range(1, j):
             term = term + term.scale_by_monomial((ell - h) * sys.N, 0, -1)
@@ -350,7 +360,14 @@ def build_rec_row(sys, ell, trunc):
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    lhs, rhs = _elimination_row(sys, sys.r + 1, ell, trunc)
+    return _rec_row(sys, ell, trunc)
+
+
+def _rec_row(sys, ell, trunc, columns=None):
+    """The row of :func:`build_rec_row` at ``ell``, reading the weight
+    pairs from ``columns`` (of :func:`_weight_columns` at the top cutoff)
+    when given."""
+    lhs, rhs = _elimination_row(sys, sys.r + 1, ell, trunc, columns)
     rhs[0] = rhs[0] + QLaurent.one(trunc)
     return RecRow(lhs=lhs, rhs=tuple(rhs), ell=ell)
 
@@ -370,11 +387,13 @@ def _rec_rhs(row, us, trunc):
 
 def _iterates(sys, trunc):
     """Yield ``u_0, u_1, ...`` of the main recurrence, keeping only the
-    last ``r``: the row at ``ell`` reads back ``min(r, ell)`` of them."""
+    last ``r``: the row at ``ell`` reads back ``min(r, ell)`` of them.
+    The weight pairs are built once, for every row."""
     us = deque([QLaurent.one(trunc)], maxlen=sys.r)
     yield us[0]
+    columns = _weight_columns(sys, sys.r + 1, sys.r, trunc)
     for ell in count(1):
-        row = build_rec_row(sys, ell, trunc)
+        row = _rec_row(sys, ell, trunc, columns)
         u_ell = _rec_rhs(row, us, trunc).divide(row.lhs)
         if u_ell.min_exp < 0:
             raise NegativeExponents(

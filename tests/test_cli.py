@@ -162,7 +162,7 @@ PINNED_FORMATS = {
         "97996bb33950fd13cf3ad7e856d2081b25faa9234976f0b5c97969a4a6b8a231",
     ("count", "--side", "G", "--n-max", "80", "--output", "json"):
         "50eb2183d78fc8528ff1b99cea50b8f95f9a582f1d547931dd8215e947548f2c",
-    # counts up to 40 bits on 3/{1,2}
+    # counts up to 40 bits on 3/{1,2}, in 55-bit slots while packed
     ("count", "--side", "all", "--n-max", "200", "--output", "json"):
         "a1a04844115786c3da21cbcc85f15ca902177c43f2e7420feb078023c52abd6d",
     ("expand", "--what", "product", "--trunc", "30", "--output", "table"):
@@ -274,6 +274,14 @@ class TestVerify:
                                  "1,2,4", "--checks", checks, flag, "-1")
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be non-negative\n"
+
+    @pytest.mark.parametrize("what", ["product", "limit", "gm"])
+    def test_expand_negative_truncation_names_the_flag(self, capsys, what):
+        code, out, err = run_cli(capsys, "expand", "--N", "7", "--a",
+                                 "1,2,4", "--what", what, "--m", "5",
+                                 "--trunc", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: --trunc must be non-negative\n"
 
     def test_negative_n_max_names_the_flag(self, capsys):
         code, out, err = run_cli(capsys, "count", "--N", "7", "--a", "1,2,4",
@@ -421,7 +429,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "expand", "--N", "7", "--a", "1,2,4",
                                  "--trunc", "-1", "--output", "json")
         assert (code, out) == (2, "")
-        assert err == "error: trunc must be non-negative\n"
+        assert err == "error: --trunc must be non-negative\n"
         code, out, err = run_cli(capsys, "verify", "--N", "7", "--a", "1,2,4",
                                  "--checks", ",", "--output", "json")
         assert (code, out) == (2, "")

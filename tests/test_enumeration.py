@@ -23,7 +23,7 @@ from overpart import (
     product_F,
 )
 from overpart import recurrence_engine
-from overpart.enumeration import _Completions
+from overpart.enumeration import _Completions, _overpartition_count
 
 from conftest import BATTERY, admissible_systems, cells, gen_overpartitions
 
@@ -79,6 +79,17 @@ class TestCountAll:
     def test_against_generate_and_filter(self):
         want = brute_table(None, 10, lambda op: True)
         assert count_all_overpartitions(10) == want
+
+    def test_overpartition_count_is_oeis_a015128(self):
+        # the slot width of the packed count vectors is read off these
+        assert [_overpartition_count(n) for n in range(12)] \
+            == [1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232, 344]
+
+    def test_overpartition_count_against_generate_and_filter(self):
+        brute = brute_table(None, 12, lambda op: True)
+        for n in range(13):
+            assert _overpartition_count(n) \
+                == sum(brute.coefficient(n).coeffs.values()), n
 
 
 class TestCountF:

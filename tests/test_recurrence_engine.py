@@ -126,11 +126,11 @@ class TestGSeries:
         real = _Completions.fill
         calls = []
 
-        def flaky(self, out, n_rem, i):
+        def flaky(self, n_rem, i):
             calls.append(i)
             if len(calls) == 200:
                 raise KeyboardInterrupt
-            real(self, out, n_rem, i)
+            return real(self, n_rem, i)
         monkeypatch.setattr(_Completions, "fill", flaky)
         ladder = recurrence_engine._Ladder(sys7, 30)
         with pytest.raises(KeyboardInterrupt):
@@ -420,13 +420,13 @@ class TestLimit:
     def test_negative_exponents_raise(self, sys7, monkeypatch):
         # shift every right-hand coefficient down one power of q, so u_1
         # picks up a q^-1 term
-        real = recurrence_engine.build_rec_row
+        real = recurrence_engine._rec_row
 
-        def shifted(sys, ell, trunc):
-            row = real(sys, ell, trunc)
+        def shifted(sys, ell, trunc, columns):
+            row = real(sys, ell, trunc, columns)
             rhs = tuple(c.scale_by_monomial(-1, 0, 1) for c in row.rhs)
             return recurrence_engine.RecRow(lhs=row.lhs, rhs=rhs, ell=ell)
-        monkeypatch.setattr(recurrence_engine, "build_rec_row", shifted)
+        monkeypatch.setattr(recurrence_engine, "_rec_row", shifted)
         with pytest.raises(NegativeExponents):
             recurrence_engine.run_recurrence(sys7, 2, 10)
 

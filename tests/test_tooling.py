@@ -82,3 +82,24 @@ def test_every_private_function_is_referenced_in_the_package():
                 used.add(node.attr)
     assert defined
     assert sorted(defined - used) == []
+
+
+
+def test_enumeration_stays_independent_of_the_identities():
+    # the counters are the oracles the identities are checked against:
+    # they may hand their counts over in a QLaurent, but must not compute
+    # them with the ring or the recurrences
+    path = PACKAGE / "enumeration.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}".split(".")
+                         for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name.split(".") for alias in node.names]
+    assert ["series_ring", "QLaurent"] in imported
+    offenders = [".".join(parts) for parts in imported
+                 if "recurrence_engine" in parts
+                 or ("series_ring" in parts
+                     and parts[-2:] != ["series_ring", "QLaurent"])]
+    assert offenders == []
