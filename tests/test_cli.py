@@ -175,6 +175,11 @@ PINNED_FORMATS = {
         "6ebb2e0d6558c2a2e73b165a79f57c2aefcb03b1a3bbd3efe67c051fbef5b755",
     ("expand", "--what", "limit", "--trunc", "30", "--output", "json"):
         "1f9d20bf45bbb1500fbe22265bd598651fbc4a86244fdaebeb08ca428e53849b",
+    # coefficients up to 29 bits on 3/{1,2}; the product equals the limit
+    ("expand", "--what", "product", "--trunc", "120", "--output", "json"):
+        "57d5afae9a05c661b0cbe1e3a5f998248be676cdcc6f4859efcdaecbdd862664",
+    ("expand", "--what", "limit", "--trunc", "120", "--output", "json"):
+        "57d5afae9a05c661b0cbe1e3a5f998248be676cdcc6f4859efcdaecbdd862664",
     ("verify", "--checks", "lemma1,lemma2,eq357,key,rec,tmj", "--trunc", "30",
      "--output", "json"):
         "c934a440971e91b4b25016485f79ad5c765fee3f3adbd554ce9c2c0e3a9656f8",
