@@ -23,11 +23,11 @@ from .recurrence_engine import (
     NegativeExponents,
     NotStabilized,
     RoundTripMismatch,
+    _decoded_iterates,
     _ladder,
     _require_ladder_domain,
     g_series,
     limit_u,
-    run_recurrence,
     verify_chain,
     verify_eq_357,
     verify_key_lemma,
@@ -205,11 +205,10 @@ def _run_checks(sys_, args, checks):
             res = _sweep(cases)
         elif name == "rec":
             ell_hi = (trunc + sys_.a[0]) // sys_.N
-            us = run_recurrence(sys_, ell_hi, trunc)
             cases = ((f"ell={ell}",
-                      us[ell] == g_series(sys_, ell * sys_.N - sys_.a[0],
-                                          trunc))
-                     for ell in range(ell_hi + 1))
+                      u == g_series(sys_, ell * sys_.N - sys_.a[0], trunc))
+                     for ell, u in enumerate(
+                         _decoded_iterates(sys_, ell_hi, trunc)))
             res = _sweep(cases)
         elif name == "tmj":
             cases = ((f"m={m},j={j}", verify_Tmj(sys_, m, j))

@@ -29,7 +29,6 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count, islice
 from types import MappingProxyType
 
 from .alpha_system import alpha_weight_sum, build_system
@@ -385,35 +384,115 @@ def _rec_rhs(row, us, trunc):
     return total
 
 
-def _iterates(sys, trunc):
-    """Yield ``u_0, u_1, ...`` of the main recurrence, keeping only the
-    last ``r``: the row at ``ell`` reads back ``min(r, ell)`` of them.
-    The weight pairs are built once, for every row."""
-    us = deque([QLaurent.one(trunc)], maxlen=sys.r)
-    yield us[0]
+def _iterate_bounds(sys, rows, trunc):
+    """``[B_0, B_1, ...]``, with ``B_ell`` bounding every coefficient of
+    ``u_ell`` and of the ``num = sum_j rhs_j u_(ell-j)`` it is divided out
+    of, for ``rows`` the rows of :func:`_rec_row` at ``ell = 1, 2, ...``.
+
+    Each bound is the largest entry of a majorant: a series in ``q``
+    alone whose ``q^n`` coefficient is at least ``sum_k |c|`` over the
+    terms ``c d^k q^n`` of the series it bounds.  The sum and the product
+    of two majorants bound the sum and the (truncated) product of the
+    series, so ``num``'s is built from ``|rhs_j|`` and ``u_(ell-j)``'s.
+    An iterate with no term below ``q^0`` is ``num`` times ``1/lhs =
+    prod_j 1/(1 - d q^(ell N - a(j)))``, whose coefficients are all
+    nonnegative, so ``u_ell``'s majorant is ``num``'s times that product
+    at ``d = 1``.  (An iterate with such a term raises before it is
+    read.)
+    """
+    majorants = deque([[1] + [0] * trunc], maxlen=sys.r)
+    bounds = [1]
+    for row in rows:
+        num = {}
+        for j, coeff in enumerate(row.rhs, 1):
+            u = majorants[-j]
+            for e1, p in coeff.coeffs.items():
+                a = sum(abs(c) for c in p.coeffs.values())
+                for e2 in range(min(trunc, trunc - e1) + 1):
+                    num[e1 + e2] = num.get(e1 + e2, 0) + a * u[e2]
+        u = [num.get(n, 0) for n in range(trunc + 1)]
+        for g in sys.a:
+            e = row.ell * sys.N - g
+            for n in range(e, trunc + 1):
+                u[n] += u[n - e]
+        majorants.append(u)
+        bounds.append(max(max(u), max(num.values(), default=0)))
+    return bounds
+
+
+def _iterates(sys, trunc, steps):
+    """Yield ``(u_ell, width)`` for ``ell = 0 .. steps``: the iterates of
+    the main recurrence, each packed at ``d = 2^width`` as
+    :meth:`QLaurent._packed` does, with no zero entry.
+
+    The rows are built first, since ``width`` is fixed from all of them
+    by :func:`_iterate_bounds`, so the slots of every iterate and every
+    ``num`` hold their true coefficients: reading an iterate back with
+    :meth:`QLaurent._from_packed`, comparing two packed iterates, and
+    testing a packed coefficient for zero are all exact.  Only the last
+    ``r`` iterates are kept, as far back as a row reads; the weight
+    pairs are built once, for every row.
+    """
+    us = deque([{0: 1}], maxlen=sys.r)
+    yield us[0], 2                  # two bits hold u_0 = 1 signed
+    if steps < 1:
+        return
     columns = _weight_columns(sys, sys.r + 1, sys.r, trunc)
-    for ell in count(1):
-        row = _rec_row(sys, ell, trunc, columns)
-        u_ell = _rec_rhs(row, us, trunc).divide(row.lhs)
-        if u_ell.min_exp < 0:
+    rows = [_rec_row(sys, ell, trunc, columns)
+            for ell in range(1, steps + 1)]
+    width = max(_iterate_bounds(sys, rows, trunc)).bit_length() + 1
+    for row in rows:
+        row.lhs._require_unit_leading()
+        num = {}
+        for j, coeff in enumerate(row.rhs, 1):
+            u = us[-j]
+            for e1, a in coeff._packed(width).items():
+                for e2, b in u.items():     # in ascending order
+                    e = e1 + e2
+                    if e > trunc:
+                        break
+                    num[e] = num.get(e, 0) + a * b
+        low = min((e for e, c in num.items() if c), default=0)
+        if low < 0:
             raise NegativeExponents(
-                f"recurrence produced negative exponents at ell={ell}: "
-                f"q^{u_ell.min_exp}")
-        us.append(u_ell)
-        yield u_ell
+                f"recurrence produced negative exponents at ell={row.ell}: "
+                f"q^{low}")
+        den = sorted((e, c) for e, c in row.lhs._packed(width).items()
+                     if e > 0)
+        u = {}
+        for e in range(low, trunc + 1):
+            c = num.get(e, 0)
+            for ed, cd in den:
+                if e - ed < low:
+                    break
+                prev = u.get(e - ed)
+                if prev is not None:
+                    c -= cd * prev
+            if c:
+                u[e] = c
+        us.append(u)
+        yield u, width
+
+
+def _decoded_iterates(sys, ell_max, trunc):
+    """Yield ``u_0, ..., u_ell_max`` of :func:`_iterates`, each read back
+    into a ``QLaurent`` as it arrives."""
+    for u, width in _iterates(sys, trunc, ell_max):
+        yield QLaurent._from_packed(trunc, u.items(), width)
 
 
 def run_recurrence(sys, ell_max, trunc):
     """Iterate the main recurrence; returns ``[u_0, ..., u_ell_max]``.
 
-    Each step solves for ``u_ell`` by exact series division; the divisor
-    always starts with constant term 1 for a valid system, and a
-    violation surfaces as ``NonUnitLeadingTerm``; an iterate with a term
-    below ``q^0`` raises ``NegativeExponents``.
+    Each step solves for ``u_ell`` by exact series division on packed
+    coefficients (see :func:`_iterates`); the divisor always starts with
+    constant term 1 for a valid system, and a violation surfaces as
+    ``NonUnitLeadingTerm``; an iterate with a term below ``q^0`` raises
+    ``NegativeExponents``.
     """
     if trunc < 0:
         raise ValueError("trunc must be non-negative")
-    return list(islice(_iterates(sys, trunc), max(ell_max, 0) + 1))
+    return list(_decoded_iterates(sys, max(ell_max, 0), trunc))
 
 
 def verify_key_lemma(sys, k, ell, trunc):
@@ -520,18 +599,18 @@ def limit_u(sys, trunc):
     Runs until the index ``ell`` satisfies ``ell*N - a(1) > trunc`` plus
     one extra step, checks that the two final iterates agree on every
     retained coefficient, and returns the frozen series.  Only those two
-    iterates are kept.
+    iterates are kept, packed, and only the last is read back.
     """
     if trunc < 0:
         raise ValueError("trunc must be non-negative")
     ell_stop = (trunc + sys.a[0]) // sys.N + 1
-    prev, last = deque(islice(_iterates(sys, trunc), ell_stop + 2),
-                       maxlen=2)
+    (prev, _), (last, width) = deque(_iterates(sys, trunc, ell_stop + 1),
+                                     maxlen=2)
     if last != prev:
         raise NotStabilized(
             f"coefficients still moving between steps {ell_stop} "
             f"and {ell_stop + 1}")
-    return last
+    return QLaurent._from_packed(trunc, last.items(), width)
 
 
 # -- the transformation chain ------------------------------------------

@@ -16,6 +16,16 @@ chosen truncation; there is no floating point anywhere.  Values are
 immutable by convention and every operation returns a new object.
 Operands must share truncations; mixing them raises
 ``TruncationMismatch`` instead of silently coercing.
+
+The long runs (the infinite product here, the main recurrence in
+``recurrence_engine``) hold each q-coefficient ``P_e(d)`` packed as the
+one int ``P_e(2^width)``: the coefficient of ``d^k`` sits in the
+``width``-bit slot at bit ``k * width``.  ``d -> 2^width`` is a ring
+map, so sums, products and division steps on the packed ints are exact,
+and each costs one big-int operation per pair of q-terms.  Reading the
+slots back as signed ints is exact once every true coefficient lies in
+``[-2^(width-1), 2^(width-1))``; each run proves such a bound before it
+starts.
 """
 
 from __future__ import annotations
@@ -320,9 +330,7 @@ class QLaurent:
         """
         den = self._coerce(den)
         self._require_same(den)
-        if den.min_exp != 0 or den.coeffs.get(0) != _DPOLY_ONE:
-            raise NonUnitLeadingTerm(
-                "divisor must have leading coefficient 1 at q^0")
+        den._require_unit_leading()
         if self.is_zero():
             return QLaurent.zero(self.trunc)
         den_items = sorted((e, p) for e, p in den.coeffs.items() if e > 0)
@@ -344,6 +352,50 @@ class QLaurent:
             if row:
                 quo[e] = DPoly._wrap(row)
         return QLaurent._wrap_clean(self.trunc, quo)
+
+    def _require_unit_leading(self):
+        """Raise ``NonUnitLeadingTerm`` unless this divisor starts with
+        the constant 1 at ``q**0``."""
+        if self.min_exp != 0 or self.coeffs.get(0) != _DPOLY_ONE:
+            raise NonUnitLeadingTerm(
+                "divisor must have leading coefficient 1 at q^0")
+
+    def _packed(self, width):
+        """``{e: P_e(2**width)}`` for the coefficients ``P_e(d)``: the
+        coefficient of ``d^k q^e`` in the ``width``-bit slot at bit
+        ``k * width`` (slots may borrow from each other, see
+        :meth:`_from_packed`)."""
+        return {e: sum(c << (k * width) for k, c in p.coeffs.items())
+                for e, p in self.coeffs.items()}
+
+    @classmethod
+    def _from_packed(cls, trunc, items, width):
+        """The series whose ``q**e`` coefficient ``P_e`` has
+        ``P_e(2**width)`` the int paired with ``e`` in ``items``.
+
+        Each slot is read as a signed ``width``-bit int and taken off
+        before the shift to the next, which is exact when every
+        coefficient lies in ``[-2^(width-1), 2^(width-1))``.  Every ``e``
+        must be at most ``trunc``.
+        """
+        mask = (1 << width) - 1
+        half = 1 << (width - 1)
+        coeffs = {}
+        for e, packed in items:
+            row = {}
+            k = 0
+            while packed:
+                c = packed & mask
+                packed >>= width
+                if c >= half:       # a negative slot borrowed one above
+                    c -= 1 << width
+                    packed += 1
+                if c:
+                    row[k] = c
+                k += 1
+            if row:
+                coeffs[e] = DPoly._wrap(row)
+        return cls._wrap_clean(trunc, coeffs)
 
     def d0(self):
         """Specialize d = 0, keeping only the ``d**0`` part."""
@@ -604,18 +656,30 @@ def product_F(sys, trunc):
     parts are all congruent to some ``-a(j)`` modulo ``N``, with ``k``
     non-overlined parts.  A generator ``a(j) = N`` allows the parts
     ``0 mod N``, so its factors start at ``q^N``, the least such part.
-    The product is built one factor at a time: a shift-and-add for each
-    ``1 + q^e`` and a one-term division for each ``1 - d q^e``.
+
+    The coefficients are packed at ``d = 2^width`` (see the module
+    docstring), and each factor is two in-place passes over them: a
+    descending add for ``1 + q^e`` and an ascending add for
+    ``1 / (1 - d q^e)``.  The same passes at ``d = 1`` give ``width``:
+    every coefficient there is nonnegative and the sum of the
+    ``(n, k)`` coefficients over ``k``, so it bounds each of them.
     """
     if trunc < 0:
         raise ValueError("trunc must be non-negative")
-    result = QLaurent.one(trunc)
-    for g in sys.a:
-        for e in range((sys.N - g) or sys.N, trunc + 1, sys.N):
-            result = result + result.scale_by_monomial(e)
-            result = result.divide(
-                QLaurent.one(trunc) + QLaurent.monomial(trunc, e, 1, -1))
-    return result
+    exps = [e for g in sys.a
+            for e in range((sys.N - g) or sys.N, trunc + 1, sys.N)]
+
+    def expand(width):
+        c = [1] + [0] * trunc
+        for e in exps:
+            for i in range(trunc, e - 1, -1):       # times 1 + q^e
+                c[i] += c[i - e]
+            for i in range(e, trunc + 1):           # over 1 - d q^e
+                c[i] += c[i - e] << width
+        return c
+
+    width = max(expand(0)).bit_length() + 1
+    return QLaurent._from_packed(trunc, enumerate(expand(width)), width)
 
 
 def substitute_x(f, m, N):

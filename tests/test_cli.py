@@ -411,7 +411,7 @@ class TestExitCodes:
         NonUnitLeadingTerm("divisor has no unit constant term"),
     ])
     def test_recurrence_failures_exit_1(self, capsys, monkeypatch, exc):
-        monkeypatch.setattr(cli, "run_recurrence", _raiser(exc))
+        monkeypatch.setattr(cli, "_decoded_iterates", _raiser(exc))
         code, _, err = run_cli(capsys, "verify", "--N", "7", "--a", "1,2,4",
                                "--trunc", "10", "--checks", "rec",
                                "--output", "json")

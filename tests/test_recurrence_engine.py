@@ -1,6 +1,6 @@
 import tracemalloc
 from bisect import bisect_right
-from itertools import count
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,6 +315,103 @@ class TestRunRecurrence:
             recurrence_engine._rec_rhs(row, [one, one], 5)
 
 
+def reference_iterates(sys, steps, trunc):
+    """``u_0 .. u_steps`` and the ``num`` of each step, on ``QLaurent``:
+    each row's right-hand side multiplied out with the general product
+    and divided by its ``lhs`` (``nums[0]`` is ``u_0``)."""
+    us = [QLaurent.one(trunc)]
+    nums = [QLaurent.one(trunc)]
+    for ell in range(1, steps + 1):
+        row = recurrence_engine._rec_row(sys, ell, trunc)
+        nums.append(recurrence_engine._rec_rhs(row, us, trunc))
+        us.append(nums[-1].divide(row.lhs))
+    return us, nums
+
+
+def negated_first_rhs(real):
+    """``_rec_row`` with ``rhs[0]`` negated, so the iterates go negative."""
+    def row(sys, ell, trunc, columns=None):
+        got = real(sys, ell, trunc, columns)
+        return recurrence_engine.RecRow(
+            lhs=got.lhs, rhs=(-got.rhs[0],) + got.rhs[1:], ell=ell)
+    return row
+
+
+def limit_steps(sys, trunc):
+    """The last index :func:`limit_u` iterates to."""
+    return (trunc + sys.a[0]) // sys.N + 2
+
+
+def max_abs(series):
+    return max((abs(c) for _, _, c in series.terms()), default=0)
+
+
+class TestPackedIterates:
+    """The packed recurrence against the ``QLaurent`` route."""
+
+    def check(self, sys_, trunc):
+        steps = limit_steps(sys_, trunc)
+        us, nums = reference_iterates(sys_, steps, trunc)
+        assert run_recurrence(sys_, steps, trunc) == us
+        rows = [recurrence_engine._rec_row(sys_, ell, trunc)
+                for ell in range(1, steps + 1)]
+        bounds = recurrence_engine._iterate_bounds(sys_, rows, trunc)
+        assert len(bounds) == steps + 1
+        for ell in range(steps + 1):
+            assert bounds[ell] >= max(max_abs(us[ell]), max_abs(nums[ell])), \
+                ell
+        return us
+
+    @pytest.mark.parametrize("trunc", [0, 1, 30, 60])
+    def test_battery(self, battery, trunc):
+        for sys_ in battery:
+            us = self.check(sys_, trunc)
+            assert us[-1] == us[-2]
+            assert limit_u(sys_, trunc) == us[-1]
+
+    @settings(max_examples=20, deadline=None)
+    @given(admissible_systems(r_min=2, r_max=3),
+           st.sampled_from([0, 1, 30, 60]))
+    def test_drawn_systems(self, system, trunc):
+        sys_ = build_system(system[1], system[0])
+        us = self.check(sys_, trunc)
+        assert limit_u(sys_, trunc) == us[-1]
+
+    @pytest.mark.parametrize("trunc", [1, 30, 60])
+    def test_negative_slots(self, battery, trunc):
+        # the true iterates are nonnegative; only a perturbed row puts
+        # negative coefficients in the packed slots
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recurrence_engine, "_rec_row",
+                       negated_first_rhs(recurrence_engine._rec_row))
+            for sys_ in battery:
+                us = self.check(sys_, trunc)
+                assert any(c < 0 for u in us for _, _, c in u.terms())
+                if us[-1] == us[-2]:
+                    assert limit_u(sys_, trunc) == us[-1]
+                else:
+                    with pytest.raises(NotStabilized):
+                        limit_u(sys_, trunc)
+
+    @settings(max_examples=15, deadline=None)
+    @given(admissible_systems(r_min=2, r_max=3), st.sampled_from([1, 30]))
+    def test_negative_slots_on_drawn_systems(self, system, trunc):
+        sys_ = build_system(system[1], system[0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recurrence_engine, "_rec_row",
+                       negated_first_rhs(recurrence_engine._rec_row))
+            self.check(sys_, trunc)
+
+    def test_slot_width_at_trunc_120(self, sys3):
+        # the slots are sized from the rows' majorants before the run: the
+        # limit's coefficients need 29 bits and a sign, the majorants 37
+        steps = limit_steps(sys3, 120)
+        (_, width), = islice(
+            recurrence_engine._iterates(sys3, 120, steps), 1, 2)
+        assert max_abs(limit_u(sys3, 120)).bit_length() == 29
+        assert 30 <= width <= 37
+
+
 class TestKeyLemma:
     def test_degenerate_cutoff(self, sys7):
         assert verify_key_lemma(sys7, 1, 3, 20).is_zero()
@@ -431,9 +528,8 @@ class TestLimit:
             recurrence_engine.run_recurrence(sys7, 2, 10)
 
     def test_not_stabilized_diagnostic(self, sys7, monkeypatch):
-        def drifting(sys, trunc):
-            return (QLaurent.monomial(trunc, 0, 0, ell + 1)
-                    for ell in count())
+        def drifting(sys, trunc, steps):
+            return (({0: ell + 1}, 8) for ell in range(steps + 1))
         monkeypatch.setattr(recurrence_engine, "_iterates", drifting)
         with pytest.raises(NotStabilized):
             recurrence_engine.limit_u(sys7, 10)

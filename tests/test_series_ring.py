@@ -17,10 +17,23 @@ from overpart import (
     substitute_x,
 )
 
-from conftest import factor_product
+from conftest import admissible_systems, factor_product
 
 
 # -- independent oracles ----------------------------------------------
+
+
+def product_by_one_term_divisions(sys, trunc):
+    """The product of :func:`product_F` built on ``QLaurent`` one factor
+    at a time: a shift-and-add for each ``1 + q^e`` and a one-term
+    division for each ``1 - d q^e``."""
+    result = QLaurent.one(trunc)
+    for g in sys.a:
+        for e in range((sys.N - g) or sys.N, trunc + 1, sys.N):
+            result = result + result.scale_by_monomial(e)
+            result = result.divide(
+                QLaurent.one(trunc) + QLaurent.monomial(trunc, e, 1, -1))
+    return result
 
 
 def poly_mul(a, b):
@@ -367,6 +380,72 @@ class TestProductF:
         # parts are 0 mod N, so the factors start at q^N, not at q^0
         sys_ = build_system([N], N)
         assert product_F(sys_, 20) == count_F(sys_, 20)
+
+    def test_battery_matches_one_factor_route(self, battery):
+        for sys_ in battery:
+            for trunc in (0, 1, 30, 60):
+                assert product_F(sys_, trunc) \
+                    == product_by_one_term_divisions(sys_, trunc), \
+                    (sys_.N, trunc)
+
+    @settings(max_examples=25, deadline=None)
+    @given(admissible_systems(r_max=3), st.sampled_from([0, 1, 30, 60]))
+    def test_drawn_systems_match_one_factor_route(self, system, trunc):
+        sys_ = build_system(system[1], system[0])
+        assert product_F(sys_, trunc) \
+            == product_by_one_term_divisions(sys_, trunc)
+
+
+# -- packed coefficients -------------------------------------------------
+
+
+@st.composite
+def packable_series(draw):
+    """``(width, series)`` with every coefficient in the signed slot
+    range of ``width`` bits, the slot edges drawn often."""
+    width = draw(st.integers(2, 70))
+    top = 1 << (width - 1)
+    coeff = st.one_of(st.sampled_from([top - 1, -(top - 1), -top, 1, -1]),
+                      st.integers(-top, top - 1))
+    terms = draw(st.lists(
+        st.tuples(st.integers(-5, 12), st.integers(0, 8), coeff),
+        max_size=30, unique_by=lambda t: t[:2]))
+    return width, QLaurent.from_terms(12, terms)
+
+
+class TestPacked:
+    @settings(max_examples=200, deadline=None)
+    @given(packable_series())
+    def test_round_trip(self, case):
+        width, series = case
+        packed = series._packed(width)
+        assert QLaurent._from_packed(12, packed.items(), width) == series
+
+    @pytest.mark.parametrize("width", [2, 3, 29, 64])
+    def test_slot_edges_next_to_each_other(self, width):
+        top = 1 << (width - 1)
+        row = {0: -top, 1: top - 1, 2: -(top - 1), 3: -top, 4: -1, 6: 1}
+        series = QLaurent.from_terms(
+            3, [(e, k, c) for e in (-1, 3) for k, c in row.items()])
+        packed = series._packed(width)
+        assert set(packed) == {-1, 3}
+        assert QLaurent._from_packed(3, packed.items(), width) == series
+
+    def test_sums_and_products_stay_exact(self):
+        # d -> 2^width is a ring map: the packed product of two series
+        # reads back as their product while its coefficients fit
+        width = 12
+        a = QLaurent.from_terms(6, [(0, 0, 1), (1, 1, -3), (2, 3, 7)])
+        b = QLaurent.from_terms(6, [(0, 2, -5), (3, 0, 2), (4, 1, 1)])
+        pa, pb = a._packed(width), b._packed(width)
+        prod = {}
+        for e1, x in pa.items():
+            for e2, y in pb.items():
+                if e1 + e2 <= 6:
+                    prod[e1 + e2] = prod.get(e1 + e2, 0) + x * y
+        assert QLaurent._from_packed(6, prod.items(), width) == a * b
+        summed = {e: pa.get(e, 0) + pb.get(e, 0) for e in pa.keys() | pb}
+        assert QLaurent._from_packed(6, summed.items(), width) == a + b
 
 
 # -- XSeries -------------------------------------------------------------
