@@ -186,6 +186,10 @@ PINNED_FORMATS = {
     ("verify", "--checks", "chain", "--trunc", "30", "--x-trunc", "4",
      "--output", "json"):
         "cf706709ee23ac5f40b445e15faaf2520f162e8934f5a5f7d999927ba9530b2b",
+    # ell-max past x-trunc: eq covers x^0..x^3 and rec_prime ell 1..9
+    ("verify", "--checks", "chain", "--trunc", "30", "--x-trunc", "3",
+     "--ell-max", "9", "--output", "json"):
+        "2b31bd97ecc2a4aa1f7fefd3db168035923cd2e40b905f38abe1f9051586e0cd",
 }
 
 
