@@ -59,7 +59,6 @@ from .series_ring import (
     XSeries,
     product_F,
     qbinomial,
-    substitute_x,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +67,7 @@ __all__ = [
     "AlphaSystem", "InvalidSystem", "DominanceViolated", "SumsNotDistinct",
     "ModulusTooSmall", "build_system", "beta", "alpha_weight_sum",
     "DPoly", "QLaurent", "XSeries", "TruncationMismatch",
-    "NonUnitLeadingTerm", "qbinomial", "product_F", "substitute_x",
+    "NonUnitLeadingTerm", "qbinomial", "product_F",
     "Overpartition", "MalformedOverpartition",
     "count_all_overpartitions", "count_F", "check_G_conditions", "count_G",
     "count_G_andrews_k0",

@@ -34,7 +34,7 @@ from types import MappingProxyType
 from .alpha_system import alpha_weight_sum, build_system
 from .enumeration import _Completions
 from .series_ring import (
-    DPoly, QLaurent, XSeries, product_F, qbinomial, substitute_x)
+    DPoly, QLaurent, XSeries, product_F, qbinomial)
 
 
 class ConventionOutOfRange(ValueError):
@@ -667,51 +667,45 @@ class ChainReport:
 
 def _chain_pad(sys, *tables):
     """Headroom above ``trunc`` that keeps the chain's residuals exact:
-    minus the most negative exponent of ``q^(mjN) M[m, j]`` over the
+    minus the most negative exponent of ``q^(m(j+1)N) M[m, j]`` over the
     multiplier tables, clamped at 0.
 
-    Only these multipliers reach below ``q^0``, and a residual applies
-    ``M[m, j]`` with at least ``q^(mjN)``.  The recurrence rows have no
-    negative exponents (checked on 12 systems, ``ell <= 7``); the factors
-    in ``num``, ``den``, the x-product and ``mu`` have none either, and
-    each divisor starts with the constant 1.  So ``u``, ``beta``, ``G``
-    and ``mu`` stay exact up to the working truncation.
+    Row ``ell`` of :func:`_coeff_residuals` applies ``q^(m ell N) M[m, j]``
+    to ``y_(ell-j)``.  At ``ell = j`` that is ``y_0 = 1``, which is exact
+    at any truncation; a truncated iterate meets the multiplier only at
+    ``ell >= j + 1``.  A term ``q^a`` of ``M[m, j]`` then needs ``y`` exact
+    up to ``trunc - a - m(j+1)N``, which this headroom gives.  No other
+    factor reaches below ``q^0``: the recurrence rows, ``num``, ``den``,
+    the x-product and the reduced rows have no negative exponents, and
+    each divisor starts with the constant 1, so ``u``, ``beta``, ``G`` and
+    ``mu`` stay exact up to the working truncation.
     """
-    return max(0, -min(M.min_exp + m * j * sys.N
+    return max(0, -min(M.min_exp + m * (j + 1) * sys.N
                        for tab in tables for (m, j), M in tab.items()))
 
 
-def _qdiff_residual(sys, F, M, trunc):
-    """First nonzero ``(x, q, d, c)`` below ``q^trunc``, or None, of
-    ``F - xF - sum_m (-1)^(m+1) M_m(x) F(xq^(mN))``, where
-    ``M_m(x) = sum_j M[m, j] q^(mjN) x^j`` and a missing pair is 0."""
-    N, x_trunc = sys.N, F.x_trunc
-    zero = QLaurent.zero(F.trunc)
-    res = F - F.shift_x(1)
-    for m in range(1, sys.r + 1):
-        mult = XSeries(x_trunc, [
-            M.get((m, j), zero).scale_by_monomial(m * j * N, 0, 1)
-            for j in range(x_trunc + 1)])
-        res = res - (mult * substitute_x(F, m, N)) * _sign(m + 1)
-    return res.with_q_trunc(trunc).first_nonzero()
+def _coeff_residuals(sys, ys, M, trunc):
+    """The first offender ``(ell, q, d, c)`` below ``q^trunc``, or None,
+    of each row ``0 <= ell < len(ys)`` of ``y_l = y_(l-1) + sum_(j<=min(r,
+    l)) (sum_m (-1)^(m+1) q^(mlN) M[m, j]) y_(l-j)``, with ``y_(-1) = 0``.
 
-
-def _rec_residual(sys, ys, M, ell_hi, trunc):
-    """First offender ``(ell, q, d, c)`` below ``q^trunc``, or None, of
-    ``y_l = y_(l-1) + sum_(j<=min(r,l)) (sum_m (-1)^(m+1) q^(mlN) M[m, j])
-    y_(l-j)`` for ``1 <= l <= ell_hi``: the ``x^l`` coefficient of
-    :func:`_qdiff_residual`'s equation for ``F = sum_l y_l x^l``."""
+    Row ``ell`` is the ``x^ell`` coefficient of the q-difference equation
+    ``F = xF + sum_m (-1)^(m+1) M_m(x) F(xq^(mN))`` for ``F = sum_l y_l
+    x^l``, where ``M_m(x) = sum_j M[m, j] q^(mjN) x^j``, so one pass checks
+    both the equation and the coefficient recurrence.
+    """
     N, r = sys.N, sys.r
-    for ell in range(1, ell_hi + 1):
-        res = ys[ell] - ys[ell - 1]
+    offenders = []
+    for ell, y in enumerate(ys):
+        res = y - ys[ell - 1] if ell else y
         for j in range(min(r, ell) + 1):
             mult = _multiplier(N, ell, (M[m, j] for m in range(1, r + 1)),
                                res.trunc)
             res = res - mult * ys[ell - j]
         res = res.with_trunc(trunc)
-        if not res.is_zero():
-            return (ell,) + res.first_nonzero()
-    return None
+        offenders.append(None if res.is_zero()
+                         else (ell,) + res.first_nonzero())
+    return offenders
 
 
 def _x_factor_product(sys, x_trunc, trunc):
@@ -769,26 +763,31 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
 
     report = ChainReport(system=sys, trunc=trunc, x_trunc=x_trunc)
 
-    def record(name, residual_first_offender):
-        ok = residual_first_offender is None
-        detail = "" if ok else f"first offender {residual_first_offender}"
-        report.stages.append(ChainStage(name, ok, detail))
+    def record(name, *offenders):
+        first = next(filter(None, offenders), None)
+        detail = "" if first is None else f"first offender {first}"
+        report.stages.append(ChainStage(name, first is None, detail))
 
-    record("rec_prime", _rec_residual(sys, betas, left, ell_max, trunc))
-    f = XSeries(x_trunc, betas[:x_trunc + 1])
-    record("eq", _qdiff_residual(sys, f, left, trunc))
+    # the x^l rows of eq are the rows l of rec_prime, plus x^0
+    rows = _coeff_residuals(sys, betas, left, trunc)
+    record("rec_prime", *rows[1:])
+    record("eq", *rows[:x_trunc + 1])
     # the same series satisfies the reduced-form q-difference equation
-    record("eq_prime", _qdiff_residual(sys, f, right, trunc))
+    record("eq_prime",
+           *_coeff_residuals(sys, betas[:x_trunc + 1], right, trunc))
 
-    # divide out the x-product and check the quotient's equation
+    # divide out the x-product; the quotient's equation and recurrence
+    # are again one set of rows
+    f = XSeries(x_trunc, betas[:x_trunc + 1])
     xprod = _x_factor_product(sys, x_trunc, work)
     G = f.divide(xprod)
     g_recon = G * xprod
     if g_recon != f:
         raise RoundTripMismatch("x-product division failed to invert")
-    record("eq_dprime", _qdiff_residual(sys, G, e, trunc))
     s = list(G.coeffs)
-    record("rec_dprime", _rec_residual(sys, s, e, x_trunc, trunc))
+    rows = _coeff_residuals(sys, s, e, trunc)
+    record("eq_dprime", *rows)
+    record("rec_dprime", *rows[1:])
 
     # mu satisfies the reduced system's main recurrence
     reduced = build_system(sys.a[:-1], N)

@@ -9,7 +9,9 @@ needs three levels of structure:
 * ``QLaurent`` - Laurent series in ``q`` truncated above at ``trunc``,
   with ``DPoly`` coefficients; negative ``q``-exponents are kept exactly,
 * ``XSeries``  - series in an auxiliary variable ``x`` truncated at
-  ``x_trunc``, with ``QLaurent`` coefficients.
+  ``x_trunc``, with ``QLaurent`` coefficients; the transformation chain
+  uses it only to divide out its x-product and multiply the quotient
+  back.  Its q-difference equations are checked on coefficient lists.
 
 All coefficients are Python integers, so everything is exact at the
 chosen truncation; there is no floating point anywhere.  Values are
@@ -503,11 +505,6 @@ class XSeries:
         self.coeffs = coeffs
 
     @classmethod
-    def zero(cls, x_trunc, trunc):
-        z = QLaurent.zero(trunc)
-        return cls(x_trunc, [z] * (x_trunc + 1))
-
-    @classmethod
     def one(cls, x_trunc, trunc):
         row = [QLaurent.one(trunc)]
         row += [QLaurent.zero(trunc)] * x_trunc
@@ -529,14 +526,6 @@ class XSeries:
         self._require_same(other)
         return XSeries(self.x_trunc,
                        [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._require_same(other)
-        return XSeries(self.x_trunc,
-                       [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return XSeries(self.x_trunc, [-a for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, DPoly, QLaurent)):
@@ -578,21 +567,6 @@ class XSeries:
                 acc = acc - den.coeffs[i] * quo[j - i]
             quo.append(acc)
         return XSeries(self.x_trunc, quo)
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def first_nonzero(self):
-        """First nonzero ``(x_deg, q_exp, d_deg, coeff)``, or None."""
-        for j, c in enumerate(self.coeffs):
-            t = c.first_nonzero()
-            if t is not None:
-                return (j,) + t
-        return None
-
-    def with_q_trunc(self, new_trunc):
-        return XSeries(self.x_trunc,
-                       [c.with_trunc(new_trunc) for c in self.coeffs])
 
     def __eq__(self, other):
         if not isinstance(other, XSeries):
@@ -681,11 +655,3 @@ def product_F(sys, trunc):
     width = max(expand(0)).bit_length() + 1
     return QLaurent._from_packed(trunc, enumerate(expand(width)), width)
 
-
-def substitute_x(f, m, N):
-    """The series ``x -> f(x * q**(m*N))``."""
-    if m <= 0 or N <= 0:
-        raise ValueError("m and N must be positive")
-    return XSeries(f.x_trunc, [
-        c.scale_by_monomial(j * m * N) for j, c in enumerate(f.coeffs)
-    ])

@@ -660,20 +660,173 @@ def _family_pad(sys, *tables):
     return max(sys.N, -(min_c + min_b), -(min_f + min_e) + sys.a[-1])
 
 
+def _chain_report(sys_, ell_max, x_trunc, trunc):
+    """The report of a passing or failing chain."""
+    try:
+        return verify_chain(sys_, ell_max, x_trunc, trunc)
+    except ChainBroken as exc:
+        return exc.report
+
+
 def _chain_outputs(sys_, ell_max, x_trunc, trunc):
     """Stage names and details, report JSON and every state series cut to
     ``trunc``, of a passing or failing chain."""
-    try:
-        report = verify_chain(sys_, ell_max, x_trunc, trunc)
-    except ChainBroken as exc:
-        report = exc.report
+    report = _chain_report(sys_, ell_max, x_trunc, trunc)
     state = report.state
     cut = {name: [x.with_trunc(trunc) for x in getattr(state, name)]
            for name in ("u", "beta", "s", "mu")}
-    cut.update({name: getattr(state, name).with_q_trunc(trunc)
+    cut.update({name: [x.with_trunc(trunc)
+                       for x in getattr(state, name).coeffs]
                 for name in ("f", "G", "g")})
     return ([(st_.name, st_.detail) for st_ in report.stages],
             report.to_json_obj(), cut)
+
+
+def _tmj_plus_one(side):
+    """``_tmj`` with 1 added to side ``side`` of ``T(1, 2)`` (None: as is);
+    the extra 1 reaches ``x^2`` (and ``ell = 2``) first."""
+    real = recurrence_engine._tmj
+
+    def tmj(sys, m, j):
+        sides = list(real(sys, m, j))
+        if (m, j) == (1, 2) and side is not None:
+            sides[side] = sides[side] + QLaurent.one(0)
+        return tuple(sides)
+    return tmj
+
+
+def _chain_tables(sys, work):
+    """``left``, ``right`` and ``e`` as :func:`verify_chain` builds them,
+    at ``work``, through ``recurrence_engine._tmj`` (so a patched one)."""
+    r = sys.r
+    e = {(m, j): coeff_e(sys, m, j, work)
+         for m in range(1, r + 1) for j in range(r + 1)}
+    left = {(m, 0): e[m, 0] for m in range(1, r + 1)}
+    right = dict(left)
+    for m in range(1, r + 1):
+        for j in range(1, r + 1):
+            left[m, j], right[m, j] = (side.with_trunc(work) for side
+                                       in recurrence_engine._tmj(sys, m, j))
+    return left, right, e
+
+
+def _first(rows):
+    return next((row for row in rows if row is not None), None)
+
+
+# -- the x-series route, a test-only reference --------------------------
+
+
+def xseries_pad(sys, *tables):
+    """The headroom the x-series route needs: minus the most negative
+    exponent of ``q^(mjN) M[m, j]``, clamped at 0.
+
+    That route scales ``y_(l-j)`` by ``q^(m(l-j)N)`` within the working
+    truncation before the multiplier ``q^(mjN) M[m, j]`` meets it, which
+    cuts the iterate ``m(l-j)N`` lower than the coefficient rows do."""
+    return max(0, -min(M.min_exp + m * j * sys.N
+                       for tab in tables for (m, j), M in tab.items()))
+
+
+def qdiff_rows(sys, F, M, trunc):
+    """The first offender ``(x, q, d, c)`` below ``q^trunc``, or None, of
+    each ``x^l`` coefficient of ``F - xF - sum_m (-1)^(m+1) M_m(x)
+    F(xq^(mN))``, where ``M_m(x) = sum_j M[m, j] q^(mjN) x^j`` and a
+    missing pair is 0, computed on the ``XSeries`` ``F`` as a whole."""
+    N, x_trunc = sys.N, F.x_trunc
+    zero = QLaurent.zero(F.trunc)
+    res = F + F.shift_x(1) * -1
+    for m in range(1, sys.r + 1):
+        mult = XSeries(x_trunc, [
+            M.get((m, j), zero).scale_by_monomial(m * j * N, 0, 1)
+            for j in range(x_trunc + 1)])
+        at_xq = XSeries(x_trunc, [c.scale_by_monomial(j * m * N)
+                                  for j, c in enumerate(F.coeffs)])
+        res = res + mult * at_xq * (-1) ** m
+    firsts = (c.with_trunc(trunc).first_nonzero() for c in res.coeffs)
+    return [None if t is None else (ell,) + t for ell, t in enumerate(firsts)]
+
+
+def reference_stages(sys_, ell_max, x_trunc, trunc):
+    """Names and details of the stages ``rec_prime`` to ``rec_dprime``, read
+    off :func:`qdiff_rows` on the state of a chain run at
+    :func:`xseries_pad`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recurrence_engine, "_chain_pad", xseries_pad)
+        state = _chain_report(sys_, ell_max, x_trunc, trunc).state
+    left, right, e = _chain_tables(sys_, state.u[0].trunc)
+    rows = qdiff_rows(sys_, XSeries(ell_max, state.beta), left, trunc)
+    g_rows = qdiff_rows(sys_, state.G, e, trunc)
+    found = [("rec_prime", rows[1:]), ("eq", rows[:x_trunc + 1]),
+             ("eq_prime", qdiff_rows(sys_, state.f, right, trunc)),
+             ("eq_dprime", g_rows), ("rec_dprime", g_rows[1:])]
+    return [(name, "" if _first(r) is None else f"first offender {_first(r)}")
+            for name, r in found]
+
+
+class TestXSeriesReference:
+    """The coefficient rows report what the x-series route reports, stage
+    for stage, each at its own pad."""
+
+    @pytest.mark.parametrize("bad_side", [None, 0, 1])
+    def test_battery_matches_xseries_route(self, battery, monkeypatch,
+                                           bad_side):
+        monkeypatch.setattr(recurrence_engine, "_tmj",
+                            _tmj_plus_one(bad_side))
+        for sys_ in battery:
+            for ell_max, x_trunc, trunc in ((5, 5, 30), (7, 3, 30)):
+                got = [(st_.name, st_.detail) for st_ in
+                       _chain_report(sys_, ell_max, x_trunc, trunc).stages]
+                assert got[:5] == reference_stages(
+                    sys_, ell_max, x_trunc, trunc), (sys_.N, sys_.a)
+                assert (bad_side is None) == all(
+                    detail == "" for _, detail in got)
+
+    @settings(max_examples=25, deadline=None)
+    @given(admissible_systems(r_min=2), st.integers(0, 12),
+           st.integers(0, 3), st.integers(0, 2),
+           st.sampled_from([None, 0, 1]))
+    def test_random_systems_match_xseries_route(self, system, trunc,
+                                                x_trunc, extra, bad_side):
+        sys_ = build_system(system[1], system[0])
+        ell_max = x_trunc + extra
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(recurrence_engine, "_tmj", _tmj_plus_one(bad_side))
+            got = [(st_.name, st_.detail) for st_ in
+                   _chain_report(sys_, ell_max, x_trunc, trunc).stages]
+            assert got[:5] == reference_stages(sys_, ell_max, x_trunc, trunc)
+
+    def test_xseries_route_leaks_one_below_its_pad(self, sys3):
+        # the x-series route needs 1 above trunc on 3/{1,2}; at 0 it reads
+        # a wrong q^30 coefficient at x^1, where the rows are exact
+        report = verify_chain(sys3, 5, 5, 30)
+        assert report.state.u[0].trunc == 30
+        tables = _chain_tables(sys3, 30)
+        assert xseries_pad(sys3, *tables) == 1
+        assert _first(qdiff_rows(sys3, report.state.f, tables[0], 30)) \
+            == (1, 30, 14, 1)
+        assert report.verdict == "pass"
+
+
+def solved_rows(sys, M, ell_max, trunc):
+    """``y_0 = 1, y_1, ..., y_ell_max`` solving the rows of
+    ``recurrence_engine._coeff_residuals`` for the table ``M``: row
+    ``ell`` is ``(1 - A_0) y_ell = y_(ell-1) + sum_(j>=1) A_j y_(ell-j)``
+    with ``A_j = sum_m (-1)^(m+1) q^(m ell N) M[m, j]``."""
+    N, r = sys.N, sys.r
+    one = QLaurent.one(trunc)
+    ys = [one]
+    for ell in range(1, ell_max + 1):
+        A = [QLaurent.zero(trunc)] * (min(r, ell) + 1)
+        for j in range(len(A)):
+            for m in range(1, r + 1):
+                A[j] = A[j] + M[m, j].with_trunc(trunc).scale_by_monomial(
+                    m * ell * N, 0, (-1) ** (m + 1))
+        rhs = ys[ell - 1]
+        for j in range(1, len(A)):
+            rhs = rhs + A[j] * ys[ell - j]
+        ys.append(rhs.divide(one - A[0]))
+    return ys
 
 
 class TestChainPad:
@@ -685,7 +838,7 @@ class TestChainPad:
         for sys_ in battery:
             state = verify_chain(sys_, 2, 2, 10).state
             pads.append(state.u[0].trunc - 10)
-        assert pads == [1, 3, 4, 7]
+        assert pads == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("bad_side", [None, 0])
     def test_battery_matches_family_pad(self, battery, monkeypatch,
@@ -720,67 +873,136 @@ class TestChainPad:
             want = _chain_outputs(sys_, x_trunc + extra, x_trunc, trunc)
         assert got == want
 
-    # 15/{1,2,4,8} still passes at pad - 1 at this depth, so it is not a case
+    # a term d q^(-2N-10) on left[1, 1] sets the pad to 10: it meets y_1
+    # at ell = 2, and one less drops a y_1 term that lands on q^trunc;
+    # trunc >= 2rN, so no multiplier term of rows 0..2 is cut
     @pytest.mark.parametrize("system,offender", [
-        ((3, (1, 2)), (1, 30, 14, 1)),
-        ((7, (1, 2, 4)), (2, 30, 2, -1)),
-        ((9, (1, 3, 5)), (1, 30, 3, -1)),
+        ((3, (1, 2)), (2, 30, 1, 1)),
+        ((7, (1, 2, 4)), (2, 50, 2, 2)),
+        ((9, (1, 3, 5)), (2, 60, 2, 1)),
+        ((15, (1, 2, 4, 8)), (2, 130, 2, 1)),
     ])
-    def test_one_below_the_pad_breaks_eq(self, monkeypatch, system,
-                                         offender):
-        real = recurrence_engine._chain_pad
-        monkeypatch.setattr(recurrence_engine, "_chain_pad",
-                            lambda sys, *tables: real(sys, *tables) - 1)
-        with pytest.raises(ChainBroken) as exc:
-            verify_chain(build_system(system[1], system[0]), 5, 5, 30)
-        assert exc.value.stage == "eq"
-        assert exc.value.report.first_failure().detail \
-            == f"first offender {offender}"
+    def test_one_below_the_pad_breaks_eq(self, system, offender):
+        sys_ = build_system(system[1], system[0])
+        trunc = offender[1]
+        left = _chain_tables(sys_, 0)[0]
+        left[1, 1] = left[1, 1] + QLaurent.monomial(0, -2 * sys_.N - 10, 1)
+        pad = recurrence_engine._chain_pad(sys_, left)
+        assert pad == 10
+        # exact far above trunc + pad: each row loses 10 at most
+        ys = solved_rows(sys_, left, 2, trunc + 100)
+        rows = {}
+        for p in (pad, pad - 1):
+            work = trunc + p
+            rows[p] = recurrence_engine._coeff_residuals(
+                sys_, [y.with_trunc(work) for y in ys],
+                {key: M.with_trunc(work) for key, M in left.items()}, trunc)
+        assert rows == {pad: [None] * 3, pad - 1: [None, None, offender]}
 
 
 class TestChainResiduals:
-    """Each residual helper names the first perturbed ``ell`` or x-degree.
+    """The coefficient rows name the first perturbed ``ell`` and agree
+    with the x-series route row by row.
 
-    The inputs are the ``s`` and ``G`` of a passing 3/{1,2} chain and the
-    ``e`` table, whose equations they satisfy.
+    The inputs are the ``s`` and ``G`` of a passing 3/{1,2} chain, run at
+    the x-series route's pad, and the ``e`` table, whose equations they
+    satisfy.
     """
 
     @pytest.fixture(scope="class")
     def chain3(self, sys3):
-        state = verify_chain(sys3, 5, 5, 20).state
-        work = state.u[0].trunc
-        e = {(m, j): coeff_e(sys3, m, j, work)
-             for m in (1, 2) for j in range(3)}
-        return state, e
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(recurrence_engine, "_chain_pad", xseries_pad)
+            state = verify_chain(sys3, 5, 5, 20).state
+        return state, _chain_tables(sys3, state.u[0].trunc)[2]
 
     def test_rec_residual_names_perturbed_s(self, sys3, chain3):
         state, e = chain3
-        assert recurrence_engine._rec_residual(sys3, state.s, e, 5, 20) \
-            is None
+        residuals = recurrence_engine._coeff_residuals
+        assert residuals(sys3, state.s, e, 20) == [None] * 6
         s = list(state.s)
         s[3] = s[3] + QLaurent.monomial(s[3].trunc, 4, 1)
-        assert recurrence_engine._rec_residual(sys3, s, e, 5, 20) \
-            == (3, 4, 1, 1)
+        assert residuals(sys3, s, e, 20)[:4] == [None] * 3 + [(3, 4, 1, 1)]
 
     def test_rec_residual_names_perturbed_row(self, sys3, chain3):
         state, e = chain3
         e = dict(e)
         e[1, 2] = e[1, 2] + QLaurent.one(e[1, 2].trunc)
-        assert recurrence_engine._rec_residual(sys3, state.s, e, 5, 20) \
-            == (2, 6, 0, -1)
+        assert recurrence_engine._coeff_residuals(sys3, state.s, e, 20)[:3] \
+            == [None] * 2 + [(2, 6, 0, -1)]
 
     def test_qdiff_residual_names_perturbed_series(self, sys3, chain3):
         state, e = chain3
         G = state.G
-        assert recurrence_engine._qdiff_residual(sys3, G, e, 20) is None
-        rows = list(G.coeffs)
-        rows[3] = rows[3] + QLaurent.monomial(G.trunc, 4, 1)
-        assert recurrence_engine._qdiff_residual(
-            sys3, XSeries(G.x_trunc, rows), e, 20) == (3, 4, 1, 1)
+        assert qdiff_rows(sys3, G, e, 20) == [None] * 6
+        s = list(G.coeffs)
+        s[3] = s[3] + QLaurent.monomial(G.trunc, 4, 1)
+        rows = recurrence_engine._coeff_residuals(sys3, s, e, 20)
+        assert rows == qdiff_rows(sys3, XSeries(G.x_trunc, s), e, 20)
+        assert _first(rows) == (3, 4, 1, 1)
 
     def test_qdiff_residual_names_perturbed_row(self, sys3, chain3):
         state, e = chain3
         e = dict(e)
         e[2, 1] = e[2, 1] + QLaurent.one(e[2, 1].trunc)
-        assert recurrence_engine._qdiff_residual(sys3, state.G, e, 20) \
-            == (1, 6, 0, 1)
+        rows = recurrence_engine._coeff_residuals(sys3, state.s, e, 20)
+        assert rows == qdiff_rows(sys3, state.G, e, 20)
+        assert _first(rows) == (1, 6, 0, 1)
+
+    def test_x0_row_names_perturbed_multiplier(self, sys3, chain3):
+        # M[m, 0] meets y_0 unscaled at x^0, the row eq has and rec_prime
+        # does not
+        state, e = chain3
+        e = dict(e)
+        e[1, 0] = e[1, 0] + QLaurent.monomial(e[1, 0].trunc, 2, 1)
+        rows = recurrence_engine._coeff_residuals(sys3, state.s, e, 20)
+        assert rows == qdiff_rows(sys3, state.G, e, 20)
+        assert rows[0] == (0, 2, 1, -1)
+
+    def test_x0_row_fails_the_equations_only(self, sys3, monkeypatch):
+        # a d on e(1, 0), which is M[1, 0] of all three tables
+        real = recurrence_engine.coeff_e
+
+        def bumped(sys, m, j, trunc=0):
+            c = real(sys, m, j, trunc)
+            if (m, j) == (1, 0):
+                c = c + QLaurent.monomial(c.trunc, 0, 1)
+            return c
+        monkeypatch.setattr(recurrence_engine, "coeff_e", bumped)
+        with pytest.raises(ChainBroken) as exc:
+            verify_chain(sys3, 5, 3, 20)
+        assert [(st_.name, st_.detail) for st_ in exc.value.report.stages
+                if not st_.residual_zero] == [
+            ("rec_prime", "first offender (1, 3, 1, -1)"),
+            ("eq", "first offender (0, 0, 1, -1)"),
+            ("eq_prime", "first offender (0, 0, 1, -1)"),
+            ("eq_dprime", "first offender (0, 0, 1, -1)"),
+            ("rec_dprime", "first offender (1, 3, 1, -1)")]
+
+    def test_row_past_x_trunc_fails_rec_prime_only(self, sys3, monkeypatch):
+        # a term on u_5 reaches the left rows 5 and 6; eq reads rows 0..3
+        real = recurrence_engine.run_recurrence
+
+        def bumped(sys, ell_max, trunc):
+            u = real(sys, ell_max, trunc)
+            u[5] = u[5] + QLaurent.monomial(trunc, 7, 1, 3)
+            return u
+        monkeypatch.setattr(recurrence_engine, "run_recurrence", bumped)
+        with pytest.raises(ChainBroken) as exc:
+            verify_chain(sys3, 6, 3, 20)
+        failed = [(st_.name, st_.detail) for st_ in exc.value.report.stages
+                  if not st_.residual_zero]
+        assert failed == [("rec_prime", "first offender (5, 7, 1, 3)")]
+
+    def test_one_chain_makes_three_residual_passes(self, sys3, monkeypatch):
+        # one pass serves eq and rec_prime, one eq_prime, one eq_dprime and
+        # rec_dprime
+        real = recurrence_engine._coeff_residuals
+        lengths = []
+
+        def spy(sys, ys, M, trunc):
+            lengths.append(len(ys))
+            return real(sys, ys, M, trunc)
+        monkeypatch.setattr(recurrence_engine, "_coeff_residuals", spy)
+        verify_chain(sys3, 7, 4, 20)
+        assert lengths == [8, 5, 5]

@@ -14,7 +14,6 @@ from overpart import (
     count_all_overpartitions,
     product_F,
     qbinomial,
-    substitute_x,
 )
 
 from conftest import admissible_systems, factor_product
@@ -452,24 +451,6 @@ class TestPacked:
 
 
 class TestXSeries:
-    def test_substitution_scales_exponents(self):
-        one = QLaurent.one(10)
-        f = XSeries(2, [one, one, QLaurent.zero(10)])
-        got = substitute_x(f, 1, 3)
-        assert got.coeffs[0] == one
-        assert got.coeffs[1] == QLaurent.monomial(10, 3)
-
-    def test_substitution_keeps_constant_coefficient(self):
-        c = QLaurent.from_terms(10, [(2, 1, 5)])
-        f = XSeries(1, [c, QLaurent.one(10)])
-        assert substitute_x(f, 2, 7).coeffs[0] == c
-
-    def test_substitution_monomial(self):
-        z = QLaurent.zero(40)
-        f = XSeries(2, [z, z, QLaurent.monomial(40, 0, 1)])
-        got = substitute_x(f, 2, 7)
-        assert got.coeffs[2] == QLaurent.monomial(40, 28, 1)
-
     def test_mul_and_divide_roundtrip(self):
         one = QLaurent.one(8)
         den = XSeries(3, [one, QLaurent.monomial(8, 2), one,
