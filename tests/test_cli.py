@@ -183,6 +183,9 @@ PINNED_FORMATS = {
     ("verify", "--checks", "lemma1,lemma2,eq357,key,rec,tmj", "--trunc", "30",
      "--output", "json"):
         "c934a440971e91b4b25016485f79ad5c765fee3f3adbd554ce9c2c0e3a9656f8",
+    ("verify", "--checks", "lemma1,lemma2,eq357,key,rec,tmj", "--trunc", "60",
+     "--output", "json"):
+        "3c82f8c8dfeff6f0ea4b87c38b2df5415d677be8567497d13bea87bff8228075",
     ("verify", "--checks", "chain", "--trunc", "30", "--x-trunc", "4",
      "--output", "json"):
         "cf706709ee23ac5f40b445e15faaf2520f162e8934f5a5f7d999927ba9530b2b",
