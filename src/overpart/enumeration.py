@@ -20,13 +20,15 @@ the count at ``k`` in the ``width``-bit slot starting at bit
 summing vectors is ``+``.  Every packed count is the size of a set of
 overpartitions of some ``m <= n_max``, so it is at most ``pbar(n_max)``,
 the number of overpartitions of ``n_max``; a ``width`` one bit more than
-``pbar(n_max)`` needs keeps every sum in its slot.
+``pbar(n_max)`` needs keeps every sum in its slot and below the sign bit
+of ``QLaurent._from_packed``, which reads the counts back.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .alpha_system import beta
 from .series_ring import QLaurent
@@ -101,23 +103,10 @@ def _overpartition_count(n):
     return c[n]
 
 
+@lru_cache(maxsize=None)
 def _slot_width(n_max):
     """Bits per ``k`` slot of a packed count vector up to ``n_max``."""
     return _overpartition_count(n_max).bit_length() + 1
-
-
-def _unpack(packed, width):
-    """``{k: count}`` of the nonzero slots of a packed count vector."""
-    mask = (1 << width) - 1
-    out = {}
-    k = 0
-    while packed:
-        c = packed & mask
-        if c:
-            out[k] = c
-        packed >>= width
-        k += 1
-    return out
 
 
 def _table_from_size_set(sizes, n_max):
@@ -151,12 +140,12 @@ def _table_from_size_set(sizes, n_max):
         return out
 
     try:
-        rows = {n: _unpack(rec(n, 0), width) for n in range(n_max + 1)}
+        rows = [rec(n, 0) for n in range(n_max + 1)]
     finally:
         # rec refers to itself, so the memo would otherwise wait for the
         # cycle collector once the counts are built
         memo.clear()
-    return QLaurent._wrap(n_max, rows)
+    return QLaurent._from_packed(n_max, enumerate(rows), width)
 
 
 def count_all_overpartitions(n_max):
@@ -233,13 +222,14 @@ class _Completions:
     each list is extended only as far as a cutoff asks.  Filling recurses
     two frames per part placed, but every caller fills the small
     remainders first, so the stack stays a few frames deep.  Totals and
-    completions are count vectors packed by ``width``.
+    completions are count vectors packed by ``width``, ``guard`` bits wider
+    than ``_slot_width(n_max)`` for a caller that sums signed rows.
     """
 
-    def __init__(self, sys, n_max):
+    def __init__(self, sys, n_max, guard=0):
         alpha_set = set(sys.alpha)
         self.N = sys.N
-        self.width = _slot_width(n_max)
+        self.width = _slot_width(n_max) + guard
         self.admissible = [s for s in range(1, n_max + 1)
                            if beta(sys, -s) in alpha_set]
         self.u_plain = []   # largest allowed non-overlined part below each
@@ -270,14 +260,14 @@ class _Completions:
                 + (self.upto(n_rem, u) << self.width))
 
     def row(self, n, start, stop):
-        """``{k: count}`` of the gap-condition overpartitions of ``n``
-        whose largest part is ``admissible[i]`` for ``start <= i < stop``:
-        the completions are summed first, then that part is placed once,
-        overlined (at ``k``) and non-overlined (at ``k + 1``)."""
+        """The packed count vector of the gap-condition overpartitions of
+        ``n`` whose largest part is ``admissible[i]`` for ``start <= i <
+        stop``: the completions are summed first, then that part is placed
+        once, overlined (at ``k``) and non-overlined (at ``k + 1``)."""
         below = 0
         for i in range(start, stop):
             below += self.fill(n - self.admissible[i], i)
-        return _unpack(below + (below << self.width), self.width)
+        return below + (below << self.width)
 
 
 def count_G(sys, n_max):
@@ -291,10 +281,9 @@ def count_G(sys, n_max):
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     table = _Completions(sys, n_max)
-    rows = {0: {0: 1}}
-    for n in range(1, n_max + 1):
-        rows[n] = table.row(n, 0, bisect_right(table.admissible, n))
-    return QLaurent._wrap(n_max, rows)
+    rows = [1] + [table.row(n, 0, bisect_right(table.admissible, n))
+                  for n in range(1, n_max + 1)]
+    return QLaurent._from_packed(n_max, enumerate(rows), table.width)
 
 
 def count_G_andrews_k0(sys, n_max):
@@ -334,9 +323,11 @@ def count_G_andrews_k0(sys, n_max):
         memo[key] = total
         return total
 
-    rows = {0: {0: 1}}
-    for first in admissible:
-        for n in range(first, n_max + 1):
-            row = rows.setdefault(n, {0: 0})
-            row[0] += completions(n - first, first)
-    return QLaurent._wrap(n_max, rows)
+    counts = [1] + [0] * n_max
+    try:
+        for first in admissible:
+            for n in range(first, n_max + 1):
+                counts[n] += completions(n - first, first)
+    finally:
+        memo.clear()        # as in _table_from_size_set
+    return QLaurent(n_max, dict(enumerate(counts)))

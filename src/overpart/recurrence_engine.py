@@ -29,12 +29,10 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import MappingProxyType
 
 from .alpha_system import alpha_weight_sum, build_system
 from .enumeration import _Completions
-from .series_ring import (
-    DPoly, QLaurent, XSeries, product_F, qbinomial)
+from .series_ring import QLaurent, XSeries, product_F, qbinomial
 
 
 class ConventionOutOfRange(ValueError):
@@ -77,50 +75,44 @@ class _Ladder:
     Rung ``i`` is ``g`` with largest part at most the ``i``-th admissible
     size ``first`` (rung 0 is the empty overpartition alone): the rung
     before it plus, for each ``n >= first``, the overpartitions of ``n``
-    whose largest part is ``first``.  A rung builds only those rows, so
-    its rows below ``first`` are the previous rung's own objects; each
-    row and q-map is read-only from the start, since every caller shares
-    them.  Rungs are built only as far as the bounds asked for so far
-    need, so a lone small bound does not pay for the whole truncation.
-    A rung is appended only once it is complete, so an interrupted build
-    leaves the ladder as it was.
+    whose largest part is ``first``.  A rung is a tuple of ``trunc + 1``
+    ints, row ``n`` its ``q^n`` coefficient packed at ``d = 2^width`` as
+    :meth:`QLaurent._packed` packs it, where ``width`` is
+    ``_slot_width(trunc)`` plus the ``guard`` bits of :func:`_guard_bits`.
+    Rungs are built only as far as the bounds asked for so far need, so a
+    lone small bound does not pay for the whole truncation.  A rung is
+    appended only once it is complete, so an interrupted build leaves the
+    ladder as it was.
     """
 
     def __init__(self, sys, trunc):
-        self.trunc = trunc
-        self._table = _Completions(sys, trunc)
+        if trunc < 0:
+            raise ValueError("trunc must be non-negative")
+        self.sys, self.trunc, self.guard = sys, trunc, _guard_bits(sys)
+        self._table = _Completions(sys, trunc, self.guard)
+        self.width = self._table.width
         self._sizes = self._table.admissible
-        self._series = [self._grown({}, {0: {0: 1}})]
+        self._series = [(1,) + (0,) * trunc]
 
     def rung(self, m):
-        """The series ``g_m`` for the largest-part bound ``m``."""
+        """The packed rows of ``g_m`` for the largest-part bound ``m``, or
+        for ``m <= 0`` of the band convention's ``(-d)^band``."""
+        if m < 1:
+            if -m > self.sys.r * self.sys.N:
+                raise ConventionOutOfRange(
+                    f"index {m} is below -r*N = -{self.sys.r * self.sys.N}")
+            band = min(-m // self.sys.N, self.sys.r - 1)
+            return (_sign(band) << band * self.width,) + (0,) * self.trunc
         c = bisect_right(self._sizes, m)
         while len(self._series) <= c:
             i = len(self._series) - 1
-            rows = {}
-            for n in range(self._sizes[i], self.trunc + 1):
-                row = self._table.row(n, i, i + 1)
-                if row:
-                    rows[n] = row
-            self._series.append(self._grown(self._series[-1].coeffs, rows))
+            first, prev = self._sizes[i], self._series[-1]
+            self._series.append(prev[:first] + tuple(
+                prev[n] + self._table.row(n, i, i + 1)
+                for n in range(first, self.trunc + 1)))
         if len(self._series) > len(self._sizes):
             self._table = None      # every rung is built
         return self._series[c]
-
-    def _grown(self, coeffs, rows):
-        """The read-only series with q-map ``coeffs`` plus ``rows``
-        (``{n: {k: count}}``, taken over); rows it does not touch are
-        shared with ``coeffs``.  Counts are positive and ``n <= trunc``,
-        so there is nothing to clean."""
-        coeffs = dict(coeffs)
-        for n, row in rows.items():
-            p = DPoly._wrap(row)
-            old = coeffs.get(n)
-            if old is not None:
-                p = old + p
-            p.coeffs = MappingProxyType(p.coeffs)
-            coeffs[n] = p
-        return QLaurent._wrap_clean(self.trunc, MappingProxyType(coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -144,27 +136,61 @@ def _require_ladder_domain(sys):
             "identities, which need N > a(r)")
 
 
-def _band(sys, mm):
-    if mm > sys.r * sys.N:
-        raise ConventionOutOfRange(
-            f"index -{mm} is below -r*N = -{sys.r * sys.N}")
-    return min(mm // sys.N, sys.r - 1)
-
-
 def g_series(sys, m, trunc):
     """Generating function for gap-condition overpartitions, largest <= m.
 
-    Positive ``m`` reads the system's ladder, whose series are read-only;
-    ``m <= 0`` returns the constant ``(-d)**band`` prescribed by the band
-    convention, which is what the recurrences expect whenever a peeled
+    Read back fresh from the system's ladder, so a caller who changes it
+    cannot reach the ladder; ``m <= 0`` gives the band convention's
+    ``(-d)**band``, what the recurrences expect whenever a peeled
     subscript drops below zero.
     """
-    if trunc < 0:
-        raise ValueError("trunc must be non-negative")
-    if m >= 1:
-        return _ladder(sys, trunc).rung(m)
-    band = _band(sys, -m)
-    return QLaurent.monomial(trunc, 0, band, _sign(band))
+    ladder = _ladder(sys, trunc)
+    return QLaurent._from_packed(trunc, enumerate(ladder.rung(m)),
+                                 ladder.width)
+
+
+def _guard_bits(sys):
+    """``bits(t)`` for the largest ``t`` that a check hands
+    :func:`_packed_residual`: 4 for ``verify_lemma2``, 6 and ``2 + 2
+    len(alpha)`` for ``verify_eq_357``, and for ``verify_key_lemma`` at
+    cutoff ``a(k)`` ``L1(lhs) + 1 + sum_j L1(rhs_j) <= 2^(k-1) + 1 +
+    sum_j 2^(j-1) sum_m L1(W_k(m, j))``.  The weight pairs ``W_k`` are
+    exact at trunc 0, so this depends on neither ``ell`` nor ``trunc``;
+    their coefficients are nonnegative and grow with ``k``, so the top
+    cutoff bounds every ``k``.
+    """
+    r = sys.r
+    key = 2 ** r + 1 + sum(
+        2 ** (j - 1) * sum(abs(c) for pair in column for *_, c in pair.terms())
+        for j, column in enumerate(_weight_columns(sys, r + 1, r, 0), 1))
+    return max(6, 2 + 2 * len(sys.alpha), key).bit_length()
+
+
+def _packed_residual(sys, trunc, terms):
+    """``sum c d^k q^e g_m`` over the ``(e, k, c, m)`` of ``terms``, summed
+    row by row on the ladder's packed rows, reading back the nonzero rows.
+
+    Every ladder count is at most ``pbar(trunc)``, so each coefficient of
+    the sum is below ``2^bits(t) pbar(trunc)``, ``t = sum |c|``, in absolute
+    value: below the slots' sign bit if ``bits(t)`` is within the ladder's
+    guard, and ``OverflowError`` is raised if not.  So the sum, exact as
+    ``d -> 2^width`` is a ring map, reads back exactly.
+    """
+    ladder = _ladder(sys, trunc)
+    units = sum(abs(c) for _, _, c, _ in terms)
+    if units.bit_length() > ladder.guard:
+        raise OverflowError(
+            f"a sum of {units} unit rows needs more than the {ladder.guard} "
+            f"guard bits of its ladder's {ladder.width}-bit slots")
+    lo = min([0] + [e for e, _, _, _ in terms])
+    out = [0] * (trunc + 1 - lo)
+    for e, k, c, m in terms:
+        if e <= trunc:
+            i, n, a = e - lo, trunc + 1 - max(e, 0), c << k * ladder.width
+            out[i:i + n] = [x + a * y
+                            for x, y in zip(out[i:i + n], ladder.rung(m))]
+    return QLaurent._from_packed(
+        trunc, ((lo + i, c) for i, c in enumerate(out) if c), ladder.width)
 
 
 def _peel_cutoffs(sys, j, m):
@@ -179,15 +205,13 @@ def _peel_cutoffs(sys, j, m):
     return sys.alpha[m - 1], am1
 
 
-def _peeled(sys, j, al, trunc):
-    """``q^(jN-al) (g[(j-w)N-v] + d g[(j-w+1)N-v])``, with ``w, v`` the
-    weight data of the subset sum ``al``: what peeling ``al`` removes."""
+def _peeled(sys, j, al):
+    """Minus what peeling ``al`` removes, ``q^(jN-al) (g[(j-w)N-v] + d
+    g[(j-w+1)N-v])`` with ``w, v`` its weight data, as residual terms."""
     N = sys.N
     w, v = sys.w_table[al], sys.v_table[al]
-    return (g_series(sys, (j - w) * N - v, trunc)
-            .scale_by_monomial(j * N - al, 0, 1)
-            + g_series(sys, (j - w + 1) * N - v, trunc)
-            .scale_by_monomial(j * N - al, 1, 1))
+    return [(j * N - al, 0, -1, (j - w) * N - v),
+            (j * N - al, 1, -1, (j - w + 1) * N - v)]
 
 
 def verify_lemma1(sys, j, m, n_max):
@@ -203,32 +227,21 @@ def verify_lemma1(sys, j, m, n_max):
     with ``w, v`` the weight data of ``alpha(m)`` and
     ``n' = n - jN + alpha(m)``.  (The removed part is overlined in the
     first term and non-overlined in the second, hence the ``k - 1``.)
-    The four tables are the cells of the four ``g_series``, the last two
-    shifted to the left-hand side's ``(k, n)``; only a cell present in
-    one of them can differ, so only those cells are visited.  Returns the
-    offending ``(k, n, lhs, rhs)`` cells ordered by ``n`` then ``k``,
-    empty on success.
+    The cells that differ are the terms of :func:`verify_lemma2`'s
+    residual, and only their rows of the left-hand side are read back.
+    Returns the offending ``(k, n, lhs, rhs)`` cells ordered by ``n`` then
+    ``k``, empty on success.
     """
-    am, am1 = _peel_cutoffs(sys, j, m)
-    N = sys.N
-    w, v = sys.w_table[am], sys.v_table[am]
-    shift = j * N - am
-    tab_a, tab_b, tab_c, tab_d = (
-        {(k + dk, n + dn): c
-         for n, row in g_series(sys, bound, n_max).coeffs.items()
-         for k, c in row.coeffs.items()}
-        for bound, dk, dn in ((j * N - am, 0, 0), (j * N - am1, 0, 0),
-                              ((j - w) * N - v, 0, shift),
-                              ((j - w + 1) * N - v, 1, shift)))
-    bad = []
-    for n, k in sorted((n, k) for k, n in
-                       tab_a.keys() | tab_b.keys() | tab_c.keys() | tab_d.keys()
-                       if n <= n_max):
-        lhs = tab_a.get((k, n), 0) - tab_b.get((k, n), 0)
-        rhs = tab_c.get((k, n), 0) + tab_d.get((k, n), 0)
-        if lhs != rhs:
-            bad.append((k, n, lhs, rhs))
-    return bad
+    res = verify_lemma2(sys, j, m, n_max)
+    if res.is_zero():
+        return []
+    ladder = _ladder(sys, n_max)
+    upper, lower = (ladder.rung(j * sys.N - al)
+                    for al in _peel_cutoffs(sys, j, m))
+    lhs = QLaurent._from_packed(
+        n_max, ((n, upper[n] - lower[n]) for n in res.coeffs), ladder.width)
+    return [(k, n, lhs.coefficient_int(n, k), lhs.coefficient_int(n, k) - c)
+            for n, k, c in res.terms()]
 
 
 def verify_lemma2(sys, j, m, trunc):
@@ -238,10 +251,9 @@ def verify_lemma2(sys, j, m, trunc):
     + q^(jN-alpha(m)) * (g[(j-w)N-v] + d * g[(j-w+1)N-v])``.
     """
     am, am1 = _peel_cutoffs(sys, j, m)
-    N = sys.N
-    return (g_series(sys, j * N - am, trunc)
-            - g_series(sys, j * N - am1, trunc)
-            - _peeled(sys, j, am, trunc))
+    return _packed_residual(sys, trunc, [
+        (0, 0, 1, j * sys.N - am), (0, 0, -1, j * sys.N - am1),
+        *_peeled(sys, j, am)])
 
 
 def verify_eq_357(sys, j, k, trunc):
@@ -266,23 +278,18 @@ def verify_eq_357(sys, j, k, trunc):
     a1 = sys.a[0]
     ak = sys.generator(k)
 
-    res35 = g_series(sys, j * N - a1, trunc) - g_series(sys, j * N - ak, trunc)
-    for al in sys.alpha:
-        if al >= ak:
-            break
-        res35 = res35 - _peeled(sys, j, al, trunc)
+    res35 = _packed_residual(sys, trunc, [
+        (0, 0, 1, j * N - a1), (0, 0, -1, j * N - ak),
+        *(t for al in sys.alpha if al < ak for t in _peeled(sys, j, al))])
 
     res37 = None
     if k <= sys.r:
-        ak1 = sys.generator(k + 1)
-        lhs = g_series(sys, j * N - ak, trunc)
-        lhs = lhs + lhs.scale_by_monomial(j * N - ak, 1, -1)
-        res37 = lhs - g_series(sys, j * N - ak1, trunc)
-        res37 = res37 - g_series(sys, (j - 1) * N - a1, trunc) \
-            .scale_by_monomial(N - ak, 0, 1)
-        back = g_series(sys, (j - 1) * N - ak, trunc)
-        back = back + back.scale_by_monomial((j - 1) * N, 0, -1)
-        res37 = res37 + back.scale_by_monomial(N - ak, 0, 1)
+        res37 = _packed_residual(sys, trunc, [
+            (0, 0, 1, j * N - ak), (j * N - ak, 1, -1, j * N - ak),
+            (0, 0, -1, j * N - sys.generator(k + 1)),
+            (N - ak, 0, -1, (j - 1) * N - a1),
+            (N - ak, 0, 1, (j - 1) * N - ak),
+            (j * N - ak, 0, -1, (j - 1) * N - ak)])
     return res35, res37
 
 
@@ -510,12 +517,11 @@ def verify_key_lemma(sys, k, ell, trunc):
     N = sys.N
     a1 = sys.a[0]
     lhs, rhs = _elimination_row(sys, k, ell, trunc)
-    res = lhs * g_series(sys, ell * N - a1, trunc)
-    res = res - g_series(sys, ell * N - sys.generator(k), trunc)
-    for j, term in enumerate(rhs, 1):
-        if not term.is_zero():
-            res = res - term * g_series(sys, (ell - j) * N - a1, trunc)
-    return res
+    return _packed_residual(sys, trunc, [
+        *((e, d, c, ell * N - a1) for e, d, c in lhs.terms()),
+        (0, 0, -1, ell * N - sys.generator(k)),
+        *((e, d, -c, (ell - j) * N - a1)
+          for j, term in enumerate(rhs, 1) for e, d, c in term.terms())])
 
 
 # -- coefficient families of the transformation chain -----------------
@@ -560,8 +566,9 @@ def coeff_f(sys, m, k, trunc=0):
     return qbinomial(m - 1, k, -sys.N, trunc).scale_by_monomial(shift, 0, 1)
 
 
-def _tmj(sys, m, j):
-    """Both sides of ``T(m, j)`` (see :func:`verify_Tmj`) at trunc 0.
+def _tmj(sys, m, j, e):
+    """Both sides of ``T(m, j)`` (see :func:`verify_Tmj`) at trunc 0, with
+    ``e[m, i]`` the weight pair ``coeff_e(sys, m, i)`` for ``0 <= i <= j``.
 
     Every member of ``c, b, e, f`` has exponents <= 0, so the products
     are exact at trunc 0.
@@ -571,9 +578,9 @@ def _tmj(sys, m, j):
         lhs = lhs + coeff_c(sys, k, j) * coeff_b(sys, m - k, j)
     rhs = QLaurent.zero(0)
     for k in range(min(m - 1, j) + 1):
-        rhs = rhs + coeff_f(sys, m, k) * coeff_e(sys, m, j - k)
+        rhs = rhs + coeff_f(sys, m, k) * e[m, j - k]
     for k in range(min(m - 1, j - 1) + 1):
-        rhs = rhs + (coeff_f(sys, m, k) * coeff_e(sys, m, j - k - 1)) \
+        rhs = rhs + (coeff_f(sys, m, k) * e[m, j - k - 1]) \
             .scale_by_monomial(-sys.a[-1], 0, 1)
     return lhs, rhs
 
@@ -586,7 +593,8 @@ def verify_Tmj(sys, m, j):
     """
     if not (1 <= m <= sys.r and 1 <= j <= sys.r):
         raise ValueError("need 1 <= m, j <= r")
-    lhs, rhs = _tmj(sys, m, j)
+    lhs, rhs = _tmj(sys, m, j, {(m, i): coeff_e(sys, m, i)
+                                for i in range(j + 1)})
     return lhs == rhs
 
 
@@ -743,7 +751,7 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     right = dict(left)
     for m in range(1, r + 1):
         for j in range(1, r + 1):
-            left[m, j], right[m, j] = _tmj(sys, m, j)
+            left[m, j], right[m, j] = _tmj(sys, m, j, e)
     work = trunc + _chain_pad(sys, left, right, e)
     one = QLaurent.one(work)
     # every entry has exponents <= 0, so raising it with with_trunc is exact
@@ -792,13 +800,14 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     # mu satisfies the reduced system's main recurrence
     reduced = build_system(sys.a[:-1], N)
     mus = [s_ell * den_ell for s_ell, den_ell in zip(s, den)]
+    columns = _weight_columns(reduced, reduced.r + 1, reduced.r, work)
     offender = None
     if mus[0] != QLaurent.one(work):
         offender = (0, "mu_0 != 1")
     for ell in range(1, x_trunc + 1):
         if offender is not None:
             break
-        row = build_rec_row(reduced, ell, work)
+        row = _rec_row(reduced, ell, work, columns)
         res = (row.lhs * mus[ell]
                - _rec_rhs(row, mus[:ell], work)).with_trunc(trunc)
         if not res.is_zero():

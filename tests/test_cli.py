@@ -319,8 +319,8 @@ class TestVerify:
         # one extra 1 on the left side of T(1, 2) first shows at ell = 2
         real = recurrence_engine._tmj
 
-        def bad_tmj(sys, m, j):
-            lhs, rhs = real(sys, m, j)
+        def bad_tmj(sys, m, j, e):
+            lhs, rhs = real(sys, m, j, e)
             if (m, j) == (1, 2):
                 lhs = lhs + QLaurent.one(0)
             return lhs, rhs

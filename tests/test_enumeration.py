@@ -210,10 +210,13 @@ class TestCountG:
         sys.setrecursionlimit(len(inspect.stack(0)) + 100)
         try:
             got = count_G(sys3, 120)
-            top = recurrence_engine._Ladder(sys3, 120).rung(120)
+            ladder = recurrence_engine._Ladder(sys3, 120)
+            top = ladder.rung(120)
         finally:
             sys.setrecursionlimit(limit)
-        assert got == top == want
+        assert got == want
+        packed = want._packed(ladder.width)
+        assert top == tuple(packed.get(n, 0) for n in range(121))
 
 
 class TestAndrewsK0:
@@ -227,6 +230,22 @@ class TestAndrewsK0:
         for sys_ in battery:
             assert count_G(sys_, 25).d0() == count_G_andrews_k0(sys_, 25), \
                 sys_.N
+
+    def test_memo_freed_without_a_collection(self, sys3):
+        # the memo peaks near 1.6 MiB at n = 150 and is cleared on return;
+        # what stays is the interpreter's tuple and dict free lists
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = count_G_andrews_k0(sys3, 150)
+            assert table.coefficient_int(150, 0) > 0
+            del table
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < 2 ** 19
 
 
 @lru_cache(maxsize=None)

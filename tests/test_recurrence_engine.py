@@ -3,7 +3,7 @@ from bisect import bisect_right
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from overpart import (
     ChainBroken,
@@ -36,10 +36,33 @@ from overpart import (
     verify_lemma2,
     verify_Tmj,
 )
-from overpart import recurrence_engine
+from overpart import cli, recurrence_engine
 from overpart.enumeration import _Completions
 
 from conftest import admissible_systems, cells, factor_product
+
+
+def rung_series(ladder, m):
+    """The packed rung of ``ladder`` for the bound ``m``, read back."""
+    return QLaurent._from_packed(ladder.trunc, enumerate(ladder.rung(m)),
+                                 ladder.width)
+
+
+def perturbed_rows(changes):
+    """``_Ladder.rung`` with ``c d^k q^n`` added to ``g_m`` for each ``(n,
+    k, c)`` of ``changes[m]``, in its packed rows."""
+    real = recurrence_engine._Ladder.rung
+
+    def rung(self, m):
+        got = real(self, m)
+        if m not in changes:
+            return got
+        got = list(got)
+        for n, k, c in changes[m]:
+            if n <= self.trunc:
+                got[n] += c << (k * self.width)
+        return tuple(got)
+    return rung
 
 
 class TestGSeries:
@@ -80,32 +103,31 @@ class TestGSeries:
         assert g8.coefficient(0) == DPoly.const(1)
 
     def test_shared_tables_are_read_only(self, sys7):
+        # every read is a fresh series, so changing one reaches neither
+        # the ladder nor the checks that read it
         series_before = list(g_series(sys7, 8, 12).terms())
         lemma_before = verify_lemma1(sys7, 2, 1, 12)
         series = g_series(sys7, 8, 12)
-        with pytest.raises(TypeError):
-            series.coeffs[8] = DPoly.const(99)
-        with pytest.raises(TypeError):
-            series.coeffs[0].coeffs[0] = 5
+        series.coeffs[8] = DPoly.const(99)
+        series.coeffs[0].coeffs[0] = 5
+        assert g_series(sys7, 8, 12) is not series
         assert list(g_series(sys7, 8, 12).terms()) == series_before
         assert verify_lemma1(sys7, 2, 1, 12) == lemma_before == []
 
     def test_adjacent_rungs_share_rows_below_the_newer_size(self, sys9):
-        alpha = set(sys9.alpha)
-        sizes = [s for s in range(1, 21) if beta(sys9, -s) in alpha]
+        # a rung is a tuple of packed rows; below the newer size it holds
+        # the older rung's own ints, and from there on it adds counts
+        ladder = recurrence_engine._ladder(sys9, 20)
+        sizes = ladder._sizes
+        assert sizes == [s for s in range(1, 21)
+                         if beta(sys9, -s) in set(sys9.alpha)]
         for lower, upper in zip(sizes, sizes[1:]):
-            old, new = g_series(sys9, lower, 20), g_series(sys9, upper, 20)
-            below = [e for e in old.coeffs if e < upper]
-            assert below, (lower, upper)
-            for e in below:
-                assert new.coeffs[e] is old.coeffs[e], (lower, upper, e)
-            with pytest.raises(TypeError):
-                new.coeffs[upper] = DPoly.const(99)
-            for row in new.coeffs.values():
-                with pytest.raises(TypeError):
-                    row.coeffs[0] = 5
-        # rung 0 builds its own row: QLaurent.one's is a module constant
-        assert type(QLaurent.one(5).coeffs[0].coeffs) is dict
+            old, new = ladder.rung(lower), ladder.rung(upper)
+            assert type(new) is tuple and len(new) == 21
+            for e in range(upper):
+                assert new[e] is old[e], (lower, upper, e)
+            assert all(x >= y for x, y in zip(new, old)), (lower, upper)
+            assert rung_series(ladder, upper) == g_series(sys9, upper, 20)
 
     def test_lone_bound_builds_rungs_only_that_far(self, sys7):
         want = g_series(sys7, 8, 40)
@@ -113,7 +135,7 @@ class TestGSeries:
         sizes = ladder._sizes
         series = ladder.rung(8)
         assert len(ladder._series) == bisect_right(sizes, 8) + 1
-        assert series == want
+        assert rung_series(ladder, 8) == want
         ladder.rung(99)
         assert len(ladder._series) == len(sizes) + 1
         assert ladder._table is None      # freed once every rung is built
@@ -136,7 +158,7 @@ class TestGSeries:
         with pytest.raises(KeyboardInterrupt):
             ladder.rung(30)
         assert 1 < len(ladder._series) < len(ladder._sizes) + 1
-        assert ladder.rung(30) == want
+        assert rung_series(ladder, 30) == want
         assert len(calls) > 200
 
 
@@ -165,24 +187,17 @@ class TestPeelingIdentities:
     ])
     def test_lemma1_reports_the_perturbed_cell(self, sys7, monkeypatch,
                                                bound, cell, want, dl, dr):
-        real = recurrence_engine.g_series
-        held = set().union(*(cells(real(sys7, mm, 20))
+        held = set().union(*(cells(g_series(sys7, mm, 20))
                              for mm in (11, 10, -1, 6)))
         assert not held & {(20, 20), (16, 14), (15, 3)}
-
-        def perturbed(sys, m, trunc):
-            series = real(sys, m, trunc)
-            if m != bound:
-                return series
-            for k, n in cell:
-                series = series + QLaurent.monomial(trunc, n, k)
-            return series
-        monkeypatch.setattr(recurrence_engine, "g_series", perturbed)
         bad = []
         for k, n in want:
-            value = real(sys7, 11, 20).coefficient_int(n, k) - real(
+            value = g_series(sys7, 11, 20).coefficient_int(n, k) - g_series(
                 sys7, 10, 20).coefficient_int(n, k)
             bad.append((k, n, value + dl, value + dr))
+        monkeypatch.setattr(recurrence_engine._Ladder, "rung",
+                            perturbed_rows({bound: [(n, k, 1)
+                                                    for k, n in cell]}))
         assert verify_lemma1(sys7, 2, 3, 20) == bad
 
     def test_lemma2_examples(self, sys7, sys3):
@@ -432,6 +447,243 @@ class TestKeyLemma:
         assert via_row == res
 
 
+# -- the QLaurent routes of the ladder checks, test-only references ----
+#
+# Each is its check as it was written on ``QLaurent`` series, before the
+# checks ran on packed rows: it reads ``g_series``, which reads the same
+# (possibly patched) ladder rows back.
+
+
+def ref_peeled(sys, j, al, trunc):
+    N = sys.N
+    w, v = sys.w_table[al], sys.v_table[al]
+    return (g_series(sys, (j - w) * N - v, trunc)
+            .scale_by_monomial(j * N - al, 0, 1)
+            + g_series(sys, (j - w + 1) * N - v, trunc)
+            .scale_by_monomial(j * N - al, 1, 1))
+
+
+def ref_lemma1(sys, j, m, n_max):
+    """The four ``(k, n)`` tables of the four series, the last two shifted
+    to the left-hand side's ``(k, n)``, compared cell by cell."""
+    am, am1 = recurrence_engine._peel_cutoffs(sys, j, m)
+    N = sys.N
+    w, v = sys.w_table[am], sys.v_table[am]
+    shift = j * N - am
+    tab_a, tab_b, tab_c, tab_d = (
+        {(k + dk, n + dn): c
+         for n, row in g_series(sys, bound, n_max).coeffs.items()
+         for k, c in row.coeffs.items()}
+        for bound, dk, dn in ((j * N - am, 0, 0), (j * N - am1, 0, 0),
+                              ((j - w) * N - v, 0, shift),
+                              ((j - w + 1) * N - v, 1, shift)))
+    bad = []
+    for n, k in sorted((n, k) for k, n in
+                       tab_a.keys() | tab_b.keys() | tab_c.keys() | tab_d.keys()
+                       if n <= n_max):
+        lhs = tab_a.get((k, n), 0) - tab_b.get((k, n), 0)
+        rhs = tab_c.get((k, n), 0) + tab_d.get((k, n), 0)
+        if lhs != rhs:
+            bad.append((k, n, lhs, rhs))
+    return bad
+
+
+def ref_lemma2(sys, j, m, trunc):
+    am, am1 = recurrence_engine._peel_cutoffs(sys, j, m)
+    N = sys.N
+    return (g_series(sys, j * N - am, trunc)
+            - g_series(sys, j * N - am1, trunc)
+            - ref_peeled(sys, j, am, trunc))
+
+
+def ref_eq_357(sys, j, k, trunc):
+    N = sys.N
+    a1 = sys.a[0]
+    ak = sys.generator(k)
+    res35 = (g_series(sys, j * N - a1, trunc)
+             - g_series(sys, j * N - ak, trunc))
+    for al in sys.alpha:
+        if al >= ak:
+            break
+        res35 = res35 - ref_peeled(sys, j, al, trunc)
+    res37 = None
+    if k <= sys.r:
+        ak1 = sys.generator(k + 1)
+        lhs = g_series(sys, j * N - ak, trunc)
+        lhs = lhs + lhs.scale_by_monomial(j * N - ak, 1, -1)
+        res37 = lhs - g_series(sys, j * N - ak1, trunc)
+        res37 = res37 - g_series(sys, (j - 1) * N - a1, trunc) \
+            .scale_by_monomial(N - ak, 0, 1)
+        back = g_series(sys, (j - 1) * N - ak, trunc)
+        back = back + back.scale_by_monomial((j - 1) * N, 0, -1)
+        res37 = res37 + back.scale_by_monomial(N - ak, 0, 1)
+    return res35, res37
+
+
+def ref_key_lemma(sys, k, ell, trunc):
+    N = sys.N
+    a1 = sys.a[0]
+    lhs, rhs = recurrence_engine._elimination_row(sys, k, ell, trunc)
+    res = lhs * g_series(sys, ell * N - a1, trunc)
+    res = res - g_series(sys, ell * N - sys.generator(k), trunc)
+    for j, term in enumerate(rhs, 1):
+        if not term.is_zero():
+            res = res - term * g_series(sys, (ell - j) * N - a1, trunc)
+    return res
+
+
+#: each ladder check and its reference, by the CLI's check name
+LADDER_CHECKS = {
+    "lemma1": (verify_lemma1, ref_lemma1),
+    "lemma2": (verify_lemma2, ref_lemma2),
+    "eq357": (verify_eq_357, ref_eq_357),
+    "key": (verify_key_lemma, ref_key_lemma),
+}
+
+
+def ladder_cases(sys, trunc):
+    """``(name, args)`` of every ladder check ``verify`` runs at ``trunc``."""
+    j_hi = trunc // sys.N + 1
+    for j in range(1, j_hi + 1):
+        for m in range(1, len(sys.alpha) + 1):
+            yield "lemma1", (j, m)
+            yield "lemma2", (j, m)
+        for k in range(1, sys.r + 2):
+            yield "eq357", (j, k)
+            yield "key", (k, j)
+
+
+def failing(result):
+    """Whether a ladder check's cells or residuals report a failure."""
+    if isinstance(result, tuple):       # eq357's pair
+        return any(failing(x) for x in result if x is not None)
+    return bool(result) if isinstance(result, list) else not result.is_zero()
+
+
+def match_references(sys, trunc, names=tuple(LADDER_CHECKS)):
+    """Run each ladder check and its reference on every case; require the
+    same cells or residuals.  Returns how many cases failed."""
+    failed = 0
+    for name, args in ladder_cases(sys, trunc):
+        if name in names:
+            packed, reference = LADDER_CHECKS[name]
+            got = packed(sys, *args, trunc)
+            assert got == reference(sys, *args, trunc), (name, args)
+            failed += failing(got)
+    return failed
+
+
+class TestPackedChecks:
+    """The packed ladder checks against their ``QLaurent`` routes: equal
+    cells and residuals, not just equal verdicts."""
+
+    @pytest.mark.parametrize("trunc", [0, 1, 30])
+    def test_battery(self, battery, trunc):
+        for sys_ in battery:
+            assert match_references(sys_, trunc) == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(admissible_systems(r_min=1, r_max=3),
+           st.sampled_from([0, 1, 12, 25]))
+    def test_drawn_systems(self, system, trunc):
+        N, a = system
+        assume(N > a[-1])
+        assert match_references(build_system(a, N), trunc) == 0
+
+    # perturbed rows of 7/{1,2,4} at trunc 20, which leave residuals of
+    # either sign, so their slots read back through the sign bit: a count
+    # raised, lowered or negated, and the band constants 1 (g_-1), -d
+    # (g_-8) and d^2 (g_-15) moved
+    @pytest.mark.parametrize("changes", [
+        {13: [(14, 2, 1), (20, 9, 1)], 6: [(9, 1, 1)]},
+        {13: [(14, 2, -1)], 11: [(12, 1, -1), (20, 0, -1)]},
+        {13: [(14, 2, -2 * 4), (19, 3, -2 * 8)],
+         6: [(9, 1, -2), (6, 0, -2)]},
+        {-1: [(0, 0, -2), (3, 1, -1)], -8: [(0, 1, 2), (0, 0, -3)],
+         -15: [(0, 2, -2), (5, 4, 1)]},
+    ], ids=["raised", "lowered", "negated", "band"])
+    def test_perturbed_rows(self, sys7, monkeypatch, changes):
+        for m, cells_ in changes.items():
+            for n, k, c in cells_:
+                if c < -1 and m > 0:        # negated: -2 times the count
+                    assert g_series(sys7, m, 20).coefficient_int(n, k) \
+                        == -c // 2, (m, n, k)
+        monkeypatch.setattr(recurrence_engine._Ladder, "rung",
+                            perturbed_rows(changes))
+        assert match_references(sys7, 20) > 10
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from(range(4)), st.data())
+    def test_perturbed_rows_on_the_battery(self, index, data):
+        sys_ = build_system(*reversed(cli.BATTERY[index]))
+        trunc = 16
+        m = data.draw(st.integers(-sys_.r * sys_.N, trunc), label="m")
+        n = data.draw(st.integers(0, trunc), label="n")
+        k = data.draw(st.integers(0, n + 2), label="k")
+        count = g_series(sys_, m, trunc).coefficient_int(n, k)
+        c = data.draw(st.sampled_from([1, -1, -2 * count or -1]), label="c")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(recurrence_engine._Ladder, "rung",
+                          perturbed_rows({m: [(n, k, c)]}))
+            match_references(sys_, trunc)
+
+    def test_key_with_negative_exponents(self, battery, monkeypatch):
+        # terms below q^0 on either side's multipliers reach residual rows
+        # below q^0, which both routes keep
+        real = recurrence_engine._elimination_row
+
+        def row(sys, k, ell, trunc, columns=None):
+            lhs, rhs = real(sys, k, ell, trunc, columns)
+            lhs = lhs + QLaurent.monomial(trunc, -3, 1, 2)
+            if rhs:
+                rhs[-1] = rhs[-1] + QLaurent.monomial(trunc, -5, 0, -1)
+            return lhs, rhs
+        monkeypatch.setattr(recurrence_engine, "_elimination_row", row)
+        for sys_ in battery:
+            assert match_references(sys_, 20, ("key",)) > 0
+            assert verify_key_lemma(sys_, 2, 1, 20).min_exp == -5
+
+    def test_too_narrow_width_raises(self, sys7, monkeypatch):
+        # 3 guard bits hold lemma1's and lemma2's 4 unit rows, not the 8
+        # of eq357's sum below a(3) = 4, nor the key lemma's; 1 holds none
+        recurrence_engine._ladder.cache_clear()
+        try:
+            monkeypatch.setattr(recurrence_engine, "_guard_bits",
+                                lambda sys: 3)
+            assert verify_lemma1(sys7, 2, 1, 20) == []
+            assert verify_lemma2(sys7, 2, 1, 20).is_zero()
+            assert verify_eq_357(sys7, 2, 2, 20)[0].is_zero()
+            with pytest.raises(OverflowError, match="8 unit rows"):
+                verify_eq_357(sys7, 2, 3, 20)
+            with pytest.raises(OverflowError, match="guard"):
+                verify_key_lemma(sys7, sys7.r + 1, 2, 20)
+            recurrence_engine._ladder.cache_clear()
+            monkeypatch.setattr(recurrence_engine, "_guard_bits",
+                                lambda sys: 1)
+            for name, args in ladder_cases(sys7, 20):
+                with pytest.raises(OverflowError, match="guard"):
+                    LADDER_CHECKS[name][0](sys7, *args, 20)
+        finally:
+            recurrence_engine._ladder.cache_clear()
+
+    def test_guard_bits(self, battery):
+        # the key lemma's a priori bound sets every guard here: 12, 44, 44,
+        # 172, 12 and 44 unit rows; it covers every cutoff and ell
+        systems = battery + (build_system([1, 2], 5),
+                             build_system([2, 3, 7], 20))
+        assert [recurrence_engine._guard_bits(sys_) for sys_ in systems] \
+            == [4, 6, 6, 8, 4, 6]
+        for sys_ in systems:
+            guard = recurrence_engine._guard_bits(sys_)
+            for k in range(1, sys_.r + 2):
+                for ell in range(1, sys_.r + 3):
+                    lhs, rhs = recurrence_engine._elimination_row(
+                        sys_, k, ell, 60)
+                    units = 1 + sum(abs(c) for side in (lhs, *rhs)
+                                    for _, _, c in side.terms())
+                    assert units.bit_length() <= guard, (sys_, k, ell)
+
+
 class TestCoefficientFamilies:
     def test_c_at_zero_is_one(self, sys7):
         for j in range(1, sys7.r + 1):
@@ -597,15 +849,15 @@ class TestChain:
 
     def test_broken_reduced_recurrence_reports_ell(self, sys3, monkeypatch):
         # one extra q^4 on the reduced system's u_(l-1) multiplier at l = 2
-        real = recurrence_engine.build_rec_row
+        real = recurrence_engine._rec_row
 
-        def bad_row(sys, ell, trunc):
-            row = real(sys, ell, trunc)
+        def bad_row(sys, ell, trunc, columns=None):
+            row = real(sys, ell, trunc, columns)
             if sys.r == 1 and ell == 2:
                 rhs = (row.rhs[0] + QLaurent.monomial(trunc, 4),)
                 return recurrence_engine.RecRow(row.lhs, rhs, ell)
             return row
-        monkeypatch.setattr(recurrence_engine, "build_rec_row", bad_row)
+        monkeypatch.setattr(recurrence_engine, "_rec_row", bad_row)
         with pytest.raises(ChainBroken) as exc:
             verify_chain(sys3, 5, 5, 20)
         failed = [(st_.name, st_.detail) for st_ in exc.value.report.stages
@@ -619,8 +871,8 @@ class TestChain:
         # one extra 1 on one side of T(1, 2) reaches x^2 (and ell = 2) first
         real = recurrence_engine._tmj
 
-        def bad_tmj(sys, m, j):
-            sides = list(real(sys, m, j))
+        def bad_tmj(sys, m, j, e):
+            sides = list(real(sys, m, j, e))
             if (m, j) == (1, 2):
                 sides[side] = sides[side] + QLaurent.one(0)
             return tuple(sides)
@@ -687,8 +939,8 @@ def _tmj_plus_one(side):
     the extra 1 reaches ``x^2`` (and ``ell = 2``) first."""
     real = recurrence_engine._tmj
 
-    def tmj(sys, m, j):
-        sides = list(real(sys, m, j))
+    def tmj(sys, m, j, e):
+        sides = list(real(sys, m, j, e))
         if (m, j) == (1, 2) and side is not None:
             sides[side] = sides[side] + QLaurent.one(0)
         return tuple(sides)
@@ -699,14 +951,16 @@ def _chain_tables(sys, work):
     """``left``, ``right`` and ``e`` as :func:`verify_chain` builds them,
     at ``work``, through ``recurrence_engine._tmj`` (so a patched one)."""
     r = sys.r
-    e = {(m, j): coeff_e(sys, m, j, work)
-         for m in range(1, r + 1) for j in range(r + 1)}
+    e0 = {(m, j): coeff_e(sys, m, j)
+          for m in range(1, r + 1) for j in range(r + 1)}
+    e = {key: val.with_trunc(work) for key, val in e0.items()}
     left = {(m, 0): e[m, 0] for m in range(1, r + 1)}
     right = dict(left)
     for m in range(1, r + 1):
         for j in range(1, r + 1):
-            left[m, j], right[m, j] = (side.with_trunc(work) for side
-                                       in recurrence_engine._tmj(sys, m, j))
+            left[m, j], right[m, j] = (
+                side.with_trunc(work)
+                for side in recurrence_engine._tmj(sys, m, j, e0))
     return left, right, e
 
 
@@ -846,8 +1100,8 @@ class TestChainPad:
         # bad_side perturbs one side of T(1, 2), so details are non-empty
         real = recurrence_engine._tmj
 
-        def tmj(sys, m, j):
-            sides = list(real(sys, m, j))
+        def tmj(sys, m, j, e):
+            sides = list(real(sys, m, j, e))
             if (m, j) == (1, 2) and bad_side is not None:
                 sides[bad_side] = sides[bad_side] + QLaurent.one(0)
             return tuple(sides)
