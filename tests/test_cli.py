@@ -207,6 +207,17 @@ def test_count_and_expand_output_is_pinned(capsys, argv):
     assert digest.hexdigest() == PINNED_FORMATS[argv]
 
 
+def test_five_generator_verify_output_is_pinned(capsys):
+    # r = 5, past the battery: the widest table of weight pairs, where
+    # most pairs with m + j > k are the zero series
+    code, out, _ = run_cli(capsys, "verify", "--N", "31", "--a", "1,2,4,8,16",
+                           "--checks", "lemma1,lemma2,eq357,key,rec,tmj,chain",
+                           "--trunc", "40", "--x-trunc", "3", "--output", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "53b951b3e06e91ce230b69c8ddf96757ce49e745ff820b8b537e95fb0df138c3")
+
+
 class TestVerify:
     def test_selected_checks(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--N", "7", "--a", "1,2,4",
