@@ -26,6 +26,7 @@ from .recurrence_engine import (
     _decoded_iterates,
     _ladder,
     _require_ladder_domain,
+    _weight_pairs,
     g_series,
     limit_u,
     verify_chain,
@@ -364,7 +365,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        _ladder.cache_clear()     # the g_m ladders live for one command
+        _ladder.cache_clear()           # the g_m ladders and the weight
+        _weight_pairs.cache_clear()     # pairs live for one command
 
 
 if __name__ == "__main__":

@@ -157,12 +157,13 @@ def _guard_bits(sys):
     sum_j 2^(j-1) sum_m L1(W_k(m, j))``.  The weight pairs ``W_k`` are
     exact at trunc 0, so this depends on neither ``ell`` nor ``trunc``;
     their coefficients are nonnegative and grow with ``k``, so the top
-    cutoff bounds every ``k``.
+    cutoff's table of :func:`_weight_pairs` bounds every ``k``.
     """
     r = sys.r
+    pairs = _weight_pairs(sys, r + 1)
     key = 2 ** r + 1 + sum(
-        2 ** (j - 1) * sum(abs(c) for pair in column for *_, c in pair.terms())
-        for j, column in enumerate(_weight_columns(sys, r + 1, r, 0), 1))
+        2 ** (j - 1) * abs(c) for j in range(1, r + 1)
+        for m in range(1, r + 2 - j) for *_, c in pairs[m, j].terms())
     return max(6, 2 + 2 * len(sys.alpha), key).bit_length()
 
 
@@ -312,42 +313,32 @@ class RecRow:
     ell: int
 
 
-def _multiplier(N, ell, column, trunc):
-    """``sum_m (-1)^(m+1) q^(m ell N) M[m, j]`` for ``column`` the entries
-    ``M[1, j], M[2, j], ...`` of one multiplier table."""
-    total = QLaurent.zero(trunc)
-    for m, M in enumerate(column, 1):
-        total = total + M.scale_by_monomial(m * ell * N, 0, _sign(m + 1))
-    return total
+def _multiplier(N, ell, M, j, m_max, trunc):
+    """``sum_(m=1)^(m_max) (-1)^(m+1) q^(m ell N) M[m, j]`` at ``trunc``,
+    sharing no object with ``M``, a multiplier table whose entries have no
+    term above ``q^0`` and so are exact at any truncation."""
+    return QLaurent.from_terms(trunc, (
+        (e + m * ell * N, k, c if m % 2 else -c)
+        for m in range(1, m_max + 1)
+        for e, p in M[m, j].coeffs.items() for k, c in p.coeffs.items()))
 
 
-def _weight_columns(sys, k, j_max, trunc):
-    """Columns ``j = 1..j_max`` of the weight pairs below ``a(k)``: column
-    ``j`` is ``W_k(m, j)`` of :func:`_weight_pair` for ``m = 1..k-j``.
-    They do not depend on ``ell``."""
-    return [[_weight_pair(sys, k, m, j, trunc) for m in range(1, k - j + 1)]
-            for j in range(1, j_max + 1)]
-
-
-def _elimination_row(sys, k, ell, trunc, columns=None):
+def _elimination_row(sys, k, ell, trunc):
     """``(lhs, rhs)`` of the elimination identity with cutoff ``a(k)``:
     ``lhs = prod_(j<k) (1 - d q^(lN - a(j)))`` and ``rhs[j-1]`` (which
     multiplies ``g[(l-j)N-a(1)]``) the inner sum ``sum_(m=1)^(k-j)
     (-1)^(m+1) q^(mlN) W_k(m, j)`` times ``prod_(h<j) (1 - q^((l-h)N))``,
-    with ``W_k`` the weight pairs below ``a(k)``, read from ``columns``
-    (of :func:`_weight_columns`, built here if not given).  The factor
-    ``h = l`` is 0, so ``rhs`` stops at ``j = min(k - 1, l)``.
+    with ``W_k`` the weight pairs below ``a(k)``, read from the system's
+    table for that cutoff (:func:`_weight_pairs`).  The factor ``h = l``
+    is 0, so ``rhs`` stops at ``j = min(k - 1, l)``.
     """
     _require_ladder_domain(sys)
-    j_max = min(k - 1, ell)
-    if columns is None:
-        columns = _weight_columns(sys, k, j_max, trunc)
     lhs = QLaurent.one(trunc)
     for g in sys.a[:k - 1]:
         lhs = lhs + lhs.scale_by_monomial(ell * sys.N - g, 1, -1)
     rhs = []
-    for j, pairs in enumerate(columns[:j_max], 1):
-        term = _multiplier(sys.N, ell, pairs, trunc)
+    for j in range(1, min(k - 1, ell) + 1):
+        term = _multiplier(sys.N, ell, _weight_pairs(sys, k), j, k - j, trunc)
         for h in range(1, j):
             term = term + term.scale_by_monomial((ell - h) * sys.N, 0, -1)
         rhs.append(term)
@@ -357,23 +348,16 @@ def _elimination_row(sys, k, ell, trunc, columns=None):
 def build_rec_row(sys, ell, trunc):
     """Materialize every coefficient of the main recurrence at ``ell``.
 
-    The elimination row at the top cutoff ``k = r + 1``: ``lhs = prod_j
-    (1 - d q^(lN - a(j)))``; each ``rhs[j-1]`` is the inner sum
-    ``sum_(m=1)^(r+1-j) (-1)^(m+1) q^(mlN) b(m, j)`` over the weight
-    pairs of :func:`coeff_b`, the ``u_(ell-1)`` one plus a standalone 1,
-    times ``prod_(h<j) (1 - q^((l-h)N))``.  That product is 0 for every
-    term reaching below ``u_0``, so ``rhs`` has ``min(r, ell)`` entries.
+    The elimination row at the top cutoff ``k = r + 1``, whose table of
+    weight pairs is :func:`coeff_b`'s: ``lhs = prod_j (1 - d q^(lN -
+    a(j)))``; each ``rhs[j-1]`` is ``sum_(m=1)^(r+1-j) (-1)^(m+1) q^(mlN)
+    b(m, j)``, the ``u_(ell-1)`` one plus a standalone 1, times
+    ``prod_(h<j) (1 - q^((l-h)N))``, which is 0 for every term reaching
+    below ``u_0``, so ``rhs`` has ``min(r, ell)`` entries.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    return _rec_row(sys, ell, trunc)
-
-
-def _rec_row(sys, ell, trunc, columns=None):
-    """The row of :func:`build_rec_row` at ``ell``, reading the weight
-    pairs from ``columns`` (of :func:`_weight_columns` at the top cutoff)
-    when given."""
-    lhs, rhs = _elimination_row(sys, sys.r + 1, ell, trunc, columns)
+    lhs, rhs = _elimination_row(sys, sys.r + 1, ell, trunc)
     rhs[0] = rhs[0] + QLaurent.one(trunc)
     return RecRow(lhs=lhs, rhs=tuple(rhs), ell=ell)
 
@@ -394,7 +378,7 @@ def _rec_rhs(row, us, trunc):
 def _iterate_bounds(sys, rows, trunc):
     """``[B_0, B_1, ...]``, with ``B_ell`` bounding every coefficient of
     ``u_ell`` and of the ``num = sum_j rhs_j u_(ell-j)`` it is divided out
-    of, for ``rows`` the rows of :func:`_rec_row` at ``ell = 1, 2, ...``.
+    of, for ``rows`` the :func:`build_rec_row` rows at ``ell = 1, 2, ...``.
 
     Each bound is the largest entry of a majorant: a series in ``q``
     alone whose ``q^n`` coefficient is at least ``sum_k |c|`` over the
@@ -437,16 +421,14 @@ def _iterates(sys, trunc, steps):
     ``num`` hold their true coefficients: reading an iterate back with
     :meth:`QLaurent._from_packed`, comparing two packed iterates, and
     testing a packed coefficient for zero are all exact.  Only the last
-    ``r`` iterates are kept, as far back as a row reads; the weight
-    pairs are built once, for every row.
+    ``r`` iterates are kept, as far back as a row reads; every row reads
+    its weight pairs from one table (:func:`_weight_pairs`).
     """
     us = deque([{0: 1}], maxlen=sys.r)
     yield us[0], 2                  # two bits hold u_0 = 1 signed
     if steps < 1:
         return
-    columns = _weight_columns(sys, sys.r + 1, sys.r, trunc)
-    rows = [_rec_row(sys, ell, trunc, columns)
-            for ell in range(1, steps + 1)]
+    rows = [build_rec_row(sys, ell, trunc) for ell in range(1, steps + 1)]
     width = max(_iterate_bounds(sys, rows, trunc)).bit_length() + 1
     for row in rows:
         row.lhs._require_unit_leading()
@@ -544,6 +526,25 @@ def _weight_pair(sys, bound_index, m, j, trunc):
     return (w1 + w2) * qbinomial(j + m - 1, m - 1, -sys.N, trunc)
 
 
+class _WeightPairs(dict):
+    """The weight pairs ``W_k(m, j)`` below ``a(k)``, one table per system
+    and cutoff, each built at trunc 0 when first read; those with ``m + j >
+    k`` are 0 (a subset sum below ``a(k)`` has at most ``k - 1`` summands)
+    and not built.  Readers must not change an entry."""
+
+    def __init__(self, sys, k):
+        self.sys, self.k = sys, k
+
+    def __missing__(self, key):
+        m, j = key
+        self[key] = (_weight_pair(self.sys, self.k, m, j, 0)
+                     if m + j <= self.k else QLaurent.zero(0))
+        return self[key]
+
+
+_weight_pairs = lru_cache(maxsize=None)(_WeightPairs)
+
+
 def coeff_b(sys, m, j, trunc=0):
     """Weight-sum pair over all subset sums, times ``[j+m-1, m-1]_(q^-N)``."""
     if m < 1 or j < 1:
@@ -566,16 +567,17 @@ def coeff_f(sys, m, k, trunc=0):
     return qbinomial(m - 1, k, -sys.N, trunc).scale_by_monomial(shift, 0, 1)
 
 
-def _tmj(sys, m, j, e):
+def _tmj(sys, m, j):
     """Both sides of ``T(m, j)`` (see :func:`verify_Tmj`) at trunc 0, with
-    ``e[m, i]`` the weight pair ``coeff_e(sys, m, i)`` for ``0 <= i <= j``.
+    ``b`` and ``e`` read off the weight-pair tables at ``a(r+1)``, ``a(r)``.
 
     Every member of ``c, b, e, f`` has exponents <= 0, so the products
     are exact at trunc 0.
     """
+    b, e = _weight_pairs(sys, sys.r + 1), _weight_pairs(sys, sys.r)
     lhs = QLaurent.zero(0)
     for k in range(min(j - 1, m - 1) + 1):
-        lhs = lhs + coeff_c(sys, k, j) * coeff_b(sys, m - k, j)
+        lhs = lhs + coeff_c(sys, k, j) * b[m - k, j]
     rhs = QLaurent.zero(0)
     for k in range(min(m - 1, j) + 1):
         rhs = rhs + coeff_f(sys, m, k) * e[m, j - k]
@@ -593,8 +595,7 @@ def verify_Tmj(sys, m, j):
     """
     if not (1 <= m <= sys.r and 1 <= j <= sys.r):
         raise ValueError("need 1 <= m, j <= r")
-    lhs, rhs = _tmj(sys, m, j, {(m, i): coeff_e(sys, m, i)
-                                for i in range(j + 1)})
+    lhs, rhs = _tmj(sys, m, j)
     return lhs == rhs
 
 
@@ -707,8 +708,7 @@ def _coeff_residuals(sys, ys, M, trunc):
     for ell, y in enumerate(ys):
         res = y - ys[ell - 1] if ell else y
         for j in range(min(r, ell) + 1):
-            mult = _multiplier(N, ell, (M[m, j] for m in range(1, r + 1)),
-                               res.trunc)
+            mult = _multiplier(N, ell, M, j, r, res.trunc)
             res = res - mult * ys[ell - j]
         res = res.with_trunc(trunc)
         offenders.append(None if res.is_zero()
@@ -745,18 +745,15 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     # multipliers M[m, j] of the three q-difference equations, at trunc 0:
     # each has the weight pair e(m, 0) at j = 0 (f(m, 0) = 1), then the
     # left side of T(m, j), its right side, or e(m, j)
-    e = {(m, j): coeff_e(sys, m, j)
+    e = {(m, j): _weight_pairs(sys, r)[m, j]
          for m in range(1, r + 1) for j in range(r + 1)}
     left = {(m, 0): e[m, 0] for m in range(1, r + 1)}
     right = dict(left)
     for m in range(1, r + 1):
         for j in range(1, r + 1):
-            left[m, j], right[m, j] = _tmj(sys, m, j, e)
+            left[m, j], right[m, j] = _tmj(sys, m, j)
     work = trunc + _chain_pad(sys, left, right, e)
     one = QLaurent.one(work)
-    # every entry has exponents <= 0, so raising it with with_trunc is exact
-    left, right, e = ({key: val.with_trunc(work) for key, val in tab.items()}
-                      for tab in (left, right, e))
 
     u = run_recurrence(sys, ell_max, work)
 
@@ -800,14 +797,13 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     # mu satisfies the reduced system's main recurrence
     reduced = build_system(sys.a[:-1], N)
     mus = [s_ell * den_ell for s_ell, den_ell in zip(s, den)]
-    columns = _weight_columns(reduced, reduced.r + 1, reduced.r, work)
     offender = None
     if mus[0] != QLaurent.one(work):
         offender = (0, "mu_0 != 1")
     for ell in range(1, x_trunc + 1):
         if offender is not None:
             break
-        row = _rec_row(reduced, ell, work, columns)
+        row = build_rec_row(reduced, ell, work)
         res = (row.lhs * mus[ell]
                - _rec_rhs(row, mus[:ell], work)).with_trunc(trunc)
         if not res.is_zero():

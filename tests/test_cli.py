@@ -212,7 +212,8 @@ def test_five_generator_verify_output_is_pinned(capsys):
     # most pairs with m + j > k are the zero series
     code, out, _ = run_cli(capsys, "verify", "--N", "31", "--a", "1,2,4,8,16",
                            "--checks", "lemma1,lemma2,eq357,key,rec,tmj,chain",
-                           "--trunc", "40", "--x-trunc", "3", "--output", "json")
+                           "--trunc", "40", "--x-trunc", "3",
+                           "--output", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "53b951b3e06e91ce230b69c8ddf96757ce49e745ff820b8b537e95fb0df138c3")
@@ -330,8 +331,8 @@ class TestVerify:
         # one extra 1 on the left side of T(1, 2) first shows at ell = 2
         real = recurrence_engine._tmj
 
-        def bad_tmj(sys, m, j, e):
-            lhs, rhs = real(sys, m, j, e)
+        def bad_tmj(sys, m, j):
+            lhs, rhs = real(sys, m, j)
             if (m, j) == (1, 2):
                 lhs = lhs + QLaurent.one(0)
             return lhs, rhs
@@ -474,6 +475,29 @@ def test_ladder_cache_lives_for_one_command(capsys):
     assert recurrence_engine._ladder.cache_info().currsize == 0
     # the 3/{1,2} ladder at trunc 44 alone holds about 2 MiB
     assert held < 2**19, held
+
+
+def test_each_weight_pair_is_built_once_per_command(capsys, monkeypatch):
+    real = recurrence_engine._weight_pair
+    built = []
+
+    def counted(sys, k, m, j, trunc):
+        built.append((sys.N, sys.a, k, m, j))
+        return real(sys, k, m, j, trunc)
+    monkeypatch.setattr(recurrence_engine, "_weight_pair", counted)
+    recurrence_engine._weight_pairs.cache_clear()
+    code, out, _ = run_cli(capsys, "verify", "--battery", "--checks",
+                           "key,rec,tmj,chain,theorem", "--trunc", "30",
+                           "--x-trunc", "3", "--output", "json")
+    assert (code, json.loads(out)["verdict"]) == (0, "pass")
+    assert built and len(set(built)) == len(built)
+    assert recurrence_engine._weight_pairs.cache_info().currsize == 0
+    assert recurrence_engine._ladder.cache_info().currsize == 0
+    # theorem reads only the recurrence's pairs, r(r+1)/2 per system
+    built.clear()
+    code, _, _ = run_cli(capsys, "verify", "--battery", "--checks",
+                         "theorem", "--trunc", "30", "--output", "json")
+    assert (code, len(built)) == (0, 25)
 
 
 def test_checks_survive_python_O():

@@ -337,16 +337,17 @@ def reference_iterates(sys, steps, trunc):
     us = [QLaurent.one(trunc)]
     nums = [QLaurent.one(trunc)]
     for ell in range(1, steps + 1):
-        row = recurrence_engine._rec_row(sys, ell, trunc)
+        row = recurrence_engine.build_rec_row(sys, ell, trunc)
         nums.append(recurrence_engine._rec_rhs(row, us, trunc))
         us.append(nums[-1].divide(row.lhs))
     return us, nums
 
 
 def negated_first_rhs(real):
-    """``_rec_row`` with ``rhs[0]`` negated, so the iterates go negative."""
-    def row(sys, ell, trunc, columns=None):
-        got = real(sys, ell, trunc, columns)
+    """``build_rec_row`` with ``rhs[0]`` negated, so the iterates go
+    negative."""
+    def row(sys, ell, trunc):
+        got = real(sys, ell, trunc)
         return recurrence_engine.RecRow(
             lhs=got.lhs, rhs=(-got.rhs[0],) + got.rhs[1:], ell=ell)
     return row
@@ -368,7 +369,7 @@ class TestPackedIterates:
         steps = limit_steps(sys_, trunc)
         us, nums = reference_iterates(sys_, steps, trunc)
         assert run_recurrence(sys_, steps, trunc) == us
-        rows = [recurrence_engine._rec_row(sys_, ell, trunc)
+        rows = [recurrence_engine.build_rec_row(sys_, ell, trunc)
                 for ell in range(1, steps + 1)]
         bounds = recurrence_engine._iterate_bounds(sys_, rows, trunc)
         assert len(bounds) == steps + 1
@@ -397,8 +398,8 @@ class TestPackedIterates:
         # the true iterates are nonnegative; only a perturbed row puts
         # negative coefficients in the packed slots
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recurrence_engine, "_rec_row",
-                       negated_first_rhs(recurrence_engine._rec_row))
+            mp.setattr(recurrence_engine, "build_rec_row",
+                       negated_first_rhs(recurrence_engine.build_rec_row))
             for sys_ in battery:
                 us = self.check(sys_, trunc)
                 assert any(c < 0 for u in us for _, _, c in u.terms())
@@ -413,8 +414,8 @@ class TestPackedIterates:
     def test_negative_slots_on_drawn_systems(self, system, trunc):
         sys_ = build_system(system[1], system[0])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recurrence_engine, "_rec_row",
-                       negated_first_rhs(recurrence_engine._rec_row))
+            mp.setattr(recurrence_engine, "build_rec_row",
+                       negated_first_rhs(recurrence_engine.build_rec_row))
             self.check(sys_, trunc)
 
     def test_slot_width_at_trunc_120(self, sys3):
@@ -632,8 +633,8 @@ class TestPackedChecks:
         # below q^0, which both routes keep
         real = recurrence_engine._elimination_row
 
-        def row(sys, k, ell, trunc, columns=None):
-            lhs, rhs = real(sys, k, ell, trunc, columns)
+        def row(sys, k, ell, trunc):
+            lhs, rhs = real(sys, k, ell, trunc)
             lhs = lhs + QLaurent.monomial(trunc, -3, 1, 2)
             if rhs:
                 rhs[-1] = rhs[-1] + QLaurent.monomial(trunc, -5, 0, -1)
@@ -713,6 +714,55 @@ class TestCoefficientFamilies:
                     assert verify_Tmj(sys_, m, j), (sys_.N, m, j)
 
 
+def check_weight_pair_tables(sys_):
+    # each entry is the pair built afresh at trunc 0 and, raised, at 30;
+    # every pair with m + j > k is zero
+    weight_pair = recurrence_engine._weight_pair
+    for k in range(1, sys_.r + 2):
+        table = recurrence_engine._weight_pairs(sys_, k)
+        for m in range(1, k + 1):
+            for j in range(k + 1):
+                fresh = weight_pair(sys_, k, m, j, 0)
+                assert table[m, j] == fresh, (k, m, j)
+                assert table[m, j].with_trunc(30) \
+                    == weight_pair(sys_, k, m, j, 30), (k, m, j)
+                if m + j > k:
+                    assert fresh.is_zero(), (k, m, j)
+
+
+class TestWeightPairTables:
+    def test_battery(self, battery):
+        for sys_ in battery:
+            check_weight_pair_tables(sys_)
+
+    @settings(max_examples=25, deadline=None)
+    @given(admissible_systems(r_min=1, r_max=4))
+    def test_drawn_systems(self, system):
+        check_weight_pair_tables(build_system(system[1], system[0]))
+
+    def test_handed_out_series_cannot_reach_the_tables(self, sys7):
+        # coeff_b, coeff_e and the rows of build_rec_row are fresh series:
+        # a caller who changes one, down to its d-polynomials, leaves the
+        # tables as they were (q^0 may hold the shared constant 1)
+        def results():
+            report = verify_chain(sys7, 4, 3, 25)
+            return ([(st_.name, st_.detail) for st_ in report.stages],
+                    report.state.mu, build_rec_row(sys7, 3, 25),
+                    [verify_key_lemma(sys7, k, 2, 25)
+                     for k in range(1, sys7.r + 2)])
+        before = results()
+        handed = [build_rec_row(sys7, 3, 25).rhs[0]]
+        for m in range(1, sys7.r + 1):
+            for j in range(sys7.r + 1):
+                handed += [coeff_b(sys7, m, j + 1), coeff_e(sys7, m, j)]
+        for series in handed:
+            for e, p in series.coeffs.items():
+                if e:
+                    p.coeffs[0] = p.coeffs.get(0, 0) + 1
+            series.coeffs[-1] = DPoly.const(7)
+        assert results() == before
+
+
 class TestLimit:
     def test_constant_term(self, battery):
         for sys_ in battery:
@@ -769,13 +819,13 @@ class TestLimit:
     def test_negative_exponents_raise(self, sys7, monkeypatch):
         # shift every right-hand coefficient down one power of q, so u_1
         # picks up a q^-1 term
-        real = recurrence_engine._rec_row
+        real = recurrence_engine.build_rec_row
 
-        def shifted(sys, ell, trunc, columns):
-            row = real(sys, ell, trunc, columns)
+        def shifted(sys, ell, trunc):
+            row = real(sys, ell, trunc)
             rhs = tuple(c.scale_by_monomial(-1, 0, 1) for c in row.rhs)
             return recurrence_engine.RecRow(lhs=row.lhs, rhs=rhs, ell=ell)
-        monkeypatch.setattr(recurrence_engine, "_rec_row", shifted)
+        monkeypatch.setattr(recurrence_engine, "build_rec_row", shifted)
         with pytest.raises(NegativeExponents):
             recurrence_engine.run_recurrence(sys7, 2, 10)
 
@@ -849,15 +899,15 @@ class TestChain:
 
     def test_broken_reduced_recurrence_reports_ell(self, sys3, monkeypatch):
         # one extra q^4 on the reduced system's u_(l-1) multiplier at l = 2
-        real = recurrence_engine._rec_row
+        real = recurrence_engine.build_rec_row
 
-        def bad_row(sys, ell, trunc, columns=None):
-            row = real(sys, ell, trunc, columns)
+        def bad_row(sys, ell, trunc):
+            row = real(sys, ell, trunc)
             if sys.r == 1 and ell == 2:
                 rhs = (row.rhs[0] + QLaurent.monomial(trunc, 4),)
                 return recurrence_engine.RecRow(row.lhs, rhs, ell)
             return row
-        monkeypatch.setattr(recurrence_engine, "_rec_row", bad_row)
+        monkeypatch.setattr(recurrence_engine, "build_rec_row", bad_row)
         with pytest.raises(ChainBroken) as exc:
             verify_chain(sys3, 5, 5, 20)
         failed = [(st_.name, st_.detail) for st_ in exc.value.report.stages
@@ -871,8 +921,8 @@ class TestChain:
         # one extra 1 on one side of T(1, 2) reaches x^2 (and ell = 2) first
         real = recurrence_engine._tmj
 
-        def bad_tmj(sys, m, j, e):
-            sides = list(real(sys, m, j, e))
+        def bad_tmj(sys, m, j):
+            sides = list(real(sys, m, j))
             if (m, j) == (1, 2):
                 sides[side] = sides[side] + QLaurent.one(0)
             return tuple(sides)
@@ -939,8 +989,8 @@ def _tmj_plus_one(side):
     the extra 1 reaches ``x^2`` (and ``ell = 2``) first."""
     real = recurrence_engine._tmj
 
-    def tmj(sys, m, j, e):
-        sides = list(real(sys, m, j, e))
+    def tmj(sys, m, j):
+        sides = list(real(sys, m, j))
         if (m, j) == (1, 2) and side is not None:
             sides[side] = sides[side] + QLaurent.one(0)
         return tuple(sides)
@@ -949,19 +999,18 @@ def _tmj_plus_one(side):
 
 def _chain_tables(sys, work):
     """``left``, ``right`` and ``e`` as :func:`verify_chain` builds them,
-    at ``work``, through ``recurrence_engine._tmj`` (so a patched one)."""
+    through ``recurrence_engine._tmj`` (so a patched one), raised to
+    ``work``."""
     r = sys.r
-    e0 = {(m, j): coeff_e(sys, m, j)
-          for m in range(1, r + 1) for j in range(r + 1)}
-    e = {key: val.with_trunc(work) for key, val in e0.items()}
+    pairs = recurrence_engine._weight_pairs(sys, r)
+    e = {(m, j): pairs[m, j] for m in range(1, r + 1) for j in range(r + 1)}
     left = {(m, 0): e[m, 0] for m in range(1, r + 1)}
     right = dict(left)
     for m in range(1, r + 1):
         for j in range(1, r + 1):
-            left[m, j], right[m, j] = (
-                side.with_trunc(work)
-                for side in recurrence_engine._tmj(sys, m, j, e0))
-    return left, right, e
+            left[m, j], right[m, j] = recurrence_engine._tmj(sys, m, j)
+    return tuple({key: val.with_trunc(work) for key, val in tab.items()}
+                 for tab in (left, right, e))
 
 
 def _first(rows):
@@ -1100,8 +1149,8 @@ class TestChainPad:
         # bad_side perturbs one side of T(1, 2), so details are non-empty
         real = recurrence_engine._tmj
 
-        def tmj(sys, m, j, e):
-            sides = list(real(sys, m, j, e))
+        def tmj(sys, m, j):
+            sides = list(real(sys, m, j))
             if (m, j) == (1, 2) and bad_side is not None:
                 sides[bad_side] = sides[bad_side] + QLaurent.one(0)
             return tuple(sides)
@@ -1215,14 +1264,9 @@ class TestChainResiduals:
 
     def test_x0_row_fails_the_equations_only(self, sys3, monkeypatch):
         # a d on e(1, 0), which is M[1, 0] of all three tables
-        real = recurrence_engine.coeff_e
-
-        def bumped(sys, m, j, trunc=0):
-            c = real(sys, m, j, trunc)
-            if (m, j) == (1, 0):
-                c = c + QLaurent.monomial(c.trunc, 0, 1)
-            return c
-        monkeypatch.setattr(recurrence_engine, "coeff_e", bumped)
+        pairs = recurrence_engine._weight_pairs(sys3, sys3.r)
+        monkeypatch.setitem(pairs, (1, 0),
+                            pairs[1, 0] + QLaurent.monomial(0, 0, 1))
         with pytest.raises(ChainBroken) as exc:
             verify_chain(sys3, 5, 3, 20)
         assert [(st_.name, st_.detail) for st_ in exc.value.report.stages

@@ -84,6 +84,26 @@ def test_every_private_function_is_referenced_in_the_package():
     assert sorted(defined - used) == []
 
 
+def test_weight_pairs_are_built_only_for_their_table():
+    # every identity reads its weight pairs from the one table per system
+    # and cutoff; only the public families hand out fresh ones
+    path = PACKAGE / "recurrence_engine.py"
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id == "_weight_pair"):
+                callers.append(".".join(scope))
+            visit(child, scope)
+    visit(ast.parse(path.read_text(), str(path)), [])
+    assert sorted(callers) == ["_WeightPairs.__missing__", "coeff_b",
+                               "coeff_e"]
+
 
 def test_enumeration_stays_independent_of_the_identities():
     # the counters are the oracles the identities are checked against:
