@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from .alpha_system import alpha_weight_sum, build_system
 from .enumeration import _Completions
-from .series_ring import QLaurent, XSeries, product_F, qbinomial
+from .series_ring import QLaurent, product_F, qbinomial
 
 
 class ConventionOutOfRange(ValueError):
@@ -362,19 +362,6 @@ def build_rec_row(sys, ell, trunc):
     return RecRow(lhs=lhs, rhs=tuple(rhs), ell=ell)
 
 
-def _rec_rhs(row, us, trunc):
-    """``sum_j rhs[j-1] u_(ell-j)`` for ``row``, which stops at ``u_0``;
-    ``us`` ends at ``u_(ell-1)``."""
-    if len(row.rhs) > row.ell:
-        raise ValueError(f"a row at ell={row.ell} has {len(row.rhs)} "
-                         "terms and reaches below u_0")
-    total = QLaurent.zero(trunc)
-    for j, coeff in enumerate(row.rhs, 1):
-        if not coeff.is_zero():
-            total = total + coeff * us[-j]
-    return total
-
-
 def _iterate_bounds(sys, rows, trunc):
     """``[B_0, B_1, ...]``, with ``B_ell`` bounding every coefficient of
     ``u_ell`` and of the ``num = sum_j rhs_j u_(ell-j)`` it is divided out
@@ -580,10 +567,10 @@ def _tmj(sys, m, j):
         lhs = lhs + coeff_c(sys, k, j) * b[m - k, j]
     rhs = QLaurent.zero(0)
     for k in range(min(m - 1, j) + 1):
-        rhs = rhs + coeff_f(sys, m, k) * e[m, j - k]
-    for k in range(min(m - 1, j - 1) + 1):
-        rhs = rhs + (coeff_f(sys, m, k) * e[m, j - k - 1]) \
-            .scale_by_monomial(-sys.a[-1], 0, 1)
+        pair = e[m, j - k]
+        if k < j:
+            pair = pair + e[m, j - k - 1].scale_by_monomial(-sys.a[-1], 0, 1)
+        rhs = rhs + coeff_f(sys, m, k) * pair
     return lhs, rhs
 
 
@@ -634,15 +621,14 @@ class ChainStage:
 
 @dataclass
 class ChainState:
-    """Every intermediate object of one chain run."""
+    """Every intermediate object of one chain run, as lists of ``QLaurent``
+    at the working truncation: ``u`` and ``beta`` up to ``ell_max``, ``s``
+    and ``mu`` up to ``x_trunc``."""
 
     u: list
     beta: list
     s: list
     mu: list
-    f: XSeries
-    G: XSeries
-    g: XSeries
 
 
 @dataclass
@@ -684,10 +670,10 @@ def _chain_pad(sys, *tables):
     at any truncation; a truncated iterate meets the multiplier only at
     ``ell >= j + 1``.  A term ``q^a`` of ``M[m, j]`` then needs ``y`` exact
     up to ``trunc - a - m(j+1)N``, which this headroom gives.  No other
-    factor reaches below ``q^0``: the recurrence rows, ``num``, ``den``,
-    the x-product and the reduced rows have no negative exponents, and
-    each divisor starts with the constant 1, so ``u``, ``beta``, ``G`` and
-    ``mu`` stay exact up to the working truncation.
+    factor reaches below ``q^0``: the recurrence rows, ``num``, ``den`` and
+    the Gaussian binomials of :func:`_x_product_transform` have no negative
+    exponents, and each divisor starts with the constant 1, so ``u``,
+    ``beta``, ``mu`` and ``s`` stay exact up to the working truncation.
     """
     return max(0, -min(M.min_exp + m * (j + 1) * sys.N
                        for tab in tables for (m, j), M in tab.items()))
@@ -716,24 +702,35 @@ def _coeff_residuals(sys, ys, M, trunc):
     return offenders
 
 
-def _x_factor_product(sys, x_trunc, trunc):
-    """``prod_(k>=1) (1 + x q^(kN - a(r)))`` at the given truncations."""
-    prod = XSeries.one(x_trunc, trunc)
-    for e in range(sys.N - sys.a[-1], trunc + 1, sys.N):
-        prod = prod + prod.shift_x(1) * QLaurent.monomial(trunc, e)
-    return prod
+def _x_product_transform(sys, ys, sign, trunc):
+    """Yield ``(Q; Q)_l`` times the ``x^l`` coefficient of ``P(x)^sign
+    sum_l y_l x^l / (Q; Q)_l`` for ``l = 0 .. len(ys) - 1``, with ``Q =
+    q^N`` and the x-product ``P(x) = prod_(k>=1) (1 + x q^(kN - a(r)))``.
+    By the q-binomial theorem that is ``sum_j c_j q^(j(N - a(r))) [l,
+    j]_Q y_(l-j)``, with ``c_j = (-1)^j`` at ``sign = -1`` and
+    ``Q^(j(j-1)/2)`` at ``sign = 1``, so nothing is divided."""
+    N = sys.N
+
+    def multiplier(ell, j):
+        shift = j * (N - sys.a[-1]) + (sign > 0) * N * j * (j - 1) // 2
+        return qbinomial(ell, j, N, trunc).scale_by_monomial(shift, 0,
+                                                            sign ** j)
+    return (QLaurent.from_terms(trunc, (
+        (e1 + e2, k, c1 * c2) for j in range(ell + 1)
+        for e1, _, c1 in multiplier(ell, j).terms()
+        for e2, k, c2 in ys[ell - j].terms())) for ell in range(len(ys)))
 
 
 def verify_chain(sys, ell_max, x_trunc, trunc):
     """Run and check the whole transformation chain down one generator.
 
-    Builds ``u`` from the recurrence, derives ``beta``, the series
-    ``f``, its quotient ``G`` by the x-product, the coefficients ``s``
-    and ``mu``, and checks the recurrence or q-difference equation each
-    object must satisfy, ending with ``mu`` matching the reduced
-    (one generator fewer) infinite product.  Raises :class:`ChainBroken`
-    naming the first failing stage; the report carries every residual
-    verdict either way.
+    Builds ``u`` from the recurrence, derives ``beta``, then ``mu`` from
+    ``beta``'s quotient by the x-product (:func:`_x_product_transform`,
+    checked by the inverse transform) and ``s``, and checks the recurrence
+    or q-difference equation each object must satisfy, ending with ``mu``
+    matching the reduced (one generator fewer) infinite product.  Raises
+    :class:`ChainBroken` naming the first failing stage; the report
+    carries every residual verdict either way.
     """
     if sys.r < 2:
         raise ValueError("the chain needs at least two generators")
@@ -757,14 +754,22 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
 
     u = run_recurrence(sys, ell_max, work)
 
-    # den[ell] = prod_(h<=ell) (1 - q^(hN)), also mu's multiplier
-    betas = [u[0]]
+    # nu[ell] = u_ell num_ell = beta_ell den_ell, with den[ell] =
+    # prod_(h<=ell) (1 - q^(hN))
+    nu = [u[0]]
     num = one
     den = [one]
     for ell in range(1, ell_max + 1):
         num = num + num.scale_by_monomial(ell * N - ar, 1, -1)
         den.append(den[-1] + den[-1].scale_by_monomial(ell * N, 0, -1))
-        betas.append((u[ell] * num).divide(den[ell]))
+        nu.append(u[ell] * num)
+    betas = [nu_ell.divide(den_ell) for nu_ell, den_ell in zip(nu, den)]
+    # divide out the x-product in closed form and multiply it back, one
+    # coefficient at a time
+    mus = list(_x_product_transform(sys, nu[:x_trunc + 1], -1, work))
+    if any(back != nu_ell for back, nu_ell in
+           zip(_x_product_transform(sys, mus, 1, work), nu)):
+        raise RoundTripMismatch("x-product division failed to invert")
 
     report = ChainReport(system=sys, trunc=trunc, x_trunc=x_trunc)
 
@@ -781,33 +786,26 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     record("eq_prime",
            *_coeff_residuals(sys, betas[:x_trunc + 1], right, trunc))
 
-    # divide out the x-product; the quotient's equation and recurrence
-    # are again one set of rows
-    f = XSeries(x_trunc, betas[:x_trunc + 1])
-    xprod = _x_factor_product(sys, x_trunc, work)
-    G = f.divide(xprod)
-    g_recon = G * xprod
-    if g_recon != f:
-        raise RoundTripMismatch("x-product division failed to invert")
-    s = list(G.coeffs)
+    # the quotient's equation and recurrence are again one set of rows
+    s = [mu.divide(den_ell) for mu, den_ell in zip(mus, den)]
     rows = _coeff_residuals(sys, s, e, trunc)
     record("eq_dprime", *rows)
     record("rec_dprime", *rows[1:])
 
-    # mu satisfies the reduced system's main recurrence
+    # mu are the reduced system's iterates: where they first differ, the
+    # reduced recurrence's residual is lhs (mu_l - u'_l), whose first term
+    # is that of mu_l - u'_l, as lhs is 1 plus terms above q^0
     reduced = build_system(sys.a[:-1], N)
-    mus = [s_ell * den_ell for s_ell, den_ell in zip(s, den)]
     offender = None
-    if mus[0] != QLaurent.one(work):
+    if mus[0] != one:
         offender = (0, "mu_0 != 1")
-    for ell in range(1, x_trunc + 1):
-        if offender is not None:
-            break
-        row = build_rec_row(reduced, ell, work)
-        res = (row.lhs * mus[ell]
-               - _rec_rhs(row, mus[:ell], work)).with_trunc(trunc)
-        if not res.is_zero():
-            offender = (ell,) + res.first_nonzero()
+    else:
+        for ell, u_red in enumerate(_decoded_iterates(reduced, x_trunc,
+                                                      trunc)):
+            got = mus[ell].with_trunc(trunc)
+            if got != u_red:
+                offender = (ell,) + (got - u_red).first_nonzero()
+                break
     record("rec_reduced", offender)
 
     # stabilized mu equals the reduced infinite product
@@ -820,8 +818,7 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
             offender = (reduced_product - got).first_nonzero()
     record("mu_limit", offender)
 
-    report.state = ChainState(u=u, beta=betas, s=s, mu=mus,
-                              f=f, G=G, g=g_recon)
+    report.state = ChainState(u=u, beta=betas, s=s, mu=mus)
     failed = report.first_failure()
     if failed is not None:
         raise ChainBroken(failed.name, report)

@@ -292,6 +292,19 @@ class TestRecRow:
                         (sys_, k, ell)
 
 
+def rec_rhs(row, us, trunc):
+    """``sum_j rhs[j-1] u_(ell-j)`` for ``row``, which stops at ``u_0``;
+    ``us`` ends at ``u_(ell-1)``."""
+    if len(row.rhs) > row.ell:
+        raise ValueError(f"a row at ell={row.ell} has {len(row.rhs)} "
+                         "terms and reaches below u_0")
+    total = QLaurent.zero(trunc)
+    for j, coeff in enumerate(row.rhs, 1):
+        if not coeff.is_zero():
+            total = total + coeff * us[-j]
+    return total
+
+
 class TestRunRecurrence:
     def test_initial_value(self, sys7):
         assert run_recurrence(sys7, 0, 10)[0] == QLaurent.one(10)
@@ -327,7 +340,7 @@ class TestRunRecurrence:
         one = QLaurent.one(5)
         row = recurrence_engine.RecRow(lhs=one, rhs=(one, one), ell=1)
         with pytest.raises(ValueError, match="below u_0"):
-            recurrence_engine._rec_rhs(row, [one, one], 5)
+            rec_rhs(row, [one, one], 5)
 
 
 def reference_iterates(sys, steps, trunc):
@@ -338,7 +351,7 @@ def reference_iterates(sys, steps, trunc):
     nums = [QLaurent.one(trunc)]
     for ell in range(1, steps + 1):
         row = recurrence_engine.build_rec_row(sys, ell, trunc)
-        nums.append(recurrence_engine._rec_rhs(row, us, trunc))
+        nums.append(rec_rhs(row, us, trunc))
         us.append(nums[-1].divide(row.lhs))
     return us, nums
 
@@ -851,10 +864,11 @@ class TestChain:
         state = report.state
         work = state.u[0].trunc
         one = QLaurent.one(work)
-        assert state.f.coeffs[0] == one
-        assert state.g == state.f
+        assert state.beta[0] == one
         assert state.mu[0] == one
-        assert state.s == list(state.G.coeffs)
+        assert [len(state.u), len(state.beta), len(state.s),
+                len(state.mu)] == [7, 7, 7, 7]
+        xseries_quotient(sys3, state)
         # beta_l * prod (1 - q^(jN)) == u_l * prod (1 - d q^(jN - a(r)))
         num, den = one, one
         for ell in range(1, 7):
@@ -878,11 +892,23 @@ class TestChain:
         with pytest.raises(ValueError):
             verify_chain(sys2, 4, 4, 10)
 
-    def test_round_trip_mismatch_raises(self, sys3, monkeypatch):
-        # a "quotient" that is the dividend itself cannot multiply back
-        monkeypatch.setattr(XSeries, "divide", lambda self, den: self)
+    def test_round_trip_mismatch_raises(self, sys3, monkeypatch, capsys):
+        # one term too many on each inner [l, j]_(q^N) of the x-product
+        # transform leaves q^(2(N - a(r)) + N) over at x^2 on the way back
+        real = recurrence_engine.qbinomial
+
+        def bad(m, r, base_exp, trunc=None):
+            got = real(m, r, base_exp, trunc)
+            if base_exp > 0 and 0 < r < m:
+                got = got + QLaurent.monomial(got.trunc, base_exp)
+            return got
+        monkeypatch.setattr(recurrence_engine, "qbinomial", bad)
         with pytest.raises(RoundTripMismatch):
             verify_chain(sys3, 4, 4, 12)
+        assert cli.main(["verify", "--N", "3", "--a", "1,2", "--trunc", "12",
+                         "--x-trunc", "4", "--checks", "chain"]) == 1
+        assert capsys.readouterr().err \
+            == "error: x-product division failed to invert\n"
 
     def test_broken_chain_reports_stage(self, sys3, monkeypatch):
         # corrupt the reduced-product comparison to exercise the failure path
@@ -974,12 +1000,8 @@ def _chain_outputs(sys_, ell_max, x_trunc, trunc):
     """Stage names and details, report JSON and every state series cut to
     ``trunc``, of a passing or failing chain."""
     report = _chain_report(sys_, ell_max, x_trunc, trunc)
-    state = report.state
-    cut = {name: [x.with_trunc(trunc) for x in getattr(state, name)]
+    cut = {name: [x.with_trunc(trunc) for x in getattr(report.state, name)]
            for name in ("u", "beta", "s", "mu")}
-    cut.update({name: [x.with_trunc(trunc)
-                       for x in getattr(state, name).coeffs]
-                for name in ("f", "G", "g")})
     return ([(st_.name, st_.detail) for st_ in report.stages],
             report.to_json_obj(), cut)
 
@@ -1020,6 +1042,26 @@ def _first(rows):
 # -- the x-series route, a test-only reference --------------------------
 
 
+def x_factor_product(sys, x_trunc, trunc):
+    """``prod_(k>=1) (1 + x q^(kN - a(r)))`` at the given truncations."""
+    prod = XSeries.one(x_trunc, trunc)
+    for e in range(sys.N - sys.a[-1], trunc + 1, sys.N):
+        prod = prod + prod.shift_x(1) * QLaurent.monomial(trunc, e)
+    return prod
+
+
+def xseries_quotient(sys, state):
+    """``F = sum_(l<=x_trunc) beta_l x^l`` of a chain's state and its
+    quotient ``G`` by the x-product, whose coefficients must be the state's
+    ``s`` and which must multiply back to ``F``."""
+    F = XSeries(len(state.s) - 1, state.beta[:len(state.s)])
+    xprod = x_factor_product(sys, F.x_trunc, F.trunc)
+    G = F.divide(xprod)
+    assert list(G.coeffs) == state.s
+    assert G * xprod == F
+    return F, G
+
+
 def xseries_pad(sys, *tables):
     """The headroom the x-series route needs: minus the most negative
     exponent of ``q^(mjN) M[m, j]``, clamped at 0.
@@ -1058,10 +1100,11 @@ def reference_stages(sys_, ell_max, x_trunc, trunc):
         patch.setattr(recurrence_engine, "_chain_pad", xseries_pad)
         state = _chain_report(sys_, ell_max, x_trunc, trunc).state
     left, right, e = _chain_tables(sys_, state.u[0].trunc)
+    F, G = xseries_quotient(sys_, state)
     rows = qdiff_rows(sys_, XSeries(ell_max, state.beta), left, trunc)
-    g_rows = qdiff_rows(sys_, state.G, e, trunc)
+    g_rows = qdiff_rows(sys_, G, e, trunc)
     found = [("rec_prime", rows[1:]), ("eq", rows[:x_trunc + 1]),
-             ("eq_prime", qdiff_rows(sys_, state.f, right, trunc)),
+             ("eq_prime", qdiff_rows(sys_, F, right, trunc)),
              ("eq_dprime", g_rows), ("rec_dprime", g_rows[1:])]
     return [(name, "" if _first(r) is None else f"first offender {_first(r)}")
             for name, r in found]
@@ -1106,8 +1149,8 @@ class TestXSeriesReference:
         assert report.state.u[0].trunc == 30
         tables = _chain_tables(sys3, 30)
         assert xseries_pad(sys3, *tables) == 1
-        assert _first(qdiff_rows(sys3, report.state.f, tables[0], 30)) \
-            == (1, 30, 14, 1)
+        F = XSeries(5, report.state.beta)
+        assert _first(qdiff_rows(sys3, F, tables[0], 30)) == (1, 30, 14, 1)
         assert report.verdict == "pass"
 
 
@@ -1207,9 +1250,9 @@ class TestChainResiduals:
     """The coefficient rows name the first perturbed ``ell`` and agree
     with the x-series route row by row.
 
-    The inputs are the ``s`` and ``G`` of a passing 3/{1,2} chain, run at
-    the x-series route's pad, and the ``e`` table, whose equations they
-    satisfy.
+    The inputs are the ``s`` of a passing 3/{1,2} chain, run at the
+    x-series route's pad, its x-series quotient ``G``, and the ``e``
+    table, whose equations they satisfy.
     """
 
     @pytest.fixture(scope="class")
@@ -1217,10 +1260,11 @@ class TestChainResiduals:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(recurrence_engine, "_chain_pad", xseries_pad)
             state = verify_chain(sys3, 5, 5, 20).state
-        return state, _chain_tables(sys3, state.u[0].trunc)[2]
+        return (state, _chain_tables(sys3, state.u[0].trunc)[2],
+                xseries_quotient(sys3, state)[1])
 
     def test_rec_residual_names_perturbed_s(self, sys3, chain3):
-        state, e = chain3
+        state, e, _ = chain3
         residuals = recurrence_engine._coeff_residuals
         assert residuals(sys3, state.s, e, 20) == [None] * 6
         s = list(state.s)
@@ -1228,15 +1272,14 @@ class TestChainResiduals:
         assert residuals(sys3, s, e, 20)[:4] == [None] * 3 + [(3, 4, 1, 1)]
 
     def test_rec_residual_names_perturbed_row(self, sys3, chain3):
-        state, e = chain3
+        state, e, _ = chain3
         e = dict(e)
         e[1, 2] = e[1, 2] + QLaurent.one(e[1, 2].trunc)
         assert recurrence_engine._coeff_residuals(sys3, state.s, e, 20)[:3] \
             == [None] * 2 + [(2, 6, 0, -1)]
 
     def test_qdiff_residual_names_perturbed_series(self, sys3, chain3):
-        state, e = chain3
-        G = state.G
+        _, e, G = chain3
         assert qdiff_rows(sys3, G, e, 20) == [None] * 6
         s = list(G.coeffs)
         s[3] = s[3] + QLaurent.monomial(G.trunc, 4, 1)
@@ -1245,21 +1288,21 @@ class TestChainResiduals:
         assert _first(rows) == (3, 4, 1, 1)
 
     def test_qdiff_residual_names_perturbed_row(self, sys3, chain3):
-        state, e = chain3
+        state, e, G = chain3
         e = dict(e)
         e[2, 1] = e[2, 1] + QLaurent.one(e[2, 1].trunc)
         rows = recurrence_engine._coeff_residuals(sys3, state.s, e, 20)
-        assert rows == qdiff_rows(sys3, state.G, e, 20)
+        assert rows == qdiff_rows(sys3, G, e, 20)
         assert _first(rows) == (1, 6, 0, 1)
 
     def test_x0_row_names_perturbed_multiplier(self, sys3, chain3):
         # M[m, 0] meets y_0 unscaled at x^0, the row eq has and rec_prime
         # does not
-        state, e = chain3
+        state, e, G = chain3
         e = dict(e)
         e[1, 0] = e[1, 0] + QLaurent.monomial(e[1, 0].trunc, 2, 1)
         rows = recurrence_engine._coeff_residuals(sys3, state.s, e, 20)
-        assert rows == qdiff_rows(sys3, state.G, e, 20)
+        assert rows == qdiff_rows(sys3, G, e, 20)
         assert rows[0] == (0, 2, 1, -1)
 
     def test_x0_row_fails_the_equations_only(self, sys3, monkeypatch):
@@ -1304,3 +1347,90 @@ class TestChainResiduals:
         monkeypatch.setattr(recurrence_engine, "_coeff_residuals", spy)
         verify_chain(sys3, 7, 4, 20)
         assert lengths == [8, 5, 5]
+
+
+def planted_rows(real, reduced, plants):
+    """``build_rec_row`` with ``c d^k q^e`` added to ``rhs[j-1]`` of the
+    ``reduced`` system's row at ``ell`` for each ``(ell, j, e, k, c)`` of
+    ``plants`` (a ``j`` past the row's end plants nothing)."""
+    def row(sys, ell, trunc):
+        got = real(sys, ell, trunc)
+        rhs = list(got.rhs)
+        for at, j, e, k, c in plants:
+            if sys == reduced and at == ell and j <= len(rhs):
+                rhs[j - 1] = rhs[j - 1] + QLaurent.monomial(trunc, e, k, c)
+        return recurrence_engine.RecRow(got.lhs, tuple(rhs), ell)
+    return row
+
+
+def reduced_residual(reduced, mus, trunc):
+    """The first nonzero term ``(ell, q, d, c)`` below ``q^trunc``, or
+    None, of the reduced recurrence's residual ``lhs mu_l - sum_j rhs_j
+    mu_(l-j)`` over ``1 <= l < len(mus)``, on the rows of (a possibly
+    patched) ``build_rec_row``."""
+    work = mus[0].trunc
+    for ell in range(1, len(mus)):
+        row = recurrence_engine.build_rec_row(reduced, ell, work)
+        res = (row.lhs * mus[ell]
+               - rec_rhs(row, mus[:ell], work)).with_trunc(trunc)
+        if not res.is_zero():
+            return (ell,) + res.first_nonzero()
+    return None
+
+
+class TestReducedRecurrenceDetail:
+    """``rec_reduced`` compares ``mu`` with the reduced system's iterates
+    and names the first nonzero term of the reduced recurrence's residual,
+    as multiplied out on ``mu`` with :func:`rec_rhs`."""
+
+    def check(self, sys_, plants, ell_max, x_trunc, trunc):
+        """The detail of a chain run on planted reduced rows, required to
+        match the reference residual, which it returns."""
+        reduced = build_system(sys_.a[:-1], sys_.N)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(recurrence_engine, "build_rec_row", planted_rows(
+                recurrence_engine.build_rec_row, reduced, plants))
+            report = _chain_report(sys_, ell_max, x_trunc, trunc)
+            want = reduced_residual(reduced, report.state.mu, trunc)
+        stages = {st_.name: st_.detail for st_ in report.stages}
+        assert stages["rec_reduced"] == (
+            "" if want is None else f"first offender {want}")
+        assert [name for name, detail in stages.items() if detail] \
+            == ([] if want is None else ["rec_reduced"])
+        return want
+
+    # (ell, j, e, k, c); a plant at u_(ell-j) leaves -c d^k q^e as the
+    # residual's first term, since u_(ell-j) and 1/lhs start with 1
+    @pytest.mark.parametrize("plants", [
+        [(1, 1, 0, 0, 1)],
+        [(2, 1, 4, 0, 1)],
+        [(3, 1, 7, 1, -2), (5, 1, 2, 0, 1)],
+        [(4, 2, 5, 2, 3), (5, 1, 9, 0, -1)],
+        [(5, 1, 30, 3, 1)],
+        [(5, 1, 31, 0, 1)],             # above trunc: nothing to name
+    ])
+    def test_battery(self, battery, plants):
+        for sys_ in battery:
+            live = [p for p in plants
+                    if p[1] <= min(p[0], sys_.r - 1) and p[2] <= 30]
+            want = self.check(sys_, plants, 5, 5, 30)
+            if live:
+                ell, _, e, k, c = live[0]
+                assert want == (ell, e, k, -c), (sys_.N, sys_.a)
+            else:
+                assert want is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(admissible_systems(r_min=2, r_max=3), st.integers(0, 16),
+           st.integers(1, 4), st.data())
+    def test_drawn_systems(self, system, trunc, x_trunc, data):
+        sys_ = build_system(system[1], system[0])
+        ell = data.draw(st.integers(1, x_trunc), label="ell")
+        j = data.draw(st.integers(1, min(ell, sys_.r - 1)), label="j")
+        e = data.draw(st.integers(0, trunc), label="e")
+        k = data.draw(st.integers(0, 3), label="k")
+        c = data.draw(st.sampled_from([1, -1, 2, -3]), label="c")
+        later = data.draw(st.integers(ell + 1, x_trunc + 1), label="later")
+        plants = [(ell, j, e, k, c), (later, 1, 0, 0, 1)]
+        assert self.check(sys_, plants, x_trunc + 1, x_trunc, trunc) \
+            == (ell, e, k, -c)
