@@ -180,6 +180,8 @@ PINNED_FORMATS = {
         "57d5afae9a05c661b0cbe1e3a5f998248be676cdcc6f4859efcdaecbdd862664",
     ("expand", "--what", "limit", "--trunc", "120", "--output", "json"):
         "57d5afae9a05c661b0cbe1e3a5f998248be676cdcc6f4859efcdaecbdd862664",
+    ("expand", "--what", "limit", "--trunc", "200", "--output", "json"):
+        "db266dcf64c5ceddf60bfb00b0fa536a2ac8ab5419a474c638e9232c92c93817",
     ("verify", "--checks", "lemma1,lemma2,eq357,key,rec,tmj", "--trunc", "30",
      "--output", "json"):
         "c934a440971e91b4b25016485f79ad5c765fee3f3adbd554ce9c2c0e3a9656f8",
@@ -193,6 +195,14 @@ PINNED_FORMATS = {
     ("verify", "--checks", "chain", "--trunc", "30", "--x-trunc", "3",
      "--ell-max", "9", "--output", "json"):
         "2b31bd97ecc2a4aa1f7fefd3db168035923cd2e40b905f38abe1f9051586e0cd",
+    # the benchmark's chain workload
+    ("verify", "--checks", "chain", "--trunc", "56", "--x-trunc", "5",
+     "--output", "json"):
+        "6ea662f15b25779a458588ab9f2b8dc6ba29ee7bc74944c0a60259c8c8429958",
+    # the chain at a larger depth: its quotients need the widest slots
+    ("verify", "--checks", "chain", "--trunc", "80", "--x-trunc", "7",
+     "--output", "json"):
+        "6f4fb472baa6aaf4cc0cc21ccd2f9edc00d52ec201513143d80d10677c37a153",
 }
 
 
