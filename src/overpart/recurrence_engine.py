@@ -32,7 +32,8 @@ from functools import lru_cache
 
 from .alpha_system import alpha_weight_sum, build_system
 from .enumeration import _Completions
-from .series_ring import QLaurent, product_F, qbinomial
+from .series_ring import (QLaurent, _div_packed, _dot, _mul_packed,
+                          product_F, qbinomial)
 
 
 class ConventionOutOfRange(ValueError):
@@ -362,92 +363,44 @@ def build_rec_row(sys, ell, trunc):
     return RecRow(lhs=lhs, rhs=tuple(rhs), ell=ell)
 
 
-def _iterate_bounds(sys, rows, trunc):
-    """``[B_0, B_1, ...]``, with ``B_ell`` bounding every coefficient of
-    ``u_ell`` and of the ``num = sum_j rhs_j u_(ell-j)`` it is divided out
-    of, for ``rows`` the :func:`build_rec_row` rows at ``ell = 1, 2, ...``.
-
-    Each bound is the largest entry of a majorant: a series in ``q``
-    alone whose ``q^n`` coefficient is at least ``sum_k |c|`` over the
-    terms ``c d^k q^n`` of the series it bounds.  The sum and the product
-    of two majorants bound the sum and the (truncated) product of the
-    series, so ``num``'s is built from ``|rhs_j|`` and ``u_(ell-j)``'s.
-    An iterate with no term below ``q^0`` is ``num`` times ``1/lhs =
-    prod_j 1/(1 - d q^(ell N - a(j)))``, whose coefficients are all
-    nonnegative, so ``u_ell``'s majorant is ``num``'s times that product
-    at ``d = 1``.  (An iterate with such a term raises before it is
-    read.)
-    """
-    majorants = deque([[1] + [0] * trunc], maxlen=sys.r)
-    bounds = [1]
-    for row in rows:
-        num = {}
-        for j, coeff in enumerate(row.rhs, 1):
-            u = majorants[-j]
-            for e1, p in coeff.coeffs.items():
-                a = sum(abs(c) for c in p.coeffs.values())
-                for e2 in range(min(trunc, trunc - e1) + 1):
-                    num[e1 + e2] = num.get(e1 + e2, 0) + a * u[e2]
-        u = [num.get(n, 0) for n in range(trunc + 1)]
-        for g in sys.a:
-            e = row.ell * sys.N - g
-            for n in range(e, trunc + 1):
-                u[n] += u[n - e]
-        majorants.append(u)
-        bounds.append(max(max(u), max(num.values(), default=0)))
-    return bounds
-
-
 def _iterates(sys, trunc, steps):
     """Yield ``(u_ell, width)`` for ``ell = 0 .. steps``: the iterates of
     the main recurrence, each packed at ``d = 2^width`` as
     :meth:`QLaurent._packed` does, with no zero entry.
 
-    The rows are built first, since ``width`` is fixed from all of them
-    by :func:`_iterate_bounds`, so the slots of every iterate and every
-    ``num`` hold their true coefficients: reading an iterate back with
-    :meth:`QLaurent._from_packed`, comparing two packed iterates, and
-    testing a packed coefficient for zero are all exact.  Only the last
-    ``r`` iterates are kept, as far back as a row reads; every row reads
-    its weight pairs from one table (:func:`_weight_pairs`).
+    Each step is ``u_ell = num / lhs``, ``num = sum_j rhs_j u_(ell-j)``,
+    run by the ring's packed kernels.  The rows are built first and run
+    once on majorants at ``d = 1``: ``|num| / lhs(1)`` bounds ``u_ell``, as
+    ``1/lhs = prod_j 1/(1 - d q^(ell N - a(j)))`` has nonnegative
+    coefficients.  That fixes ``width``, so the slots of every iterate and
+    every ``num`` hold their true coefficients, and reading an iterate
+    back, comparing two packed iterates and testing a packed coefficient
+    for zero are all exact.  Only the last ``r`` iterates are kept, as far
+    back as a row reads.
     """
-    us = deque([{0: 1}], maxlen=sys.r)
-    yield us[0], 2                  # two bits hold u_0 = 1 signed
+    yield {0: 1}, 2                 # two bits hold u_0 = 1 signed
     if steps < 1:
         return
     rows = [build_rec_row(sys, ell, trunc) for ell in range(1, steps + 1)]
-    width = max(_iterate_bounds(sys, rows, trunc)).bit_length() + 1
+    us, bound = deque([{0: 1}], maxlen=sys.r), 1
+    for row in rows:
+        num = _mul_packed([(c._majorant(), us[-j])
+                           for j, c in enumerate(row.rhs, 1)], trunc)
+        us.append(_div_packed(num, row.lhs._packed(0), trunc))
+        bound = max([bound, *num.values(), *us[-1].values()])
+    width = bound.bit_length() + 1
+    us = deque([{0: 1}], maxlen=sys.r)
     for row in rows:
         row.lhs._require_unit_leading()
-        num = {}
-        for j, coeff in enumerate(row.rhs, 1):
-            u = us[-j]
-            for e1, a in coeff._packed(width).items():
-                for e2, b in u.items():     # in ascending order
-                    e = e1 + e2
-                    if e > trunc:
-                        break
-                    num[e] = num.get(e, 0) + a * b
+        num = _mul_packed([(c._packed(width), us[-j])
+                           for j, c in enumerate(row.rhs, 1)], trunc)
         low = min((e for e, c in num.items() if c), default=0)
         if low < 0:
             raise NegativeExponents(
                 f"recurrence produced negative exponents at ell={row.ell}: "
                 f"q^{low}")
-        den = sorted((e, c) for e, c in row.lhs._packed(width).items()
-                     if e > 0)
-        u = {}
-        for e in range(low, trunc + 1):
-            c = num.get(e, 0)
-            for ed, cd in den:
-                if e - ed < low:
-                    break
-                prev = u.get(e - ed)
-                if prev is not None:
-                    c -= cd * prev
-            if c:
-                u[e] = c
-        us.append(u)
-        yield u, width
+        us.append(_div_packed(num, row.lhs._packed(width), trunc))
+        yield us[-1], width
 
 
 def _decoded_iterates(sys, ell_max, trunc):
@@ -690,13 +643,15 @@ def _coeff_residuals(sys, ys, M, trunc):
     both the equation and the coefficient recurrence.
     """
     N, r = sys.N, sys.r
+    one = QLaurent.one(ys[0].trunc)
     offenders = []
     for ell, y in enumerate(ys):
-        res = y - ys[ell - 1] if ell else y
-        for j in range(min(r, ell) + 1):
-            mult = _multiplier(N, ell, M, j, r, res.trunc)
-            res = res - mult * ys[ell - j]
-        res = res.with_trunc(trunc)
+        pairs = [(one, y)]
+        if ell:
+            pairs.append((-one, ys[ell - 1]))
+        pairs += [(-_multiplier(N, ell, M, j, r, y.trunc), ys[ell - j])
+                  for j in range(min(r, ell) + 1)]
+        res = _dot(y.trunc, pairs).with_trunc(trunc)
         offenders.append(None if res.is_zero()
                          else (ell,) + res.first_nonzero())
     return offenders
@@ -715,10 +670,9 @@ def _x_product_transform(sys, ys, sign, trunc):
         shift = j * (N - sys.a[-1]) + (sign > 0) * N * j * (j - 1) // 2
         return qbinomial(ell, j, N, trunc).scale_by_monomial(shift, 0,
                                                             sign ** j)
-    return (QLaurent.from_terms(trunc, (
-        (e1 + e2, k, c1 * c2) for j in range(ell + 1)
-        for e1, _, c1 in multiplier(ell, j).terms()
-        for e2, k, c2 in ys[ell - j].terms())) for ell in range(len(ys)))
+    return (_dot(trunc, [(multiplier(ell, j), ys[ell - j])
+                         for j in range(ell + 1)])
+            for ell in range(len(ys)))
 
 
 def verify_chain(sys, ell_max, x_trunc, trunc):

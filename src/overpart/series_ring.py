@@ -9,9 +9,8 @@ needs three levels of structure:
 * ``QLaurent`` - Laurent series in ``q`` truncated above at ``trunc``,
   with ``DPoly`` coefficients; negative ``q``-exponents are kept exactly,
 * ``XSeries``  - series in an auxiliary variable ``x`` truncated at
-  ``x_trunc``, with ``QLaurent`` coefficients; the transformation chain
-  uses it only to divide out its x-product and multiply the quotient
-  back.  Its q-difference equations are checked on coefficient lists.
+  ``x_trunc``, with ``QLaurent`` coefficients; it is the tests' reference
+  for the transformation chain, which runs on lists of coefficients.
 
 All coefficients are Python integers, so everything is exact at the
 chosen truncation; there is no floating point anywhere.  Values are
@@ -19,15 +18,21 @@ immutable by convention and every operation returns a new object.
 Operands must share truncations; mixing them raises
 ``TruncationMismatch`` instead of silently coercing.
 
-The long runs (the infinite product here, the main recurrence in
-``recurrence_engine``) hold each q-coefficient ``P_e(d)`` packed as the
-one int ``P_e(2^width)``: the coefficient of ``d^k`` sits in the
-``width``-bit slot at bit ``k * width``.  ``d -> 2^width`` is a ring
-map, so sums, products and division steps on the packed ints are exact,
-and each costs one big-int operation per pair of q-terms.  Reading the
-slots back as signed ints is exact once every true coefficient lies in
-``[-2^(width-1), 2^(width-1))``; each run proves such a bound before it
-starts.
+Every series product and quotient, and the long runs (the infinite
+product here, the main recurrence in ``recurrence_engine``), hold each
+q-coefficient ``P_e(d)`` packed as the one int ``P_e(2^width)``: the
+coefficient of ``d^k`` sits in the ``width``-bit slot at bit ``k *
+width``.  ``d -> 2^width`` is a ring map, so sums, products and division
+steps on the packed ints are exact, and each costs one big-int operation
+per pair of q-terms.  One loop multiplies (:func:`_mul_packed`) and one
+divides (:func:`_div_packed`).  Reading the slots back as signed ints is
+exact once every true coefficient lies in ``[-2^(width-1),
+2^(width-1))``, so each call proves a bound ``B`` on them before it
+starts and takes ``width = bits(B) + 1``.  The bounds come from
+majorants at ``d = 1``, ``|x|`` having the ``q^e`` coefficient ``sum_k
+|c|`` over the terms ``c d^k q^e`` of ``x``: ``B = sum_j L1(a_j)
+max|b_j|`` for a sum of products ``sum_j a_j b_j`` (:func:`_dot`), and
+``B = max(|num| / (1 - |den - 1|))`` for a quotient.
 """
 
 from __future__ import annotations
@@ -291,18 +296,7 @@ class QLaurent:
                     out[e] = prod
             return QLaurent._wrap_clean(self.trunc, out)
         self._require_same(other)
-        acc = {}
-        for e1, p1 in self.coeffs.items():
-            for e2, p2 in other.coeffs.items():
-                e = e1 + e2
-                if e > self.trunc:
-                    continue
-                row = acc.setdefault(e, {})
-                for d1, c1 in p1.coeffs.items():
-                    for d2, c2 in p2.coeffs.items():
-                        deg = d1 + d2
-                        row[deg] = row.get(deg, 0) + c1 * c2
-        return QLaurent._wrap(self.trunc, acc)
+        return _dot(self.trunc, [(self, other)])
 
     __rmul__ = __mul__
 
@@ -324,36 +318,19 @@ class QLaurent:
         return QLaurent._wrap_clean(self.trunc, out)
 
     def divide(self, den):
-        """Exact series quotient ``self / den``.
-
-        ``den`` must start with the constant term 1 at ``q**0`` (no
-        negative exponents), which makes the quotient a well defined
-        truncated Laurent series computed by coefficient recursion.
-        """
+        """Exact series quotient ``self / den``, for ``den`` starting with
+        the constant 1 at ``q**0`` (no negative exponents), on packed
+        coefficients (see the module docstring)."""
         den = self._coerce(den)
         self._require_same(den)
         den._require_unit_leading()
-        if self.is_zero():
-            return QLaurent.zero(self.trunc)
-        den_items = sorted((e, p) for e, p in den.coeffs.items() if e > 0)
-        nmin = self.min_exp
-        quo = {}
-        for e in range(nmin, self.trunc + 1):
-            row = dict(self.coeffs[e].coeffs) if e in self.coeffs else {}
-            for ed, pd in den_items:
-                prev = quo.get(e - ed)
-                if prev is None:
-                    if e - ed < nmin:
-                        break
-                    continue
-                for d1, c1 in pd.coeffs.items():
-                    for d2, c2 in prev.coeffs.items():
-                        deg = d1 + d2
-                        row[deg] = row.get(deg, 0) - c1 * c2
-            row = {deg: c for deg, c in row.items() if c}
-            if row:
-                quo[e] = DPoly._wrap(row)
-        return QLaurent._wrap_clean(self.trunc, quo)
+        # over 1 - |den - 1|: the kernel reads no constant term
+        bound = _div_packed(self._majorant(), {
+            e: -c for e, c in den._majorant().items()}, self.trunc)
+        width = max(bound.values(), default=0).bit_length() + 1
+        return QLaurent._from_packed(self.trunc, _div_packed(
+            self._packed(width), den._packed(width), self.trunc).items(),
+            width)
 
     def _require_unit_leading(self):
         """Raise ``NonUnitLeadingTerm`` unless this divisor starts with
@@ -361,6 +338,12 @@ class QLaurent:
         if self.min_exp != 0 or self.coeffs.get(0) != _DPOLY_ONE:
             raise NonUnitLeadingTerm(
                 "divisor must have leading coefficient 1 at q^0")
+
+    def _majorant(self):
+        """``{e: sum_k |c|}`` over the terms ``c d^k q^e``: a series in
+        ``q`` alone whose coefficients bound those of this series."""
+        return {e: sum(map(abs, p.coeffs.values()))
+                for e, p in self.coeffs.items()}
 
     def _packed(self, width):
         """``{e: P_e(2**width)}`` for the coefficients ``P_e(d)``: the
@@ -482,6 +465,54 @@ class QLaurent:
         obj.trunc = trunc
         obj.coeffs = coeffs
         return obj
+
+
+def _mul_packed(pairs, trunc):
+    """``sum a*b`` over the ``(a, b)`` of ``pairs``, each an ``{e: int}``
+    map, dropping exponents above ``trunc``."""
+    out = {}
+    for a, b in pairs:
+        b = sorted(b.items())
+        for e1, x in a.items():
+            lim = trunc - e1
+            for e2, y in b:
+                if e2 > lim:
+                    break
+                out[e1 + e2] = out.get(e1 + e2, 0) + x * y
+    return out
+
+
+def _div_packed(num, den, trunc):
+    """The quotient ``num / den`` up to ``trunc`` as an ``{e: int}`` map
+    with no zero entry, for ``den`` with constant 1 (not read) and no
+    exponent below 0."""
+    low = min((e for e, c in num.items() if c), default=trunc + 1)
+    den = sorted((e, c) for e, c in den.items() if e > 0)
+    quo = {}
+    for e in range(low, trunc + 1):
+        c = num.get(e, 0)
+        for ed, cd in den:
+            if e - ed < low:
+                break
+            prev = quo.get(e - ed)
+            if prev:
+                c -= cd * prev
+        if c:
+            quo[e] = c
+    return quo
+
+
+def _dot(trunc, pairs):
+    """``sum a*b`` over the ``QLaurent`` pairs ``(a, b)`` of ``pairs``, all
+    at ``trunc``, on packed coefficients in slots sized by ``sum L1(a)
+    max|b|``, which bounds every coefficient of the sum."""
+    bound = sum(sum(a._majorant().values()) * max(
+        (abs(c) for p in b.coeffs.values() for c in p.coeffs.values()),
+        default=0) for a, b in pairs)
+    width = bound.bit_length() + 1
+    return QLaurent._from_packed(trunc, _mul_packed(
+        [(a._packed(width), b._packed(width)) for a, b in pairs],
+        trunc).items(), width)
 
 
 class XSeries:

@@ -199,7 +199,7 @@ PINNED_FORMATS = {
     ("verify", "--checks", "chain", "--trunc", "56", "--x-trunc", "5",
      "--output", "json"):
         "6ea662f15b25779a458588ab9f2b8dc6ba29ee7bc74944c0a60259c8c8429958",
-    # the chain at a larger depth: its quotients need the widest slots
+    # the chain at a larger depth: its quotients take slots of up to 28 bits
     ("verify", "--checks", "chain", "--trunc", "80", "--x-trunc", "7",
      "--output", "json"):
         "6f4fb472baa6aaf4cc0cc21ccd2f9edc00d52ec201513143d80d10677c37a153",

@@ -10,6 +10,7 @@ from overpart import (
     ConventionOutOfRange,
     DPoly,
     NegativeExponents,
+    NonUnitLeadingTerm,
     NotStabilized,
     QLaurent,
     RoundTripMismatch,
@@ -36,7 +37,7 @@ from overpart import (
     verify_lemma2,
     verify_Tmj,
 )
-from overpart import cli, recurrence_engine
+from overpart import cli, recurrence_engine, series_ring
 from overpart.enumeration import _Completions
 
 from conftest import admissible_systems, cells, factor_product
@@ -382,13 +383,14 @@ class TestPackedIterates:
         steps = limit_steps(sys_, trunc)
         us, nums = reference_iterates(sys_, steps, trunc)
         assert run_recurrence(sys_, steps, trunc) == us
-        rows = [recurrence_engine.build_rec_row(sys_, ell, trunc)
-                for ell in range(1, steps + 1)]
-        bounds = recurrence_engine._iterate_bounds(sys_, rows, trunc)
-        assert len(bounds) == steps + 1
-        for ell in range(steps + 1):
-            assert bounds[ell] >= max(max_abs(us[ell]), max_abs(nums[ell])), \
-                ell
+        # the slots the run chose hold every coefficient of each iterate
+        # and of each num it was divided out of
+        widths = [w for _, w in recurrence_engine._iterates(sys_, trunc,
+                                                            steps)]
+        assert len(widths) == steps + 1
+        for ell, width in enumerate(widths):
+            assert max(max_abs(us[ell]), max_abs(nums[ell])) \
+                < 2 ** (width - 1), ell
         return us
 
     @pytest.mark.parametrize("trunc", [0, 1, 30, 60])
@@ -439,6 +441,46 @@ class TestPackedIterates:
             recurrence_engine._iterates(sys3, 120, steps), 1, 2)
         assert max_abs(limit_u(sys3, 120)).bit_length() == 29
         assert 30 <= width <= 37
+
+    def test_zero_rows(self, sys7, monkeypatch):
+        # a row whose num vanishes leaves nothing for the sizing pass to
+        # bound but u_0
+        real = recurrence_engine.build_rec_row
+
+        def zero(sys, ell, trunc):
+            row = real(sys, ell, trunc)
+            return recurrence_engine.RecRow(
+                lhs=row.lhs, rhs=tuple(c * 0 for c in row.rhs), ell=ell)
+        monkeypatch.setattr(recurrence_engine, "build_rec_row", zero)
+        assert run_recurrence(sys7, 3, 10) == [QLaurent.one(10)] + [
+            QLaurent.zero(10)] * 3
+
+    @pytest.mark.parametrize("bad_lhs, want", [
+        (True, NonUnitLeadingTerm), (False, NegativeExponents)])
+    def test_errors_come_before_the_packed_division(self, sys7, monkeypatch,
+                                                    bad_lhs, want):
+        # row 1's rhs reaches below q^0 and, with bad_lhs, its lhs starts
+        # with 2: the divisor is checked first, then num, and row 1 is
+        # never divided; the sizing pass divides each row's majorants once
+        real = recurrence_engine.build_rec_row
+        divisions = []
+
+        def broken(sys, ell, trunc):
+            row = real(sys, ell, trunc)
+            if ell > 1:
+                return row
+            return recurrence_engine.RecRow(
+                lhs=row.lhs + row.lhs if bad_lhs else row.lhs,
+                rhs=tuple(c.scale_by_monomial(-1) for c in row.rhs), ell=ell)
+
+        def counted(num, den, trunc):
+            divisions.append(trunc)
+            return series_ring._div_packed(num, den, trunc)
+        monkeypatch.setattr(recurrence_engine, "build_rec_row", broken)
+        monkeypatch.setattr(recurrence_engine, "_div_packed", counted)
+        with pytest.raises(want):
+            run_recurrence(sys7, 3, 10)
+        assert len(divisions) == 3
 
 
 class TestKeyLemma:

@@ -14,6 +14,7 @@ from overpart import (
     count_all_overpartitions,
     product_F,
     qbinomial,
+    series_ring,
 )
 
 from conftest import admissible_systems, factor_product
@@ -155,6 +156,10 @@ class TestRingOps:
             QLaurent.one(5) + QLaurent.one(6)
         with pytest.raises(TruncationMismatch):
             QLaurent.one(5) * QLaurent.one(6)
+        with pytest.raises(TruncationMismatch):
+            QLaurent.one(5).divide(QLaurent.one(6))
+        with pytest.raises(TruncationMismatch):   # before the unit check
+            QLaurent.one(5).divide(QLaurent.monomial(6, 1))
 
     def test_divide_roundtrip(self):
         den = QLaurent.from_terms(12, [(0, 0, 1), (1, 1, -1), (3, 0, 2)])
@@ -164,11 +169,11 @@ class TestRingOps:
         assert quo.min_exp == -2
 
     def test_divide_requires_unit(self):
-        with pytest.raises(NonUnitLeadingTerm):
-            QLaurent.one(5).divide(QLaurent.monomial(5, 1))
-        with pytest.raises(NonUnitLeadingTerm):
-            QLaurent.one(5).divide(QLaurent.from_terms(5, [(-1, 0, 1),
-                                                           (0, 0, 1)]))
+        for bad in ([(1, 0, 1)], [(-1, 0, 1), (0, 0, 1)], [(0, 0, 2)],
+                    [(0, 1, 1)], [(0, 0, 1), (0, 1, 1)], []):
+            for num in (QLaurent.one(5), QLaurent.zero(5)):
+                with pytest.raises(NonUnitLeadingTerm):
+                    num.divide(QLaurent.from_terms(5, bad))
 
     def test_d0_specialization(self):
         f = QLaurent.from_terms(6, [(0, 0, 1), (2, 1, 5), (2, 0, -3)])
@@ -445,6 +450,140 @@ class TestPacked:
         assert QLaurent._from_packed(6, prod.items(), width) == a * b
         summed = {e: pa.get(e, 0) + pb.get(e, 0) for e in pa.keys() | pb}
         assert QLaurent._from_packed(6, summed.items(), width) == a + b
+
+
+# -- the packed product and quotient kernels ----------------------------
+#
+# ``ref_mul`` and ``ref_divide`` are the ring's product and quotient as
+# they were written on ``DPoly`` coefficients, before every product and
+# quotient ran on packed ints.
+
+
+def ref_mul(a, b):
+    acc = {}
+    for e1, p1 in a.coeffs.items():
+        for e2, p2 in b.coeffs.items():
+            e = e1 + e2
+            if e > a.trunc:
+                continue
+            row = acc.setdefault(e, {})
+            for d1, c1 in p1.coeffs.items():
+                for d2, c2 in p2.coeffs.items():
+                    row[d1 + d2] = row.get(d1 + d2, 0) + c1 * c2
+    return QLaurent.from_terms(a.trunc, ((e, k, c) for e, row in acc.items()
+                                         for k, c in row.items()))
+
+
+def ref_divide(num, den):
+    """``num / den`` by the coefficient recursion, for ``den`` starting
+    with the constant 1 at ``q^0``."""
+    if num.is_zero():
+        return QLaurent.zero(num.trunc)
+    den_items = sorted((e, p) for e, p in den.coeffs.items() if e > 0)
+    nmin = num.min_exp
+    quo = {}
+    for e in range(nmin, num.trunc + 1):
+        row = dict(num.coeffs[e].coeffs) if e in num.coeffs else {}
+        for ed, pd in den_items:
+            prev = quo.get(e - ed)
+            if prev is None:
+                continue
+            for d1, c1 in pd.coeffs.items():
+                for d2, c2 in prev.coeffs.items():
+                    row[d1 + d2] = row.get(d1 + d2, 0) - c1 * c2
+        row = {k: c for k, c in row.items() if c}
+        if row:
+            quo[e] = DPoly(row)
+    return QLaurent(num.trunc, quo)
+
+
+BIG = 2 ** 64 - 1
+
+kernel_coeffs = st.one_of(st.integers(-9, 9),
+                          st.sampled_from([BIG, -BIG, 2 ** 40, -2 ** 40]))
+
+
+@st.composite
+def kernel_series(draw, trunc=10, low=-4, unit=False):
+    """A series at ``trunc`` with negative exponents and coefficients; with
+    ``unit``, a divisor: the constant 1 plus terms above ``q^0``."""
+    terms = draw(st.lists(
+        st.tuples(st.integers(1 if unit else low, trunc), st.integers(0, 4),
+                  kernel_coeffs), max_size=8))
+    if unit:
+        terms.append((0, 0, 1))
+    return QLaurent.from_terms(trunc, terms)
+
+
+def geometric(n, trunc):
+    """``sum_(i<n) q^i``."""
+    return QLaurent.from_terms(trunc, ((i, 0, 1) for i in range(n)))
+
+
+def fibonacci_series(trunc):
+    fib = [1, 1]
+    while len(fib) <= trunc:
+        fib.append(fib[-1] + fib[-2])
+    return QLaurent.from_terms(trunc, ((n, 0, fib[n])
+                                       for n in range(trunc + 1)))
+
+
+class TestPackedKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_series(), kernel_series())
+    def test_product_matches_the_dpoly_reference(self, a, b):
+        assert a * b == ref_mul(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_series(), kernel_series(unit=True))
+    def test_quotient_matches_the_dpoly_reference(self, num, den):
+        quo = num.divide(den)
+        assert quo == ref_divide(num, den)
+        assert quo * den == num
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(kernel_series(), kernel_series()),
+                    max_size=4))
+    def test_dot_sums_the_products(self, pairs):
+        want = QLaurent.zero(10)
+        for a, b in pairs:
+            want = want + ref_mul(a, b)
+        assert series_ring._dot(10, pairs) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 64, 1024])
+    def test_square_whose_middle_meets_the_bound(self, n):
+        # the q^(n-1) coefficient of the square is n = L1 * max: the width
+        # rule leaves exactly its sign bit, and a power of two needs it
+        g = geometric(n, 2 * n)
+        sq = g * g
+        assert sq.coefficient_int(n - 1, 0) == n
+        assert sq == ref_mul(g, g)
+        assert g * -g == -sq
+
+    @pytest.mark.parametrize("trunc", [2, 3, 5, 30, 91, 200])
+    def test_quotient_that_meets_its_majorant(self, trunc):
+        # 1 / (1 - q - q^2) is its own majorant: the Fibonacci numbers
+        den = QLaurent.from_terms(trunc, [(0, 0, 1), (1, 0, -1), (2, 0, -1)])
+        quo = QLaurent.one(trunc).divide(den)
+        assert quo == fibonacci_series(trunc)
+        shifted = QLaurent.monomial(trunc, -3, 2, -1).divide(den)
+        assert shifted == fibonacci_series(trunc + 3).scale_by_monomial(
+            -3, 2, -1).with_trunc(trunc)
+
+    def test_coefficients_of_64_bits(self):
+        a = QLaurent.from_terms(6, [(-2, 0, BIG), (0, 3, -BIG), (4, 1, 1)])
+        b = QLaurent.from_terms(6, [(0, 0, -BIG), (2, 2, BIG), (3, 0, BIG)])
+        assert a * b == ref_mul(a, b)
+        den = QLaurent.from_terms(6, [(0, 0, 1), (1, 1, -BIG), (2, 0, BIG)])
+        assert a.divide(den) == ref_divide(a, den)
+        assert max(abs(c) for *_, c in (a * b).terms()) == BIG ** 2
+
+    def test_zero_operands(self):
+        zero, x = QLaurent.zero(5), QLaurent.from_terms(5, [(-1, 2, 7)])
+        assert (zero * x).is_zero() and (x * zero).is_zero()
+        assert zero.divide(QLaurent.one(5) + x.scale_by_monomial(3)) == zero
+        assert series_ring._dot(5, []) == zero
+        assert series_ring._dot(5, [(x, x), (-x, x)]) == zero
 
 
 # -- XSeries -------------------------------------------------------------

@@ -105,6 +105,28 @@ def test_weight_pairs_are_built_only_for_their_table():
                                "coeff_e"]
 
 
+def test_only_the_kernel_sites_call_the_packed_kernels():
+    # every general product and quotient runs through one multiply loop
+    # and one quotient loop; no other function packs its own
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Name)
+                    and child.func.id in ("_mul_packed", "_div_packed")):
+                callers.append((".".join(scope), child.func.id))
+            visit(child, scope)
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), [])
+    assert sorted(set(callers)) == [
+        ("QLaurent.divide", "_div_packed"), ("_dot", "_mul_packed"),
+        ("_iterates", "_div_packed"), ("_iterates", "_mul_packed")]
+
+
 def test_only_series_ring_names_xseries():
     # the x-series type is the tests' reference for the transformation
     # chain, whose own path runs on lists of coefficients; __init__ only
