@@ -143,8 +143,8 @@ def beta(sys, m):
     return sys.N if rem == 0 else rem
 
 
-def alpha_weight_sum(sys, bound_index, weight, trunc=0):
-    """Sum of ``q**-alpha`` over subset sums below a generator cutoff.
+def alpha_weight_sum(sys, bound_index, weight):
+    """Sum of ``q**-alpha``, at trunc 0, over subset sums below a cutoff.
 
     ``bound_index`` selects the upper bound ``a(bound_index)`` (1-based,
     with ``r + 1`` meaning the sentinel, i.e. no restriction), and only
@@ -157,9 +157,9 @@ def alpha_weight_sum(sys, bound_index, weight, trunc=0):
     if weight < 0:
         raise ValueError("weight must be non-negative")
     if weight == 0:
-        return QLaurent.one(trunc)
+        return QLaurent.one(0)
     bound = sys.generator(bound_index)
     return QLaurent.from_terms(
-        trunc,
+        0,
         ((-s, 0, 1) for s in sys.alpha
          if s < bound and sys.w_table[s] == weight))

@@ -25,7 +25,6 @@ from .recurrence_engine import (
     RoundTripMismatch,
     _decoded_iterates,
     _ladder,
-    _require_ladder_domain,
     _weight_pairs,
     g_series,
     limit_u,
@@ -230,13 +229,14 @@ def _run_checks(sys_, args, checks):
             res["x_trunc"] = args.x_trunc
             res["ell_max"] = ell_max
         elif name == "theorem":
-            _require_ladder_domain(sys_)    # limit_u's check, before counting
+            # limit_u rejects N = a(1) before anything is counted, and the
+            # limit is dropped before the counters run
+            limit_ok = limit_u(sys_, trunc) == (prod := product_F(sys_, trunc))
             f_counts = count_F(sys_, trunc)
-            prod = product_F(sys_, trunc)
             cases = [
                 ("count_F == count_G", f_counts == count_G(sys_, trunc)),
                 ("count_F == product", f_counts == prod),
-                ("product == limit", prod == limit_u(sys_, trunc)),
+                ("product == limit", limit_ok),
             ]
             res = _sweep(cases)
         else:

@@ -447,23 +447,24 @@ def verify_key_lemma(sys, k, ell, trunc):
 
 
 # -- coefficient families of the transformation chain -----------------
+# Each family has no exponent above 0, so it is built, exactly, at trunc 0.
 
 
-def coeff_c(sys, k, j, trunc=0):
+def coeff_c(sys, k, j):
     """``d^k f(j, k) = q^(-N k(k+1)/2 - k a(r)) [j-1, k]_(q^-N) d^k``."""
     if k < 0 or j < 1:
         raise ValueError("need k >= 0 and j >= 1")
-    return coeff_f(sys, j, k, trunc).scale_by_monomial(0, k, 1)
+    return coeff_f(sys, j, k).scale_by_monomial(0, k, 1)
 
 
-def _weight_pair(sys, bound_index, m, j, trunc):
+def _weight_pair(sys, bound_index, m, j):
     """``(d^(m-1) W(j+m-1) + d^m W(j+m)) [j+m-1, m-1]_(q^-N)``, with ``W``
     the weight sums of the subset sums below ``a(bound_index)``."""
-    w1 = alpha_weight_sum(sys, bound_index, j + m - 1, trunc) \
+    w1 = alpha_weight_sum(sys, bound_index, j + m - 1) \
         .scale_by_monomial(0, m - 1, 1)
-    w2 = alpha_weight_sum(sys, bound_index, j + m, trunc) \
+    w2 = alpha_weight_sum(sys, bound_index, j + m) \
         .scale_by_monomial(0, m, 1)
-    return (w1 + w2) * qbinomial(j + m - 1, m - 1, -sys.N, trunc)
+    return (w1 + w2) * qbinomial(j + m - 1, m - 1, -sys.N, 0)
 
 
 class _WeightPairs(dict):
@@ -477,7 +478,7 @@ class _WeightPairs(dict):
 
     def __missing__(self, key):
         m, j = key
-        self[key] = (_weight_pair(self.sys, self.k, m, j, 0)
+        self[key] = (_weight_pair(self.sys, self.k, m, j)
                      if m + j <= self.k else QLaurent.zero(0))
         return self[key]
 
@@ -485,26 +486,26 @@ class _WeightPairs(dict):
 _weight_pairs = lru_cache(maxsize=None)(_WeightPairs)
 
 
-def coeff_b(sys, m, j, trunc=0):
+def coeff_b(sys, m, j):
     """Weight-sum pair over all subset sums, times ``[j+m-1, m-1]_(q^-N)``."""
     if m < 1 or j < 1:
         raise ValueError("need m >= 1 and j >= 1")
-    return _weight_pair(sys, sys.r + 1, m, j, trunc)
+    return _weight_pair(sys, sys.r + 1, m, j)
 
 
-def coeff_e(sys, m, j, trunc=0):
+def coeff_e(sys, m, j):
     """Weight-sum pair below ``a(r)``, times ``[j+m-1, m-1]_(q^-N)``."""
     if m < 1 or j < 0:
         raise ValueError("need m >= 1 and j >= 0")
-    return _weight_pair(sys, sys.r, m, j, trunc)
+    return _weight_pair(sys, sys.r, m, j)
 
 
-def coeff_f(sys, m, k, trunc=0):
+def coeff_f(sys, m, k):
     """``q^(-N k(k+1)/2 - k a(r)) [m-1, k]_(q^-N)``."""
     if m < 1 or k < 0:
         raise ValueError("need m >= 1 and k >= 0")
     shift = -sys.N * k * (k + 1) // 2 - k * sys.a[-1]
-    return qbinomial(m - 1, k, -sys.N, trunc).scale_by_monomial(shift, 0, 1)
+    return qbinomial(m - 1, k, -sys.N, 0).scale_by_monomial(shift, 0, 1)
 
 
 def _tmj(sys, m, j):
@@ -575,8 +576,8 @@ class ChainStage:
 @dataclass
 class ChainState:
     """Every intermediate object of one chain run, as lists of ``QLaurent``
-    at the working truncation: ``u`` and ``beta`` up to ``ell_max``, ``s``
-    and ``mu`` up to ``x_trunc``."""
+    at ``trunc``: ``u`` and ``beta`` up to ``ell_max``, ``s`` and ``mu`` up
+    to ``x_trunc``."""
 
     u: list
     beta: list
@@ -613,34 +614,33 @@ class ChainReport:
         }
 
 
-def _chain_pad(sys, *tables):
-    """Headroom above ``trunc`` that keeps the chain's residuals exact:
-    minus the most negative exponent of ``q^(m(j+1)N) M[m, j]`` over the
-    multiplier tables, clamped at 0.
-
-    Row ``ell`` of :func:`_coeff_residuals` applies ``q^(m ell N) M[m, j]``
-    to ``y_(ell-j)``.  At ``ell = j`` that is ``y_0 = 1``, which is exact
-    at any truncation; a truncated iterate meets the multiplier only at
-    ``ell >= j + 1``.  A term ``q^a`` of ``M[m, j]`` then needs ``y`` exact
-    up to ``trunc - a - m(j+1)N``, which this headroom gives.  No other
-    factor reaches below ``q^0``: the recurrence rows, ``num``, ``den`` and
-    the Gaussian binomials of :func:`_x_product_transform` have no negative
-    exponents, and each divisor starts with the constant 1, so ``u``,
-    ``beta``, ``mu`` and ``s`` stay exact up to the working truncation.
-    """
-    return max(0, -min(M.min_exp + m * (j + 1) * sys.N
-                       for tab in tables for (m, j), M in tab.items()))
-
-
-def _coeff_residuals(sys, ys, M, trunc):
-    """The first offender ``(ell, q, d, c)`` below ``q^trunc``, or None,
-    of each row ``0 <= ell < len(ys)`` of ``y_l = y_(l-1) + sum_(j<=min(r,
-    l)) (sum_m (-1)^(m+1) q^(mlN) M[m, j]) y_(l-j)``, with ``y_(-1) = 0``.
+def _coeff_residuals(sys, ys, M):
+    """The first offender ``(ell, q, d, c)``, or None, of each row ``0 <=
+    ell < len(ys)`` of ``y_l = y_(l-1) + sum_(j<=min(r, l)) (sum_m
+    (-1)^(m+1) q^(mlN) M[m, j]) y_(l-j)``, with ``y_(-1) = 0``.
 
     Row ``ell`` is the ``x^ell`` coefficient of the q-difference equation
     ``F = xF + sum_m (-1)^(m+1) M_m(x) F(xq^(mN))`` for ``F = sum_l y_l
     x^l``, where ``M_m(x) = sum_j M[m, j] q^(mjN) x^j``, so one pass checks
     both the equation and the coefficient recurrence.
+
+    Exact at the truncation of ``ys``, with no headroom: row ``ell``
+    applies ``q^(m ell N) M[m, j]`` to ``y_(ell-j)``, which is ``y_0 = 1``
+    at ``ell = j``, and each term ``q^a`` of :func:`verify_chain`'s tables
+    has ``a + m(j+1)N >= N - S >= a(r) > 0``, ``S = a(1) + ... + a(r-1)``.
+    As ``[n, k]_(q^-N)`` reaches down to ``q^(-Nk(n-k))``, weight sums
+    below ``a(r)`` to ``q^-S`` and all of them to ``q^-(S + a(r))``, ``a +
+    m(j+1)N + S`` is at least
+
+    * ``N(m + j)`` on ``e(m, j)``;
+    * ``N(m + j + k(k+1)/2) - (k+1)a(r)`` on ``c(k, j) b(m-k, j)``, ``k <
+      min(m, j)``;
+    * ``N(m + j + k(k-1)/2) - k a(r)`` on ``f(m, k) e(m, j-k)``, ``k < m``,
+      ``k <= j``, and ``N(m - 1) - a(r)`` more on ``q^-a(r) f(m, k) e(m,
+      j-k-1)``, ``k < j``;
+
+    each at least ``N``, as ``N > a(r)`` and ``m + j - 1`` is at least
+    ``k + 1`` where ``(k+1)a(r)`` is taken off, and ``k`` elsewhere.
     """
     N, r = sys.N, sys.r
     one = QLaurent.one(ys[0].trunc)
@@ -651,7 +651,7 @@ def _coeff_residuals(sys, ys, M, trunc):
             pairs.append((-one, ys[ell - 1]))
         pairs += [(-_multiplier(N, ell, M, j, r, y.trunc), ys[ell - j])
                   for j in range(min(r, ell) + 1)]
-        res = _dot(y.trunc, pairs).with_trunc(trunc)
+        res = _dot(y.trunc, pairs)
         offenders.append(None if res.is_zero()
                          else (ell,) + res.first_nonzero())
     return offenders
@@ -684,7 +684,9 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     or q-difference equation each object must satisfy, ending with ``mu``
     matching the reduced (one generator fewer) infinite product.  Raises
     :class:`ChainBroken` naming the first failing stage; the report
-    carries every residual verdict either way.
+    carries every residual verdict either way.  Every stage is exact at
+    ``trunc``: only the multipliers (:func:`_coeff_residuals`) reach below
+    ``q^0``, and each divisor starts with 1.
     """
     if sys.r < 2:
         raise ValueError("the chain needs at least two generators")
@@ -703,10 +705,9 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     for m in range(1, r + 1):
         for j in range(1, r + 1):
             left[m, j], right[m, j] = _tmj(sys, m, j)
-    work = trunc + _chain_pad(sys, left, right, e)
-    one = QLaurent.one(work)
+    one = QLaurent.one(trunc)
 
-    u = run_recurrence(sys, ell_max, work)
+    u = run_recurrence(sys, ell_max, trunc)
 
     # nu[ell] = u_ell num_ell = beta_ell den_ell, with den[ell] =
     # prod_(h<=ell) (1 - q^(hN))
@@ -720,9 +721,9 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     betas = [nu_ell.divide(den_ell) for nu_ell, den_ell in zip(nu, den)]
     # divide out the x-product in closed form and multiply it back, one
     # coefficient at a time
-    mus = list(_x_product_transform(sys, nu[:x_trunc + 1], -1, work))
+    mus = list(_x_product_transform(sys, nu[:x_trunc + 1], -1, trunc))
     if any(back != nu_ell for back, nu_ell in
-           zip(_x_product_transform(sys, mus, 1, work), nu)):
+           zip(_x_product_transform(sys, mus, 1, trunc), nu)):
         raise RoundTripMismatch("x-product division failed to invert")
 
     report = ChainReport(system=sys, trunc=trunc, x_trunc=x_trunc)
@@ -733,16 +734,15 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
         report.stages.append(ChainStage(name, first is None, detail))
 
     # the x^l rows of eq are the rows l of rec_prime, plus x^0
-    rows = _coeff_residuals(sys, betas, left, trunc)
+    rows = _coeff_residuals(sys, betas, left)
     record("rec_prime", *rows[1:])
     record("eq", *rows[:x_trunc + 1])
     # the same series satisfies the reduced-form q-difference equation
-    record("eq_prime",
-           *_coeff_residuals(sys, betas[:x_trunc + 1], right, trunc))
+    record("eq_prime", *_coeff_residuals(sys, betas[:x_trunc + 1], right))
 
     # the quotient's equation and recurrence are again one set of rows
     s = [mu.divide(den_ell) for mu, den_ell in zip(mus, den)]
-    rows = _coeff_residuals(sys, s, e, trunc)
+    rows = _coeff_residuals(sys, s, e)
     record("eq_dprime", *rows)
     record("rec_dprime", *rows[1:])
 
@@ -756,9 +756,8 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     else:
         for ell, u_red in enumerate(_decoded_iterates(reduced, x_trunc,
                                                       trunc)):
-            got = mus[ell].with_trunc(trunc)
-            if got != u_red:
-                offender = (ell,) + (got - u_red).first_nonzero()
+            if mus[ell] != u_red:
+                offender = (ell,) + (mus[ell] - u_red).first_nonzero()
                 break
     record("rec_reduced", offender)
 
@@ -766,10 +765,8 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     eff = min(trunc, x_trunc * N - a1)
     offender = None
     if eff >= 0:
-        reduced_product = product_F(reduced, work).with_trunc(eff)
-        got = mus[x_trunc].with_trunc(eff)
-        if got != reduced_product:
-            offender = (reduced_product - got).first_nonzero()
+        offender = (product_F(reduced, eff)
+                    - mus[x_trunc].with_trunc(eff)).first_nonzero()
     record("mu_limit", offender)
 
     report.state = ChainState(u=u, beta=betas, s=s, mu=mus)

@@ -28,7 +28,7 @@ per pair of q-terms.  One loop multiplies (:func:`_mul_packed`) and one
 divides (:func:`_div_packed`).  Reading the slots back as signed ints is
 exact once every true coefficient lies in ``[-2^(width-1),
 2^(width-1))``, so each call proves a bound ``B`` on them before it
-starts and takes ``width = bits(B) + 1``.  The bounds come from
+starts and takes ``width = bits(max(B, 1)) + 1``.  The bounds come from
 majorants at ``d = 1``, ``|x|`` having the ``q^e`` coefficient ``sum_k
 |c|`` over the terms ``c d^k q^e`` of ``x``: ``B = sum_j L1(a_j)
 max|b_j|`` for a sum of products ``sum_j a_j b_j`` (:func:`_dot`), and
@@ -327,7 +327,7 @@ class QLaurent:
         # over 1 - |den - 1|: the kernel reads no constant term
         bound = _div_packed(self._majorant(), {
             e: -c for e, c in den._majorant().items()}, self.trunc)
-        width = max(bound.values(), default=0).bit_length() + 1
+        width = max([1, *bound.values()]).bit_length() + 1
         return QLaurent._from_packed(self.trunc, _div_packed(
             self._packed(width), den._packed(width), self.trunc).items(),
             width)
@@ -361,8 +361,10 @@ class QLaurent:
         Each slot is read as a signed ``width``-bit int and taken off
         before the shift to the next, which is exact when every
         coefficient lies in ``[-2^(width-1), 2^(width-1))``.  Every ``e``
-        must be at most ``trunc``.
+        must be at most ``trunc``, and ``width`` at least 2.
         """
+        if width < 2:
+            raise ValueError(f"slot width {width} is below 2")
         mask = (1 << width) - 1
         half = 1 << (width - 1)
         coeffs = {}
@@ -509,7 +511,7 @@ def _dot(trunc, pairs):
     bound = sum(sum(a._majorant().values()) * max(
         (abs(c) for p in b.coeffs.values() for c in p.coeffs.values()),
         default=0) for a, b in pairs)
-    width = bound.bit_length() + 1
+    width = max(bound, 1).bit_length() + 1
     return QLaurent._from_packed(trunc, _mul_packed(
         [(a._packed(width), b._packed(width)) for a, b in pairs],
         trunc).items(), width)

@@ -374,12 +374,15 @@ class TestOneGeneratorAtModulus:
 
     def test_theorem_rejects_the_system_before_counting(self, capsys,
                                                         monkeypatch):
+        # limit_u runs first and raises the ladder's domain error itself
         for name in ("count_F", "count_G", "product_F"):
             monkeypatch.setattr(cli, name, _raiser(AssertionError(name)))
         code, out, err = run_cli(capsys, "verify", "--N", "2", "--a", "2",
                                  "--checks", "theorem", "--trunc", "200")
         assert (code, out) == (2, "")
-        assert err.startswith("error: N = a(1) = 2 lies outside")
+        assert err == ("error: N = a(1) = 2 lies outside the peeling and "
+                       "recurrence identities, which need N > a(r)\n")
+        assert not hasattr(cli, "_require_ladder_domain")
 
     @pytest.mark.parametrize("argv", [
         ("count", "--n-max", "12"),
@@ -491,9 +494,9 @@ def test_each_weight_pair_is_built_once_per_command(capsys, monkeypatch):
     real = recurrence_engine._weight_pair
     built = []
 
-    def counted(sys, k, m, j, trunc):
+    def counted(sys, k, m, j):
         built.append((sys.N, sys.a, k, m, j))
-        return real(sys, k, m, j, trunc)
+        return real(sys, k, m, j)
     monkeypatch.setattr(recurrence_engine, "_weight_pair", counted)
     recurrence_engine._weight_pairs.cache_clear()
     code, out, _ = run_cli(capsys, "verify", "--battery", "--checks",

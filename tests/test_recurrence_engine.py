@@ -769,18 +769,28 @@ class TestCoefficientFamilies:
                     assert verify_Tmj(sys_, m, j), (sys_.N, m, j)
 
 
+def weight_pair_at(sys_, k, m, j, trunc):
+    """The weight pair ``W_k(m, j)`` multiplied out at ``trunc``."""
+    def weights(w):
+        return alpha_weight_sum(sys_, k, w).with_trunc(trunc)
+    pair = weights(j + m - 1).scale_by_monomial(0, m - 1, 1) \
+        + weights(j + m).scale_by_monomial(0, m, 1)
+    return pair * qbinomial(j + m - 1, m - 1, -sys_.N, trunc)
+
+
 def check_weight_pair_tables(sys_):
-    # each entry is the pair built afresh at trunc 0 and, raised, at 30;
-    # every pair with m + j > k is zero
+    # each entry is the pair built afresh at trunc 0 and, raised, the pair
+    # multiplied out at 30, so it is exact at trunc 0; every pair with
+    # m + j > k is zero
     weight_pair = recurrence_engine._weight_pair
     for k in range(1, sys_.r + 2):
         table = recurrence_engine._weight_pairs(sys_, k)
         for m in range(1, k + 1):
             for j in range(k + 1):
-                fresh = weight_pair(sys_, k, m, j, 0)
+                fresh = weight_pair(sys_, k, m, j)
                 assert table[m, j] == fresh, (k, m, j)
                 assert table[m, j].with_trunc(30) \
-                    == weight_pair(sys_, k, m, j, 30), (k, m, j)
+                    == weight_pair_at(sys_, k, m, j, 30), (k, m, j)
                 if m + j > k:
                     assert fresh.is_zero(), (k, m, j)
 
@@ -965,6 +975,21 @@ class TestChain:
                     if st.residual_zero]
         assert "rec_prime" in names_ok
 
+    def test_mu_limit_names_the_first_difference(self, sys3, monkeypatch):
+        # the detail is the lowest term of product - mu below q^eff, eff =
+        # min(trunc, x_trunc N - a(1)); at x_trunc 0 there is nothing to
+        # compare, so the stage passes whatever the product
+        def wrong_product(sys, trunc):
+            return QLaurent.from_terms(trunc, [(0, 0, 1), (1, 0, 42),
+                                               (2, 1, -5), (9, 0, 7)])
+        monkeypatch.setattr(recurrence_engine, "product_F", wrong_product)
+        for x_trunc, trunc, want in ((3, 15, (1, 0, 42)), (3, 1, (1, 0, 42)),
+                                     (0, 15, None)):
+            stages = {st_.name: st_.detail for st_ in
+                      _chain_report(sys3, 4, x_trunc, trunc).stages}
+            assert stages["mu_limit"] == (
+                "" if want is None else f"first offender {want}")
+
     def test_broken_reduced_recurrence_reports_ell(self, sys3, monkeypatch):
         # one extra q^4 on the reduced system's u_(l-1) multiplier at l = 2
         real = recurrence_engine.build_rec_row
@@ -1014,10 +1039,11 @@ class TestChain:
                 assert verify_Tmj(sys_, m, j), (m, j)
 
 
-def _family_pad(sys, *tables):
-    """The pad read off the unscaled families ``c, b, e, f`` instead of the
-    multipliers as applied: far larger (11, 50, 64 and 189 on the battery),
-    so a reference for the outputs below ``q^trunc``."""
+def _family_pad(sys):
+    """Headroom read off the unscaled families ``c, b, e, f`` instead of
+    the multipliers as applied: far more than the chain needs (11, 50, 64
+    and 189 on the battery), so a chain run at ``trunc`` plus it is a
+    reference for the outputs below ``q^trunc``."""
     r = sys.r
     min_c = min(coeff_c(sys, k, j).min_exp
                 for j in range(1, r + 1) for k in range(j))
@@ -1038,10 +1064,10 @@ def _chain_report(sys_, ell_max, x_trunc, trunc):
         return exc.report
 
 
-def _chain_outputs(sys_, ell_max, x_trunc, trunc):
+def _chain_outputs(sys_, ell_max, x_trunc, trunc, pad=0):
     """Stage names and details, report JSON and every state series cut to
-    ``trunc``, of a passing or failing chain."""
-    report = _chain_report(sys_, ell_max, x_trunc, trunc)
+    ``trunc``, of a passing or failing chain run at ``trunc + pad``."""
+    report = _chain_report(sys_, ell_max, x_trunc, trunc + pad)
     cut = {name: [x.with_trunc(trunc) for x in getattr(report.state, name)]
            for name in ("u", "beta", "s", "mu")}
     return ([(st_.name, st_.detail) for st_ in report.stages],
@@ -1136,12 +1162,11 @@ def qdiff_rows(sys, F, M, trunc):
 
 def reference_stages(sys_, ell_max, x_trunc, trunc):
     """Names and details of the stages ``rec_prime`` to ``rec_dprime``, read
-    off :func:`qdiff_rows` on the state of a chain run at
-    :func:`xseries_pad`."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(recurrence_engine, "_chain_pad", xseries_pad)
-        state = _chain_report(sys_, ell_max, x_trunc, trunc).state
-    left, right, e = _chain_tables(sys_, state.u[0].trunc)
+    off :func:`qdiff_rows` below ``q^trunc`` on the state of a chain run
+    at ``trunc`` plus :func:`xseries_pad`."""
+    work = trunc + xseries_pad(sys_, *_chain_tables(sys_, 0))
+    state = _chain_report(sys_, ell_max, x_trunc, work).state
+    left, right, e = _chain_tables(sys_, work)
     F, G = xseries_quotient(sys_, state)
     rows = qdiff_rows(sys_, XSeries(ell_max, state.beta), left, trunc)
     g_rows = qdiff_rows(sys_, G, e, trunc)
@@ -1196,56 +1221,73 @@ class TestXSeriesReference:
         assert report.verdict == "pass"
 
 
-def solved_rows(sys, M, ell_max, trunc):
-    """``y_0 = 1, y_1, ..., y_ell_max`` solving the rows of
-    ``recurrence_engine._coeff_residuals`` for the table ``M``: row
-    ``ell`` is ``(1 - A_0) y_ell = y_(ell-1) + sum_(j>=1) A_j y_(ell-j)``
-    with ``A_j = sum_m (-1)^(m+1) q^(m ell N) M[m, j]``."""
-    N, r = sys.N, sys.r
-    one = QLaurent.one(trunc)
-    ys = [one]
-    for ell in range(1, ell_max + 1):
-        A = [QLaurent.zero(trunc)] * (min(r, ell) + 1)
-        for j in range(len(A)):
-            for m in range(1, r + 1):
-                A[j] = A[j] + M[m, j].with_trunc(trunc).scale_by_monomial(
-                    m * ell * N, 0, (-1) ** (m + 1))
-        rhs = ys[ell - 1]
-        for j in range(1, len(A)):
-            rhs = rhs + A[j] * ys[ell - j]
-        ys.append(rhs.divide(one - A[0]))
-    return ys
+def dominated_systems(n_max):
+    """Every valid system with ``r >= 2`` and ``N <= n_max``: each
+    generator above the sum of the smaller ones, ``sum(A) <= N``."""
+    def sets(prefix, total):
+        for a in range(total + 1, n_max - total + 1):
+            yield prefix + (a,)
+            yield from sets(prefix + (a,), total + a)
+    for gens in sets((), 0):
+        if len(gens) >= 2:
+            for N in range(sum(gens), n_max + 1):
+                yield build_system(gens, N)
+
+
+def multiplier_margin(sys_):
+    """``min(a + m(j+1)N)`` over the terms ``q^a`` of each ``M[m, j]`` of
+    the chain's tables, less ``N - S``, ``S = a(1) + ... + a(r-1)``: the
+    bound of ``recurrence_engine._coeff_residuals`` holds iff this is
+    ``>= 0``, and the chain then needs no headroom."""
+    return min(M.min_exp + m * (j + 1) * sys_.N
+               for tab in _chain_tables(sys_, 0)
+               for (m, j), M in tab.items() if not M.is_zero()) \
+        - (sys_.N - sum(sys_.a[:-1]))
+
+
+@st.composite
+def large_systems(draw):
+    """``(N, A)`` with ``2 <= r <= 4`` and ``17 <= N``, each generator 1 to
+    12 above the smaller ones' sum."""
+    a = []
+    for _ in range(draw(st.integers(2, 4))):
+        a.append(sum(a) + draw(st.integers(1, 12)))
+    return max(17, sum(a)) + draw(st.integers(0, 30)), tuple(a)
 
 
 class TestChainPad:
-    """The working truncation is ``trunc`` plus the headroom of the
-    multipliers as applied, and that headroom is sharp."""
+    """The chain runs at the truncation it reports: every multiplier term
+    is high enough that no pad is needed, and a run far above ``trunc``
+    agrees with it below ``q^trunc``."""
 
-    def test_battery_pads(self, battery):
-        pads = []
+    def test_every_small_system_needs_no_pad(self):
+        margins = {(sys_.N, sys_.a): multiplier_margin(sys_)
+                   for sys_ in dominated_systems(16)}
+        assert len(margins) == 473
+        assert min(margins.values()) == 0
+        assert margins[3, (1, 2)] == 0      # tight
+
+    @settings(max_examples=25, deadline=None)
+    @given(large_systems())
+    def test_drawn_systems_need_no_pad(self, system):
+        assert multiplier_margin(build_system(system[1], system[0])) >= 0
+
+    def test_every_state_series_is_at_trunc(self, battery):
         for sys_ in battery:
-            state = verify_chain(sys_, 2, 2, 10).state
-            pads.append(state.u[0].trunc - 10)
-        assert pads == [0, 0, 0, 0]
+            state = verify_chain(sys_, 4, 3, 25).state
+            assert {x.trunc for name in ("u", "beta", "s", "mu")
+                    for x in getattr(state, name)} == {25}
 
     @pytest.mark.parametrize("bad_side", [None, 0])
     def test_battery_matches_family_pad(self, battery, monkeypatch,
                                         bad_side):
         # bad_side perturbs one side of T(1, 2), so details are non-empty
-        real = recurrence_engine._tmj
-
-        def tmj(sys, m, j):
-            sides = list(real(sys, m, j))
-            if (m, j) == (1, 2) and bad_side is not None:
-                sides[bad_side] = sides[bad_side] + QLaurent.one(0)
-            return tuple(sides)
-        monkeypatch.setattr(recurrence_engine, "_tmj", tmj)
+        monkeypatch.setattr(recurrence_engine, "_tmj",
+                            _tmj_plus_one(bad_side))
         for sys_ in battery:
             got = _chain_outputs(sys_, 5, 5, 30)
-            with monkeypatch.context() as patch:
-                patch.setattr(recurrence_engine, "_chain_pad", _family_pad)
-                want = _chain_outputs(sys_, 5, 5, 30)
-            assert got == want, (sys_.N, sys_.a)
+            assert got == _chain_outputs(sys_, 5, 5, 30, _family_pad(sys_)), \
+                (sys_.N, sys_.a)
             assert (bad_side is None) == all(
                 detail == "" for _, detail in got[0])
 
@@ -1255,69 +1297,44 @@ class TestChainPad:
     def test_random_systems_match_family_pad(self, system, trunc, x_trunc,
                                              extra):
         sys_ = build_system(system[1], system[0])
-        got = _chain_outputs(sys_, x_trunc + extra, x_trunc, trunc)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(recurrence_engine, "_chain_pad", _family_pad)
-            want = _chain_outputs(sys_, x_trunc + extra, x_trunc, trunc)
-        assert got == want
-
-    # a term d q^(-2N-10) on left[1, 1] sets the pad to 10: it meets y_1
-    # at ell = 2, and one less drops a y_1 term that lands on q^trunc;
-    # trunc >= 2rN, so no multiplier term of rows 0..2 is cut
-    @pytest.mark.parametrize("system,offender", [
-        ((3, (1, 2)), (2, 30, 1, 1)),
-        ((7, (1, 2, 4)), (2, 50, 2, 2)),
-        ((9, (1, 3, 5)), (2, 60, 2, 1)),
-        ((15, (1, 2, 4, 8)), (2, 130, 2, 1)),
-    ])
-    def test_one_below_the_pad_breaks_eq(self, system, offender):
-        sys_ = build_system(system[1], system[0])
-        trunc = offender[1]
-        left = _chain_tables(sys_, 0)[0]
-        left[1, 1] = left[1, 1] + QLaurent.monomial(0, -2 * sys_.N - 10, 1)
-        pad = recurrence_engine._chain_pad(sys_, left)
-        assert pad == 10
-        # exact far above trunc + pad: each row loses 10 at most
-        ys = solved_rows(sys_, left, 2, trunc + 100)
-        rows = {}
-        for p in (pad, pad - 1):
-            work = trunc + p
-            rows[p] = recurrence_engine._coeff_residuals(
-                sys_, [y.with_trunc(work) for y in ys],
-                {key: M.with_trunc(work) for key, M in left.items()}, trunc)
-        assert rows == {pad: [None] * 3, pad - 1: [None, None, offender]}
+        ell_max = x_trunc + extra
+        assert _chain_outputs(sys_, ell_max, x_trunc, trunc) \
+            == _chain_outputs(sys_, ell_max, x_trunc, trunc,
+                              _family_pad(sys_))
 
 
 class TestChainResiduals:
     """The coefficient rows name the first perturbed ``ell`` and agree
     with the x-series route row by row.
 
-    The inputs are the ``s`` of a passing 3/{1,2} chain, run at the
-    x-series route's pad, its x-series quotient ``G``, and the ``e``
-    table, whose equations they satisfy.
+    The inputs are the ``s`` of a passing 3/{1,2} chain, run at 20 plus
+    the x-series route's pad and cut to 20, its x-series quotient ``G`` at
+    that pad, and the ``e`` table, whose equations they satisfy.
     """
 
     @pytest.fixture(scope="class")
     def chain3(self, sys3):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(recurrence_engine, "_chain_pad", xseries_pad)
-            state = verify_chain(sys3, 5, 5, 20).state
-        return (state, _chain_tables(sys3, state.u[0].trunc)[2],
-                xseries_quotient(sys3, state)[1])
+        work = 20 + xseries_pad(sys3, *_chain_tables(sys3, 0))
+        state = verify_chain(sys3, 5, 5, work).state
+        G = xseries_quotient(sys3, state)[1]
+        cut = recurrence_engine.ChainState(**{
+            name: [x.with_trunc(20) for x in getattr(state, name)]
+            for name in ("u", "beta", "s", "mu")})
+        return cut, _chain_tables(sys3, work)[2], G
 
     def test_rec_residual_names_perturbed_s(self, sys3, chain3):
         state, e, _ = chain3
         residuals = recurrence_engine._coeff_residuals
-        assert residuals(sys3, state.s, e, 20) == [None] * 6
+        assert residuals(sys3, state.s, e) == [None] * 6
         s = list(state.s)
         s[3] = s[3] + QLaurent.monomial(s[3].trunc, 4, 1)
-        assert residuals(sys3, s, e, 20)[:4] == [None] * 3 + [(3, 4, 1, 1)]
+        assert residuals(sys3, s, e)[:4] == [None] * 3 + [(3, 4, 1, 1)]
 
     def test_rec_residual_names_perturbed_row(self, sys3, chain3):
         state, e, _ = chain3
         e = dict(e)
         e[1, 2] = e[1, 2] + QLaurent.one(e[1, 2].trunc)
-        assert recurrence_engine._coeff_residuals(sys3, state.s, e, 20)[:3] \
+        assert recurrence_engine._coeff_residuals(sys3, state.s, e)[:3] \
             == [None] * 2 + [(2, 6, 0, -1)]
 
     def test_qdiff_residual_names_perturbed_series(self, sys3, chain3):
@@ -1325,7 +1342,8 @@ class TestChainResiduals:
         assert qdiff_rows(sys3, G, e, 20) == [None] * 6
         s = list(G.coeffs)
         s[3] = s[3] + QLaurent.monomial(G.trunc, 4, 1)
-        rows = recurrence_engine._coeff_residuals(sys3, s, e, 20)
+        rows = recurrence_engine._coeff_residuals(
+            sys3, [x.with_trunc(20) for x in s], e)
         assert rows == qdiff_rows(sys3, XSeries(G.x_trunc, s), e, 20)
         assert _first(rows) == (3, 4, 1, 1)
 
@@ -1333,7 +1351,7 @@ class TestChainResiduals:
         state, e, G = chain3
         e = dict(e)
         e[2, 1] = e[2, 1] + QLaurent.one(e[2, 1].trunc)
-        rows = recurrence_engine._coeff_residuals(sys3, state.s, e, 20)
+        rows = recurrence_engine._coeff_residuals(sys3, state.s, e)
         assert rows == qdiff_rows(sys3, G, e, 20)
         assert _first(rows) == (1, 6, 0, 1)
 
@@ -1343,7 +1361,7 @@ class TestChainResiduals:
         state, e, G = chain3
         e = dict(e)
         e[1, 0] = e[1, 0] + QLaurent.monomial(e[1, 0].trunc, 2, 1)
-        rows = recurrence_engine._coeff_residuals(sys3, state.s, e, 20)
+        rows = recurrence_engine._coeff_residuals(sys3, state.s, e)
         assert rows == qdiff_rows(sys3, G, e, 20)
         assert rows[0] == (0, 2, 1, -1)
 
@@ -1383,9 +1401,9 @@ class TestChainResiduals:
         real = recurrence_engine._coeff_residuals
         lengths = []
 
-        def spy(sys, ys, M, trunc):
+        def spy(sys, ys, M):
             lengths.append(len(ys))
-            return real(sys, ys, M, trunc)
+            return real(sys, ys, M)
         monkeypatch.setattr(recurrence_engine, "_coeff_residuals", spy)
         verify_chain(sys3, 7, 4, 20)
         assert lengths == [8, 5, 5]

@@ -579,11 +579,17 @@ class TestPackedKernels:
         assert max(abs(c) for *_, c in (a * b).terms()) == BIG ** 2
 
     def test_zero_operands(self):
+        # the bound is 0, and the slots still take the 2 bits read-back needs
         zero, x = QLaurent.zero(5), QLaurent.from_terms(5, [(-1, 2, 7)])
         assert (zero * x).is_zero() and (x * zero).is_zero()
         assert zero.divide(QLaurent.one(5) + x.scale_by_monomial(3)) == zero
         assert series_ring._dot(5, []) == zero
         assert series_ring._dot(5, [(x, x), (-x, x)]) == zero
+
+    def test_one_bit_slots_are_rejected(self):
+        # a 1-bit slot reads 1 as -1 and would carry it back forever
+        with pytest.raises(ValueError, match="slot width 1"):
+            QLaurent._from_packed(3, [(0, 1)], 1)
 
 
 # -- XSeries -------------------------------------------------------------
