@@ -203,6 +203,10 @@ PINNED_FORMATS = {
     ("verify", "--checks", "chain", "--trunc", "80", "--x-trunc", "7",
      "--output", "json"):
         "6f4fb472baa6aaf4cc0cc21ccd2f9edc00d52ec201513143d80d10677c37a153",
+    # one row per pass, and mu_limit has nothing to compare
+    ("verify", "--checks", "chain", "--trunc", "40", "--x-trunc", "0",
+     "--output", "json"):
+        "e753373437af7cbecbc6d6b7cc07e5df9993f3e45dc25dbbe32bfb28771e36ce",
 }
 
 
