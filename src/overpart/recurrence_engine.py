@@ -28,12 +28,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .alpha_system import alpha_weight_sum, build_system
 from .enumeration import _Completions
-from .series_ring import (QLaurent, _div_packed, _dot, _mul_packed,
-                          product_F, qbinomial)
+from .series_ring import (QLaurent, _div_packed, _mul_packed, product_F,
+                          qbinomial)
 
 
 class ConventionOutOfRange(ValueError):
@@ -363,10 +363,10 @@ def build_rec_row(sys, ell, trunc):
     return RecRow(lhs=lhs, rhs=tuple(rhs), ell=ell)
 
 
-def _iterates(sys, trunc, steps):
+def _iterates(sys, trunc, steps, widen=None):
     """Yield ``(u_ell, width)`` for ``ell = 0 .. steps``: the iterates of
     the main recurrence, each packed at ``d = 2^width`` as
-    :meth:`QLaurent._packed` does, with no zero entry.
+    :meth:`QLaurent._packed` does, with no zero entry, at one ``width``.
 
     Each step is ``u_ell = num / lhs``, ``num = sum_j rhs_j u_(ell-j)``,
     run by the ring's packed kernels.  The rows are built first and run
@@ -376,20 +376,24 @@ def _iterates(sys, trunc, steps):
     every ``num`` hold their true coefficients, and reading an iterate
     back, comparing two packed iterates and testing a packed coefficient
     for zero are all exact.  Only the last ``r`` iterates are kept, as far
-    back as a row reads.
+    back as a row reads.  ``widen``, if given, is called once with the
+    majorants ``[|u_0|, ..., |u_steps|]`` and returns a bound that
+    ``width`` must hold too, so that the caller can go on computing with
+    the iterates at their width (:func:`verify_chain`).
     """
-    yield {0: 1}, 2                 # two bits hold u_0 = 1 signed
-    if steps < 1:
-        return
     rows = [build_rec_row(sys, ell, trunc) for ell in range(1, steps + 1)]
-    us, bound = deque([{0: 1}], maxlen=sys.r), 1
+    us = deque([{0: 1}], maxlen=sys.r if widen is None else None)
+    bound = 1
     for row in rows:
         num = _mul_packed([(c._majorant(), us[-j])
                            for j, c in enumerate(row.rhs, 1)], trunc)
         us.append(_div_packed(num, row.lhs._packed(0), trunc))
         bound = max([bound, *num.values(), *us[-1].values()])
+    if widen is not None:
+        bound = max(bound, widen(list(us)))
     width = bound.bit_length() + 1
     us = deque([{0: 1}], maxlen=sys.r)
+    yield us[0], width
     for row in rows:
         row.lhs._require_unit_leading()
         num = _mul_packed([(c._packed(width), us[-j])
@@ -482,6 +486,16 @@ class _WeightPairs(dict):
                      if m + j <= self.k else QLaurent.zero(0))
         return self[key]
 
+    @cached_property
+    def f(self):
+        """``{(m, k): f(m, k)}`` of :func:`coeff_f` for ``1 <= m <= r``,
+        ``0 <= k < m`` (the others are 0), built on first read; :func:`_tmj`
+        reads the one of the table below ``a(r)``, so each is built once
+        per system while the tables live."""
+        sys = self.sys
+        return {(m, k): coeff_f(sys, m, k)
+                for m in range(1, sys.r + 1) for k in range(m)}
+
 
 _weight_pairs = lru_cache(maxsize=None)(_WeightPairs)
 
@@ -510,21 +524,24 @@ def coeff_f(sys, m, k):
 
 def _tmj(sys, m, j):
     """Both sides of ``T(m, j)`` (see :func:`verify_Tmj`) at trunc 0, with
-    ``b`` and ``e`` read off the weight-pair tables at ``a(r+1)``, ``a(r)``.
+    ``b`` and ``e`` read off the weight-pair tables at ``a(r+1)``, ``a(r)``,
+    and ``f`` off the latter's :attr:`_WeightPairs.f`; ``c(k, j) b = d^k
+    f(j, k) b``.
 
     Every member of ``c, b, e, f`` has exponents <= 0, so the products
     are exact at trunc 0.
     """
     b, e = _weight_pairs(sys, sys.r + 1), _weight_pairs(sys, sys.r)
+    f = e.f
     lhs = QLaurent.zero(0)
     for k in range(min(j - 1, m - 1) + 1):
-        lhs = lhs + coeff_c(sys, k, j) * b[m - k, j]
+        lhs = lhs + (f[j, k] * b[m - k, j]).scale_by_monomial(0, k, 1)
     rhs = QLaurent.zero(0)
     for k in range(min(m - 1, j) + 1):
         pair = e[m, j - k]
         if k < j:
             pair = pair + e[m, j - k - 1].scale_by_monomial(-sys.a[-1], 0, 1)
-        rhs = rhs + coeff_f(sys, m, k) * pair
+        rhs = rhs + f[m, k] * pair
     return lhs, rhs
 
 
@@ -614,23 +631,24 @@ class ChainReport:
         }
 
 
-def _coeff_residuals(sys, ys, M):
+def _coeff_residuals(sys, ys, M, width, trunc):
     """The first offender ``(ell, q, d, c)``, or None, of each row ``0 <=
     ell < len(ys)`` of ``y_l = y_(l-1) + sum_(j<=min(r, l)) (sum_m
-    (-1)^(m+1) q^(mlN) M[m, j]) y_(l-j)``, with ``y_(-1) = 0``.
+    (-1)^(m+1) q^(mlN) M[m, j]) y_(l-j)``, with ``y_(-1) = 0``, for ``y_l``
+    and ``M[m, j]`` packed at ``d = 2^width`` as ``{e: int}`` maps.
 
     Row ``ell`` is the ``x^ell`` coefficient of the q-difference equation
     ``F = xF + sum_m (-1)^(m+1) M_m(x) F(xq^(mN))`` for ``F = sum_l y_l
     x^l``, where ``M_m(x) = sum_j M[m, j] q^(mjN) x^j``, so one pass checks
     both the equation and the coefficient recurrence.
 
-    Exact at the truncation of ``ys``, with no headroom: row ``ell``
-    applies ``q^(m ell N) M[m, j]`` to ``y_(ell-j)``, which is ``y_0 = 1``
-    at ``ell = j``, and each term ``q^a`` of :func:`verify_chain`'s tables
-    has ``a + m(j+1)N >= N - S >= a(r) > 0``, ``S = a(1) + ... + a(r-1)``.
-    As ``[n, k]_(q^-N)`` reaches down to ``q^(-Nk(n-k))``, weight sums
-    below ``a(r)`` to ``q^-S`` and all of them to ``q^-(S + a(r))``, ``a +
-    m(j+1)N + S`` is at least
+    Exact at ``trunc``, with no headroom: row ``ell`` applies ``q^(m ell
+    N) M[m, j]`` to ``y_(ell-j)``, which is ``y_0 = 1`` at ``ell = j``, and
+    each term ``q^a`` of :func:`verify_chain`'s tables has ``a + m(j+1)N >=
+    N - S >= a(r) > 0``, ``S = a(1) + ... + a(r-1)``.  As ``[n, k]_(q^-N)``
+    reaches down to ``q^(-Nk(n-k))``, weight sums below ``a(r)`` to
+    ``q^-S`` and all of them to ``q^-(S + a(r))``, ``a + m(j+1)N + S`` is
+    at least
 
     * ``N(m + j)`` on ``e(m, j)``;
     * ``N(m + j + k(k+1)/2) - (k+1)a(r)`` on ``c(k, j) b(m-k, j)``, ``k <
@@ -641,38 +659,107 @@ def _coeff_residuals(sys, ys, M):
 
     each at least ``N``, as ``N > a(r)`` and ``m + j - 1`` is at least
     ``k + 1`` where ``(k+1)a(r)`` is taken off, and ``k`` elsewhere.
+
+    Each row's sum is one :func:`_mul_packed` call, the ``q^(m ell N)`` of
+    a multiplier a shift of ``M[m, j]``'s keys, and only a nonzero sum is
+    read back.  That is exact when every coefficient of the sum lies below
+    ``2^(width-1)``: the row's ``sum L1(a) max|b|`` over its products bounds
+    them (:func:`_rows_bound`), and :func:`verify_chain` sizes its width
+    by it.
     """
     N, r = sys.N, sys.r
-    one = QLaurent.one(ys[0].trunc)
     offenders = []
     for ell, y in enumerate(ys):
-        pairs = [(one, y)]
+        pairs = [({0: 1}, y)]
         if ell:
-            pairs.append((-one, ys[ell - 1]))
-        pairs += [(-_multiplier(N, ell, M, j, r, y.trunc), ys[ell - j])
-                  for j in range(min(r, ell) + 1)]
-        res = _dot(y.trunc, pairs)
-        offenders.append(None if res.is_zero()
-                         else (ell,) + res.first_nonzero())
+            pairs.append(({0: -1}, ys[ell - 1]))
+        for j in range(min(r, ell) + 1):
+            mult = {}
+            for m in range(1, r + 1):
+                shift, sign = m * ell * N, -1 if m % 2 else 1
+                for e, c in M[m, j].items():
+                    if e + shift <= trunc:
+                        mult[e + shift] = mult.get(e + shift, 0) + sign * c
+            pairs.append((mult, ys[ell - j]))
+        res = _mul_packed(pairs, trunc)
+        if any(res.values()):
+            offenders.append((ell,) + QLaurent._from_packed(
+                trunc, res.items(), width).first_nonzero())
+        else:
+            offenders.append(None)
     return offenders
 
 
-def _x_product_transform(sys, ys, sign, trunc):
-    """Yield ``(Q; Q)_l`` times the ``x^l`` coefficient of ``P(x)^sign
-    sum_l y_l x^l / (Q; Q)_l`` for ``l = 0 .. len(ys) - 1``, with ``Q =
-    q^N`` and the x-product ``P(x) = prod_(k>=1) (1 + x q^(kN - a(r)))``.
-    By the q-binomial theorem that is ``sum_j c_j q^(j(N - a(r))) [l,
-    j]_Q y_(l-j)``, with ``c_j = (-1)^j`` at ``sign = -1`` and
-    ``Q^(j(j-1)/2)`` at ``sign = 1``, so nothing is divided."""
-    N = sys.N
+def _rows_bound(tops, l1, r):
+    """``sum L1(a) max|b|`` over the products of the worst row of
+    :func:`_coeff_residuals`, from ``tops[l] >= max|y_l|`` and ``l1[j] >=
+    sum_m L1(M[m, j])``: it bounds every coefficient of every row's sum."""
+    return max(tops[ell] + (ell and tops[ell - 1])
+               + sum(l1[j] * tops[ell - j] for j in range(min(r, ell) + 1))
+               for ell in range(len(tops)))
 
-    def multiplier(ell, j):
-        shift = j * (N - sys.a[-1]) + (sign > 0) * N * j * (j - 1) // 2
-        return qbinomial(ell, j, N, trunc).scale_by_monomial(shift, 0,
-                                                            sign ** j)
-    return (_dot(trunc, [(multiplier(ell, j), ys[ell - j])
-                         for j in range(ell + 1)])
-            for ell in range(len(ys)))
+
+def _times_factor(x, shift, c, trunc):
+    """``x (1 + c q^shift)``, ``shift > 0``, for a packed ``{e: int}`` map
+    ``x``, dropping exponents above ``trunc``."""
+    out = dict(x)
+    for e, v in x.items():
+        if e + shift <= trunc:
+            out[e + shift] = out.get(e + shift, 0) + c * v
+    return out
+
+
+def _x_product_tables(sys, x_trunc, trunc):
+    """The multipliers ``c_j q^(j(N - a(r))) [l, j]_Q``, ``Q = q^N``, of
+    :func:`_x_product_transform` for ``0 <= j <= l <= x_trunc`` as packed
+    tables ``{(l, j): {e: int}}``, one with ``c_j = (-1)^j`` and one with
+    ``c_j = Q^(j(j-1)/2)``.  Each q-binomial is built and packed once: it
+    has no ``d``, so its packed map is the same at every width, and the two
+    tables shift its keys."""
+    N, ar = sys.N, sys.a[-1]
+    down, up = {}, {}
+    for ell in range(x_trunc + 1):
+        for j in range(ell + 1):
+            binomial = qbinomial(ell, j, N, trunc)._packed(0)
+            for table, shift, sign in (
+                    (down, j * (N - ar), (-1) ** j),
+                    (up, j * (N - ar) + N * j * (j - 1) // 2, 1)):
+                table[ell, j] = {e + shift: sign * c
+                                 for e, c in binomial.items()
+                                 if e + shift <= trunc}
+    return down, up
+
+
+def _x_product_transform(ys, table, trunc):
+    """``(Q; Q)_l`` times the ``x^l`` coefficient of ``P(x)^sign sum_l y_l
+    x^l / (Q; Q)_l`` for ``l = 0 .. len(ys) - 1``, with ``Q = q^N`` and the
+    x-product ``P(x) = prod_(k>=1) (1 + x q^(kN - a(r)))``, on packed
+    ``ys``.  By the q-binomial theorem that is ``sum_j c_j q^(j(N - a(r)))
+    [l, j]_Q y_(l-j)``, with ``c_j = (-1)^j`` at ``sign = -1`` and
+    ``Q^(j(j-1)/2)`` at ``sign = 1``, so nothing is divided: ``table`` is
+    the one of :func:`_x_product_tables` for ``sign``."""
+    return [_mul_packed([(table[ell, j], ys[ell - j])
+                         for j in range(ell + 1)], trunc)
+            for ell in range(len(ys))]
+
+
+def _chain_series(sys, us, c, den, down, x_trunc, trunc):
+    """``(nu, beta, mu, s)`` of :func:`verify_chain` from ``u``, all packed
+    ``{e: int}`` maps: ``nu_l = u_l prod_(h<=l) (1 + c q^(hN - a(r)))``,
+    ``beta_l = nu_l / den_l``, ``mu`` the transform ``down`` of ``nu`` up to
+    ``x^x_trunc`` and ``s_l = mu_l / den_l``.  On ``u`` packed at ``d =
+    2^width``, with ``c = -2^width``, these are the chain's series; on
+    majorants of ``u`` at ``d = 1``, with ``c = 1`` and ``|down|``, they
+    are majorants of them."""
+    N, ar = sys.N, sys.a[-1]
+    nus = []
+    for ell, nu in enumerate(us):
+        for h in range(1, ell + 1):
+            nu = _times_factor(nu, h * N - ar, c, trunc)
+        nus.append(nu)
+    mus = _x_product_transform(nus[:x_trunc + 1], down, trunc)
+    return (nus, [_div_packed(nu, d, trunc) for nu, d in zip(nus, den)],
+            mus, [_div_packed(mu, d, trunc) for mu, d in zip(mus, den)])
 
 
 def verify_chain(sys, ell_max, x_trunc, trunc):
@@ -687,6 +774,19 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     carries every residual verdict either way.  Every stage is exact at
     ``trunc``: only the multipliers (:func:`_coeff_residuals`) reach below
     ``q^0``, and each divisor starts with 1.
+
+    The run holds ``u, nu, beta, mu, s`` and every multiplier packed at
+    one ``d = 2^width`` and reads back only ``ChainState`` and the
+    offending rows.  Each value it reads back, compares or tests for zero
+    has every coefficient below ``2^(width-1)``, so each of those steps is
+    exact: before the packed run, :func:`_iterates` hands the majorants
+    ``|u_l|`` at ``d = 1`` to the same steps on majorants, and ``width``
+    holds what they give.  ``|nu_l| <= |u_l| prod_h (1 + q^(hN - a(r)))``;
+    ``|beta_l| <= |nu_l| / den_l`` and ``|s_l| <= |mu_l| / den_l``, as
+    ``1/den_l = prod_(h<=l) 1/(1 - q^(hN))`` has no ``d`` and nonnegative
+    coefficients; ``|mu_l| <= sum_j q^(j(N - a(r))) [l, j]_Q
+    |nu_(l-j)|``; and each sum of products, the round trip's and each
+    residual row's, is bounded by ``sum L1(a) max|b|``.
     """
     if sys.r < 2:
         raise ValueError("the chain needs at least two generators")
@@ -694,7 +794,7 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
         raise ValueError("truncations must be non-negative")
     if ell_max < x_trunc:
         raise ValueError("ell_max must be at least x_trunc")
-    N, r, a1, ar = sys.N, sys.r, sys.a[0], sys.a[-1]
+    N, r, a1 = sys.N, sys.r, sys.a[0]
     # multipliers M[m, j] of the three q-difference equations, at trunc 0:
     # each has the weight pair e(m, 0) at j = 0 (f(m, 0) = 1), then the
     # left side of T(m, j), its right side, or e(m, j)
@@ -705,25 +805,46 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     for m in range(1, r + 1):
         for j in range(1, r + 1):
             left[m, j], right[m, j] = _tmj(sys, m, j)
-    one = QLaurent.one(trunc)
-
-    u = run_recurrence(sys, ell_max, trunc)
-
-    # nu[ell] = u_ell num_ell = beta_ell den_ell, with den[ell] =
-    # prod_(h<=ell) (1 - q^(hN))
-    nu = [u[0]]
-    num = one
-    den = [one]
+    tables = (left, right, e)
+    l1 = [[sum(sum(M[m, j]._majorant().values()) for m in range(1, r + 1))
+           for j in range(r + 1)] for M in tables]
+    # den[ell] = prod_(h<=ell) (1 - q^(hN)) has no d: the same at any width
+    den = [{0: 1}]
     for ell in range(1, ell_max + 1):
-        num = num + num.scale_by_monomial(ell * N - ar, 1, -1)
-        den.append(den[-1] + den[-1].scale_by_monomial(ell * N, 0, -1))
-        nu.append(u[ell] * num)
-    betas = [nu_ell.divide(den_ell) for nu_ell, den_ell in zip(nu, den)]
-    # divide out the x-product in closed form and multiply it back, one
-    # coefficient at a time
-    mus = list(_x_product_transform(sys, nu[:x_trunc + 1], -1, trunc))
-    if any(back != nu_ell for back, nu_ell in
-           zip(_x_product_transform(sys, mus, 1, trunc), nu)):
+        den.append(_times_factor(den[-1], ell * N, -1, trunc))
+    down, up = _x_product_tables(sys, x_trunc, trunc)
+    down_majorant = {key: {k: abs(c) for k, c in x.items()}
+                     for key, x in down.items()}
+
+    def widen(majorants):
+        # the run's steps on the majorants |u_l| at d = 1, and the largest
+        # coefficient each value it reads can have (see the docstring)
+        nus, betas, mus, s = (
+            [max(x.values(), default=0) for x in xs] for xs in _chain_series(
+                sys, majorants, 1, den, down_majorant, x_trunc, trunc))
+        back = max(sum(sum(up[ell, j].values()) * mus[ell - j]
+                       for j in range(ell + 1)) for ell in range(x_trunc + 1))
+        return max(back, *nus, _rows_bound(betas, l1[0], r),
+                   _rows_bound(betas[:x_trunc + 1], l1[1], r),
+                   _rows_bound(s, l1[2], r))
+
+    u = []
+    for x, width in _iterates(sys, trunc, ell_max, widen):
+        u.append(x)
+    # each distinct multiplier packed once: M[m, 0] is e(m, 0) in all three
+    distinct = {id(M): M for table in tables for M in table.values()}
+    packed = {key: M._packed(width) for key, M in distinct.items()}
+    left, right, e = ({key: packed[id(M)] for key, M in table.items()}
+                      for table in tables)
+
+    # nu[ell] = u_ell num_ell = beta_ell den_ell, with num[ell] =
+    # prod_(h<=ell) (1 - d q^(hN - a(r))); mu is the quotient by the
+    # x-product in closed form, multiplied back one coefficient at a time
+    nus, betas, mus, s = _chain_series(sys, u, -(1 << width), den, down,
+                                       x_trunc, trunc)
+    if any({k: c for k, c in back.items() if c}
+           != {k: c for k, c in nu.items() if c}
+           for back, nu in zip(_x_product_transform(mus, up, trunc), nus)):
         raise RoundTripMismatch("x-product division failed to invert")
 
     report = ChainReport(system=sys, trunc=trunc, x_trunc=x_trunc)
@@ -734,30 +855,31 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
         report.stages.append(ChainStage(name, first is None, detail))
 
     # the x^l rows of eq are the rows l of rec_prime, plus x^0
-    rows = _coeff_residuals(sys, betas, left)
+    rows = _coeff_residuals(sys, betas, left, width, trunc)
     record("rec_prime", *rows[1:])
     record("eq", *rows[:x_trunc + 1])
     # the same series satisfies the reduced-form q-difference equation
-    record("eq_prime", *_coeff_residuals(sys, betas[:x_trunc + 1], right))
-
+    record("eq_prime", *_coeff_residuals(sys, betas[:x_trunc + 1], right,
+                                         width, trunc))
     # the quotient's equation and recurrence are again one set of rows
-    s = [mu.divide(den_ell) for mu, den_ell in zip(mus, den)]
-    rows = _coeff_residuals(sys, s, e)
+    rows = _coeff_residuals(sys, s, e, width, trunc)
     record("eq_dprime", *rows)
     record("rec_dprime", *rows[1:])
 
+    state = ChainState(*([QLaurent._from_packed(trunc, x.items(), width)
+                          for x in xs] for xs in (u, betas, s, mus)))
     # mu are the reduced system's iterates: where they first differ, the
     # reduced recurrence's residual is lhs (mu_l - u'_l), whose first term
     # is that of mu_l - u'_l, as lhs is 1 plus terms above q^0
     reduced = build_system(sys.a[:-1], N)
     offender = None
-    if mus[0] != one:
+    if state.mu[0] != QLaurent.one(trunc):
         offender = (0, "mu_0 != 1")
     else:
         for ell, u_red in enumerate(_decoded_iterates(reduced, x_trunc,
                                                       trunc)):
-            if mus[ell] != u_red:
-                offender = (ell,) + (mus[ell] - u_red).first_nonzero()
+            if state.mu[ell] != u_red:
+                offender = (ell,) + (state.mu[ell] - u_red).first_nonzero()
                 break
     record("rec_reduced", offender)
 
@@ -766,10 +888,10 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     offender = None
     if eff >= 0:
         offender = (product_F(reduced, eff)
-                    - mus[x_trunc].with_trunc(eff)).first_nonzero()
+                    - state.mu[x_trunc].with_trunc(eff)).first_nonzero()
     record("mu_limit", offender)
 
-    report.state = ChainState(u=u, beta=betas, s=s, mu=mus)
+    report.state = state
     failed = report.first_failure()
     if failed is not None:
         raise ChainBroken(failed.name, report)

@@ -19,20 +19,25 @@ Operands must share truncations; mixing them raises
 ``TruncationMismatch`` instead of silently coercing.
 
 Every series product and quotient, and the long runs (the infinite
-product here, the main recurrence in ``recurrence_engine``), hold each
-q-coefficient ``P_e(d)`` packed as the one int ``P_e(2^width)``: the
-coefficient of ``d^k`` sits in the ``width``-bit slot at bit ``k *
-width``.  ``d -> 2^width`` is a ring map, so sums, products and division
-steps on the packed ints are exact, and each costs one big-int operation
-per pair of q-terms.  One loop multiplies (:func:`_mul_packed`) and one
-divides (:func:`_div_packed`).  Reading the slots back as signed ints is
-exact once every true coefficient lies in ``[-2^(width-1),
-2^(width-1))``, so each call proves a bound ``B`` on them before it
-starts and takes ``width = bits(max(B, 1)) + 1``.  The bounds come from
-majorants at ``d = 1``, ``|x|`` having the ``q^e`` coefficient ``sum_k
-|c|`` over the terms ``c d^k q^e`` of ``x``: ``B = sum_j L1(a_j)
-max|b_j|`` for a sum of products ``sum_j a_j b_j`` (:func:`_dot`), and
-``B = max(|num| / (1 - |den - 1|))`` for a quotient.
+product here, the main recurrence and the transformation chain in
+``recurrence_engine``), hold each q-coefficient ``P_e(d)`` packed as the
+one int ``P_e(2^width)``: the coefficient of ``d^k`` sits in the
+``width``-bit slot at bit ``k * width``.  ``d -> 2^width`` is a ring
+map, so sums, products and division steps on the packed ints are exact,
+and each costs one big-int operation per pair of q-terms.  One loop
+multiplies (:func:`_mul_packed`) and one divides (:func:`_div_packed`).
+Reading the slots back as signed ints, comparing two packed series and
+testing one for zero are exact once every true coefficient lies in
+``[-2^(width-1), 2^(width-1))``, so each call proves a bound ``B`` on
+them before it starts and takes ``width = bits(max(B, 1)) + 1``.  The
+bounds come from majorants at ``d = 1``, ``|x|`` having the ``q^e``
+coefficient ``sum_k |c|`` over the terms ``c d^k q^e`` of ``x``: ``B =
+sum_j L1(a_j) max|b_j|`` for a sum of products ``sum_j a_j b_j``
+(:func:`_dot`), and ``B = max(|num| / (1 - |den - 1|))`` for a quotient.
+A long run proves one bound for every value it will read, before it
+packs anything, and calls the two loops itself at that one width: the
+recurrence from majorants of its rows, and the chain by running its own
+steps on the recurrence's majorants (``recurrence_engine.verify_chain``).
 """
 
 from __future__ import annotations

@@ -517,6 +517,31 @@ def test_each_weight_pair_is_built_once_per_command(capsys, monkeypatch):
     assert (code, len(built)) == (0, 25)
 
 
+def test_each_f_is_built_once_per_command(capsys, monkeypatch):
+    # both sides of every T(m, j) read f(m, k) off one table per system, in
+    # the tmj check and the chain alike; c(k, j) = f(j, k) d^k is never
+    # built on its own
+    real = recurrence_engine.coeff_f
+    built = []
+
+    def counted(sys, m, k):
+        built.append((sys.N, tuple(sys.a), m, k))
+        return real(sys, m, k)
+
+    def unused(sys, k, j):
+        raise AssertionError("coeff_c called")
+    monkeypatch.setattr(recurrence_engine, "coeff_f", counted)
+    monkeypatch.setattr(recurrence_engine, "coeff_c", unused)
+    recurrence_engine._weight_pairs.cache_clear()
+    code, out, _ = run_cli(capsys, "verify", "--battery", "--checks",
+                           "tmj,chain", "--trunc", "30", "--x-trunc", "3",
+                           "--output", "json")
+    assert (code, json.loads(out)["verdict"]) == (0, "pass")
+    # f(m, k) for 1 <= m <= r, 0 <= k < m: r(r+1)/2 per system
+    assert len(set(built)) == len(built) == 3 + 6 + 6 + 10
+    assert recurrence_engine._weight_pairs.cache_info().currsize == 0
+
+
 def test_checks_survive_python_O():
     # -O strips assert statements; the verdict must not depend on them
     env = dict(os.environ)

@@ -1038,6 +1038,39 @@ class TestChain:
             for j in range(1, sys_.r + 1):
                 assert verify_Tmj(sys_, m, j), (m, j)
 
+    @pytest.mark.parametrize("ell_max, x_trunc, trunc", [(5, 5, 56),
+                                                         (7, 3, 40)])
+    def test_no_series_is_packed_twice(self, battery, monkeypatch, ell_max,
+                                       x_trunc, trunc):
+        # every series the run packs, it packs once at its slot width; the
+        # recurrence's majorant pass also reads each row's lhs at d = 1,
+        # and the d-free q-binomials are packed once, at width 0.  Only the
+        # trunc-0 multiplier tables are multiplied out on QLaurent, whose
+        # general product packs its operands per call
+        real_packed, real_dot = QLaurent._packed, series_ring._dot
+        packed, dot_truncs, in_dot = [], [], []
+
+        def spy(self, width):
+            if not in_dot:
+                packed.append((self, width))
+            return real_packed(self, width)
+
+        def dot(trunc, pairs):
+            dot_truncs.append(trunc)
+            in_dot.append(trunc)
+            try:
+                return real_dot(trunc, pairs)
+            finally:
+                in_dot.pop()
+        monkeypatch.setattr(QLaurent, "_packed", spy)
+        monkeypatch.setattr(series_ring, "_dot", dot)
+        for sys_ in battery:
+            packed.clear()
+            verify_chain(sys_, ell_max, x_trunc, trunc)
+            seen = [(id(x), width > 0) for x, width in packed]
+            assert len(set(seen)) == len(seen), (sys_.N, sys_.a)
+        assert set(dot_truncs) == {0}
+
 
 def _family_pad(sys):
     """Headroom read off the unscaled families ``c, b, e, f`` instead of
@@ -1303,6 +1336,20 @@ class TestChainPad:
                               _family_pad(sys_))
 
 
+def packed_residuals(sys_, ys, M):
+    """``recurrence_engine._coeff_residuals`` on the ``QLaurent`` series
+    ``ys`` and table ``M``, packed in slots sized by the rows' ``sum L1(a)
+    max|b|`` (``_rows_bound``)."""
+    r = sys_.r
+    l1 = [sum(sum(M[m, j]._majorant().values()) for m in range(1, r + 1))
+          for j in range(r + 1)]
+    bound = recurrence_engine._rows_bound([max_abs(y) for y in ys], l1, r)
+    width = max(bound, 1).bit_length() + 1
+    return recurrence_engine._coeff_residuals(
+        sys_, [y._packed(width) for y in ys],
+        {key: x._packed(width) for key, x in M.items()}, width, ys[0].trunc)
+
+
 class TestChainResiduals:
     """The coefficient rows name the first perturbed ``ell`` and agree
     with the x-series route row by row.
@@ -1324,17 +1371,17 @@ class TestChainResiduals:
 
     def test_rec_residual_names_perturbed_s(self, sys3, chain3):
         state, e, _ = chain3
-        residuals = recurrence_engine._coeff_residuals
-        assert residuals(sys3, state.s, e) == [None] * 6
+        assert packed_residuals(sys3, state.s, e) == [None] * 6
         s = list(state.s)
         s[3] = s[3] + QLaurent.monomial(s[3].trunc, 4, 1)
-        assert residuals(sys3, s, e)[:4] == [None] * 3 + [(3, 4, 1, 1)]
+        assert packed_residuals(sys3, s, e)[:4] \
+            == [None] * 3 + [(3, 4, 1, 1)]
 
     def test_rec_residual_names_perturbed_row(self, sys3, chain3):
         state, e, _ = chain3
         e = dict(e)
         e[1, 2] = e[1, 2] + QLaurent.one(e[1, 2].trunc)
-        assert recurrence_engine._coeff_residuals(sys3, state.s, e)[:3] \
+        assert packed_residuals(sys3, state.s, e)[:3] \
             == [None] * 2 + [(2, 6, 0, -1)]
 
     def test_qdiff_residual_names_perturbed_series(self, sys3, chain3):
@@ -1342,8 +1389,7 @@ class TestChainResiduals:
         assert qdiff_rows(sys3, G, e, 20) == [None] * 6
         s = list(G.coeffs)
         s[3] = s[3] + QLaurent.monomial(G.trunc, 4, 1)
-        rows = recurrence_engine._coeff_residuals(
-            sys3, [x.with_trunc(20) for x in s], e)
+        rows = packed_residuals(sys3, [x.with_trunc(20) for x in s], e)
         assert rows == qdiff_rows(sys3, XSeries(G.x_trunc, s), e, 20)
         assert _first(rows) == (3, 4, 1, 1)
 
@@ -1351,7 +1397,7 @@ class TestChainResiduals:
         state, e, G = chain3
         e = dict(e)
         e[2, 1] = e[2, 1] + QLaurent.one(e[2, 1].trunc)
-        rows = recurrence_engine._coeff_residuals(sys3, state.s, e)
+        rows = packed_residuals(sys3, state.s, e)
         assert rows == qdiff_rows(sys3, G, e, 20)
         assert _first(rows) == (1, 6, 0, 1)
 
@@ -1361,7 +1407,7 @@ class TestChainResiduals:
         state, e, G = chain3
         e = dict(e)
         e[1, 0] = e[1, 0] + QLaurent.monomial(e[1, 0].trunc, 2, 1)
-        rows = recurrence_engine._coeff_residuals(sys3, state.s, e)
+        rows = packed_residuals(sys3, state.s, e)
         assert rows == qdiff_rows(sys3, G, e, 20)
         assert rows[0] == (0, 2, 1, -1)
 
@@ -1382,13 +1428,14 @@ class TestChainResiduals:
 
     def test_row_past_x_trunc_fails_rec_prime_only(self, sys3, monkeypatch):
         # a term on u_5 reaches the left rows 5 and 6; eq reads rows 0..3
-        real = recurrence_engine.run_recurrence
+        real = recurrence_engine._iterates
 
-        def bumped(sys, ell_max, trunc):
-            u = real(sys, ell_max, trunc)
-            u[5] = u[5] + QLaurent.monomial(trunc, 7, 1, 3)
-            return u
-        monkeypatch.setattr(recurrence_engine, "run_recurrence", bumped)
+        def bumped(sys, trunc, steps, widen=None):
+            for ell, (u, width) in enumerate(real(sys, trunc, steps, widen)):
+                if ell == 5:            # 3 d q^7, packed
+                    u = {**u, 7: u.get(7, 0) + (3 << width)}
+                yield u, width
+        monkeypatch.setattr(recurrence_engine, "_iterates", bumped)
         with pytest.raises(ChainBroken) as exc:
             verify_chain(sys3, 6, 3, 20)
         failed = [(st_.name, st_.detail) for st_ in exc.value.report.stages
@@ -1401,12 +1448,117 @@ class TestChainResiduals:
         real = recurrence_engine._coeff_residuals
         lengths = []
 
-        def spy(sys, ys, M):
+        def spy(sys, ys, M, width, trunc):
             lengths.append(len(ys))
-            return real(sys, ys, M)
+            return real(sys, ys, M, width, trunc)
         monkeypatch.setattr(recurrence_engine, "_coeff_residuals", spy)
         verify_chain(sys3, 7, 4, 20)
         assert lengths == [8, 5, 5]
+
+
+def residual_sums(sys_, ys, M):
+    """Each row's sum ``y_l - y_(l-1) - sum_j (sum_m (-1)^(m+1) q^(mlN)
+    M[m, j]) y_(l-j)`` of ``recurrence_engine._coeff_residuals``, multiplied
+    out on ``QLaurent``."""
+    r, trunc = sys_.r, ys[0].trunc
+    sums = []
+    for ell, y in enumerate(ys):
+        res = y - ys[ell - 1] if ell else y
+        for j in range(min(r, ell) + 1):
+            res = res - recurrence_engine._multiplier(
+                sys_.N, ell, M, j, r, trunc) * ys[ell - j]
+        sums.append(res)
+    return sums
+
+
+class TestChainWidth:
+    """The one width a chain run picks holds every coefficient the run
+    reads back, compares or tests for zero: each packed series and each
+    residual row's sum, all multiplied out here on ``QLaurent``."""
+
+    def check(self, sys_, ell_max, x_trunc, trunc):
+        """The largest coefficient, the width and the residual row sums of
+        a chain run, after checking that the bound its majorant pass
+        returned holds every coefficient and fits below the sign bit."""
+        real, real_iterates = (recurrence_engine._coeff_residuals,
+                               recurrence_engine._iterates)
+        widths, bounds = [], []
+
+        def spy(sys, ys, M, width, trunc):
+            widths.append(width)
+            return real(sys, ys, M, width, trunc)
+
+        def iterates(sys, trunc, steps, widen=None):
+            def kept(majorants):
+                bounds.append(widen(majorants))
+                return bounds[-1]
+            return real_iterates(sys, trunc, steps, widen and kept)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(recurrence_engine, "_coeff_residuals", spy)
+            patch.setattr(recurrence_engine, "_iterates", iterates)
+            state = _chain_report(sys_, ell_max, x_trunc, trunc).state
+        width, = set(widths)
+        bound, = bounds
+        # the state against the QLaurent route: u, nu = u num, beta = nu /
+        # den, and s, mu from the x-series quotient of beta
+        one = QLaurent.one(trunc)
+        us = run_recurrence(sys_, ell_max, trunc)
+        num, den, nus, dens = one, one, [], []
+        for ell, u in enumerate(us):
+            if ell:
+                num = num - num.scale_by_monomial(
+                    ell * sys_.N - sys_.a[-1], 1, 1)
+                den = den - den.scale_by_monomial(ell * sys_.N)
+            nus.append(u * num)
+            dens.append(den)
+        betas = [nu.divide(d) for nu, d in zip(nus, dens)]
+        s = list(XSeries(x_trunc, betas[:x_trunc + 1]).divide(
+            x_factor_product(sys_, x_trunc, trunc)).coeffs)
+        mus = [x * d for x, d in zip(s, dens)]
+        assert (state.u, state.beta, state.s, state.mu) == (us, betas, s, mus)
+        left, right, e = _chain_tables(sys_, trunc)
+        sums = [*residual_sums(sys_, betas, left),
+                *residual_sums(sys_, betas[:x_trunc + 1], right),
+                *residual_sums(sys_, s, e)]
+        top = max(map(max_abs, [*us, *nus, *betas, *s, *mus, *sums]))
+        assert top <= bound < 2 ** (width - 1)
+        return top, width, sums
+
+    @pytest.mark.parametrize("bad_side", [None, 0, 1])
+    def test_battery(self, battery, monkeypatch, bad_side):
+        # bad_side perturbs one side of T(1, 2), so some row sums are not 0
+        monkeypatch.setattr(recurrence_engine, "_tmj",
+                            _tmj_plus_one(bad_side))
+        for sys_ in battery:
+            for ell_max, x_trunc, trunc in ((5, 5, 30), (7, 3, 40)):
+                _, _, sums = self.check(sys_, ell_max, x_trunc, trunc)
+                assert (bad_side is None) == all(x.is_zero() for x in sums)
+
+    def test_negative_iterates(self, battery, monkeypatch):
+        # negated rows put negative coefficients in every packed series
+        monkeypatch.setattr(recurrence_engine, "build_rec_row",
+                            negated_first_rhs(
+                                recurrence_engine.build_rec_row))
+        for sys_ in battery:
+            self.check(sys_, 6, 4, 30)
+
+    def test_width_at_the_benchmark_depth(self, sys3):
+        # the recurrence's majorants of u run 6 bits over u (22 against 16),
+        # and the chain's steps on them reach 31 bits; the largest
+        # coefficient, u's, needs 16 and a sign
+        top, width, _ = self.check(sys3, 5, 5, 56)
+        assert top.bit_length() == 16
+        assert 17 <= width <= 32
+
+    @settings(max_examples=20, deadline=None)
+    @given(admissible_systems(r_min=2, r_max=4), st.integers(0, 24),
+           st.integers(0, 4), st.integers(0, 2),
+           st.sampled_from([None, 0, 1]))
+    def test_drawn_systems(self, system, trunc, x_trunc, extra, bad_side):
+        sys_ = build_system(system[1], system[0])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(recurrence_engine, "_tmj", _tmj_plus_one(bad_side))
+            self.check(sys_, x_trunc + extra, x_trunc, trunc)
 
 
 def planted_rows(real, reduced, plants):

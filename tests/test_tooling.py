@@ -107,7 +107,9 @@ def test_weight_pairs_are_built_only_for_their_table():
 
 def test_only_the_kernel_sites_call_the_packed_kernels():
     # every general product and quotient runs through one multiply loop
-    # and one quotient loop; no other function packs its own
+    # and one quotient loop; no other function packs its own.  The main
+    # recurrence and the transformation chain hold their series packed at
+    # one width per run and call the kernels themselves
     callers = []
 
     def visit(node, scope):
@@ -123,8 +125,10 @@ def test_only_the_kernel_sites_call_the_packed_kernels():
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), [])
     assert sorted(set(callers)) == [
-        ("QLaurent.divide", "_div_packed"), ("_dot", "_mul_packed"),
-        ("_iterates", "_div_packed"), ("_iterates", "_mul_packed")]
+        ("QLaurent.divide", "_div_packed"), ("_chain_series", "_div_packed"),
+        ("_coeff_residuals", "_mul_packed"), ("_dot", "_mul_packed"),
+        ("_iterates", "_div_packed"), ("_iterates", "_mul_packed"),
+        ("_x_product_transform", "_mul_packed")]
 
 
 def test_only_series_ring_names_xseries():
