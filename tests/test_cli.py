@@ -173,6 +173,11 @@ PINNED_FORMATS = {
     ("expand", "--what", "gm", "--m", "50", "--trunc", "60",
      "--output", "json"):
         "6ebb2e0d6558c2a2e73b165a79f57c2aefcb03b1a3bbd3efe67c051fbef5b755",
+    # the ladder's top rung at theorem's truncation, read through the
+    # guard-bit table: every count, so it equals the product
+    ("expand", "--what", "gm", "--m", "120", "--trunc", "120",
+     "--output", "json"):
+        "57d5afae9a05c661b0cbe1e3a5f998248be676cdcc6f4859efcdaecbdd862664",
     ("expand", "--what", "limit", "--trunc", "30", "--output", "json"):
         "1f9d20bf45bbb1500fbe22265bd598651fbc4a86244fdaebeb08ca428e53849b",
     # coefficients up to 29 bits on 3/{1,2}; the product equals the limit
