@@ -14,6 +14,10 @@ denotes the number of non-overlined parts.  Every counter returns a
 coefficient of ``d^k q^n`` is the count of size ``n`` with ``k``
 non-overlined parts.
 
+Both sides are tabulated bottom-up, with no recursion: ``count_F`` one
+part size at a time, the gap side one column of running totals at a
+time (see ``_Completions``).
+
 While counting, a vector of counts by ``k`` is packed into one int, with
 the count at ``k`` in the ``width``-bit slot starting at bit
 ``k * width``: placing a non-overlined part is a shift by ``width`` and
@@ -103,9 +107,12 @@ def _overpartition_count(n):
     return c[n]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _slot_width(n_max):
-    """Bits per ``k`` slot of a packed count vector up to ``n_max``."""
+    """Bits per ``k`` slot of a packed count vector up to ``n_max``.
+
+    A command asks for a few truncations, so a few widths are kept.
+    """
     return _overpartition_count(n_max).bit_length() + 1
 
 
@@ -113,38 +120,23 @@ def _table_from_size_set(sizes, n_max):
     """Count overpartitions of each ``n <= n_max`` with parts in ``sizes``.
 
     Per size a multiplicity is chosen freely; if positive, the first
-    copy is either overlined or not.  Counts are refined by the number
-    of non-overlined parts, packed by :func:`_slot_width`.
+    copy is either overlined or not.  One pass per size, largest first,
+    adds the ways that use it to the rows built from the larger sizes.
+    Counts are refined by the number of non-overlined parts, packed by
+    :func:`_slot_width`.
     """
-    sizes = sorted(sizes)
     width = _slot_width(n_max)
-    memo = {}
-
-    def rec(n_rem, idx):
-        if n_rem == 0:
-            return 1
-        if idx >= len(sizes) or sizes[idx] > n_rem:
-            return 0
-        key = (n_rem, idx)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        s = sizes[idx]
-        # mu copies of s: mu - 1 non-overlined parts with the first copy
-        # overlined, mu with none
-        placed = 0
-        for mu in range(1, n_rem // s + 1):
-            placed += rec(n_rem - mu * s, idx + 1) << ((mu - 1) * width)
-        out = rec(n_rem, idx + 1) + placed + (placed << width)
-        memo[key] = out
-        return out
-
-    try:
-        rows = [rec(n, 0) for n in range(n_max + 1)]
-    finally:
-        # rec refers to itself, so the memo would otherwise wait for the
-        # cycle collector once the counts are built
-        memo.clear()
+    rows = [1] + [0] * n_max
+    for s in sorted(sizes, reverse=True):
+        # placed[n]: the ways to fill n that use s, before its first copy
+        # is marked; either this is the first copy, or one more plain copy
+        # goes on top of placed[n - s]
+        placed = [0] * (n_max + 1)
+        for n in range(s, n_max + 1):
+            placed[n] = rows[n - s] + (placed[n - s] << width)
+        # the first copy is overlined (at k) or not (at k + 1)
+        for n in range(s, n_max + 1):
+            rows[n] += placed[n] + (placed[n] << width)
     return QLaurent._from_packed(n_max, enumerate(rows), width)
 
 
@@ -213,61 +205,100 @@ class _Completions:
     largest part, for every admissible part size ``<= n_max``.
 
     Below the largest part, parts are placed in decreasing order, pruned
-    with the gap bound.  The ways to fill ``n_rem`` below a part depend
-    on that part only through the largest sizes it admits next, one
-    non-overlined and one overlined, so for each ``n_rem`` the table
-    keeps running totals, over the admissible sizes in increasing order,
-    of the ways to fill ``n_rem`` with that size as its largest part.  A
-    completion is two of those totals, found by bisection, with no scan;
-    each list is extended only as far as a cutoff asks.  Filling recurses
-    two frames per part placed, but every caller fills the small
-    remainders first, so the stack stays a few frames deep.  Totals and
-    completions are count vectors packed by ``width``, ``guard`` bits wider
-    than ``_slot_width(n_max)`` for a caller that sums signed rows.
+    with the gap bound.  The ways to fill ``m`` below a placed
+    ``admissible[i]`` (a completion) depend on that part only through the
+    largest sizes it admits next: ``u_plain`` non-overlined and
+    ``u_plain - N`` overlined.  So ``totals[m][c]`` keeps, over the first
+    ``c`` admissible sizes ``s``, the ways to fill ``m`` with largest part
+    ``s``, and a completion is the two running totals at columns
+    ``bisect(admissible, min(m, u)) = min(cols[m], bisect(admissible,
+    u))``, bisected once per ``m`` and once per size: two list reads.
+
+    Column ``c`` of ``totals[m]`` adds the completion of ``m - s`` below
+    ``s = admissible[c - 1]``, which reads ``totals[m - s]`` at columns at
+    most ``plain[c - 1] <= c``, because ``u_plain <= s``.  Write ``res =
+    beta(-s)``, ``w = w(res)`` and ``v = v(res)``, so ``u_plain = s - N(w -
+    1) - v + res``.  If ``w = 1``, ``res`` is one generator and ``v =
+    res``, so ``u_plain = s``.  If ``w >= 2``, ``res - v`` sums some
+    generators but not ``v``, so ``res - v < sum(a) <= N <= N(w - 1)`` and
+    ``u_plain < s``.  So the table fills column by column, each in
+    increasing ``m``, and only as far as :meth:`row` is asked to reach.
+
+    ``totals[m]`` is read only by completions below the sizes ``<= n_max
+    - m``, so it has no column past ``last[m]``, the last column one of
+    them reads.  It is allocated at that length, zeros until built, and a
+    column is stored by index, so a pass cut short and run again stores
+    the same values.  :meth:`row` reads the running totals and adds the
+    completions past them one by one.  Totals and completions are count
+    vectors packed by ``width``, ``guard`` bits wider than
+    ``_slot_width(n_max)`` for a caller that sums signed rows.
     """
 
     def __init__(self, sys, n_max, guard=0):
         alpha_set = set(sys.alpha)
-        self.N = sys.N
         self.width = _slot_width(n_max) + guard
-        self.admissible = [s for s in range(1, n_max + 1)
-                           if beta(sys, -s) in alpha_set]
-        self.u_plain = []   # largest allowed non-overlined part below each
-        for s in self.admissible:
+        adm = self.admissible = [s for s in range(1, n_max + 1)
+                                 if beta(sys, -s) in alpha_set]
+        self.smallest_ok = [int(_smallest_part_ok(sys, s)) for s in adm]
+        self.cols = [bisect_right(adm, m) for m in range(n_max + 1)]
+        # plain[i], over[i]: bisect(adm, u) for the largest part allowed
+        # below adm[i], non-overlined (u = u_plain) and overlined
+        self.plain, self.over = [], []
+        for s in adm:
             res = beta(sys, -s)
-            self.u_plain.append(
-                s - sys.N * (sys.w_table[res] - 1) - sys.v_table[res] + res)
-        self.smallest_ok = [_smallest_part_ok(sys, s)
-                            for s in self.admissible]
-        # totals[n_rem][c]: over the first c admissible sizes s, the ways
-        # to fill n_rem with largest part s
-        self.totals = [[0] for _ in range(n_max + 1)]
+            u = s - sys.N * (sys.w_table[res] - 1) - sys.v_table[res] + res
+            self.plain.append(bisect_right(adm, u))
+            self.over.append(bisect_right(adm, u - sys.N))
+        reach = [0]     # reach[j]: the last column read below adm[:j]
+        for c in self.plain:
+            reach.append(max(reach[-1], c))
+        last = [min(self.cols[m], reach[self.cols[n_max - m]])
+                for m in range(n_max + 1)]
+        self.totals = [[0] * (c + 1) for c in last]
+        # last[m] >= c holds for m from adm[c - 1] up to ends[c - 1], as
+        # cols[m] grows with m and reach[cols[n_max - m]] shrinks
+        self.ends = []
+        for m in range(n_max, 0, -1):
+            self.ends += [m] * (last[m] - len(self.ends))
+        self.filled = 0     # the columns built so far
 
-    def upto(self, n_rem, u):
-        c = bisect_right(self.admissible, min(n_rem, u))
-        row = self.totals[n_rem]
-        while len(row) <= c:
-            i = len(row) - 1
-            row.append(row[-1] + self.fill(n_rem - self.admissible[i], i))
-        return row[c]
-
-    def fill(self, n_rem, i):
-        """The ways to fill ``n_rem`` below a placed ``admissible[i]``."""
-        if n_rem == 0:
-            return 1 if self.smallest_ok[i] else 0
-        u = self.u_plain[i]
-        return (self.upto(n_rem, u - self.N)                  # overlined
-                + (self.upto(n_rem, u) << self.width))
+    def _extend(self, stop):
+        """Build the columns up to ``stop`` of every ``totals[m]`` that
+        stores them."""
+        totals, cols, width = self.totals, self.cols, self.width
+        for j in range(self.filled, min(stop, len(self.ends))):
+            c, s, end = j + 1, self.admissible[j], self.ends[j]
+            over, plain = self.over[j], self.plain[j]
+            if end >= s:
+                totals[s][c] = totals[s][j] + self.smallest_ok[j]
+            for m in range(s + 1, end + 1):
+                t, b = totals[m - s], cols[m - s]
+                col = totals[m]
+                col[c] = (col[j] + t[over if over < b else b]
+                          + (t[plain if plain < b else b] << width))
+        self.filled = stop
 
     def row(self, n, start, stop):
         """The packed count vector of the gap-condition overpartitions of
         ``n`` whose largest part is ``admissible[i]`` for ``start <= i <
         stop``: the completions are summed first, then that part is placed
         once, overlined (at ``k``) and non-overlined (at ``k + 1``)."""
-        below = 0
-        for i in range(start, stop):
-            below += self.fill(n - self.admissible[i], i)
-        return below + (below << self.width)
+        if self.filled < stop:
+            self._extend(stop)
+        totals, cols, width = self.totals, self.cols, self.width
+        col = totals[n]
+        mid = min(stop, len(col) - 1)
+        below = col[mid] - col[start] if start < mid else 0
+        for i in range(max(start, mid), stop):
+            r = n - self.admissible[i]
+            if r == 0:
+                below += self.smallest_ok[i]
+                continue
+            t, b = totals[r], cols[r]
+            over, plain = self.over[i], self.plain[i]
+            below += (t[over if over < b else b]
+                      + (t[plain if plain < b else b] << width))
+        return below + (below << width)
 
 
 def count_G(sys, n_max):
@@ -281,7 +312,7 @@ def count_G(sys, n_max):
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     table = _Completions(sys, n_max)
-    rows = [1] + [table.row(n, 0, bisect_right(table.admissible, n))
+    rows = [1] + [table.row(n, 0, table.cols[n])
                   for n in range(1, n_max + 1)]
     return QLaurent._from_packed(n_max, enumerate(rows), table.width)
 
@@ -329,5 +360,7 @@ def count_G_andrews_k0(sys, n_max):
             for n in range(first, n_max + 1):
                 counts[n] += completions(n - first, first)
     finally:
-        memo.clear()        # as in _table_from_size_set
+        # completions refers to itself, so the memo would otherwise wait
+        # for the cycle collector once the counts are built
+        memo.clear()
     return QLaurent(n_max, dict(enumerate(counts)))

@@ -2,6 +2,7 @@ import gc
 import inspect
 import sys
 import tracemalloc
+from bisect import bisect_right
 from functools import lru_cache
 
 import pytest
@@ -22,8 +23,9 @@ from overpart import (
     g_series,
     product_F,
 )
-from overpart import recurrence_engine
-from overpart.enumeration import _Completions, _overpartition_count
+from overpart import enumeration, recurrence_engine
+from overpart.enumeration import (
+    _Completions, _overpartition_count, _slot_width)
 
 from conftest import BATTERY, admissible_systems, cells, gen_overpartitions
 
@@ -91,6 +93,14 @@ class TestCountAll:
             assert _overpartition_count(n) \
                 == sum(brute.coefficient(n).coeffs.values()), n
 
+    def test_slot_width_cache_is_bounded(self):
+        # a library caller may ask for any number of truncations
+        maxsize = _slot_width.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 16
+        for n in range(50, 50 + 3 * maxsize):
+            assert _slot_width(n) == _overpartition_count(n).bit_length() + 1
+        assert _slot_width.cache_info().currsize <= maxsize
+
 
 class TestCountF:
     def test_flagship_n8(self, sys7):
@@ -119,9 +129,9 @@ class TestCountF:
             assert count_F(sys_, 25) == product_F(sys_, 25)
 
     def test_memo_freed_without_a_collection(self, sys3):
-        # the memo of packed ints peaks near 0.77 MiB at n = 100; what
-        # stays after the table is dropped is the interpreter's tuple and
-        # dict free lists
+        # the rows and each size's pass are plain lists of packed ints,
+        # freed on return; what stays after the table is dropped is the
+        # interpreter's tuple and dict free lists
         gc.disable()
         tracemalloc.start()
         try:
@@ -134,6 +144,32 @@ class TestCountF:
             tracemalloc.stop()
             gc.enable()
         assert held < 2 ** 19
+
+    @settings(max_examples=40, deadline=None)
+    @given(admissible_systems(), st.integers(0, 25))
+    def test_against_multiplicities_on_drawn_systems(self, system, n_max):
+        N, a = system
+        sys_ = build_system(a, N)
+        assert count_F(sys_, n_max) == multiplicity_table(sys_, n_max)
+
+
+def multiplicity_table(sys_, n_max):
+    """``count_F`` by choosing, for each size ``= -a(i) mod N``, its
+    multiplicity and, if positive, whether its first copy is overlined."""
+    allowed = set(sys_.a)
+    counts = {(0, 0): 1}    # (k, n) -> count
+    for s in range(1, n_max + 1):
+        if beta(sys_, -s) not in allowed:
+            continue
+        grown = dict(counts)
+        for (k, n), c in counts.items():
+            for mu in range(1, (n_max - n) // s + 1):
+                for first_overlined in (0, 1):
+                    key = (k + mu - first_overlined, n + mu * s)
+                    grown[key] = grown.get(key, 0) + c
+        counts = grown
+    return QLaurent.from_terms(
+        n_max, ((n, k, c) for (k, n), c in counts.items()))
 
 
 class TestCheckGConditions:
@@ -201,22 +237,70 @@ class TestCountG:
         assert count_F(sys_, 160) == count_G(sys_, 160)
 
     def test_runs_under_a_low_recursion_limit(self, sys3):
-        # filling n below a part recurses two frames per part placed, and
-        # 3/{1,2} admits 120 ones; count_G (row by row) and the ladder
-        # (rung by rung) fill the small remainders first, so they stay a
-        # few frames deep
-        want = count_G(sys3, 120)
+        # every counter fills its tables bottom-up, with no recursion:
+        # count_F one size at a time, count_G and the ladder one column of
+        # running totals at a time; a memoized recursion over the sizes
+        # would be one frame per admissible size deep, 134 on 3/{1,2} at
+        # 200
+        want_F, want_G = count_F(sys3, 200), count_G(sys3, 120)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 100)
         try:
-            got = count_G(sys3, 120)
+            got_F = count_F(sys3, 200)
+            got_G = count_G(sys3, 120)
             ladder = recurrence_engine._Ladder(sys3, 120)
             top = ladder.rung(120)
         finally:
             sys.setrecursionlimit(limit)
-        assert got == want
-        packed = want._packed(ladder.width)
+        assert (got_F, got_G) == (want_F, want_G)
+        packed = want_G._packed(ladder.width)
         assert top == tuple(packed.get(n, 0) for n in range(121))
+
+
+def last_read_columns(sys_, n_max):
+    """For each ``m``, the last column of the running totals of ``m`` that
+    a completion reads: below each size ``s <= n_max - m``, the column of
+    the largest non-overlined part allowed next, capped at ``m``."""
+    alpha = set(sys_.alpha)
+    adm = [s for s in range(1, n_max + 1) if beta(sys_, -s) in alpha]
+    last = []
+    for m in range(n_max + 1):
+        reads = [0]
+        for s in adm:
+            if s > n_max - m:
+                break
+            res = beta(sys_, -s)
+            u = (s - sys_.N * (sys_.w_table[res] - 1) - sys_.v_table[res]
+                 + res)
+            reads.append(bisect_right(adm, min(m, u)))
+        last.append(max(reads))
+    return last
+
+
+class TestCompletionsMemory:
+    @pytest.mark.parametrize("N,a", BATTERY)
+    def test_no_column_past_the_last_read(self, N, a, monkeypatch):
+        # storing every column of the running totals doubled count_G's
+        # tracemalloc peak on 3/{1,2} at 120
+        sys_ = build_system(a, N)
+        tables = []
+
+        class Recorded(_Completions):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+        monkeypatch.setattr(enumeration, "_Completions", Recorded)
+        count_G(sys_, 120)
+        ladder = recurrence_engine._Ladder(sys_, 120)
+        tables.append(ladder._table)
+        ladder.rung(120)
+        last = last_read_columns(sys_, 120)
+        for table in tables:
+            stored = [len(col) - 1 for col in table.totals]
+            assert len(stored) == len(last)
+            over = [(m, got, want) for m, (got, want)
+                    in enumerate(zip(stored, last)) if got > want]
+            assert over == []
 
 
 class TestAndrewsK0:

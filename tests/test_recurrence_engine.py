@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from bisect import bisect_right
 from itertools import islice
@@ -143,24 +144,37 @@ class TestGSeries:
         assert sizes[-1] <= 40
         assert ladder.rung(8) is series
 
-    def test_interrupted_fill_leaves_a_working_ladder(self, sys7,
-                                                      monkeypatch):
+    def test_interrupted_fill_leaves_a_working_ladder(self, sys7):
+        # a KeyboardInterrupt lands on a line partway through a column of
+        # the completions table, as a signal could; the columns built
+        # before it and the interrupted rung's partial column stay
         want = count_G(sys7, 30)
-        real = _Completions.fill
-        calls = []
-
-        def flaky(self, n_rem, i):
-            calls.append(i)
-            if len(calls) == 200:
-                raise KeyboardInterrupt
-            return real(self, n_rem, i)
-        monkeypatch.setattr(_Completions, "fill", flaky)
         ladder = recurrence_engine._Ladder(sys7, 30)
-        with pytest.raises(KeyboardInterrupt):
-            ladder.rung(30)
+        extend = _Completions._extend.__code__
+        lines = []
+
+        def tracer(frame, event, arg):
+            if frame.f_code is not extend:
+                return None
+
+            def on_line(frame, event, arg):
+                if event == "line":
+                    lines.append(frame.f_lineno)
+                    if len(lines) == 300:
+                        raise KeyboardInterrupt
+                return on_line
+            return on_line
+        old = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                ladder.rung(30)
+        finally:
+            sys.settrace(old)
         assert 1 < len(ladder._series) < len(ladder._sizes) + 1
+        assert ladder._table.filled < len(ladder._series)
         assert rung_series(ladder, 30) == want
-        assert len(calls) > 200
+        assert len(lines) == 300
 
 
 class TestPeelingIdentities:
