@@ -13,8 +13,6 @@ coefficients on the series side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .series_ring import QLaurent
 
 
@@ -39,8 +37,25 @@ class ModulusTooSmall(InvalidSystem):
 MAX_GENERATORS = 16
 
 
-@dataclass(frozen=True, eq=False)
-class AlphaSystem:
+class _Frozen:
+    """Slots set once by ``__init__``: assigning to or deleting one raises
+    ``AttributeError``, and copies and pickles rebuild through ``__init__``
+    from the slots in order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name)
+                                 for name in self.__slots__)
+
+
+class AlphaSystem(_Frozen):
     """Validated modulus system with its subset-sum and weight tables.
 
     ``alpha`` lists all nonempty subset sums ascending; ``w_table`` and
@@ -51,13 +66,12 @@ class AlphaSystem:
     to share between threads.
     """
 
-    a: tuple
-    N: int
-    alpha: tuple
-    w_table: dict
-    v_table: dict
-    summands: dict
-    a_ext: int
+    __slots__ = ("a", "N", "alpha", "w_table", "v_table", "summands", "a_ext")
+
+    def __init__(self, a, N, alpha, w_table, v_table, summands, a_ext):
+        for name, value in zip(self.__slots__, (a, N, alpha, w_table, v_table,
+                                                summands, a_ext)):
+            object.__setattr__(self, name, value)
 
     @property
     def r(self):

@@ -12,9 +12,9 @@ coefficients as strings) so byte equality is a meaningful comparison.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from functools import lru_cache
 
 from .alpha_system import InvalidSystem, build_system
 from .enumeration import count_F, count_G
@@ -80,6 +80,7 @@ def _print_count_table(series, label):
 
 
 def _write_count_csv(tables):
+    import csv                          # only this output needs it
     writer = csv.writer(sys.stdout)
     width = max(_width(series) for _, series in tables)
     multi = len(tables) > 1
@@ -350,8 +351,12 @@ def build_parser():
     return parser
 
 
+# parse_args keeps no state in the parser, so one serves every command
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "count":
             return cmd_count(args)

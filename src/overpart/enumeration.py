@@ -31,10 +31,9 @@ of ``QLaurent._from_packed``, which reads the counts back.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .alpha_system import beta
+from .alpha_system import _Frozen, beta
 from .series_ring import QLaurent
 
 
@@ -42,21 +41,31 @@ class MalformedOverpartition(ValueError):
     """Part list is not a structurally valid overpartition."""
 
 
-@dataclass(frozen=True)
-class Overpartition:
+class Overpartition(_Frozen):
     """Parts as ``(size, overlined)`` pairs, sizes weakly decreasing.
 
     Within a run of equal sizes the overlined copy, if any, comes first;
     this is the canonical placement, and each size carries at most one
-    overline.
+    overline.  Instances are immutable and compare by their parts.
     """
 
-    parts: tuple
+    __slots__ = ("parts",)
 
     def __init__(self, parts):
         object.__setattr__(
             self, "parts",
             tuple((int(s), bool(o)) for s, o in parts))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash((self.parts,))
+
+    def __repr__(self):
+        return f"Overpartition(parts={self.parts!r})"
 
     @property
     def n(self):

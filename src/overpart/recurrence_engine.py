@@ -26,11 +26,10 @@ verification passes iff the residual is identically zero.  Negative
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from functools import cached_property, lru_cache
 
-from .alpha_system import alpha_weight_sum, build_system
+from .alpha_system import MAX_GENERATORS, alpha_weight_sum, build_system
 from .enumeration import _Completions
 from .series_ring import (QLaurent, _div_packed, _mul_packed, product_F,
                           qbinomial)
@@ -116,7 +115,7 @@ class _Ladder:
         return self._series[c]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)     # a command reads one ladder per system
 def _ladder(sys, trunc):
     return _Ladder(sys, trunc)
 
@@ -298,8 +297,7 @@ def verify_eq_357(sys, j, k, trunc):
 # -- the main recurrence ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecRow:
+class RecRow(namedtuple("RecRow", "lhs rhs ell")):
     """One materialized instance of the main recurrence at index ``ell``.
 
     ``lhs`` multiplies ``u_ell``; ``rhs[j-1]`` multiplies ``u_(ell-j)``
@@ -309,9 +307,7 @@ class RecRow:
     entries: it stops at ``u_0``.
     """
 
-    lhs: QLaurent
-    rhs: tuple
-    ell: int
+    __slots__ = ()
 
 
 def _multiplier(N, ell, M, j, m_max, trunc):
@@ -497,7 +493,8 @@ class _WeightPairs(dict):
                 for m in range(1, sys.r + 1) for k in range(m)}
 
 
-_weight_pairs = lru_cache(maxsize=None)(_WeightPairs)
+# a command reads one system at a time, at most r + 1 cutoffs of it
+_weight_pairs = lru_cache(maxsize=MAX_GENERATORS + 1)(_WeightPairs)
 
 
 def coeff_b(sys, m, j):
@@ -583,32 +580,43 @@ def limit_u(sys, trunc):
 # -- the transformation chain ------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainStage:
-    name: str
-    residual_zero: bool
-    detail: str = ""
+ChainStage = namedtuple("ChainStage", "name residual_zero detail",
+                        defaults=("",))
 
 
-@dataclass
 class ChainState:
     """Every intermediate object of one chain run, as lists of ``QLaurent``
     at ``trunc``: ``u`` and ``beta`` up to ``ell_max``, ``s`` and ``mu`` up
-    to ``x_trunc``."""
+    to ``x_trunc``.  A chain run hands over its packed maps instead
+    (:meth:`_of_packed`), and each list is read back when first read."""
 
-    u: list
-    beta: list
-    s: list
-    mu: list
+    def __init__(self, u, beta, s, mu):
+        self.u, self.beta, self.s, self.mu = u, beta, s, mu
+
+    @classmethod
+    def _of_packed(cls, trunc, width, **maps):
+        """The state of ``{e: int}`` maps packed at ``d = 2^width``, keyed
+        by list name."""
+        state = cls.__new__(cls)
+        state._maps = trunc, width, maps
+        return state
+
+    def _read_back(self, name):
+        trunc, width, maps = self._maps
+        return [QLaurent._from_packed(trunc, x.items(), width)
+                for x in maps.pop(name)]
+
+    u = cached_property(lambda self: self._read_back("u"))
+    beta = cached_property(lambda self: self._read_back("beta"))
+    s = cached_property(lambda self: self._read_back("s"))
+    mu = cached_property(lambda self: self._read_back("mu"))
 
 
-@dataclass
 class ChainReport:
-    system: object
-    trunc: int
-    x_trunc: int
-    stages: list = field(default_factory=list)
-    state: ChainState = None
+    def __init__(self, system, trunc, x_trunc, stages=None, state=None):
+        self.system, self.trunc, self.x_trunc = system, trunc, x_trunc
+        self.stages = [] if stages is None else stages
+        self.state = state
 
     @property
     def verdict(self):
@@ -776,12 +784,13 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     ``q^0``, and each divisor starts with 1.
 
     The run holds ``u, nu, beta, mu, s`` and every multiplier packed at
-    one ``d = 2^width`` and reads back only ``ChainState`` and the
-    offending rows.  Each value it reads back, compares or tests for zero
-    has every coefficient below ``2^(width-1)``, so each of those steps is
-    exact: before the packed run, :func:`_iterates` hands the majorants
-    ``|u_l|`` at ``d = 1`` to the same steps on majorants, and ``width``
-    holds what they give.  ``|nu_l| <= |u_l| prod_h (1 + q^(hN - a(r)))``;
+    one ``d = 2^width`` and reads back only ``mu`` and the offending rows;
+    ``ChainState`` reads back the others when they are first read.  Each
+    value it reads back, compares or tests for zero has every coefficient
+    below ``2^(width-1)``, so each of those steps is exact: before the
+    packed run, :func:`_iterates` hands the majorants ``|u_l|`` at ``d =
+    1`` to the same steps on majorants, and ``width`` holds what they
+    give.  ``|nu_l| <= |u_l| prod_h (1 + q^(hN - a(r)))``;
     ``|beta_l| <= |nu_l| / den_l`` and ``|s_l| <= |mu_l| / den_l``, as
     ``1/den_l = prod_(h<=l) 1/(1 - q^(hN))`` has no ``d`` and nonnegative
     coefficients; ``|mu_l| <= sum_j q^(j(N - a(r))) [l, j]_Q
@@ -866,8 +875,7 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     record("eq_dprime", *rows)
     record("rec_dprime", *rows[1:])
 
-    state = ChainState(*([QLaurent._from_packed(trunc, x.items(), width)
-                          for x in xs] for xs in (u, betas, s, mus)))
+    state = ChainState._of_packed(trunc, width, u=u, beta=betas, s=s, mu=mus)
     # mu are the reduced system's iterates: where they first differ, the
     # reduced recurrence's residual is lhs (mu_l - u'_l), whose first term
     # is that of mu_l - u'_l, as lhs is 1 plus terms above q^0

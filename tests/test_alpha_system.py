@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -84,6 +87,21 @@ class TestBuildSystem:
         assert clone == sys7
         assert hash(clone) == hash(sys7)
         assert build_system([1, 2, 4], 8) != sys7
+
+    def test_immutable(self, sys7):
+        with pytest.raises(AttributeError):
+            sys7.N = 8
+        with pytest.raises(AttributeError):
+            del sys7.a
+        assert (sys7.N, sys7.a) == (7, (1, 2, 4))
+        assert repr(sys7) == "AlphaSystem(N=7, a=[1, 2, 4])"
+
+    def test_copies_rebuild_every_table(self, sys7):
+        for clone in (copy.copy(sys7), pickle.loads(pickle.dumps(sys7))):
+            assert clone == sys7 and clone is not sys7
+            assert [clone.alpha, clone.w_table, clone.v_table, clone.summands,
+                    clone.a_ext] == [sys7.alpha, sys7.w_table, sys7.v_table,
+                                     sys7.summands, sys7.a_ext]
 
 
 class TestBeta:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -17,9 +18,12 @@ from overpart import (
     NotStabilized,
     QLaurent,
     RoundTripMismatch,
+    build_system,
     cli,
+    g_series,
     recurrence_engine,
 )
+from overpart.alpha_system import MAX_GENERATORS
 from overpart.cli import main
 
 from conftest import admissible_systems
@@ -31,6 +35,15 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_interpreter(*args):
+    """A fresh interpreter with the package on its path, output as bytes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, timeout=120)
 
 
 class TestCount:
@@ -547,18 +560,93 @@ def test_each_f_is_built_once_per_command(capsys, monkeypatch):
     assert recurrence_engine._weight_pairs.cache_info().currsize == 0
 
 
+# the checks of the benchmark's three workloads (bench/workloads.py)
+WORKLOAD_CHECKS = {
+    "peel": ("--checks", "lemma1,lemma2,eq357,key,rec,tmj", "--trunc", "44"),
+    "theorem": ("--checks", "theorem", "--trunc", "120"),
+    "chain": ("--checks", "chain", "--trunc", "56", "--x-trunc", "5"),
+}
+
+
+def battery_cache_misses(checks):
+    """Misses of the ladder and weight-pair caches over ``verify
+    --battery`` with ``checks``, read before a command would clear them."""
+    args = cli._parser().parse_args(["verify", "--battery", *checks])
+    recurrence_engine._ladder.cache_clear()
+    recurrence_engine._weight_pairs.cache_clear()
+    for N, a in cli.BATTERY:
+        cli._run_checks(build_system(a, N), args, args.checks.split(","))
+    return (recurrence_engine._ladder.cache_info().misses,
+            recurrence_engine._weight_pairs.cache_info().misses)
+
+
+@pytest.mark.parametrize("checks", WORKLOAD_CHECKS.values(),
+                         ids=WORKLOAD_CHECKS)
+def test_bounded_caches_miss_as_unbounded_ones(monkeypatch, checks):
+    # a command reads its tables one system at a time, so the bounded
+    # caches build each ladder and weight-pair table once, as before
+    bounded = battery_cache_misses(checks)
+    for name in ("_ladder", "_weight_pairs"):
+        unbounded = lru_cache(maxsize=None)(
+            getattr(recurrence_engine, name).__wrapped__)
+        monkeypatch.setattr(recurrence_engine, name, unbounded)
+    assert bounded == battery_cache_misses(checks)
+    assert bounded[1] > 0
+
+
+def test_library_callers_keep_bounded_tables():
+    # outside the CLI nothing clears the caches, so their size bounds them
+    assert recurrence_engine._weight_pairs.cache_info().maxsize \
+        == MAX_GENERATORS + 1       # every cutoff of any one system
+    for N in range(3, 40):
+        sys_ = build_system([1, 2], N)
+        g_series(sys_, N, 6)
+        for k in range(1, sys_.r + 2):
+            recurrence_engine._weight_pairs(sys_, k)
+    for cached in (recurrence_engine._ladder, recurrence_engine._weight_pairs):
+        info = cached.cache_info()
+        assert info.misses > info.maxsize >= info.currsize
+
+
+def test_one_parser_serves_every_command(capsys):
+    # the parser is built once per process; a command leaves no default or
+    # state behind for the next, whichever output it chose
+    argvs = [
+        ("verify", "--N", "7", "--a", "1,2,4", "--checks", "chain",
+         "--trunc", "12", "--x-trunc", "3", "--output", "json"),
+        ("count", "--N", "3", "--a", "1,2", "--n-max", "6", "--output",
+         "csv"),
+        ("verify", "--N", "7", "--a", "1,2,4", "--checks", "chain",
+         "--trunc", "12", "--output", "json"),
+    ]
+    in_process = [run_cli(capsys, *argv)[:2] for argv in argvs]
+    assert cli._parser() is cli._parser()
+    fresh = [run_interpreter("-m", "overpart.cli", *argv) for argv in argvs]
+    assert in_process == [(p.returncode, p.stdout.decode()) for p in fresh]
+    assert [json.loads(in_process[i][1])["systems"][0]["checks"][0]["x_trunc"]
+            for i in (0, 2)] == [3, 6]
+
+
+def test_cli_imports_only_what_it_runs():
+    # every check is one short CLI process, so start-up counts: dataclasses
+    # alone pulls in inspect, ast, dis and tokenize, and only --output csv
+    # needs csv.  Diffing sys.modules leaves out whatever site loaded first
+    done = run_interpreter(
+        "-c", "import sys; before = set(sys.modules); import overpart.cli; "
+              "print(*sorted(set(sys.modules) - before))")
+    added = done.stdout.decode().split()
+    assert done.returncode == 0 and "overpart.cli" in added, done.stderr
+    assert sorted({"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"}
+                  & set(added)) == []
+
+
 def test_checks_survive_python_O():
     # -O strips assert statements; the verdict must not depend on them
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     argv = ["-m", "overpart.cli", "verify", "--N", "7", "--a", "1,2,4",
             "--checks", ",".join(cli.ALL_CHECKS), "--trunc", "20",
             "--x-trunc", "3", "--output", "json"]
-    plain = subprocess.run([sys.executable, *argv], env=env,
-                           capture_output=True, timeout=120)
-    optimized = subprocess.run([sys.executable, "-O", *argv], env=env,
-                               capture_output=True, timeout=120)
+    plain = run_interpreter(*argv)
+    optimized = run_interpreter("-O", *argv)
     assert plain.returncode == 0, plain.stderr
     assert optimized.returncode == 0, optimized.stderr
     assert optimized.stdout == plain.stdout

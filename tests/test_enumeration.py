@@ -1,5 +1,6 @@
 import gc
 import inspect
+import pickle
 import sys
 import tracemalloc
 from bisect import bisect_right
@@ -53,6 +54,17 @@ class TestOverpartition:
 
     def test_valid_equal_run(self):
         Overpartition([(6, True), (6, False)]).validate()
+
+    def test_immutable_and_compared_by_parts(self):
+        op = Overpartition([(5, True), (3, False)])
+        with pytest.raises(AttributeError):
+            op.parts = ()
+        assert repr(op) == "Overpartition(parts=((5, True), (3, False)))"
+        same = Overpartition([[5, 1], [3, 0]])
+        assert op == same and hash(op) == hash(same)
+        assert op != Overpartition([(5, False), (3, False)])
+        assert op != ((5, True), (3, False))
+        assert pickle.loads(pickle.dumps(op)) == op
 
     @pytest.mark.parametrize("parts", [
         [(3, False), (5, False)],          # increasing

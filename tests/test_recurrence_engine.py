@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from overpart import (
     ChainBroken,
+    ChainReport,
+    ChainState,
     ConventionOutOfRange,
     DPoly,
     NegativeExponents,
@@ -243,6 +245,31 @@ class TestPeelingIdentities:
         r35, r37 = verify_eq_357(sys7, 2, sys7.r + 1, 25)
         assert r35.is_zero()
         assert r37 is None
+
+
+class TestRecords:
+    def test_rec_row_and_chain_stage_are_named_tuples(self):
+        one = QLaurent.one(4)
+        row = recurrence_engine.RecRow(one, (one,), 1)
+        assert row == recurrence_engine.RecRow(lhs=one, rhs=(one,), ell=1)
+        assert (row.lhs, row.rhs, row.ell) == (one, (one,), 1)
+        stage = recurrence_engine.ChainStage("eq", True)
+        assert repr(stage) \
+            == "ChainStage(name='eq', residual_zero=True, detail='')"
+        # a named tuple also equals the plain tuple of its fields
+        assert stage == ("eq", True, "")
+        for record, name in ((row, "ell"), (stage, "detail")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 2)
+
+    def test_chain_report_and_state_constructors(self, sys3):
+        first, second = ChainReport(sys3, 10, 2), ChainReport(sys3, 10, 2)
+        assert first.stages == [] and first.stages is not second.stages
+        assert (first.system, first.trunc, first.x_trunc, first.state) \
+            == (sys3, 10, 2, None)
+        assert first.verdict == "pass" and first.first_failure() is None
+        state = ChainState(u=[1], beta=[2], s=[3], mu=[4])
+        assert [state.u, state.beta, state.s, state.mu] == [[1], [2], [3], [4]]
 
 
 class TestRecRow:
@@ -924,6 +951,18 @@ class TestChain:
             "rec_prime", "eq", "eq_prime", "eq_dprime", "rec_dprime",
             "rec_reduced", "mu_limit"]
         assert all(st.residual_zero for st in report.stages)
+
+    def test_state_read_back_on_demand(self, sys3):
+        # the run reads back only mu; each other list is read back when
+        # first read, and kept
+        state = verify_chain(sys3, 6, 4, 20).state
+        assert [name for name in ("u", "beta", "s", "mu")
+                if name in vars(state)] == ["mu"]
+        assert state.u == run_recurrence(sys3, 6, 20)
+        assert state.u is state.u
+        assert [len(state.beta), len(state.s), len(state.mu)] == [7, 5, 5]
+        assert all(x.trunc == 20 for name in ("beta", "s")
+                   for x in getattr(state, name))
 
     def test_state_consistency(self, sys3):
         report = verify_chain(sys3, 6, 6, 20)
