@@ -19,10 +19,6 @@ from .alpha_system import (
     build_system,
 )
 from .enumeration import (
-    MalformedOverpartition,
-    Overpartition,
-    check_G_conditions,
-    count_all_overpartitions,
     count_F,
     count_G,
     count_G_andrews_k0,
@@ -68,9 +64,7 @@ __all__ = [
     "ModulusTooSmall", "build_system", "beta", "alpha_weight_sum",
     "DPoly", "QLaurent", "XSeries", "TruncationMismatch",
     "NonUnitLeadingTerm", "qbinomial", "product_F",
-    "Overpartition", "MalformedOverpartition",
-    "count_all_overpartitions", "count_F", "check_G_conditions", "count_G",
-    "count_G_andrews_k0",
+    "count_F", "count_G", "count_G_andrews_k0",
     "RecRow", "ChainState", "ChainReport", "ChainBroken",
     "ConventionOutOfRange", "NotStabilized", "NegativeExponents",
     "RoundTripMismatch", "g_series", "verify_lemma1",

@@ -37,25 +37,7 @@ class ModulusTooSmall(InvalidSystem):
 MAX_GENERATORS = 16
 
 
-class _Frozen:
-    """Slots set once by ``__init__``: assigning to or deleting one raises
-    ``AttributeError``, and copies and pickles rebuild through ``__init__``
-    from the slots in order."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name)
-                                 for name in self.__slots__)
-
-
-class AlphaSystem(_Frozen):
+class AlphaSystem:
     """Validated modulus system with its subset-sum and weight tables.
 
     ``alpha`` lists all nonempty subset sums ascending; ``w_table`` and
@@ -72,6 +54,17 @@ class AlphaSystem(_Frozen):
         for name, value in zip(self.__slots__, (a, N, alpha, w_table, v_table,
                                                 summands, a_ext)):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copies and pickles rebuild through __init__, the slots in order
+        return type(self), tuple(getattr(self, name)
+                                 for name in self.__slots__)
 
     @property
     def r(self):

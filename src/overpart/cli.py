@@ -23,11 +23,11 @@ from .recurrence_engine import (
     NegativeExponents,
     NotStabilized,
     RoundTripMismatch,
-    _decoded_iterates,
     _ladder,
     _weight_pairs,
     g_series,
     limit_u,
+    run_recurrence,
     verify_chain,
     verify_eq_357,
     verify_key_lemma,
@@ -209,7 +209,7 @@ def _run_checks(sys_, args, checks):
             cases = ((f"ell={ell}",
                       u == g_series(sys_, ell * sys_.N - sys_.a[0], trunc))
                      for ell, u in enumerate(
-                         _decoded_iterates(sys_, ell_hi, trunc)))
+                         run_recurrence(sys_, ell_hi, trunc)))
             res = _sweep(cases)
         elif name == "tmj":
             cases = ((f"m={m},j={j}", verify_Tmj(sys_, m, j))

@@ -1,11 +1,16 @@
-"""Brute-force overpartition counters.
+"""Brute-force counters for both sides of the identity.
 
-These are the combinatorial oracles: direct enumerations with no
-generating-function machinery.  One side counts overpartitions whose
-parts lie in fixed residue classes; the other counts overpartitions
-subject to gap conditions driven by the weight maps of the modulus
-system.  The two sides agreeing entrywise is the identity everything
-else in the package verifies.
+``count_F`` counts overpartitions whose parts lie in fixed residue
+classes; ``count_G`` counts those subject to gap conditions driven by
+the weight maps of the modulus system.  Both are direct enumerations
+with no generating-function machinery, and the two sides agreeing
+entrywise is the identity everything else in the package verifies.
+``count_G_andrews_k0`` counts the ``k = 0`` column of the gap side by
+its own code path, with its own gap and smallest-part tests.  The
+unrestricted table is ``count_F`` on the system ``1/{1}``, which allows
+every part size.  The tests check each counter against generate-and-
+filter over all overpartitions, with the gap conditions written out
+afresh there.
 
 An overpartition is a weakly decreasing sequence of parts in which the
 first occurrence of each part size may be overlined; ``k`` always
@@ -33,75 +38,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 
-from .alpha_system import _Frozen, beta
+from .alpha_system import beta
 from .series_ring import QLaurent
-
-
-class MalformedOverpartition(ValueError):
-    """Part list is not a structurally valid overpartition."""
-
-
-class Overpartition(_Frozen):
-    """Parts as ``(size, overlined)`` pairs, sizes weakly decreasing.
-
-    Within a run of equal sizes the overlined copy, if any, comes first;
-    this is the canonical placement, and each size carries at most one
-    overline.  Instances are immutable and compare by their parts.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        object.__setattr__(
-            self, "parts",
-            tuple((int(s), bool(o)) for s, o in parts))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash((self.parts,))
-
-    def __repr__(self):
-        return f"Overpartition(parts={self.parts!r})"
-
-    @property
-    def n(self):
-        return sum(s for s, _ in self.parts)
-
-    @property
-    def k(self):
-        """Number of non-overlined parts."""
-        return sum(1 for _, o in self.parts if not o)
-
-    def validate(self):
-        """Raise ``MalformedOverpartition`` unless structurally valid."""
-        seen_overlined = set()
-        prev = None
-        for size, overlined in self.parts:
-            if size <= 0:
-                raise MalformedOverpartition(f"non-positive part {size}")
-            if prev is not None:
-                if size > prev[0]:
-                    raise MalformedOverpartition("parts must be decreasing")
-                if size == prev[0] and overlined:
-                    raise MalformedOverpartition(
-                        "overlined copy must come first in a run of "
-                        f"equal parts ({size})")
-            if overlined:
-                if size in seen_overlined:
-                    raise MalformedOverpartition(
-                        f"size {size} overlined twice")
-                seen_overlined.add(size)
-            prev = (size, overlined)
-        return self
-
-    def __str__(self):
-        if not self.parts:
-            return "(empty)"
-        return " + ".join(f"{s}~" if o else str(s) for s, o in self.parts)
 
 
 def _overpartition_count(n):
@@ -149,13 +87,6 @@ def _table_from_size_set(sizes, n_max):
     return QLaurent._from_packed(n_max, enumerate(rows), width)
 
 
-def count_all_overpartitions(n_max):
-    """Unrestricted overpartition counts by ``(k, n)``; sanity oracle."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    return _table_from_size_set(range(1, n_max + 1), n_max)
-
-
 def count_F(sys, n_max):
     """Count overpartitions with every part ``= -a(i) mod N``.
 
@@ -173,40 +104,6 @@ def count_F(sys, n_max):
 def _smallest_part_ok(sys, size):
     res = beta(sys, -size)
     return size >= sys.N * (sys.w_table[res] - 1)
-
-
-def _gap_ok(sys, larger, smaller, smaller_overlined):
-    res = beta(sys, -larger)
-    w = sys.w_table[res]
-    v = sys.v_table[res]
-    need = sys.N * (w - 1 + (1 if smaller_overlined else 0)) + v - res
-    return larger - smaller >= need
-
-
-def check_G_conditions(sys, op):
-    """Decide membership in the gap-condition class of overpartitions.
-
-    True iff (i) every part size is congruent to ``-alpha mod N`` for
-    some subset sum ``alpha``, (ii) the smallest part ``p`` satisfies
-    ``p >= N * (w(beta(-p)) - 1)``, and (iii) each adjacent pair
-    ``larger >= smaller`` keeps a gap of at least
-    ``N * (w(res) - 1 + [smaller overlined]) + v(res) - res`` where
-    ``res = beta(-larger)`` is the larger part's residue.
-    """
-    op.validate()
-    alpha_set = set(sys.alpha)
-    parts = op.parts
-    if not parts:
-        return True
-    for size, _ in parts:
-        if beta(sys, -size) not in alpha_set:
-            return False
-    if not _smallest_part_ok(sys, parts[-1][0]):
-        return False
-    for (larger, _), (smaller, overlined) in zip(parts, parts[1:]):
-        if not _gap_ok(sys, larger, smaller, overlined):
-            return False
-    return True
 
 
 class _Completions:
@@ -332,8 +229,9 @@ def count_G_andrews_k0(sys, n_max):
     Counts partitions (no overlines) whose parts are congruent to some
     ``-alpha mod N``, where each adjacent pair keeps a gap of at least
     ``N * w(res) + v(res) - res`` with ``res = beta(-larger)`` the
-    *larger* part's residue, and the smallest part obeys the usual lower
-    bound.  Indexing the gap by the smaller part instead provably breaks
+    *larger* part's residue, and the smallest part ``p`` keeps ``p >= N
+    * (w(beta(-p)) - 1)``, tested here and not through ``count_G``'s
+    helper.  Indexing the gap by the smaller part instead provably breaks
     the count identity (it admits 11 + 3 of 14 in the (7, {1,2,4})
     system, whose congruence side has only 6 + 5 + 3), so the larger
     part it is.  Used to cross-check the ``k = 0`` column of
@@ -348,7 +246,8 @@ def count_G_andrews_k0(sys, n_max):
 
     def completions(n_rem, prev):
         if n_rem == 0:
-            return 1 if _smallest_part_ok(sys, prev) else 0
+            w = sys.w_table[beta(sys, -prev)]
+            return 1 if prev >= sys.N * (w - 1) else 0
         key = (n_rem, prev)
         hit = memo.get(key)
         if hit is not None:

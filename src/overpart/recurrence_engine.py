@@ -403,13 +403,6 @@ def _iterates(sys, trunc, steps, widen=None):
         yield us[-1], width
 
 
-def _decoded_iterates(sys, ell_max, trunc):
-    """Yield ``u_0, ..., u_ell_max`` of :func:`_iterates`, each read back
-    into a ``QLaurent`` as it arrives."""
-    for u, width in _iterates(sys, trunc, ell_max):
-        yield QLaurent._from_packed(trunc, u.items(), width)
-
-
 def run_recurrence(sys, ell_max, trunc):
     """Iterate the main recurrence; returns ``[u_0, ..., u_ell_max]``.
 
@@ -421,7 +414,8 @@ def run_recurrence(sys, ell_max, trunc):
     """
     if trunc < 0:
         raise ValueError("trunc must be non-negative")
-    return list(_decoded_iterates(sys, max(ell_max, 0), trunc))
+    return [QLaurent._from_packed(trunc, u.items(), width)
+            for u, width in _iterates(sys, trunc, max(ell_max, 0))]
 
 
 def verify_key_lemma(sys, k, ell, trunc):
@@ -884,8 +878,8 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     if state.mu[0] != QLaurent.one(trunc):
         offender = (0, "mu_0 != 1")
     else:
-        for ell, u_red in enumerate(_decoded_iterates(reduced, x_trunc,
-                                                      trunc)):
+        for ell, u_red in enumerate(run_recurrence(reduced, x_trunc,
+                                                   trunc)):
             if state.mu[ell] != u_red:
                 offender = (ell,) + (state.mu[ell] - u_red).first_nonzero()
                 break

@@ -31,19 +31,44 @@ def battery(sys3, sys7, sys9, sys15):
 
 
 def gen_overpartitions(n, max_part=None):
-    """Yield every overpartition of n as ((size, overlined), ...) tuples.
-
-    Non-canonical placements (overline not first in an equal run, double
-    overlines) are yielded too; consumers filter through validate().
-    """
+    """Yield every overpartition of ``n`` with parts ``<= max_part`` once,
+    as ``(size, overlined)`` pairs, sizes weakly decreasing: each size
+    comes as one run whose first copy alone may be overlined."""
     if n == 0:
         yield ()
         return
-    mp = min(n, max_part if max_part is not None else n)
-    for size in range(mp, 0, -1):
-        for rest in gen_overpartitions(n - size, size):
-            yield ((size, False),) + rest
-            yield ((size, True),) + rest
+    top = n if max_part is None else min(n, max_part)
+    for size in range(top, 0, -1):
+        for mult in range(1, n // size + 1):
+            run = ((size, False),) * mult
+            for rest in gen_overpartitions(n - mult * size, size - 1):
+                yield run + rest
+                yield ((size, True),) + run[1:] + rest
+
+
+def in_gap_side(sys_, parts):
+    """Membership in the gap side, written out from its definition:
+    every part's residue ``beta(-size)`` is a subset sum, the smallest
+    part ``p`` keeps ``p >= N (w(beta(-p)) - 1)``, and each adjacent pair
+    keeps ``larger - smaller >= N (w(res) - 1 + [smaller overlined]) +
+    v(res) - res`` with ``res = beta(-larger)``."""
+    N, w, v = sys_.N, sys_.w_table, sys_.v_table
+    res = [-size % N or N for size, _ in parts]
+    if any(r not in w for r in res) or (
+            parts and parts[-1][0] < N * (w[res[-1]] - 1)):
+        return False
+    return all(larger - smaller >= N * (w[r] - 1 + over) + v[r] - r
+               for (larger, _), (smaller, over), r
+               in zip(parts, parts[1:], res))
+
+
+def brute_table(n_max, predicate):
+    """Generate-and-filter: ``sum d^k q^n`` over the overpartitions of
+    ``n <= n_max`` that ``predicate`` accepts, with ``k`` plain parts."""
+    return QLaurent.from_terms(
+        n_max, ((n, sum(not over for _, over in parts), 1)
+                for n in range(n_max + 1)
+                for parts in gen_overpartitions(n) if predicate(parts)))
 
 
 def cells(series):

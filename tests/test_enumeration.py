@@ -1,22 +1,16 @@
 import gc
 import inspect
-import pickle
 import sys
 import tracemalloc
 from bisect import bisect_right
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from overpart import (
     DPoly,
-    MalformedOverpartition,
-    Overpartition,
     beta,
     build_system,
-    check_G_conditions,
-    count_all_overpartitions,
     count_F,
     count_G,
     count_G_andrews_k0,
@@ -28,71 +22,31 @@ from overpart import enumeration, recurrence_engine
 from overpart.enumeration import (
     _Completions, _overpartition_count, _slot_width)
 
-from conftest import BATTERY, admissible_systems, cells, gen_overpartitions
-
-
-def brute_table(sys_, n_max, predicate):
-    """Generate-and-filter oracle, independent of the pruned DFS."""
-    terms = [(0, 0, 1)]
-    for n in range(1, n_max + 1):
-        for parts in gen_overpartitions(n):
-            op = Overpartition(parts)
-            try:
-                op.validate()
-            except MalformedOverpartition:
-                continue
-            if predicate(op):
-                terms.append((n, op.k, 1))
-    return QLaurent.from_terms(n_max, terms)
-
-
-class TestOverpartition:
-    def test_counts_and_size(self):
-        op = Overpartition([(5, True), (3, False)])
-        assert op.n == 8
-        assert op.k == 1
-
-    def test_valid_equal_run(self):
-        Overpartition([(6, True), (6, False)]).validate()
-
-    def test_immutable_and_compared_by_parts(self):
-        op = Overpartition([(5, True), (3, False)])
-        with pytest.raises(AttributeError):
-            op.parts = ()
-        assert repr(op) == "Overpartition(parts=((5, True), (3, False)))"
-        same = Overpartition([[5, 1], [3, 0]])
-        assert op == same and hash(op) == hash(same)
-        assert op != Overpartition([(5, False), (3, False)])
-        assert op != ((5, True), (3, False))
-        assert pickle.loads(pickle.dumps(op)) == op
-
-    @pytest.mark.parametrize("parts", [
-        [(3, False), (5, False)],          # increasing
-        [(6, False), (6, True)],           # overline not first in run
-        [(6, True), (6, True)],            # double overline
-        [(0, False)],                      # non-positive part
-    ])
-    def test_malformed(self, parts):
-        with pytest.raises(MalformedOverpartition):
-            Overpartition(parts).validate()
+from conftest import (
+    BATTERY, admissible_systems, brute_table, cells, gen_overpartitions,
+    in_gap_side)
 
 
 class TestCountAll:
+    """The unrestricted table: ``count_F`` on ``1/{1}``, all sizes."""
+
+    every_part = build_system([1], 1)
+
     def test_fourteen_overpartitions_of_four(self):
-        row = count_all_overpartitions(4).coefficient(4)
+        row = count_F(self.every_part, 4).coefficient(4)
         assert sum(row.coeffs.values()) == 14
 
     def test_empty(self):
-        assert count_all_overpartitions(0) == QLaurent.one(0)
+        assert count_F(self.every_part, 0) == QLaurent.one(0)
 
     def test_eight_overpartitions_of_three(self):
         # 3, 3~, 2+1, 2~+1, 2+1~, 2~+1~, 1+1+1, 1~+1+1
-        row = count_all_overpartitions(3).coefficient(3)
+        row = count_F(self.every_part, 3).coefficient(3)
         assert sum(row.coeffs.values()) == 8
 
     def test_against_generate_and_filter(self):
-        want = brute_table(None, 10, lambda op: True)
-        assert count_all_overpartitions(10) == want
+        want = brute_table(10, lambda parts: True)
+        assert count_F(self.every_part, 10) == want
 
     def test_overpartition_count_is_oeis_a015128(self):
         # the slot width of the packed count vectors is read off these
@@ -100,7 +54,7 @@ class TestCountAll:
             == [1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232, 344]
 
     def test_overpartition_count_against_generate_and_filter(self):
-        brute = brute_table(None, 12, lambda op: True)
+        brute = brute_table(12, lambda parts: True)
         for n in range(13):
             assert _overpartition_count(n) \
                 == sum(brute.coefficient(n).coeffs.values()), n
@@ -127,13 +81,11 @@ class TestCountF:
         assert count_F(sys3, 2).coefficient(2) == DPoly({0: 1, 1: 2, 2: 1})
 
     def test_against_generate_and_filter(self, sys7, sys3):
-        from overpart import beta
         for sys_ in (sys7, sys3):
             allowed = set(sys_.a)
             want = brute_table(
-                sys_, 12,
-                lambda op: all(beta(sys_, -s) in allowed
-                               for s, _ in op.parts))
+                12, lambda parts: all(beta(sys_, -s) in allowed
+                                      for s, _ in parts))
             assert count_F(sys_, 12) == want
 
     def test_matches_product_coefficients(self, battery):
@@ -185,28 +137,35 @@ def multiplicity_table(sys_, n_max):
 
 
 class TestCheckGConditions:
+    """The tests' gap-side membership test on hand-worked cases."""
+
     def test_flagship_examples(self, sys7):
-        ok = lambda parts: check_G_conditions(sys7, Overpartition(parts))
-        assert ok([(5, False), (3, False)])
-        assert ok([(5, True), (3, False)])
-        assert not ok([(5, False), (3, True)])   # gap 2 < 7
-        assert ok([(8, True)])
-        assert not ok([(7, False), (1, False)])  # 1 < 7*(w(6)-1)
+        ok = lambda parts: in_gap_side(sys7, parts)
+        assert ok(((5, False), (3, False)))
+        assert ok(((5, True), (3, False)))
+        assert not ok(((5, False), (3, True)))   # gap 2 < 7
+        assert ok(((8, True),))
+        assert not ok(((7, False), (1, False)))  # 1 < 7*(w(6)-1)
 
     def test_empty_is_valid(self, sys7):
-        assert check_G_conditions(sys7, Overpartition([]))
+        assert in_gap_side(sys7, ())
 
     def test_equal_parts(self, sys7):
-        assert check_G_conditions(
-            sys7, Overpartition([(6, False), (6, False)]))
-        with pytest.raises(MalformedOverpartition):
-            check_G_conditions(
-                sys7, Overpartition([(6, True), (6, True)]))
+        assert in_gap_side(sys7, ((6, False), (6, False)))
+        # the pbar(12) overpartitions of 12, each once, weakly decreasing
+        # and overlined only on the first copy of a run
+        twelves = list(gen_overpartitions(12))
+        assert len(set(twelves)) == len(twelves) == 504
+        assert ((6, True), (6, False)) in twelves
+        assert all(sum(size for size, _ in parts) == 12 and all(
+            big > small or (big == small and not over)
+            for (big, _), (small, over) in zip(parts, parts[1:]))
+            for parts in twelves)
 
     def test_residue_filter(self, sys9):
         # sizes congruent to 2 or 7 mod 9 match no negated subset sum
-        assert not check_G_conditions(sys9, Overpartition([(11, True)]))
-        assert check_G_conditions(sys9, Overpartition([(8, True)]))
+        assert not in_gap_side(sys9, ((11, True),))
+        assert in_gap_side(sys9, ((8, True),))
 
 
 class TestCountG:
@@ -219,17 +178,26 @@ class TestCountG:
 
     def test_against_generate_and_filter(self, battery):
         for sys_ in battery:
-            want = brute_table(sys_, 12,
-                               lambda op: check_G_conditions(sys_, op))
+            want = brute_table(12, lambda parts: in_gap_side(sys_, parts))
             assert count_G(sys_, 12) == want
 
     def test_bounded_against_generate_and_filter(self, sys7):
         for bound in (3, 6, 10):
             want = brute_table(
-                sys7, 12,
-                lambda op: check_G_conditions(sys7, op)
-                and (not op.parts or op.parts[0][0] <= bound))
+                12, lambda parts: in_gap_side(sys7, parts)
+                and (not parts or parts[0][0] <= bound))
             assert g_series(sys7, bound, 12) == want
+
+    def test_oracles_catch_a_patched_smallest_part_test(self, sys7,
+                                                          monkeypatch):
+        # neither oracle shares count_G's smallest-part test, so one that
+        # accepts every size shows in both; 3/{1,2} would not show it, as
+        # there the bound 3 (w - 1) binds only multiples of 3, which meet it
+        monkeypatch.setattr(enumeration, "_smallest_part_ok",
+                            lambda sys_, size: True)
+        assert count_G(sys7, 12) != brute_table(
+            12, lambda parts: in_gap_side(sys7, parts))
+        assert count_G(sys7, 25).d0() != count_G_andrews_k0(sys7, 25)
 
     def test_monotone_in_bound(self, sys7):
         prev = cells(g_series(sys7, 0, 15))
@@ -344,42 +312,20 @@ class TestAndrewsK0:
         assert held < 2 ** 19
 
 
-@lru_cache(maxsize=None)
-def valid_overpartitions(n_max):
-    """Every structurally valid overpartition of each ``1 <= n <= n_max``."""
-    out = []
-    for n in range(1, n_max + 1):
-        for parts in gen_overpartitions(n):
-            op = Overpartition(parts)
-            try:
-                op.validate()
-            except MalformedOverpartition:
-                continue
-            out.append(op)
-    return tuple(out)
-
-
 def check_ladder(sys_, n_max):
     """Every largest-part bound ``-N..n_max+N`` against generate-and-filter.
 
     ``g_series`` must give the bounded count (the band constant
     ``(-d)^band`` once ``m <= -N``), and ``count_G`` the unbounded one.
     """
-    members = [op for op in valid_overpartitions(n_max)
-               if check_G_conditions(sys_, op)]
-
-    def oracle(bound):
-        entries = {(0, 0): 1}
-        for op in members:
-            if op.parts[0][0] <= bound:
-                entries[(op.k, op.n)] = entries.get((op.k, op.n), 0) + 1
-        return entries
-
     for m in range(-sys_.N, n_max + sys_.N + 1):
         band = min(-m // sys_.N, sys_.r - 1) if m <= 0 else 0
-        want = oracle(m) if band == 0 else {(band, 0): (-1) ** band}
-        assert cells(g_series(sys_, m, n_max)) == want, (sys_.N, sys_.a, m)
-    assert cells(count_G(sys_, n_max)) == oracle(n_max)
+        want = QLaurent.monomial(n_max, 0, band, (-1) ** band) if band \
+            else brute_table(n_max, lambda parts: in_gap_side(sys_, parts)
+                             and (not parts or parts[0][0] <= m))
+        assert g_series(sys_, m, n_max) == want, (sys_.N, sys_.a, m)
+    assert count_G(sys_, n_max) == brute_table(
+        n_max, lambda parts: in_gap_side(sys_, parts))
 
 
 class TestLargestPartLadder:

@@ -175,3 +175,33 @@ def test_enumeration_stays_independent_of_the_identities():
                  or ("series_ring" in parts
                      and parts[-2:] != ["series_ring", "QLaurent"])]
     assert offenders == []
+
+
+
+def test_oracles_share_no_code_with_the_counters():
+    # an oracle that runs a counter's own helper agrees with the counter
+    # when that helper is wrong: the tests' generate-and-filter imports
+    # nothing from the counting modules, and count_G_andrews_k0 names no
+    # private function that count_G's completions table names
+    conftest = PACKAGE.parent.parent / "tests" / "conftest.py"
+    imported = set()
+    for node in ast.walk(ast.parse(conftest.read_text(), str(conftest))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            if node.module == "overpart":
+                imported |= {getattr(getattr(overpart, alias.name),
+                                     "__module__", None)
+                             for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert "overpart" in imported
+    assert imported.isdisjoint({"overpart.enumeration",
+                                "overpart.recurrence_engine"})
+    path = PACKAGE / "enumeration.py"
+    names = {node.name: {getattr(n, "id", None) or getattr(n, "attr", "")
+                         for n in ast.walk(node)}
+             for node in ast.parse(path.read_text(), str(path)).body
+             if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert "_smallest_part_ok" in names["_Completions"]
+    shared = names["_Completions"] & names["count_G_andrews_k0"]
+    assert sorted(name for name in shared if name.startswith("_")) == []
