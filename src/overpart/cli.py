@@ -23,11 +23,11 @@ from .recurrence_engine import (
     NegativeExponents,
     NotStabilized,
     RoundTripMismatch,
+    _decoded_iterates,
     _ladder,
     _weight_pairs,
     g_series,
     limit_u,
-    run_recurrence,
     verify_chain,
     verify_eq_357,
     verify_key_lemma,
@@ -35,7 +35,7 @@ from .recurrence_engine import (
     verify_lemma2,
     verify_Tmj,
 )
-from .series_ring import NonUnitLeadingTerm, product_F
+from .series_ring import NonUnitLeadingTerm, _slot_width, product_F
 
 #: Built-in verification battery used by ``verify --battery``.
 BATTERY = ((3, (1, 2)), (7, (1, 2, 4)), (9, (1, 3, 5)), (15, (1, 2, 4, 8)))
@@ -209,7 +209,7 @@ def _run_checks(sys_, args, checks):
             cases = ((f"ell={ell}",
                       u == g_series(sys_, ell * sys_.N - sys_.a[0], trunc))
                      for ell, u in enumerate(
-                         run_recurrence(sys_, ell_hi, trunc)))
+                         _decoded_iterates(sys_, ell_hi, trunc)))
             res = _sweep(cases)
         elif name == "tmj":
             cases = ((f"m={m},j={j}", verify_Tmj(sys_, m, j))
@@ -230,13 +230,19 @@ def _run_checks(sys_, args, checks):
             res["x_trunc"] = args.x_trunc
             res["ell_max"] = ell_max
         elif name == "theorem":
-            # limit_u rejects N = a(1) before anything is counted, and the
-            # limit is dropped before the counters run
-            limit_ok = limit_u(sys_, trunc) == (prod := product_F(sys_, trunc))
-            f_counts = count_F(sys_, trunc)
+            # every side is packed at one width that holds each of them, so
+            # equal ints are equal series and nothing is read back; the
+            # limit rejects N = a(1) before anything is counted, and is
+            # dropped before the counters run
+            limit, width = limit_u(sys_, trunc, floor=_slot_width(trunc))
+            prod = product_F(sys_, trunc, width=width)
+            limit_ok = limit == {e: c for e, c in enumerate(prod) if c}
+            del limit
+            f_rows = count_F(sys_, trunc, width=width)
             cases = [
-                ("count_F == count_G", f_counts == count_G(sys_, trunc)),
-                ("count_F == product", f_counts == prod),
+                ("count_F == count_G",
+                 f_rows == count_G(sys_, trunc, width=width)),
+                ("count_F == product", f_rows == prod),
                 ("product == limit", limit_ok),
             ]
             res = _sweep(cases)

@@ -28,77 +28,56 @@ the count at ``k`` in the ``width``-bit slot starting at bit
 ``k * width``: placing a non-overlined part is a shift by ``width`` and
 summing vectors is ``+``.  Every packed count is the size of a set of
 overpartitions of some ``m <= n_max``, so it is at most ``pbar(n_max)``,
-the number of overpartitions of ``n_max``; a ``width`` one bit more than
-``pbar(n_max)`` needs keeps every sum in its slot and below the sign bit
-of ``QLaurent._from_packed``, which reads the counts back.
+the number of overpartitions of ``n_max``; a ``width`` of at least
+``series_ring._slot_width(n_max)``, one bit more than ``pbar(n_max)``
+needs, keeps every sum in its slot and below the sign bit of
+``QLaurent._from_packed``, which reads the counts back.  Given a
+``width`` (``ValueError`` below that bound), ``count_F`` and ``count_G``
+return their rows packed at it and read nothing back, so the
+``theorem`` check compares both sides, the infinite product and the
+recurrence limit as ints at one width: two rows packed at one such
+width are equal exactly when their count vectors are.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
 
 from .alpha_system import beta
-from .series_ring import QLaurent
+from .series_ring import QLaurent, _count_width, _slot_width
 
 
-def _overpartition_count(n):
-    """``pbar(n)``, the number of overpartitions of ``n``: the coefficient of
-    ``q^n`` in ``prod_s (1 + q^s) / (1 - q^s)``."""
-    c = [1] + [0] * n
-    for s in range(1, n + 1):
-        for i in range(s, n + 1):           # times 1 / (1 - q^s)
-            c[i] += c[i - s]
-        for i in range(n, s - 1, -1):       # times 1 + q^s
-            c[i] += c[i - s]
-    return c[n]
+def count_F(sys, n_max, *, width=None):
+    """Count overpartitions with every part ``= -a(i) mod N``.
 
-
-@lru_cache(maxsize=8)
-def _slot_width(n_max):
-    """Bits per ``k`` slot of a packed count vector up to ``n_max``.
-
-    A command asks for a few truncations, so a few widths are kept.
+    Direct enumeration over admissible part sizes; the coefficient of
+    ``d^k q^n`` is the number of such overpartitions of ``n`` with ``k``
+    non-overlined parts.  Per admissible size a multiplicity is chosen
+    freely; if positive, the first copy is either overlined or not.  One
+    pass per size, largest first, adds the ways that use it to the rows
+    built from the larger sizes.  With ``width``, the rows ``n = 0 ..
+    n_max`` are returned as a list, packed at ``d = 2^width``.
     """
-    return _overpartition_count(n_max).bit_length() + 1
-
-
-def _table_from_size_set(sizes, n_max):
-    """Count overpartitions of each ``n <= n_max`` with parts in ``sizes``.
-
-    Per size a multiplicity is chosen freely; if positive, the first
-    copy is either overlined or not.  One pass per size, largest first,
-    adds the ways that use it to the rows built from the larger sizes.
-    Counts are refined by the number of non-overlined parts, packed by
-    :func:`_slot_width`.
-    """
-    width = _slot_width(n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    w = _count_width(n_max, width)
+    allowed = set(sys.a)
     rows = [1] + [0] * n_max
-    for s in sorted(sizes, reverse=True):
+    for s in range(n_max, 0, -1):
+        if beta(sys, -s) not in allowed:
+            continue
         # placed[n]: the ways to fill n that use s, before its first copy
         # is marked; either this is the first copy, or one more plain copy
         # goes on top of placed[n - s]
         placed = [0] * (n_max + 1)
         for n in range(s, n_max + 1):
-            placed[n] = rows[n - s] + (placed[n - s] << width)
+            placed[n] = rows[n - s] + (placed[n - s] << w)
         # the first copy is overlined (at k) or not (at k + 1)
         for n in range(s, n_max + 1):
-            rows[n] += placed[n] + (placed[n] << width)
-    return QLaurent._from_packed(n_max, enumerate(rows), width)
-
-
-def count_F(sys, n_max):
-    """Count overpartitions with every part ``= -a(i) mod N``.
-
-    Direct enumeration over admissible part sizes; the coefficient of
-    ``d^k q^n`` is the number of such overpartitions of ``n`` with ``k``
-    non-overlined parts.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    allowed = set(sys.a)
-    sizes = [s for s in range(1, n_max + 1) if beta(sys, -s) in allowed]
-    return _table_from_size_set(sizes, n_max)
+            rows[n] += placed[n] + (placed[n] << w)
+    if width is not None:
+        return rows
+    return QLaurent._from_packed(n_max, enumerate(rows), w)
 
 
 def _smallest_part_ok(sys, size):
@@ -137,7 +116,8 @@ class _Completions:
     the same values.  :meth:`row` reads the running totals and adds the
     completions past them one by one.  Totals and completions are count
     vectors packed by ``width``, ``guard`` bits wider than
-    ``_slot_width(n_max)`` for a caller that sums signed rows.
+    ``_slot_width(n_max)`` for a caller that sums signed rows or compares
+    them with rows at a wider width.
     """
 
     def __init__(self, sys, n_max, guard=0):
@@ -207,20 +187,27 @@ class _Completions:
         return below + (below << width)
 
 
-def count_G(sys, n_max):
+def count_G(sys, n_max, *, width=None):
     """Count gap-condition overpartitions, by largest part.
 
     Row ``n`` sums the completions of every admissible largest part
     ``<= n``.  The constant term is 1 (the empty overpartition).  The
     counters with a bounded largest part are
-    ``recurrence_engine.g_series``.
+    ``recurrence_engine.g_series``.  With ``width``, the rows ``n = 0 ..
+    n_max`` are returned as a list, packed at ``d = 2^width`` by a
+    completions table with ``width - _slot_width(n_max)`` guard bits.  The
+    table is freed before the rows are read back.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    table = _Completions(sys, n_max)
+    w = _count_width(n_max, width)
+    table = _Completions(sys, n_max, w - _slot_width(n_max))
     rows = [1] + [table.row(n, 0, table.cols[n])
                   for n in range(1, n_max + 1)]
-    return QLaurent._from_packed(n_max, enumerate(rows), table.width)
+    del table
+    if width is not None:
+        return rows
+    return QLaurent._from_packed(n_max, enumerate(rows), w)
 
 
 def count_G_andrews_k0(sys, n_max):

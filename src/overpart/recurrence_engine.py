@@ -359,10 +359,11 @@ def build_rec_row(sys, ell, trunc):
     return RecRow(lhs=lhs, rhs=tuple(rhs), ell=ell)
 
 
-def _iterates(sys, trunc, steps, widen=None):
+def _iterates(sys, trunc, steps, widen=None, floor=2):
     """Yield ``(u_ell, width)`` for ``ell = 0 .. steps``: the iterates of
     the main recurrence, each packed at ``d = 2^width`` as
-    :meth:`QLaurent._packed` does, with no zero entry, at one ``width``.
+    :meth:`QLaurent._packed` does, with no zero entry, at one ``width``
+    of at least ``floor``.
 
     Each step is ``u_ell = num / lhs``, ``num = sum_j rhs_j u_(ell-j)``,
     run by the ring's packed kernels.  The rows are built first and run
@@ -375,7 +376,9 @@ def _iterates(sys, trunc, steps, widen=None):
     back as a row reads.  ``widen``, if given, is called once with the
     majorants ``[|u_0|, ..., |u_steps|]`` and returns a bound that
     ``width`` must hold too, so that the caller can go on computing with
-    the iterates at their width (:func:`verify_chain`).
+    the iterates at their width (:func:`verify_chain`); ``floor`` lets a
+    caller compare the iterates with rows packed at a wider width
+    (:func:`limit_u`).  A wider width holds the same bounds.
     """
     rows = [build_rec_row(sys, ell, trunc) for ell in range(1, steps + 1)]
     us = deque([{0: 1}], maxlen=sys.r if widen is None else None)
@@ -387,7 +390,7 @@ def _iterates(sys, trunc, steps, widen=None):
         bound = max([bound, *num.values(), *us[-1].values()])
     if widen is not None:
         bound = max(bound, widen(list(us)))
-    width = bound.bit_length() + 1
+    width = max(bound.bit_length() + 1, floor)
     us = deque([{0: 1}], maxlen=sys.r)
     yield us[0], width
     for row in rows:
@@ -403,6 +406,16 @@ def _iterates(sys, trunc, steps, widen=None):
         yield us[-1], width
 
 
+def _decoded_iterates(sys, ell_max, trunc):
+    """Yield ``u_0, ..., u_ell_max`` of :func:`run_recurrence`, each read
+    back when it is reached, so a caller that compares them one at a time
+    holds one decoded iterate."""
+    if trunc < 0:
+        raise ValueError("trunc must be non-negative")
+    for u, width in _iterates(sys, trunc, max(ell_max, 0)):
+        yield QLaurent._from_packed(trunc, u.items(), width)
+
+
 def run_recurrence(sys, ell_max, trunc):
     """Iterate the main recurrence; returns ``[u_0, ..., u_ell_max]``.
 
@@ -412,10 +425,7 @@ def run_recurrence(sys, ell_max, trunc):
     ``NonUnitLeadingTerm``; an iterate with a term below ``q^0`` raises
     ``NegativeExponents``.
     """
-    if trunc < 0:
-        raise ValueError("trunc must be non-negative")
-    return [QLaurent._from_packed(trunc, u.items(), width)
-            for u, width in _iterates(sys, trunc, max(ell_max, 0))]
+    return list(_decoded_iterates(sys, ell_max, trunc))
 
 
 def verify_key_lemma(sys, k, ell, trunc):
@@ -551,23 +561,33 @@ def verify_Tmj(sys, m, j):
 # -- limit evaluation --------------------------------------------------
 
 
-def limit_u(sys, trunc):
+def limit_u(sys, trunc, *, floor=None):
     """Stabilized limit of the recurrence iterates, exact to ``trunc``.
 
     Runs until the index ``ell`` satisfies ``ell*N - a(1) > trunc`` plus
     one extra step, checks that the two final iterates agree on every
     retained coefficient, and returns the frozen series.  Only those two
-    iterates are kept, packed, and only the last is read back.
+    iterates are kept, packed in slots that the recurrence's majorants
+    size (:func:`_iterates`), and only the last is read back.
+
+    With ``floor``, nothing is read back: the result is ``(limit,
+    width)``, the last iterate as an ``{e: int}`` map with no zero entry
+    packed at ``d = 2^width``, and a ``width`` of at least ``floor`` that
+    holds every bound the majorants prove.  With ``floor =
+    series_ring._slot_width(trunc)`` the limit compares, as ints, with the
+    packed rows of ``product_F``, ``count_F`` and ``count_G`` at ``width``.
     """
     if trunc < 0:
         raise ValueError("trunc must be non-negative")
     ell_stop = (trunc + sys.a[0]) // sys.N + 1
-    (prev, _), (last, width) = deque(_iterates(sys, trunc, ell_stop + 1),
-                                     maxlen=2)
+    (prev, _), (last, width) = deque(
+        _iterates(sys, trunc, ell_stop + 1, floor=floor or 2), maxlen=2)
     if last != prev:
         raise NotStabilized(
             f"coefficients still moving between steps {ell_stop} "
             f"and {ell_stop + 1}")
+    if floor is not None:
+        return last, width
     return QLaurent._from_packed(trunc, last.items(), width)
 
 

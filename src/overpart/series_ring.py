@@ -38,6 +38,10 @@ A long run proves one bound for every value it will read, before it
 packs anything, and calls the two loops itself at that one width: the
 recurrence from majorants of its rows, and the chain by running its own
 steps on the recurrence's majorants (``recurrence_engine.verify_chain``).
+The infinite product, like the brute-force counters of ``enumeration``,
+holds only counts of overpartitions of some ``n <= trunc``, so
+``pbar(trunc)``, the number of overpartitions of ``trunc``, bounds it
+(:func:`_slot_width`).
 """
 
 from __future__ import annotations
@@ -660,7 +664,45 @@ def qbinomial(m, r, base_exp, trunc=None):
         trunc, ((e, 0, c) for e, c in zip(exps, coeffs) if c))
 
 
-def product_F(sys, trunc):
+def _overpartition_count(n):
+    """``pbar(n)``, the number of overpartitions of ``n``: the coefficient of
+    ``q^n`` in ``prod_s (1 + q^s) / (1 - q^s)``."""
+    c = [1] + [0] * n
+    for s in range(1, n + 1):
+        for i in range(s, n + 1):           # times 1 / (1 - q^s)
+            c[i] += c[i - s]
+        for i in range(n, s - 1, -1):       # times 1 + q^s
+            c[i] += c[i - s]
+    return c[n]
+
+
+@lru_cache(maxsize=8)
+def _slot_width(n_max):
+    """Bits per ``k`` slot of a packed count vector up to ``n_max``: one
+    more than ``pbar(n_max)`` needs, so every count of overpartitions of
+    some ``n <= n_max`` lies below the sign bit of
+    :meth:`QLaurent._from_packed`.
+
+    A command asks for a few truncations, so a few widths are kept.
+    """
+    return _overpartition_count(n_max).bit_length() + 1
+
+
+def _count_width(n_max, width=None):
+    """The slot width of rows of overpartition counts up to ``n_max``:
+    ``width`` if given, else ``_slot_width(n_max)``; ``ValueError`` if
+    ``width`` is below ``_slot_width(n_max)``, the least width that holds
+    every such count."""
+    need = _slot_width(n_max)
+    if width is None:
+        return need
+    if width < need:
+        raise ValueError(f"slot width {width} is below {need}, which holds "
+                         f"every count up to {n_max}")
+    return width
+
+
+def product_F(sys, trunc, *, width=None):
     """Generating function for congruence-restricted overpartitions.
 
     Expands ``prod_j (-q^(N-a(j)); q^N)_inf / (d q^(N-a(j)); q^N)_inf``:
@@ -672,24 +714,25 @@ def product_F(sys, trunc):
     The coefficients are packed at ``d = 2^width`` (see the module
     docstring), and each factor is two in-place passes over them: a
     descending add for ``1 + q^e`` and an ascending add for
-    ``1 / (1 - d q^e)``.  The same passes at ``d = 1`` give ``width``:
-    every coefficient there is nonnegative and the sum of the
-    ``(n, k)`` coefficients over ``k``, so it bounds each of them.
+    ``1 / (1 - d q^e)``.  At every point the ``q^n`` coefficient is that
+    of a partial product, the generating function of overpartitions with
+    parts in a set of sizes, so its ``d^k`` coefficient counts those of
+    ``n`` with ``k`` non-overlined parts: nonnegative and at most
+    ``pbar(n) <= pbar(trunc)``, so it stays in a slot of
+    ``_slot_width(trunc)`` bits and below the sign bit.  With ``width``
+    (``ValueError`` below that bound), the packed coefficients of ``q^0 ..
+    q^trunc`` are returned as a list and nothing is read back.
     """
     if trunc < 0:
         raise ValueError("trunc must be non-negative")
-    exps = [e for g in sys.a
-            for e in range((sys.N - g) or sys.N, trunc + 1, sys.N)]
-
-    def expand(width):
-        c = [1] + [0] * trunc
-        for e in exps:
+    w = _count_width(trunc, width)
+    c = [1] + [0] * trunc
+    for g in sys.a:
+        for e in range((sys.N - g) or sys.N, trunc + 1, sys.N):
             for i in range(trunc, e - 1, -1):       # times 1 + q^e
                 c[i] += c[i - e]
             for i in range(e, trunc + 1):           # over 1 - d q^e
-                c[i] += c[i - e] << width
+                c[i] += c[i - e] << w
+    if width is not None:
         return c
-
-    width = max(expand(0)).bit_length() + 1
-    return QLaurent._from_packed(trunc, enumerate(expand(width)), width)
-
+    return QLaurent._from_packed(trunc, enumerate(c), w)

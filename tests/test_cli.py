@@ -267,8 +267,9 @@ class TestVerify:
 
     def test_theorem_fails_on_a_perturbed_count(self, capsys, monkeypatch):
         real = cli.count_G
-        monkeypatch.setattr(cli, "count_G", lambda sys, n_max: real(
-            sys, n_max) + QLaurent.monomial(n_max, 5, 2))
+        monkeypatch.setattr(cli, "count_G", lambda sys, n_max, width: [
+            c + (n == 5 and 1 << 2 * width)
+            for n, c in enumerate(real(sys, n_max, width=width))])
         code, out, _ = run_cli(capsys, "verify", "--N", "7", "--a", "1,2,4",
                                "--trunc", "8", "--checks", "theorem",
                                "--output", "json")
@@ -276,6 +277,49 @@ class TestVerify:
         check = json.loads(out)["systems"][0]["checks"][0]
         assert (check["failures"], check["first_failure"]) \
             == (1, "count_F == count_G")
+
+    def test_passing_theorem_reads_nothing_back(self, capsys, monkeypatch):
+        # every side is compared packed at one width; only the trunc-0
+        # weight pairs of the recurrence's rows are read back
+        real = QLaurent._from_packed.__func__
+        truncs = []
+
+        def spy(cls, trunc, items, width):
+            truncs.append(trunc)
+            return real(cls, trunc, items, width)
+        monkeypatch.setattr(QLaurent, "_from_packed", classmethod(spy))
+        code, out, _ = run_cli(capsys, "verify", "--battery", "--checks",
+                               "theorem", "--trunc", "40", "--output", "json")
+        assert (code, json.loads(out)["verdict"]) == (0, "pass")
+        assert set(truncs) == {0}
+
+    @pytest.mark.parametrize("side, failures, first", [
+        ("count_F", 2, "count_F == count_G"),
+        ("product_F", 2, "count_F == product"),
+        ("limit_u", 1, "product == limit"),
+    ])
+    def test_theorem_names_a_planted_cell(self, capsys, monkeypatch, side,
+                                          failures, first):
+        # one more overpartition of 5 with two plain parts on one side (on
+        # count_G's, test_theorem_fails_on_a_perturbed_count)
+        real = getattr(cli, side)
+
+        def planted(sys, trunc, **packing):
+            got = real(sys, trunc, **packing)
+            if side == "limit_u":
+                limit, width = got
+                return {**limit, 5: limit.get(5, 0) + (1 << 2 * width)}, width
+            width = packing["width"]
+            return [c + (n == 5 and 1 << 2 * width)
+                    for n, c in enumerate(got)]
+        monkeypatch.setattr(cli, side, planted)
+        code, out, _ = run_cli(capsys, "verify", "--N", "7", "--a", "1,2,4",
+                               "--trunc", "8", "--checks", "theorem",
+                               "--output", "json")
+        assert code == 1
+        check = json.loads(out)["systems"][0]["checks"][0]
+        assert (check["failures"], check["first_failure"]) \
+            == (failures, first)
 
     def test_residual_checks_json(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--N", "3", "--a", "1,2",
@@ -465,7 +509,7 @@ class TestExitCodes:
         NonUnitLeadingTerm("divisor has no unit constant term"),
     ])
     def test_recurrence_failures_exit_1(self, capsys, monkeypatch, exc):
-        monkeypatch.setattr(cli, "run_recurrence", _raiser(exc))
+        monkeypatch.setattr(cli, "_decoded_iterates", _raiser(exc))
         code, _, err = run_cli(capsys, "verify", "--N", "7", "--a", "1,2,4",
                                "--trunc", "10", "--checks", "rec",
                                "--output", "json")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from overpart import (
+    ConventionOutOfRange,
     DPoly,
     beta,
     build_system,
@@ -16,11 +17,12 @@ from overpart import (
     count_G_andrews_k0,
     QLaurent,
     g_series,
+    limit_u,
     product_F,
 )
 from overpart import enumeration, recurrence_engine
-from overpart.enumeration import (
-    _Completions, _overpartition_count, _slot_width)
+from overpart.enumeration import _Completions
+from overpart.series_ring import _overpartition_count, _slot_width
 
 from conftest import (
     BATTERY, admissible_systems, brute_table, cells, gen_overpartitions,
@@ -115,6 +117,40 @@ class TestCountF:
         N, a = system
         sys_ = build_system(a, N)
         assert count_F(sys_, n_max) == multiplicity_table(sys_, n_max)
+
+
+class TestPackedRows:
+    """The packed rows of ``count_F``, ``count_G`` and ``product_F``,
+    which the ``theorem`` check compares at one width."""
+
+    @pytest.mark.parametrize("side", [count_F, count_G, product_F])
+    def test_width_is_checked_against_the_bound(self, battery, side):
+        need = _slot_width(20)
+        for sys_ in battery:
+            with pytest.raises(ValueError, match=f"below {need}"):
+                side(sys_, 20, width=need - 1)
+            for width in (need, need + 9):
+                assert QLaurent._from_packed(
+                    20, enumerate(side(sys_, 20, width=width)), width) \
+                    == side(sys_, 20)
+
+    @settings(max_examples=30, deadline=None)
+    @given(admissible_systems(), st.integers(0, 11))
+    def test_public_sides_match_the_oracle(self, system, n_max):
+        N, a = system
+        sys_ = build_system(a, N)
+        congruence = brute_table(n_max, lambda parts: all(
+            beta(sys_, -s) in a for s, _ in parts))
+        assert count_F(sys_, n_max) == congruence
+        assert product_F(sys_, n_max) == congruence
+        assert count_G(sys_, n_max) == brute_table(
+            n_max, lambda parts: in_gap_side(sys_, parts))
+        if N == a[-1]:
+            # one generator with N = a(1): the recurrence is out of domain
+            with pytest.raises(ConventionOutOfRange):
+                limit_u(sys_, n_max)
+        else:
+            assert limit_u(sys_, n_max) == congruence
 
 
 def multiplicity_table(sys_, n_max):

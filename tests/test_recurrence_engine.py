@@ -895,6 +895,18 @@ class TestLimit:
         else:
             assert limit_u(sys_, trunc) == product
 
+    def test_packed_limit_takes_a_floor_on_its_width(self, battery):
+        # a floor widens the slots, never narrows them below what the
+        # recurrence's majorants need; the limit is the same either way
+        for sys_ in battery:
+            limit, own = limit_u(sys_, 60, floor=2)
+            assert limit_u(sys_, 60, floor=own - 5) == (limit, own)
+            wide, width = limit_u(sys_, 60, floor=own + 9)
+            assert width == own + 9
+            assert QLaurent._from_packed(60, wide.items(), width) \
+                == QLaurent._from_packed(60, limit.items(), own) \
+                == limit_u(sys_, 60)
+
     def test_keeps_a_bounded_window_of_iterates(self, sys3):
         # the limit compares the last two iterates, and each step reads
         # back at most r of them; keeping all 23 peaks near 2.4 MiB
@@ -936,7 +948,7 @@ class TestLimit:
             recurrence_engine.run_recurrence(sys7, 2, 10)
 
     def test_not_stabilized_diagnostic(self, sys7, monkeypatch):
-        def drifting(sys, trunc, steps):
+        def drifting(sys, trunc, steps, floor=2):
             return (({0: ell + 1}, 8) for ell in range(steps + 1))
         monkeypatch.setattr(recurrence_engine, "_iterates", drifting)
         with pytest.raises(NotStabilized):
