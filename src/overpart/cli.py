@@ -236,7 +236,7 @@ def _run_checks(sys_, args, checks):
             # dropped before the counters run
             limit, width = limit_u(sys_, trunc, floor=_slot_width(trunc))
             prod = product_F(sys_, trunc, width=width)
-            limit_ok = limit == {e: c for e, c in enumerate(prod) if c}
+            limit_ok = limit == prod
             del limit
             f_rows = count_F(sys_, trunc, width=width)
             cases = [

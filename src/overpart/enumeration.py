@@ -44,7 +44,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .alpha_system import beta
-from .series_ring import QLaurent, _count_width, _slot_width
+from .series_ring import QLaurent, _count_width, _decode_counts, _slot_width
 
 
 def count_F(sys, n_max, *, width=None):
@@ -75,9 +75,7 @@ def count_F(sys, n_max, *, width=None):
         # the first copy is overlined (at k) or not (at k + 1)
         for n in range(s, n_max + 1):
             rows[n] += placed[n] + (placed[n] << w)
-    if width is not None:
-        return rows
-    return QLaurent._from_packed(n_max, enumerate(rows), w)
+    return _decode_counts(rows, width)
 
 
 def _smallest_part_ok(sys, size):
@@ -205,9 +203,7 @@ def count_G(sys, n_max, *, width=None):
     rows = [1] + [table.row(n, 0, table.cols[n])
                   for n in range(1, n_max + 1)]
     del table
-    if width is not None:
-        return rows
-    return QLaurent._from_packed(n_max, enumerate(rows), w)
+    return _decode_counts(rows, width)
 
 
 def count_G_andrews_k0(sys, n_max):

@@ -31,8 +31,8 @@ from functools import cached_property, lru_cache
 
 from .alpha_system import MAX_GENERATORS, alpha_weight_sum, build_system
 from .enumeration import _Completions
-from .series_ring import (QLaurent, _div_packed, _mul_packed, product_F,
-                          qbinomial)
+from .series_ring import (QLaurent, _binomial_step, _div_row, _mul_rows,
+                          product_F, qbinomial)
 
 
 class ConventionOutOfRange(ValueError):
@@ -297,14 +297,16 @@ def verify_eq_357(sys, j, k, trunc):
 # -- the main recurrence ----------------------------------------------
 
 
-class RecRow(namedtuple("RecRow", "lhs rhs ell")):
+class RecRow(namedtuple("RecRow", "lhs rhs ell shifts")):
     """One materialized instance of the main recurrence at index ``ell``.
 
     ``lhs`` multiplies ``u_ell``; ``rhs[j-1]`` multiplies ``u_(ell-j)``
     and is ``sum_(m=1)^(r+1-j) (-1)^(m+1) q^(m ell N) b(m, j)`` (plus 1
     at ``j = 1``) times ``prod_(h<j) (1 - q^((ell-h)N))``, with ``b`` the
     weight pairs of :func:`coeff_b`.  ``rhs`` has ``min(r, ell)``
-    entries: it stops at ``u_0``.
+    entries: it stops at ``u_0``.  ``lhs`` is ``prod_s (1 - d q^s)`` over
+    the ``shifts`` ``s = ell N - a(j)``, which the recurrence divides by
+    one factor at a time.
     """
 
     __slots__ = ()
@@ -321,8 +323,9 @@ def _multiplier(N, ell, M, j, m_max, trunc):
 
 
 def _elimination_row(sys, k, ell, trunc):
-    """``(lhs, rhs)`` of the elimination identity with cutoff ``a(k)``:
-    ``lhs = prod_(j<k) (1 - d q^(lN - a(j)))`` and ``rhs[j-1]`` (which
+    """``(lhs, rhs, shifts)`` of the elimination identity with cutoff
+    ``a(k)``: ``lhs = prod_(j<k) (1 - d q^(lN - a(j)))``, ``shifts`` its
+    ``lN - a(j)``, and ``rhs[j-1]`` (which
     multiplies ``g[(l-j)N-a(1)]``) the inner sum ``sum_(m=1)^(k-j)
     (-1)^(m+1) q^(mlN) W_k(m, j)`` times ``prod_(h<j) (1 - q^((l-h)N))``,
     with ``W_k`` the weight pairs below ``a(k)``, read from the system's
@@ -330,16 +333,17 @@ def _elimination_row(sys, k, ell, trunc):
     is 0, so ``rhs`` stops at ``j = min(k - 1, l)``.
     """
     _require_ladder_domain(sys)
-    lhs = QLaurent.one(trunc)
+    lhs, shifts = QLaurent.one(trunc), []
     for g in sys.a[:k - 1]:
-        lhs = lhs + lhs.scale_by_monomial(ell * sys.N - g, 1, -1)
+        shifts.append(ell * sys.N - g)
+        lhs = lhs + lhs.scale_by_monomial(shifts[-1], 1, -1)
     rhs = []
     for j in range(1, min(k - 1, ell) + 1):
         term = _multiplier(sys.N, ell, _weight_pairs(sys, k), j, k - j, trunc)
         for h in range(1, j):
             term = term + term.scale_by_monomial((ell - h) * sys.N, 0, -1)
         rhs.append(term)
-    return lhs, rhs
+    return lhs, rhs, tuple(shifts)
 
 
 def build_rec_row(sys, ell, trunc):
@@ -354,55 +358,63 @@ def build_rec_row(sys, ell, trunc):
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    lhs, rhs = _elimination_row(sys, sys.r + 1, ell, trunc)
+    lhs, rhs, shifts = _elimination_row(sys, sys.r + 1, ell, trunc)
     rhs[0] = rhs[0] + QLaurent.one(trunc)
-    return RecRow(lhs=lhs, rhs=tuple(rhs), ell=ell)
+    return RecRow(lhs=lhs, rhs=tuple(rhs), ell=ell, shifts=shifts)
 
 
 def _iterates(sys, trunc, steps, widen=None, floor=2):
     """Yield ``(u_ell, width)`` for ``ell = 0 .. steps``: the iterates of
-    the main recurrence, each packed at ``d = 2^width`` as
-    :meth:`QLaurent._packed` does, with no zero entry, at one ``width``
-    of at least ``floor``.
+    the main recurrence, each a row of ``trunc + 1`` ints packed at ``d =
+    2^width`` as :meth:`QLaurent._packed` packs them, at one ``width`` of
+    at least ``floor``.  Readers must not change a row.
 
-    Each step is ``u_ell = num / lhs``, ``num = sum_j rhs_j u_(ell-j)``,
-    run by the ring's packed kernels.  The rows are built first and run
-    once on majorants at ``d = 1``: ``|num| / lhs(1)`` bounds ``u_ell``, as
-    ``1/lhs = prod_j 1/(1 - d q^(ell N - a(j)))`` has nonnegative
-    coefficients.  That fixes ``width``, so the slots of every iterate and
-    every ``num`` hold their true coefficients, and reading an iterate
-    back, comparing two packed iterates and testing a packed coefficient
-    for zero are all exact.  Only the last ``r`` iterates are kept, as far
-    back as a row reads.  ``widen``, if given, is called once with the
-    majorants ``[|u_0|, ..., |u_steps|]`` and returns a bound that
-    ``width`` must hold too, so that the caller can go on computing with
-    the iterates at their width (:func:`verify_chain`); ``floor`` lets a
-    caller compare the iterates with rows packed at a wider width
-    (:func:`limit_u`).  A wider width holds the same bounds.
+    Each step is ``u_ell = num / lhs``, ``num = sum_j rhs_j u_(ell-j)``
+    (:func:`_mul_rows`, the multipliers ``rhs_j`` as ``{e: int}`` maps),
+    divided by the factors ``1 - d q^s`` of ``lhs`` one at a time
+    (:func:`_div_row`).  The rows are built first and run once on
+    majorants at ``d = 1``, where each factor is ``1 - q^s``: ``|num| /
+    lhs(1)`` bounds ``u_ell``, and ``|num|`` too, as ``1/lhs = prod_s 1/(1
+    - d q^s)`` has nonnegative coefficients and constant 1.  That fixes
+    ``width``, so the slots of every iterate and every ``num`` hold their
+    true coefficients, and reading an iterate back, comparing two packed
+    iterates and testing a packed coefficient for zero are all exact.  Only
+    the last ``r`` iterates are kept, as far back as a row reads.
+    ``widen``, if given, is called once with the majorant rows ``[|u_0|,
+    ..., |u_steps|]`` and returns a bound that ``width`` must hold too, so
+    that the caller can go on computing with the iterates at their width
+    (:func:`verify_chain`); ``floor`` lets a caller compare the iterates
+    with rows packed at a wider width (:func:`limit_u`).  A wider width
+    holds the same bounds.
     """
     rows = [build_rec_row(sys, ell, trunc) for ell in range(1, steps + 1)]
-    us = deque([{0: 1}], maxlen=sys.r if widen is None else None)
+    one = [1] + [0] * trunc
+    us = deque([one], maxlen=sys.r if widen is None else None)
     bound = 1
     for row in rows:
-        num = _mul_packed([(c._majorant(), us[-j])
-                           for j, c in enumerate(row.rhs, 1)], trunc)
-        us.append(_div_packed(num, row.lhs._packed(0), trunc))
-        bound = max([bound, *num.values(), *us[-1].values()])
+        us.append(_div_row(
+            _mul_rows([(c._majorant(), us[-j])
+                       for j, c in enumerate(row.rhs, 1)], trunc),
+            [(s, 1) for s in row.shifts]))
+        bound = max(bound, max(us[-1]))
     if widen is not None:
         bound = max(bound, widen(list(us)))
     width = max(bound.bit_length() + 1, floor)
-    us = deque([{0: 1}], maxlen=sys.r)
-    yield us[0], width
+    d = 1 << width
+    us = deque([one], maxlen=sys.r)
+    yield one, width
     for row in rows:
         row.lhs._require_unit_leading()
-        num = _mul_packed([(c._packed(width), us[-j])
-                           for j, c in enumerate(row.rhs, 1)], trunc)
-        low = min((e for e, c in num.items() if c), default=0)
-        if low < 0:
+        num = _mul_rows([(c._packed(width), us[-j])
+                         for j, c in enumerate(row.rhs, 1)], trunc)
+        below = len(num) - trunc - 1
+        if any(num[:below]):
+            low = next(e for e, c in enumerate(num, -below) if c)
             raise NegativeExponents(
                 f"recurrence produced negative exponents at ell={row.ell}: "
                 f"q^{low}")
-        us.append(_div_packed(num, row.lhs._packed(width), trunc))
+        del num[:below]
+        us.append(_div_row(num, [(s, d) for s in row.shifts]))
         yield us[-1], width
 
 
@@ -413,7 +425,7 @@ def _decoded_iterates(sys, ell_max, trunc):
     if trunc < 0:
         raise ValueError("trunc must be non-negative")
     for u, width in _iterates(sys, trunc, max(ell_max, 0)):
-        yield QLaurent._from_packed(trunc, u.items(), width)
+        yield QLaurent._from_packed(trunc, enumerate(u), width)
 
 
 def run_recurrence(sys, ell_max, trunc):
@@ -442,7 +454,7 @@ def verify_key_lemma(sys, k, ell, trunc):
         raise ValueError("ell must be >= 1")
     N = sys.N
     a1 = sys.a[0]
-    lhs, rhs = _elimination_row(sys, k, ell, trunc)
+    lhs, rhs, _ = _elimination_row(sys, k, ell, trunc)
     return _packed_residual(sys, trunc, [
         *((e, d, c, ell * N - a1) for e, d, c in lhs.terms()),
         (0, 0, -1, ell * N - sys.generator(k)),
@@ -571,11 +583,12 @@ def limit_u(sys, trunc, *, floor=None):
     size (:func:`_iterates`), and only the last is read back.
 
     With ``floor``, nothing is read back: the result is ``(limit,
-    width)``, the last iterate as an ``{e: int}`` map with no zero entry
-    packed at ``d = 2^width``, and a ``width`` of at least ``floor`` that
-    holds every bound the majorants prove.  With ``floor =
-    series_ring._slot_width(trunc)`` the limit compares, as ints, with the
-    packed rows of ``product_F``, ``count_F`` and ``count_G`` at ``width``.
+    width)``, the last iterate as a row of ``trunc + 1`` ints packed at
+    ``d = 2^width``, and a ``width`` of at least ``floor`` that holds every
+    bound the majorants prove.  With ``floor =
+    series_ring._slot_width(trunc)`` the limit compares, as a list of ints,
+    with the packed rows of ``product_F``, ``count_F`` and ``count_G`` at
+    ``width``.
     """
     if trunc < 0:
         raise ValueError("trunc must be non-negative")
@@ -588,7 +601,7 @@ def limit_u(sys, trunc, *, floor=None):
             f"and {ell_stop + 1}")
     if floor is not None:
         return last, width
-    return QLaurent._from_packed(trunc, last.items(), width)
+    return QLaurent._from_packed(trunc, enumerate(last), width)
 
 
 # -- the transformation chain ------------------------------------------
@@ -601,24 +614,24 @@ ChainStage = namedtuple("ChainStage", "name residual_zero detail",
 class ChainState:
     """Every intermediate object of one chain run, as lists of ``QLaurent``
     at ``trunc``: ``u`` and ``beta`` up to ``ell_max``, ``s`` and ``mu`` up
-    to ``x_trunc``.  A chain run hands over its packed maps instead
-    (:meth:`_of_packed`), and each list is read back when first read."""
+    to ``x_trunc``.  A chain run hands over its packed rows instead
+    (:meth:`_of_rows`), and each list is read back when first read."""
 
     def __init__(self, u, beta, s, mu):
         self.u, self.beta, self.s, self.mu = u, beta, s, mu
 
     @classmethod
-    def _of_packed(cls, trunc, width, **maps):
-        """The state of ``{e: int}`` maps packed at ``d = 2^width``, keyed
-        by list name."""
+    def _of_rows(cls, trunc, width, **rows):
+        """The state of rows of ``trunc + 1`` ints packed at ``d =
+        2^width``, keyed by list name."""
         state = cls.__new__(cls)
-        state._maps = trunc, width, maps
+        state._rows = trunc, width, rows
         return state
 
     def _read_back(self, name):
-        trunc, width, maps = self._maps
-        return [QLaurent._from_packed(trunc, x.items(), width)
-                for x in maps.pop(name)]
+        trunc, width, rows = self._rows
+        return [QLaurent._from_packed(trunc, enumerate(x), width)
+                for x in rows.pop(name)]
 
     u = cached_property(lambda self: self._read_back("u"))
     beta = cached_property(lambda self: self._read_back("beta"))
@@ -656,8 +669,8 @@ class ChainReport:
 def _coeff_residuals(sys, ys, M, width, trunc):
     """The first offender ``(ell, q, d, c)``, or None, of each row ``0 <=
     ell < len(ys)`` of ``y_l = y_(l-1) + sum_(j<=min(r, l)) (sum_m
-    (-1)^(m+1) q^(mlN) M[m, j]) y_(l-j)``, with ``y_(-1) = 0``, for ``y_l``
-    and ``M[m, j]`` packed at ``d = 2^width`` as ``{e: int}`` maps.
+    (-1)^(m+1) q^(mlN) M[m, j]) y_(l-j)``, with ``y_(-1) = 0``, for rows
+    ``y_l`` and ``{e: int}`` maps ``M[m, j]``, packed at ``d = 2^width``.
 
     Row ``ell`` is the ``x^ell`` coefficient of the q-difference equation
     ``F = xF + sum_m (-1)^(m+1) M_m(x) F(xq^(mN))`` for ``F = sum_l y_l
@@ -682,9 +695,10 @@ def _coeff_residuals(sys, ys, M, width, trunc):
     each at least ``N``, as ``N > a(r)`` and ``m + j - 1`` is at least
     ``k + 1`` where ``(k+1)a(r)`` is taken off, and ``k`` elsewhere.
 
-    Each row's sum is one :func:`_mul_packed` call, the ``q^(m ell N)`` of
-    a multiplier a shift of ``M[m, j]``'s keys, and only a nonzero sum is
-    read back.  That is exact when every coefficient of the sum lies below
+    Each row's sum is one :func:`_mul_rows` call, the ``q^(m ell N)`` of
+    a multiplier a shift of ``M[m, j]``'s keys, starting where the
+    multipliers reach below ``q^0``, and only a nonzero sum is read back.
+    That is exact when every coefficient of the sum lies below
     ``2^(width-1)``: the row's ``sum L1(a) max|b|`` over its products bounds
     them (:func:`_rows_bound`), and :func:`verify_chain` sizes its width
     by it.
@@ -703,10 +717,11 @@ def _coeff_residuals(sys, ys, M, width, trunc):
                     if e + shift <= trunc:
                         mult[e + shift] = mult.get(e + shift, 0) + sign * c
             pairs.append((mult, ys[ell - j]))
-        res = _mul_packed(pairs, trunc)
-        if any(res.values()):
+        res = _mul_rows(pairs, trunc)
+        if any(res):
             offenders.append((ell,) + QLaurent._from_packed(
-                trunc, res.items(), width).first_nonzero())
+                trunc, enumerate(res, trunc + 1 - len(res)),
+                width).first_nonzero())
         else:
             offenders.append(None)
     return offenders
@@ -719,16 +734,6 @@ def _rows_bound(tops, l1, r):
     return max(tops[ell] + (ell and tops[ell - 1])
                + sum(l1[j] * tops[ell - j] for j in range(min(r, ell) + 1))
                for ell in range(len(tops)))
-
-
-def _times_factor(x, shift, c, trunc):
-    """``x (1 + c q^shift)``, ``shift > 0``, for a packed ``{e: int}`` map
-    ``x``, dropping exponents above ``trunc``."""
-    out = dict(x)
-    for e, v in x.items():
-        if e + shift <= trunc:
-            out[e + shift] = out.get(e + shift, 0) + c * v
-    return out
 
 
 def _x_product_tables(sys, x_trunc, trunc):
@@ -760,28 +765,31 @@ def _x_product_transform(ys, table, trunc):
     [l, j]_Q y_(l-j)``, with ``c_j = (-1)^j`` at ``sign = -1`` and
     ``Q^(j(j-1)/2)`` at ``sign = 1``, so nothing is divided: ``table`` is
     the one of :func:`_x_product_tables` for ``sign``."""
-    return [_mul_packed([(table[ell, j], ys[ell - j])
-                         for j in range(ell + 1)], trunc)
+    return [_mul_rows([(table[ell, j], ys[ell - j])
+                       for j in range(ell + 1)], trunc)
             for ell in range(len(ys))]
 
 
-def _chain_series(sys, us, c, den, down, x_trunc, trunc):
+def _chain_series(sys, us, c, down, x_trunc, trunc):
     """``(nu, beta, mu, s)`` of :func:`verify_chain` from ``u``, all packed
-    ``{e: int}`` maps: ``nu_l = u_l prod_(h<=l) (1 + c q^(hN - a(r)))``,
-    ``beta_l = nu_l / den_l``, ``mu`` the transform ``down`` of ``nu`` up to
-    ``x^x_trunc`` and ``s_l = mu_l / den_l``.  On ``u`` packed at ``d =
-    2^width``, with ``c = -2^width``, these are the chain's series; on
-    majorants of ``u`` at ``d = 1``, with ``c = 1`` and ``|down|``, they
-    are majorants of them."""
+    rows: ``nu_l = u_l prod_(h<=l) (1 + c q^(hN - a(r)))``, ``beta_l = nu_l
+    / den_l``, ``mu`` the transform ``down`` of ``nu`` up to ``x^x_trunc``
+    and ``s_l = mu_l / den_l``, with ``den_l = prod_(h<=l) (1 - q^(hN))``
+    divided out one factor at a time.  On ``u`` packed at ``d = 2^width``,
+    with ``c = -2^width``, these are the chain's series; on majorants of
+    ``u`` at ``d = 1``, with ``c = 1`` and ``|down|``, they are majorants
+    of them."""
     N, ar = sys.N, sys.a[-1]
     nus = []
-    for ell, nu in enumerate(us):
+    for ell, u in enumerate(us):
+        nu = list(u)
         for h in range(1, ell + 1):
-            nu = _times_factor(nu, h * N - ar, c, trunc)
+            _binomial_step(nu, h * N - ar, c)
         nus.append(nu)
     mus = _x_product_transform(nus[:x_trunc + 1], down, trunc)
-    return (nus, [_div_packed(nu, d, trunc) for nu, d in zip(nus, den)],
-            mus, [_div_packed(mu, d, trunc) for mu, d in zip(mus, den)])
+    den = [(h * N, 1) for h in range(1, len(us))]
+    return (nus, [_div_row(list(x), den[:ell]) for ell, x in enumerate(nus)],
+            mus, [_div_row(list(x), den[:ell]) for ell, x in enumerate(mus)])
 
 
 def verify_chain(sys, ell_max, x_trunc, trunc):
@@ -795,10 +803,12 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     :class:`ChainBroken` naming the first failing stage; the report
     carries every residual verdict either way.  Every stage is exact at
     ``trunc``: only the multipliers (:func:`_coeff_residuals`) reach below
-    ``q^0``, and each divisor starts with 1.
+    ``q^0``, and each divisor is divided out as its factors ``1 - q^s``,
+    ``s > 0``.
 
-    The run holds ``u, nu, beta, mu, s`` and every multiplier packed at
-    one ``d = 2^width`` and reads back only ``mu`` and the offending rows;
+    The run holds ``u, nu, beta, mu, s`` as rows and every multiplier as
+    an ``{e: int}`` map, all packed at one ``d = 2^width``, and reads back
+    only ``mu`` and the offending rows;
     ``ChainState`` reads back the others when they are first read.  Each
     value it reads back, compares or tests for zero has every coefficient
     below ``2^(width-1)``, so each of those steps is exact: before the
@@ -831,10 +841,6 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     tables = (left, right, e)
     l1 = [[sum(sum(M[m, j]._majorant().values()) for m in range(1, r + 1))
            for j in range(r + 1)] for M in tables]
-    # den[ell] = prod_(h<=ell) (1 - q^(hN)) has no d: the same at any width
-    den = [{0: 1}]
-    for ell in range(1, ell_max + 1):
-        den.append(_times_factor(den[-1], ell * N, -1, trunc))
     down, up = _x_product_tables(sys, x_trunc, trunc)
     down_majorant = {key: {k: abs(c) for k, c in x.items()}
                      for key, x in down.items()}
@@ -843,8 +849,8 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
         # the run's steps on the majorants |u_l| at d = 1, and the largest
         # coefficient each value it reads can have (see the docstring)
         nus, betas, mus, s = (
-            [max(x.values(), default=0) for x in xs] for xs in _chain_series(
-                sys, majorants, 1, den, down_majorant, x_trunc, trunc))
+            [max(x) for x in xs] for xs in _chain_series(
+                sys, majorants, 1, down_majorant, x_trunc, trunc))
         back = max(sum(sum(up[ell, j].values()) * mus[ell - j]
                        for j in range(ell + 1)) for ell in range(x_trunc + 1))
         return max(back, *nus, _rows_bound(betas, l1[0], r),
@@ -863,10 +869,9 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     # nu[ell] = u_ell num_ell = beta_ell den_ell, with num[ell] =
     # prod_(h<=ell) (1 - d q^(hN - a(r))); mu is the quotient by the
     # x-product in closed form, multiplied back one coefficient at a time
-    nus, betas, mus, s = _chain_series(sys, u, -(1 << width), den, down,
-                                       x_trunc, trunc)
-    if any({k: c for k, c in back.items() if c}
-           != {k: c for k, c in nu.items() if c}
+    nus, betas, mus, s = _chain_series(sys, u, -(1 << width), down, x_trunc,
+                                       trunc)
+    if any(back != nu
            for back, nu in zip(_x_product_transform(mus, up, trunc), nus)):
         raise RoundTripMismatch("x-product division failed to invert")
 
@@ -889,7 +894,7 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     record("eq_dprime", *rows)
     record("rec_dprime", *rows[1:])
 
-    state = ChainState._of_packed(trunc, width, u=u, beta=betas, s=s, mu=mus)
+    state = ChainState._of_rows(trunc, width, u=u, beta=betas, s=s, mu=mus)
     # mu are the reduced system's iterates: where they first differ, the
     # reduced recurrence's residual is lhs (mu_l - u'_l), whose first term
     # is that of mu_l - u'_l, as lhs is 1 plus terms above q^0

@@ -18,35 +18,44 @@ immutable by convention and every operation returns a new object.
 Operands must share truncations; mixing them raises
 ``TruncationMismatch`` instead of silently coercing.
 
-Every series product and quotient, and the long runs (the infinite
-product here, the main recurrence and the transformation chain in
-``recurrence_engine``), hold each q-coefficient ``P_e(d)`` packed as the
-one int ``P_e(2^width)``: the coefficient of ``d^k`` sits in the
-``width``-bit slot at bit ``k * width``.  ``d -> 2^width`` is a ring
-map, so sums, products and division steps on the packed ints are exact,
-and each costs one big-int operation per pair of q-terms.  One loop
-multiplies (:func:`_mul_packed`) and one divides (:func:`_div_packed`).
+Every series product, and the long runs (the infinite product here, the
+main recurrence and the transformation chain in ``recurrence_engine``),
+hold each q-coefficient ``P_e(d)`` packed as the one int
+``P_e(2^width)``: the coefficient of ``d^k`` sits in the ``width``-bit
+slot at bit ``k * width``.  ``d -> 2^width`` is a ring map, so sums,
+products and division steps on the packed ints are exact.  A dense
+series is a *row*, a list of those ints, one per exponent, that ends at
+``q^trunc``; its length says where it starts, at ``q^0`` or, for a
+Laurent operand or a residual whose multipliers reach below ``q^0``,
+lower.  A sparse multiplier stays an ``{e: int}`` map.  One loop
+multiplies (:func:`_mul_rows`, ``sum a*b`` over pairs of a map and a
+row, a slice per term of the map), and one divides, by a divisor given
+as its binomial factors ``1 - c q^s``, one factor at a time
+(:func:`_div_row`); a factor is one slice-wise step
+(:func:`_binomial_step`), which multiplies by ``1 + c q^s`` too.
 Reading the slots back as signed ints, comparing two packed series and
 testing one for zero are exact once every true coefficient lies in
-``[-2^(width-1), 2^(width-1))``, so each call proves a bound ``B`` on
+``[-2^(width-1), 2^(width-1))``, so each product proves a bound ``B`` on
 them before it starts and takes ``width = bits(max(B, 1)) + 1``.  The
 bounds come from majorants at ``d = 1``, ``|x|`` having the ``q^e``
 coefficient ``sum_k |c|`` over the terms ``c d^k q^e`` of ``x``: ``B =
 sum_j L1(a_j) max|b_j|`` for a sum of products ``sum_j a_j b_j``
-(:func:`_dot`), and ``B = max(|num| / (1 - |den - 1|))`` for a quotient.
-A long run proves one bound for every value it will read, before it
-packs anything, and calls the two loops itself at that one width: the
-recurrence from majorants of its rows, and the chain by running its own
-steps on the recurrence's majorants (``recurrence_engine.verify_chain``).
-The infinite product, like the brute-force counters of ``enumeration``,
-holds only counts of overpartitions of some ``n <= trunc``, so
-``pbar(trunc)``, the number of overpartitions of ``trunc``, bounds it
-(:func:`_slot_width`).
+(:func:`_dot`), and ``B = max(|num| / prod (1 - q^s))`` for a quotient by
+factors ``1 - d^k q^s``.  A long run proves one bound for every value it
+will read, before it packs anything, and calls the kernels itself at
+that one width: the recurrence from majorants of its rows, and the
+chain by running its own steps on the recurrence's majorants
+(``recurrence_engine.verify_chain``).  The infinite product, like the
+brute-force counters of ``enumeration``, holds only counts of
+overpartitions of some ``n <= trunc``, so ``pbar(trunc)``, the number of
+overpartitions of ``trunc``, bounds it (:func:`_slot_width`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
+from operator import itemgetter
 
 
 class TruncationMismatch(ValueError):
@@ -326,21 +335,6 @@ class QLaurent:
             out[ne] = np_
         return QLaurent._wrap_clean(self.trunc, out)
 
-    def divide(self, den):
-        """Exact series quotient ``self / den``, for ``den`` starting with
-        the constant 1 at ``q**0`` (no negative exponents), on packed
-        coefficients (see the module docstring)."""
-        den = self._coerce(den)
-        self._require_same(den)
-        den._require_unit_leading()
-        # over 1 - |den - 1|: the kernel reads no constant term
-        bound = _div_packed(self._majorant(), {
-            e: -c for e, c in den._majorant().items()}, self.trunc)
-        width = max([1, *bound.values()]).bit_length() + 1
-        return QLaurent._from_packed(self.trunc, _div_packed(
-            self._packed(width), den._packed(width), self.trunc).items(),
-            width)
-
     def _require_unit_leading(self):
         """Raise ``NonUnitLeadingTerm`` unless this divisor starts with
         the constant 1 at ``q**0``."""
@@ -377,7 +371,7 @@ class QLaurent:
         mask = (1 << width) - 1
         half = 1 << (width - 1)
         coeffs = {}
-        for e, packed in items:
+        for e, packed in filter(itemgetter(1), items):
             row = {}
             k = 0
             while packed:
@@ -478,52 +472,64 @@ class QLaurent:
         return obj
 
 
-def _mul_packed(pairs, trunc):
-    """``sum a*b`` over the ``(a, b)`` of ``pairs``, each an ``{e: int}``
-    map, dropping exponents above ``trunc``."""
-    out = {}
+def _mul_rows(pairs, trunc):
+    """``sum a*b`` over the ``(a, b)`` of ``pairs``, ``a`` an ``{e: int}``
+    map and ``b`` a row, as a row.  Each term ``x q^e`` of ``a`` adds ``x``
+    times ``b``, shifted by ``e``, in one slice.  The result starts at
+    ``q^0`` or, if a term of some ``a`` reaches lower on the first entry of
+    its ``b``, at the lowest such exponent, so nothing below ``q^0`` is
+    dropped."""
+    size = max([trunc + 1, *(len(b) - min(a) for a, b in pairs if a)])
+    out = [0] * size
     for a, b in pairs:
-        b = sorted(b.items())
-        for e1, x in a.items():
-            lim = trunc - e1
-            for e2, y in b:
-                if e2 > lim:
-                    break
-                out[e1 + e2] = out.get(e1 + e2, 0) + x * y
+        n = len(b)
+        for e, x in a.items():
+            i = e + size - n
+            if x and i < size:
+                out[i:i + n] = [y + x * z for y, z in zip(out[i:i + n], b)]
     return out
 
 
-def _div_packed(num, den, trunc):
-    """The quotient ``num / den`` up to ``trunc`` as an ``{e: int}`` map
-    with no zero entry, for ``den`` with constant 1 (not read) and no
-    exponent below 0."""
-    low = min((e for e, c in num.items() if c), default=trunc + 1)
-    den = sorted((e, c) for e, c in den.items() if e > 0)
-    quo = {}
-    for e in range(low, trunc + 1):
-        c = num.get(e, 0)
-        for ed, cd in den:
-            if e - ed < low:
-                break
-            prev = quo.get(e - ed)
-            if prev:
-                c -= cd * prev
-        if c:
-            quo[e] = c
-    return quo
+def _binomial_step(row, s, c, over=False):
+    """Multiply ``row`` in place by ``1 + c q^s``, or with ``over`` divide
+    it by ``1 - c q^s``, for ``s > 0``: each entry adds ``c`` times the one
+    ``s`` below it, as it was for the product (one slice) and as it has
+    become for the quotient (one block of ``s`` entries at a time, in
+    ascending order)."""
+    if not over:
+        row[s:] = [x + c * y for x, y in zip(row[s:], row)]
+        return
+    for i in range(s, len(row), s):
+        row[i:i + s] = [x + c * y for x, y in zip(row[i:i + s], row[i - s:i])]
+
+
+def _div_row(row, factors):
+    """``row`` divided in place by ``prod (1 - c q^s)`` over the ``(s, c)``
+    of ``factors``, ``s > 0``, one factor at a time; returns ``row``."""
+    for s, c in factors:
+        _binomial_step(row, s, c, over=True)
+    return row
 
 
 def _dot(trunc, pairs):
     """``sum a*b`` over the ``QLaurent`` pairs ``(a, b)`` of ``pairs``, all
     at ``trunc``, on packed coefficients in slots sized by ``sum L1(a)
-    max|b|``, which bounds every coefficient of the sum."""
+    max|b|``, which bounds every coefficient of the sum.  Each ``a`` is
+    an ``{e: int}`` map and each ``b`` a row from ``q^min(0, min_exp)``."""
     bound = sum(sum(a._majorant().values()) * max(
         (abs(c) for p in b.coeffs.values() for c in p.coeffs.values()),
         default=0) for a, b in pairs)
     width = max(bound, 1).bit_length() + 1
-    return QLaurent._from_packed(trunc, _mul_packed(
-        [(a._packed(width), b._packed(width)) for a, b in pairs],
-        trunc).items(), width)
+    rows = []
+    for a, b in pairs:
+        low = min(0, b.min_exp)
+        row = [0] * (trunc + 1 - low)
+        for e, c in b._packed(width).items():
+            row[e - low] = c
+        rows.append((a._packed(width), row))
+    out = _mul_rows(rows, trunc)
+    return QLaurent._from_packed(trunc, enumerate(out, trunc + 1 - len(out)),
+                                 width)
 
 
 class XSeries:
@@ -666,14 +672,14 @@ def qbinomial(m, r, base_exp, trunc=None):
 
 def _overpartition_count(n):
     """``pbar(n)``, the number of overpartitions of ``n``: the coefficient of
-    ``q^n`` in ``prod_s (1 + q^s) / (1 - q^s)``."""
-    c = [1] + [0] * n
-    for s in range(1, n + 1):
-        for i in range(s, n + 1):           # times 1 / (1 - q^s)
-            c[i] += c[i - s]
-        for i in range(n, s - 1, -1):       # times 1 + q^s
-            c[i] += c[i - s]
-    return c[n]
+    ``q^n`` in ``prod_s (1 + q^s) / (1 - q^s)``, which is ``1 / (1 + 2
+    sum_(k>=1) (-1)^k q^(k^2))`` by Gauss's identity, so ``pbar(m) = 2
+    sum_(1<=k<=sqrt(m)) (-1)^(k+1) pbar(m - k^2)``."""
+    p = [1]
+    for m in range(1, n + 1):
+        p.append(2 * sum(p[m - k * k] if k % 2 else -p[m - k * k]
+                         for k in range(1, isqrt(m) + 1)))
+    return p[n]
 
 
 @lru_cache(maxsize=8)
@@ -702,6 +708,16 @@ def _count_width(n_max, width=None):
     return width
 
 
+def _decode_counts(rows, width):
+    """The rows ``n = 0 .. n_max`` of a counter packed at ``width`` as they
+    are, or for ``width`` None, packed at ``_slot_width(n_max)``, read back
+    into a ``QLaurent``."""
+    if width is not None:
+        return rows
+    n_max = len(rows) - 1
+    return QLaurent._from_packed(n_max, enumerate(rows), _slot_width(n_max))
+
+
 def product_F(sys, trunc, *, width=None):
     """Generating function for congruence-restricted overpartitions.
 
@@ -712,27 +728,26 @@ def product_F(sys, trunc, *, width=None):
     ``0 mod N``, so its factors start at ``q^N``, the least such part.
 
     The coefficients are packed at ``d = 2^width`` (see the module
-    docstring), and each factor is two in-place passes over them: a
-    descending add for ``1 + q^e`` and an ascending add for
-    ``1 / (1 - d q^e)``.  At every point the ``q^n`` coefficient is that
-    of a partial product, the generating function of overpartitions with
-    parts in a set of sizes, so its ``d^k`` coefficient counts those of
-    ``n`` with ``k`` non-overlined parts: nonnegative and at most
-    ``pbar(n) <= pbar(trunc)``, so it stays in a slot of
-    ``_slot_width(trunc)`` bits and below the sign bit.  With ``width``
-    (``ValueError`` below that bound), the packed coefficients of ``q^0 ..
-    q^trunc`` are returned as a list and nothing is read back.
+    docstring) in a row, and each factor, largest part first, is two
+    in-place steps over it (:func:`_binomial_step`): ``1 + q^e`` adds the
+    row shifted by ``e`` as it was, and ``1 / (1 - d q^e)`` adds ``d``
+    times the entry ``e`` below as it has become.  Largest first, the
+    packed ints stay short until the last factors.  At every
+    point the ``q^n`` coefficient is that of a partial product, the
+    generating function of overpartitions with parts in a set of sizes, so
+    its ``d^k`` coefficient counts those of ``n`` with ``k`` non-overlined
+    parts: nonnegative and at most ``pbar(n) <= pbar(trunc)``, so it stays
+    in a slot of ``_slot_width(trunc)`` bits and below the sign bit.  With
+    ``width`` (``ValueError`` below that bound), the packed coefficients of
+    ``q^0 .. q^trunc`` are returned as a list and nothing is read back.
     """
     if trunc < 0:
         raise ValueError("trunc must be non-negative")
-    w = _count_width(trunc, width)
+    d = 1 << _count_width(trunc, width)
     c = [1] + [0] * trunc
-    for g in sys.a:
-        for e in range((sys.N - g) or sys.N, trunc + 1, sys.N):
-            for i in range(trunc, e - 1, -1):       # times 1 + q^e
-                c[i] += c[i - e]
-            for i in range(e, trunc + 1):           # over 1 - d q^e
-                c[i] += c[i - e] << w
-    if width is not None:
-        return c
-    return QLaurent._from_packed(trunc, enumerate(c), w)
+    for e in sorted((e for g in sys.a
+                     for e in range((sys.N - g) or sys.N, trunc + 1, sys.N)),
+                    reverse=True):
+        _binomial_step(c, e, 1)                 # times 1 + q^e
+        _binomial_step(c, e, d, over=True)      # over 1 - d q^e
+    return _decode_counts(c, width)

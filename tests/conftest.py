@@ -95,3 +95,56 @@ def admissible_systems(draw, r_min=1, r_max=3):
     for _ in range(draw(st.integers(r_min, r_max))):
         a.append(sum(a) + draw(st.integers(1, 3)))
     return sum(a) + draw(st.integers(0, 3)), tuple(a)
+
+
+# -- the dict-keyed packed kernels, references for the ring's row kernels
+
+
+def mul_packed(pairs, trunc):
+    """``sum a*b`` over the ``(a, b)`` of ``pairs``, each an ``{e: int}``
+    map, dropping exponents above ``trunc``."""
+    out = {}
+    for a, b in pairs:
+        b = sorted(b.items())
+        for e1, x in a.items():
+            lim = trunc - e1
+            for e2, y in b:
+                if e2 > lim:
+                    break
+                out[e1 + e2] = out.get(e1 + e2, 0) + x * y
+    return out
+
+
+def div_packed(num, den, trunc):
+    """The quotient ``num / den`` up to ``trunc`` as an ``{e: int}`` map
+    with no zero entry, for ``den`` with constant 1 (not read) and no
+    exponent below 0."""
+    low = min((e for e, c in num.items() if c), default=trunc + 1)
+    den = sorted((e, c) for e, c in den.items() if e > 0)
+    quo = {}
+    for e in range(low, trunc + 1):
+        c = num.get(e, 0)
+        for ed, cd in den:
+            if e - ed < low:
+                break
+            prev = quo.get(e - ed)
+            if prev:
+                c -= cd * prev
+        if c:
+            quo[e] = c
+    return quo
+
+
+def divide(num, den):
+    """The reference quotient ``num / den`` of two ``QLaurent`` series, for
+    ``den`` starting with the constant 1 at ``q**0`` (no negative
+    exponents), on packed coefficients in slots that the quotient of the
+    majorants ``|num| / (1 - |den - 1|)`` sizes."""
+    den = num._coerce(den)
+    num._require_same(den)
+    den._require_unit_leading()
+    bound = div_packed(num._majorant(), {
+        e: -c for e, c in den._majorant().items()}, num.trunc)
+    width = max([1, *bound.values()]).bit_length() + 1
+    return QLaurent._from_packed(num.trunc, div_packed(
+        num._packed(width), den._packed(width), num.trunc).items(), width)

@@ -307,11 +307,11 @@ class TestVerify:
         def planted(sys, trunc, **packing):
             got = real(sys, trunc, **packing)
             if side == "limit_u":
-                limit, width = got
-                return {**limit, 5: limit.get(5, 0) + (1 << 2 * width)}, width
-            width = packing["width"]
-            return [c + (n == 5 and 1 << 2 * width)
-                    for n, c in enumerate(got)]
+                got, width = got
+            else:
+                width = packing["width"]
+            rows = [c + (n == 5 and 1 << 2 * width) for n, c in enumerate(got)]
+            return (rows, width) if side == "limit_u" else rows
         monkeypatch.setattr(cli, side, planted)
         code, out, _ = run_cli(capsys, "verify", "--N", "7", "--a", "1,2,4",
                                "--trunc", "8", "--checks", "theorem",

@@ -61,6 +61,18 @@ class TestCountAll:
             assert _overpartition_count(n) \
                 == sum(brute.coefficient(n).coeffs.values()), n
 
+    def test_overpartition_count_against_the_product(self):
+        # the coefficients of prod_s (1 + q^s) / (1 - q^s), multiplied out
+        # factor by factor, against Gauss's identity
+        n_max = 400
+        c = [1] + [0] * n_max
+        for s in range(1, n_max + 1):
+            for i in range(s, n_max + 1):           # times 1 / (1 - q^s)
+                c[i] += c[i - s]
+            for i in range(n_max, s - 1, -1):       # times 1 + q^s
+                c[i] += c[i - s]
+        assert [_overpartition_count(n) for n in range(n_max + 1)] == c
+
     def test_slot_width_cache_is_bounded(self):
         # a library caller may ask for any number of truncations
         maxsize = _slot_width.cache_info().maxsize

@@ -16,7 +16,8 @@ from overpart import (
     series_ring,
 )
 
-from conftest import admissible_systems, brute_table, factor_product
+from conftest import (admissible_systems, brute_table, div_packed, divide,
+                      factor_product, mul_packed)
 
 
 # -- independent oracles ----------------------------------------------
@@ -30,8 +31,8 @@ def product_by_one_term_divisions(sys, trunc):
     for g in sys.a:
         for e in range((sys.N - g) or sys.N, trunc + 1, sys.N):
             result = result + result.scale_by_monomial(e)
-            result = result.divide(
-                QLaurent.one(trunc) + QLaurent.monomial(trunc, e, 1, -1))
+            result = divide(result, QLaurent.one(trunc)
+                            + QLaurent.monomial(trunc, e, 1, -1))
     return result
 
 
@@ -156,14 +157,14 @@ class TestRingOps:
         with pytest.raises(TruncationMismatch):
             QLaurent.one(5) * QLaurent.one(6)
         with pytest.raises(TruncationMismatch):
-            QLaurent.one(5).divide(QLaurent.one(6))
+            divide(QLaurent.one(5), QLaurent.one(6))
         with pytest.raises(TruncationMismatch):   # before the unit check
-            QLaurent.one(5).divide(QLaurent.monomial(6, 1))
+            divide(QLaurent.one(5), QLaurent.monomial(6, 1))
 
     def test_divide_roundtrip(self):
         den = QLaurent.from_terms(12, [(0, 0, 1), (1, 1, -1), (3, 0, 2)])
         num = QLaurent.from_terms(12, [(-2, 0, 3), (0, 2, 1), (5, 1, -4)])
-        quo = num.divide(den)
+        quo = divide(num, den)
         assert quo * den == num
         assert quo.min_exp == -2
 
@@ -172,7 +173,7 @@ class TestRingOps:
                     [(0, 1, 1)], [(0, 0, 1), (0, 1, 1)], []):
             for num in (QLaurent.one(5), QLaurent.zero(5)):
                 with pytest.raises(NonUnitLeadingTerm):
-                    num.divide(QLaurent.from_terms(5, bad))
+                    divide(num, QLaurent.from_terms(5, bad))
 
     def test_d0_specialization(self):
         f = QLaurent.from_terms(6, [(0, 0, 1), (2, 1, 5), (2, 0, -3)])
@@ -243,7 +244,7 @@ class TestRingLaws:
         got = x + x.scale_by_monomial(e, k, c)
         assert got == x * factor
         if e >= 1:
-            assert got.divide(factor) == x
+            assert divide(got, factor) == x
 
     def test_truncation_is_not_associative_past_the_bound(self):
         # the boundary case that motivates the explicit headroom used by
@@ -353,8 +354,8 @@ class TestPochhammer:
         # 1 / (d q^2; q^2)_inf, one factor 1 - d q^e divided out at a time
         inv = QLaurent.one(10)
         for e in range(2, 11, 2):
-            inv = inv.divide(
-                QLaurent.one(10) + QLaurent.monomial(10, e, 1, -1))
+            inv = divide(
+                inv, QLaurent.one(10) + QLaurent.monomial(10, e, 1, -1))
         # q^6: even-part partitions by length: 2+2+2, 4+2, 6
         assert inv.coefficient(6) == DPoly({1: 1, 2: 1, 3: 1})
         for n in range(0, 11, 2):
@@ -536,7 +537,7 @@ class TestPackedKernels:
     @settings(max_examples=150, deadline=None)
     @given(kernel_series(), kernel_series(unit=True))
     def test_quotient_matches_the_dpoly_reference(self, num, den):
-        quo = num.divide(den)
+        quo = divide(num, den)
         assert quo == ref_divide(num, den)
         assert quo * den == num
 
@@ -563,9 +564,9 @@ class TestPackedKernels:
     def test_quotient_that_meets_its_majorant(self, trunc):
         # 1 / (1 - q - q^2) is its own majorant: the Fibonacci numbers
         den = QLaurent.from_terms(trunc, [(0, 0, 1), (1, 0, -1), (2, 0, -1)])
-        quo = QLaurent.one(trunc).divide(den)
+        quo = divide(QLaurent.one(trunc), den)
         assert quo == fibonacci_series(trunc)
-        shifted = QLaurent.monomial(trunc, -3, 2, -1).divide(den)
+        shifted = divide(QLaurent.monomial(trunc, -3, 2, -1), den)
         assert shifted == fibonacci_series(trunc + 3).scale_by_monomial(
             -3, 2, -1).with_trunc(trunc)
 
@@ -574,14 +575,14 @@ class TestPackedKernels:
         b = QLaurent.from_terms(6, [(0, 0, -BIG), (2, 2, BIG), (3, 0, BIG)])
         assert a * b == ref_mul(a, b)
         den = QLaurent.from_terms(6, [(0, 0, 1), (1, 1, -BIG), (2, 0, BIG)])
-        assert a.divide(den) == ref_divide(a, den)
+        assert divide(a, den) == ref_divide(a, den)
         assert max(abs(c) for *_, c in (a * b).terms()) == BIG ** 2
 
     def test_zero_operands(self):
         # the bound is 0, and the slots still take the 2 bits read-back needs
         zero, x = QLaurent.zero(5), QLaurent.from_terms(5, [(-1, 2, 7)])
         assert (zero * x).is_zero() and (x * zero).is_zero()
-        assert zero.divide(QLaurent.one(5) + x.scale_by_monomial(3)) == zero
+        assert divide(zero, QLaurent.one(5) + x.scale_by_monomial(3)) == zero
         assert series_ring._dot(5, []) == zero
         assert series_ring._dot(5, [(x, x), (-x, x)]) == zero
 
@@ -589,6 +590,93 @@ class TestPackedKernels:
         # a 1-bit slot reads 1 as -1 and would carry it back forever
         with pytest.raises(ValueError, match="slot width 1"):
             QLaurent._from_packed(3, [(0, 1)], 1)
+
+
+# -- the row kernels against the dict-keyed ones -----------------------
+#
+# A row ends at q^trunc and starts where its length says; the references
+# ``mul_packed`` and ``div_packed`` run on the same ints as ``{e: int}``
+# maps.
+
+row_ints = st.one_of(st.integers(-9, 9),
+                     st.sampled_from([0, BIG, -BIG, 2 ** 40, -2 ** 40]))
+truncs = st.sampled_from([0, 1, 2, 7, 12])
+
+
+def rows(trunc, low=-3):
+    """A row of ``q^start .. q^trunc`` for some ``low <= start <= 0``,
+    often all zero."""
+    return st.integers(low, 0).flatmap(lambda start: st.one_of(
+        st.just([0] * (trunc + 1 - start)),
+        st.lists(row_ints, min_size=trunc + 1 - start,
+                 max_size=trunc + 1 - start)))
+
+
+def multipliers(trunc):
+    """An ``{e: int}`` map with terms below ``q^0`` and past ``trunc``."""
+    return st.dictionaries(st.integers(-5, trunc + 3), row_ints, max_size=4)
+
+
+def row_map(row, trunc):
+    """The nonzero entries of a row ending at ``q^trunc``, keyed by
+    exponent."""
+    return {e: c for e, c in enumerate(row, trunc + 1 - len(row)) if c}
+
+
+def nonzero(x):
+    return {e: c for e, c in x.items() if c}
+
+
+class TestRowKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_product_matches_the_dict_kernel(self, data):
+        trunc = data.draw(truncs)
+        pairs = data.draw(st.lists(st.tuples(multipliers(trunc), rows(trunc)),
+                                   max_size=3))
+        got = series_ring._mul_rows(pairs, trunc)
+        # the result starts at the least exponent a multiplier term reaches
+        # on its row, or at q^0, and nothing below it is dropped
+        assert trunc + 1 - len(got) == min([0, *(
+            e + trunc + 1 - len(b) for a, b in pairs for e in a)])
+        want = mul_packed([(a, row_map(b, trunc)) for a, b in pairs], trunc)
+        assert row_map(got, trunc) == nonzero(want)
+
+    @pytest.mark.parametrize("trunc", [0, 3])
+    def test_product_of_nothing_is_a_zero_row(self, trunc):
+        assert series_ring._mul_rows([], trunc) == [0] * (trunc + 1)
+        assert series_ring._mul_rows([({}, [1] * (trunc + 1))], trunc) \
+            == [0] * (trunc + 1)
+        assert series_ring._mul_rows([({-2: 5}, [0] * (trunc + 1))],
+                                     trunc) == [0] * (trunc + 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.lists(st.tuples(st.integers(1, 15), row_ints),
+                               max_size=4))
+    def test_quotient_matches_the_dict_kernel(self, data, factors):
+        # shifts run past trunc, where a factor leaves the row as it is; a
+        # row from q^low reads the divisor up to q^(trunc - low)
+        trunc = data.draw(truncs)
+        row = data.draw(rows(trunc))
+        den = {0: 1}
+        for s, c in factors:
+            den = mul_packed([(den, {0: 1, s: -c})], len(row) - 1)
+        got = series_ring._div_row(list(row), factors)
+        assert len(got) == len(row)
+        assert row_map(got, trunc) \
+            == div_packed(row_map(row, trunc), den, trunc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(1, 15), row_ints)
+    def test_factor_step_matches_the_dict_kernel(self, data, s, c):
+        trunc = data.draw(truncs)
+        row = data.draw(rows(trunc))
+        got = list(row)
+        series_ring._binomial_step(got, s, c)
+        assert row_map(got, trunc) == nonzero(mul_packed(
+            [({0: 1, s: c}, row_map(row, trunc))], trunc))
+        series_ring._binomial_step(got, s, -c, over=True)
+        assert got == row
 
 
 # -- XSeries -------------------------------------------------------------
