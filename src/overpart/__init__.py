@@ -21,7 +21,6 @@ from .alpha_system import (
 from .enumeration import (
     count_F,
     count_G,
-    count_G_andrews_k0,
 )
 from .recurrence_engine import (
     ChainBroken,
@@ -33,9 +32,6 @@ from .recurrence_engine import (
     RecRow,
     RoundTripMismatch,
     build_rec_row,
-    coeff_b,
-    coeff_c,
-    coeff_e,
     coeff_f,
     g_series,
     limit_u,
@@ -64,12 +60,12 @@ __all__ = [
     "ModulusTooSmall", "build_system", "beta", "alpha_weight_sum",
     "DPoly", "QLaurent", "XSeries", "TruncationMismatch",
     "NonUnitLeadingTerm", "qbinomial", "product_F",
-    "count_F", "count_G", "count_G_andrews_k0",
+    "count_F", "count_G",
     "RecRow", "ChainState", "ChainReport", "ChainBroken",
     "ConventionOutOfRange", "NotStabilized", "NegativeExponents",
     "RoundTripMismatch", "g_series", "verify_lemma1",
     "verify_lemma2", "verify_eq_357", "build_rec_row", "run_recurrence",
-    "verify_key_lemma", "coeff_c", "coeff_b", "coeff_e", "coeff_f",
+    "verify_key_lemma", "coeff_f",
     "verify_Tmj", "verify_chain", "limit_u",
     "__version__",
 ]

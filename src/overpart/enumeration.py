@@ -5,11 +5,9 @@ classes; ``count_G`` counts those subject to gap conditions driven by
 the weight maps of the modulus system.  Both are direct enumerations
 with no generating-function machinery, and the two sides agreeing
 entrywise is the identity everything else in the package verifies.
-``count_G_andrews_k0`` counts the ``k = 0`` column of the gap side by
-its own code path, with its own gap and smallest-part tests.  The
-unrestricted table is ``count_F`` on the system ``1/{1}``, which allows
-every part size.  The tests check each counter against generate-and-
-filter over all overpartitions, with the gap conditions written out
+The unrestricted table is ``count_F`` on the system ``1/{1}``, which
+allows every part size.  The tests check each counter against generate-
+and-filter over all overpartitions, with the gap conditions written out
 afresh there.
 
 An overpartition is a weakly decreasing sequence of parts in which the
@@ -44,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .alpha_system import beta
-from .series_ring import QLaurent, _count_width, _decode_counts, _slot_width
+from .series_ring import _count_width, _decode_counts, _slot_width
 
 
 def count_F(sys, n_max, *, width=None):
@@ -205,53 +203,3 @@ def count_G(sys, n_max, *, width=None):
     del table
     return _decode_counts(rows, width)
 
-
-def count_G_andrews_k0(sys, n_max):
-    """Ordinary-partition oracle for the zero-marker column.
-
-    Counts partitions (no overlines) whose parts are congruent to some
-    ``-alpha mod N``, where each adjacent pair keeps a gap of at least
-    ``N * w(res) + v(res) - res`` with ``res = beta(-larger)`` the
-    *larger* part's residue, and the smallest part ``p`` keeps ``p >= N
-    * (w(beta(-p)) - 1)``, tested here and not through ``count_G``'s
-    helper.  Indexing the gap by the smaller part instead provably breaks
-    the count identity (it admits 11 + 3 of 14 in the (7, {1,2,4})
-    system, whose congruence side has only 6 + 5 + 3), so the larger
-    part it is.  Used to cross-check the ``k = 0`` column of
-    :func:`count_G`, which it reproduces through an independent code path.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    alpha_set = set(sys.alpha)
-    admissible = [s for s in range(1, n_max + 1)
-                  if beta(sys, -s) in alpha_set]
-    memo = {}
-
-    def completions(n_rem, prev):
-        if n_rem == 0:
-            w = sys.w_table[beta(sys, -prev)]
-            return 1 if prev >= sys.N * (w - 1) else 0
-        key = (n_rem, prev)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        res = beta(sys, -prev)
-        need = sys.N * sys.w_table[res] + sys.v_table[res] - res
-        total = 0
-        for s in admissible:
-            if s > n_rem or s > prev - need:
-                break
-            total += completions(n_rem - s, s)
-        memo[key] = total
-        return total
-
-    counts = [1] + [0] * n_max
-    try:
-        for first in admissible:
-            for n in range(first, n_max + 1):
-                counts[n] += completions(n - first, first)
-    finally:
-        # completions refers to itself, so the memo would otherwise wait
-        # for the cycle collector once the counts are built
-        memo.clear()
-    return QLaurent(n_max, dict(enumerate(counts)))

@@ -168,8 +168,9 @@ def _guard_bits(sys):
 
 
 def _packed_residual(sys, trunc, terms):
-    """``sum c d^k q^e g_m`` over the ``(e, k, c, m)`` of ``terms``, summed
-    row by row on the ladder's packed rows, reading back the nonzero rows.
+    """``sum c d^k q^e g_m`` over the ``(e, k, c, m)`` of ``terms``, one
+    ``_mul_rows`` call on the ladder's packed rungs, each rung's terms one
+    ``{e: c 2^(k width)}`` map, reading back the nonzero rows.
 
     Every ladder count is at most ``pbar(trunc)``, so each coefficient of
     the sum is below ``2^bits(t) pbar(trunc)``, ``t = sum |c|``, in absolute
@@ -183,15 +184,13 @@ def _packed_residual(sys, trunc, terms):
         raise OverflowError(
             f"a sum of {units} unit rows needs more than the {ladder.guard} "
             f"guard bits of its ladder's {ladder.width}-bit slots")
-    lo = min([0] + [e for e, _, _, _ in terms])
-    out = [0] * (trunc + 1 - lo)
+    maps = {}
     for e, k, c, m in terms:
-        if e <= trunc:
-            i, n, a = e - lo, trunc + 1 - max(e, 0), c << k * ladder.width
-            out[i:i + n] = [x + a * y
-                            for x, y in zip(out[i:i + n], ladder.rung(m))]
+        a = maps.setdefault(m, {})
+        a[e] = a.get(e, 0) + (c << k * ladder.width)
+    out = _mul_rows([(a, ladder.rung(m)) for m, a in maps.items()], trunc)
     return QLaurent._from_packed(
-        trunc, ((lo + i, c) for i, c in enumerate(out) if c), ladder.width)
+        trunc, enumerate(out, trunc + 1 - len(out)), ladder.width)
 
 
 def _peel_cutoffs(sys, j, m):
@@ -303,10 +302,10 @@ class RecRow(namedtuple("RecRow", "lhs rhs ell shifts")):
     ``lhs`` multiplies ``u_ell``; ``rhs[j-1]`` multiplies ``u_(ell-j)``
     and is ``sum_(m=1)^(r+1-j) (-1)^(m+1) q^(m ell N) b(m, j)`` (plus 1
     at ``j = 1``) times ``prod_(h<j) (1 - q^((ell-h)N))``, with ``b`` the
-    weight pairs of :func:`coeff_b`.  ``rhs`` has ``min(r, ell)``
-    entries: it stops at ``u_0``.  ``lhs`` is ``prod_s (1 - d q^s)`` over
-    the ``shifts`` ``s = ell N - a(j)``, which the recurrence divides by
-    one factor at a time.
+    weight pairs over all subset sums (:func:`_weight_pairs` at cutoff
+    ``r + 1``).  ``rhs`` has ``min(r, ell)`` entries: it stops at ``u_0``.
+    ``lhs`` is ``prod_s (1 - d q^s)`` over the ``shifts`` ``s = ell N -
+    a(j)``, which the recurrence divides by one factor at a time.
     """
 
     __slots__ = ()
@@ -349,12 +348,13 @@ def _elimination_row(sys, k, ell, trunc):
 def build_rec_row(sys, ell, trunc):
     """Materialize every coefficient of the main recurrence at ``ell``.
 
-    The elimination row at the top cutoff ``k = r + 1``, whose table of
-    weight pairs is :func:`coeff_b`'s: ``lhs = prod_j (1 - d q^(lN -
-    a(j)))``; each ``rhs[j-1]`` is ``sum_(m=1)^(r+1-j) (-1)^(m+1) q^(mlN)
-    b(m, j)``, the ``u_(ell-1)`` one plus a standalone 1, times
-    ``prod_(h<j) (1 - q^((l-h)N))``, which is 0 for every term reaching
-    below ``u_0``, so ``rhs`` has ``min(r, ell)`` entries.
+    The elimination row at the top cutoff ``k = r + 1``, whose weight
+    pairs ``b`` are those over all subset sums (:func:`_weight_pairs` at
+    that cutoff): ``lhs = prod_j (1 - d q^(lN - a(j)))``; each
+    ``rhs[j-1]`` is ``sum_(m=1)^(r+1-j) (-1)^(m+1) q^(mlN) b(m, j)``, the
+    ``u_(ell-1)`` one plus a standalone 1, times ``prod_(h<j) (1 -
+    q^((l-h)N))``, which is 0 for every term reaching below ``u_0``, so
+    ``rhs`` has ``min(r, ell)`` entries.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -466,13 +466,6 @@ def verify_key_lemma(sys, k, ell, trunc):
 # Each family has no exponent above 0, so it is built, exactly, at trunc 0.
 
 
-def coeff_c(sys, k, j):
-    """``d^k f(j, k) = q^(-N k(k+1)/2 - k a(r)) [j-1, k]_(q^-N) d^k``."""
-    if k < 0 or j < 1:
-        raise ValueError("need k >= 0 and j >= 1")
-    return coeff_f(sys, j, k).scale_by_monomial(0, k, 1)
-
-
 def _weight_pair(sys, bound_index, m, j):
     """``(d^(m-1) W(j+m-1) + d^m W(j+m)) [j+m-1, m-1]_(q^-N)``, with ``W``
     the weight sums of the subset sums below ``a(bound_index)``."""
@@ -511,20 +504,6 @@ class _WeightPairs(dict):
 
 # a command reads one system at a time, at most r + 1 cutoffs of it
 _weight_pairs = lru_cache(maxsize=MAX_GENERATORS + 1)(_WeightPairs)
-
-
-def coeff_b(sys, m, j):
-    """Weight-sum pair over all subset sums, times ``[j+m-1, m-1]_(q^-N)``."""
-    if m < 1 or j < 1:
-        raise ValueError("need m >= 1 and j >= 1")
-    return _weight_pair(sys, sys.r + 1, m, j)
-
-
-def coeff_e(sys, m, j):
-    """Weight-sum pair below ``a(r)``, times ``[j+m-1, m-1]_(q^-N)``."""
-    if m < 1 or j < 0:
-        raise ValueError("need m >= 1 and j >= 0")
-    return _weight_pair(sys, sys.r, m, j)
 
 
 def coeff_f(sys, m, k):
@@ -645,25 +624,11 @@ class ChainReport:
         self.stages = [] if stages is None else stages
         self.state = state
 
-    @property
-    def verdict(self):
-        return "pass" if all(st.residual_zero for st in self.stages) else "fail"
-
     def first_failure(self):
         for st in self.stages:
             if not st.residual_zero:
                 return st
         return None
-
-    def to_json_obj(self):
-        return {
-            "system": {"N": self.system.N, "a": list(self.system.a)},
-            "stages": [
-                {"name": st.name, "residual_zero": st.residual_zero}
-                for st in self.stages
-            ],
-            "verdict": self.verdict,
-        }
 
 
 def _coeff_residuals(sys, ys, M, width, trunc):

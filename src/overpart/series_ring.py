@@ -142,10 +142,6 @@ class DPoly:
             return self
         return DPoly._wrap({k + deg: c for k, c in self.coeffs.items()})
 
-    def at_d0(self):
-        """Constant term, i.e. the value at d = 0."""
-        return self.coeffs.get(0, 0)
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = DPoly.const(other)
@@ -386,15 +382,6 @@ class QLaurent:
             if row:
                 coeffs[e] = DPoly._wrap(row)
         return cls._wrap_clean(trunc, coeffs)
-
-    def d0(self):
-        """Specialize d = 0, keeping only the ``d**0`` part."""
-        out = {}
-        for e, p in self.coeffs.items():
-            c = p.at_d0()
-            if c:
-                out[e] = DPoly.const(c)
-        return QLaurent._wrap_clean(self.trunc, out)
 
     def with_trunc(self, new_trunc):
         """Re-truncate to ``new_trunc``.

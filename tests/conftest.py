@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from overpart import QLaurent, build_system
+from overpart import QLaurent, beta, build_system
 from overpart.cli import BATTERY
 
 
@@ -69,6 +69,63 @@ def brute_table(n_max, predicate):
         n_max, ((n, sum(not over for _, over in parts), 1)
                 for n in range(n_max + 1)
                 for parts in gen_overpartitions(n) if predicate(parts)))
+
+
+def d0(series):
+    """``series`` at ``d = 0``: its ``d^0`` terms."""
+    return QLaurent.from_terms(series.trunc, (
+        (e, 0, c) for e, k, c in series.terms() if k == 0))
+
+
+def count_G_andrews_k0(sys_, n_max):
+    """Ordinary-partition oracle for the zero-marker column.
+
+    Counts partitions (no overlines) whose parts are congruent to some
+    ``-alpha mod N``, where each adjacent pair keeps a gap of at least
+    ``N * w(res) + v(res) - res`` with ``res = beta(-larger)`` the
+    *larger* part's residue, and the smallest part ``p`` keeps ``p >= N
+    * (w(beta(-p)) - 1)``, tested here and not through ``count_G``'s
+    helper.  Indexing the gap by the smaller part instead provably breaks
+    the count identity (it admits 11 + 3 of 14 in the (7, {1,2,4})
+    system, whose congruence side has only 6 + 5 + 3), so the larger
+    part it is.  Cross-checks the ``k = 0`` column of ``count_G``, which
+    it reproduces through an independent code path.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    alpha_set = set(sys_.alpha)
+    admissible = [s for s in range(1, n_max + 1)
+                  if beta(sys_, -s) in alpha_set]
+    memo = {}
+
+    def completions(n_rem, prev):
+        if n_rem == 0:
+            w = sys_.w_table[beta(sys_, -prev)]
+            return 1 if prev >= sys_.N * (w - 1) else 0
+        key = (n_rem, prev)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        res = beta(sys_, -prev)
+        need = sys_.N * sys_.w_table[res] + sys_.v_table[res] - res
+        total = 0
+        for s in admissible:
+            if s > n_rem or s > prev - need:
+                break
+            total += completions(n_rem - s, s)
+        memo[key] = total
+        return total
+
+    counts = [1] + [0] * n_max
+    try:
+        for first in admissible:
+            for n in range(first, n_max + 1):
+                counts[n] += completions(n - first, first)
+    finally:
+        # completions refers to itself, so the memo would otherwise wait
+        # for the cycle collector once the counts are built
+        memo.clear()
+    return QLaurent(n_max, dict(enumerate(counts)))
 
 
 def cells(series):

@@ -581,19 +581,14 @@ def test_each_weight_pair_is_built_once_per_command(capsys, monkeypatch):
 
 def test_each_f_is_built_once_per_command(capsys, monkeypatch):
     # both sides of every T(m, j) read f(m, k) off one table per system, in
-    # the tmj check and the chain alike; c(k, j) = f(j, k) d^k is never
-    # built on its own
+    # the tmj check and the chain alike
     real = recurrence_engine.coeff_f
     built = []
 
     def counted(sys, m, k):
         built.append((sys.N, tuple(sys.a), m, k))
         return real(sys, m, k)
-
-    def unused(sys, k, j):
-        raise AssertionError("coeff_c called")
     monkeypatch.setattr(recurrence_engine, "coeff_f", counted)
-    monkeypatch.setattr(recurrence_engine, "coeff_c", unused)
     recurrence_engine._weight_pairs.cache_clear()
     code, out, _ = run_cli(capsys, "verify", "--battery", "--checks",
                            "tmj,chain", "--trunc", "30", "--x-trunc", "3",

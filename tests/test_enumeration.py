@@ -14,7 +14,6 @@ from overpart import (
     build_system,
     count_F,
     count_G,
-    count_G_andrews_k0,
     QLaurent,
     g_series,
     limit_u,
@@ -25,8 +24,8 @@ from overpart.enumeration import _Completions
 from overpart.series_ring import _overpartition_count, _slot_width
 
 from conftest import (
-    BATTERY, admissible_systems, brute_table, cells, gen_overpartitions,
-    in_gap_side)
+    BATTERY, admissible_systems, brute_table, cells, count_G_andrews_k0, d0,
+    gen_overpartitions, in_gap_side)
 
 
 class TestCountAll:
@@ -245,7 +244,7 @@ class TestCountG:
                             lambda sys_, size: True)
         assert count_G(sys7, 12) != brute_table(
             12, lambda parts: in_gap_side(sys7, parts))
-        assert count_G(sys7, 25).d0() != count_G_andrews_k0(sys7, 25)
+        assert d0(count_G(sys7, 25)) != count_G_andrews_k0(sys7, 25)
 
     def test_monotone_in_bound(self, sys7):
         prev = cells(g_series(sys7, 0, 15))
@@ -340,7 +339,7 @@ class TestAndrewsK0:
 
     def test_matches_k0_column(self, battery):
         for sys_ in battery:
-            assert count_G(sys_, 25).d0() == count_G_andrews_k0(sys_, 25), \
+            assert d0(count_G(sys_, 25)) == count_G_andrews_k0(sys_, 25), \
                 sys_.N
 
     def test_memo_freed_without_a_collection(self, sys3):

@@ -20,9 +20,6 @@ from overpart import (
     XSeries,
     build_rec_row,
     build_system,
-    coeff_b,
-    coeff_c,
-    coeff_e,
     coeff_f,
     count_F,
     count_G,
@@ -43,7 +40,7 @@ from overpart import (
 from overpart import cli, recurrence_engine, series_ring
 from overpart.enumeration import _Completions
 
-from conftest import admissible_systems, cells, divide, factor_product
+from conftest import admissible_systems, cells, d0, divide, factor_product
 
 
 def rung_series(ladder, m):
@@ -268,7 +265,7 @@ class TestRecords:
         assert first.stages == [] and first.stages is not second.stages
         assert (first.system, first.trunc, first.x_trunc, first.state) \
             == (sys3, 10, 2, None)
-        assert first.verdict == "pass" and first.first_failure() is None
+        assert first.first_failure() is None
         state = ChainState(u=[1], beta=[2], s=[3], mu=[4])
         assert [state.u, state.beta, state.s, state.mu] == [[1], [2], [3], [4]]
 
@@ -292,7 +289,7 @@ class TestRecRow:
     def test_lhs_at_d0_is_one(self, battery):
         for sys_ in battery:
             row = build_rec_row(sys_, 2, 12)
-            assert row.lhs.d0() == QLaurent.one(12)
+            assert d0(row.lhs) == QLaurent.one(12)
 
     def test_independent_reassembly(self, battery):
         # every elimination row assembled per subset sum below a(k) instead
@@ -784,19 +781,24 @@ class TestPackedChecks:
 class TestCoefficientFamilies:
     def test_c_at_zero_is_one(self, sys7):
         for j in range(1, sys7.r + 1):
-            assert coeff_c(sys7, 0, j) == QLaurent.one(0)
+            # c(k, j) = d^k f(j, k)
+            assert coeff_f(sys7, j, 0).scale_by_monomial(0, 0, 1) \
+                == QLaurent.one(0)
 
     def test_b11_flagship(self, sys7):
         want = QLaurent.from_terms(0, [
             (-1, 0, 1), (-2, 0, 1), (-4, 0, 1),
             (-3, 1, 1), (-5, 1, 1), (-6, 1, 1),
         ])
-        assert coeff_b(sys7, 1, 1) == want
+        # b(m, j): the weight pair over all subset sums
+        assert recurrence_engine._weight_pair(sys7, sys7.r + 1, 1, 1) == want
 
     def test_f0_e0_weight_pair(self, battery):
         for sys_ in battery:
             for m in range(1, sys_.r + 1):
-                got = coeff_f(sys_, m, 0) * coeff_e(sys_, m, 0)
+                # e(m, j): the weight pair below a(r)
+                got = coeff_f(sys_, m, 0) \
+                    * recurrence_engine._weight_pair(sys_, sys_.r, m, 0)
                 want = alpha_weight_sum(sys_, sys_.r, m - 1) \
                     .scale_by_monomial(0, m - 1, 1)
                 want = want + alpha_weight_sum(sys_, sys_.r, m) \
@@ -847,9 +849,9 @@ class TestWeightPairTables:
         check_weight_pair_tables(build_system(system[1], system[0]))
 
     def test_handed_out_series_cannot_reach_the_tables(self, sys7):
-        # coeff_b, coeff_e and the rows of build_rec_row are fresh series:
-        # a caller who changes one, down to its d-polynomials, leaves the
-        # tables as they were (q^0 may hold the shared constant 1)
+        # the rows of build_rec_row are fresh series: a caller who changes
+        # one, down to its d-polynomials, leaves the tables as they were
+        # (q^0 may hold the shared constant 1)
         def results():
             report = verify_chain(sys7, 4, 3, 25)
             return ([(st_.name, st_.detail) for st_ in report.stages],
@@ -857,11 +859,7 @@ class TestWeightPairTables:
                     [verify_key_lemma(sys7, k, 2, 25)
                      for k in range(1, sys7.r + 2)])
         before = results()
-        handed = [build_rec_row(sys7, 3, 25).rhs[0]]
-        for m in range(1, sys7.r + 1):
-            for j in range(sys7.r + 1):
-                handed += [coeff_b(sys7, m, j + 1), coeff_e(sys7, m, j)]
-        for series in handed:
+        for series in build_rec_row(sys7, 3, 25).rhs:
             for e, p in series.coeffs.items():
                 if e:
                     p.coeffs[0] = p.coeffs.get(0, 0) + 1
@@ -919,7 +917,7 @@ class TestLimit:
         assert peak < 2 ** 20
 
     def test_d0_equals_distinct_product(self, sys7):
-        lim = limit_u(sys7, 25).d0()
+        lim = d0(limit_u(sys7, 25))
         want = QLaurent.one(25)
         for g in sys7.a:
             want = want * factor_product(25, range(7 - g, 26, 7))
@@ -958,7 +956,7 @@ class TestLimit:
 class TestChain:
     def test_two_generator_chain(self, sys3):
         report = verify_chain(sys3, 8, 8, 30)
-        assert report.verdict == "pass"
+        assert report.first_failure() is None
         assert [st.name for st in report.stages] == [
             "rec_prime", "eq", "eq_prime", "eq_dprime", "rec_dprime",
             "rec_reduced", "mu_limit"]
@@ -995,14 +993,15 @@ class TestChain:
 
     def test_degenerate_x_trunc(self, sys7):
         report = verify_chain(sys7, 0, 0, 10)
-        assert report.verdict == "pass"
+        assert report.first_failure() is None
 
-    def test_report_json_shape(self, sys3):
-        obj = verify_chain(sys3, 4, 4, 12).to_json_obj()
-        assert obj["system"] == {"N": 3, "a": [1, 2]}
-        assert obj["verdict"] == "pass"
-        assert {"name": "rec_prime", "residual_zero": True} in obj["stages"]
-        assert len(obj["stages"]) == 7
+    def test_report_shape(self, sys3):
+        report = verify_chain(sys3, 4, 4, 12)
+        assert (report.system.N, report.system.a) == (3, (1, 2))
+        assert report.first_failure() is None
+        assert ("rec_prime", True) in [(st_.name, st_.residual_zero)
+                                       for st_ in report.stages]
+        assert len(report.stages) == 7
 
     def test_needs_two_generators(self):
         sys2 = build_system([1], 2)
@@ -1035,7 +1034,7 @@ class TestChain:
         with pytest.raises(ChainBroken) as exc:
             recurrence_engine.verify_chain(sys3, 6, 6, 15)
         assert exc.value.stage == "mu_limit"
-        assert exc.value.report.verdict == "fail"
+        assert exc.value.report.first_failure().name == "mu_limit"
         names_ok = [st.name for st in exc.value.report.stages
                     if st.residual_zero]
         assert "rec_prime" in names_ok
@@ -1098,7 +1097,7 @@ class TestChain:
     def test_random_systems(self, system, trunc, x_trunc, extra):
         sys_ = build_system(system[1], system[0])
         report = verify_chain(sys_, x_trunc + extra, x_trunc, trunc)
-        assert report.verdict == "pass"
+        assert report.first_failure() is None
         for m in range(1, sys_.r + 1):
             for j in range(1, sys_.r + 1):
                 assert verify_Tmj(sys_, m, j), (m, j)
@@ -1143,11 +1142,13 @@ def _family_pad(sys):
     and 189 on the battery), so a chain run at ``trunc`` plus it is a
     reference for the outputs below ``q^trunc``."""
     r = sys.r
-    min_c = min(coeff_c(sys, k, j).min_exp
+    pair = recurrence_engine._weight_pair
+    # c(k, j) = d^k f(j, k); b and e are the weight pairs at a(r+1), a(r)
+    min_c = min(coeff_f(sys, j, k).scale_by_monomial(0, k, 1).min_exp
                 for j in range(1, r + 1) for k in range(j))
-    min_b = min(coeff_b(sys, m, j).min_exp
+    min_b = min(pair(sys, r + 1, m, j).min_exp
                 for j in range(1, r + 1) for m in range(1, r + 1))
-    min_e = min(coeff_e(sys, m, j).min_exp
+    min_e = min(pair(sys, r, m, j).min_exp
                 for m in range(1, r + 1) for j in range(r + 1))
     min_f = min(coeff_f(sys, m, k).min_exp
                 for m in range(1, r + 1) for k in range(m))
@@ -1163,13 +1164,12 @@ def _chain_report(sys_, ell_max, x_trunc, trunc):
 
 
 def _chain_outputs(sys_, ell_max, x_trunc, trunc, pad=0):
-    """Stage names and details, report JSON and every state series cut to
+    """The stages (name, verdict, detail) and every state series cut to
     ``trunc``, of a passing or failing chain run at ``trunc + pad``."""
     report = _chain_report(sys_, ell_max, x_trunc, trunc + pad)
     cut = {name: [x.with_trunc(trunc) for x in getattr(report.state, name)]
            for name in ("u", "beta", "s", "mu")}
-    return ([(st_.name, st_.detail) for st_ in report.stages],
-            report.to_json_obj(), cut)
+    return list(report.stages), cut
 
 
 def _tmj_plus_one(side):
@@ -1316,7 +1316,7 @@ class TestXSeriesReference:
         assert xseries_pad(sys3, *tables) == 1
         F = XSeries(5, report.state.beta)
         assert _first(qdiff_rows(sys3, F, tables[0], 30)) == (1, 30, 14, 1)
-        assert report.verdict == "pass"
+        assert report.first_failure() is None
 
 
 def dominated_systems(n_max):
@@ -1387,7 +1387,7 @@ class TestChainPad:
             assert got == _chain_outputs(sys_, 5, 5, 30, _family_pad(sys_)), \
                 (sys_.N, sys_.a)
             assert (bad_side is None) == all(
-                detail == "" for _, detail in got[0])
+                stage.detail == "" for stage in got[0])
 
     @settings(max_examples=25, deadline=None)
     @given(admissible_systems(r_min=2), st.integers(0, 12),

@@ -1,6 +1,10 @@
 """Source-level rules for the package."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -86,7 +90,7 @@ def test_every_private_function_is_referenced_in_the_package():
 
 def test_weight_pairs_are_built_only_for_their_table():
     # every identity reads its weight pairs from the one table per system
-    # and cutoff; only the public families hand out fresh ones
+    # and cutoff
     path = PACKAGE / "recurrence_engine.py"
     callers = []
 
@@ -101,8 +105,7 @@ def test_weight_pairs_are_built_only_for_their_table():
                 callers.append(".".join(scope))
             visit(child, scope)
     visit(ast.parse(path.read_text(), str(path)), [])
-    assert sorted(callers) == ["_WeightPairs.__missing__", "coeff_b",
-                               "coeff_e"]
+    assert callers == ["_WeightPairs.__missing__"]
 
 
 def test_only_the_kernel_sites_call_the_packed_kernels():
@@ -128,7 +131,31 @@ def test_only_the_kernel_sites_call_the_packed_kernels():
         ("_chain_series", "_div_row"),
         ("_coeff_residuals", "_mul_rows"), ("_dot", "_mul_rows"),
         ("_iterates", "_div_row"), ("_iterates", "_mul_rows"),
+        ("_packed_residual", "_mul_rows"),
         ("_x_product_transform", "_mul_rows")]
+
+
+def test_only_the_ring_updates_rows_slice_by_slice():
+    # a row updated in place from a comprehension over zip(...) is the
+    # ring's multiply or binomial step; a caller that writes its own keeps
+    # a second multiply loop beside _mul_rows
+    def is_row_update(node):
+        return (isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Subscript)
+                        and isinstance(target.slice, ast.Slice)
+                        for target in node.targets)
+                and isinstance(node.value, (ast.ListComp, ast.GeneratorExp))
+                and any(isinstance(gen.iter, ast.Call)
+                        and isinstance(gen.iter.func, ast.Name)
+                        and gen.iter.func.id == "zip"
+                        for gen in node.value.generators))
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if is_row_update(node)]
+    assert found
+    assert [site for site in found
+            if not site.startswith("series_ring.py:")] == []
 
 
 def test_only_series_ring_names_xseries():
@@ -171,7 +198,7 @@ def test_enumeration_stays_independent_of_the_identities():
                          for alias in node.names]
         elif isinstance(node, ast.Import):
             imported += [alias.name.split(".") for alias in node.names]
-    assert ["series_ring", "QLaurent"] in imported
+    assert ["series_ring", "_decode_counts"] in imported
     offenders = [".".join(parts) for parts in imported
                  if "recurrence_engine" in parts
                  or ("series_ring" in parts
@@ -185,12 +212,13 @@ def test_enumeration_stays_independent_of_the_identities():
 
 def test_oracles_share_no_code_with_the_counters():
     # an oracle that runs a counter's own helper agrees with the counter
-    # when that helper is wrong: the tests' generate-and-filter imports
-    # nothing from the counting modules, and count_G_andrews_k0 names no
-    # private function that count_G's completions table names
+    # when that helper is wrong: the tests' oracles import nothing from the
+    # counting modules, and the k = 0 oracle names no private function that
+    # count_G's completions table names
     conftest = PACKAGE.parent.parent / "tests" / "conftest.py"
+    tree = ast.parse(conftest.read_text(), str(conftest))
     imported = set()
-    for node in ast.walk(ast.parse(conftest.read_text(), str(conftest))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             imported.add(node.module)
             if node.module == "overpart":
@@ -203,10 +231,144 @@ def test_oracles_share_no_code_with_the_counters():
     assert imported.isdisjoint({"overpart.enumeration",
                                 "overpart.recurrence_engine"})
     path = PACKAGE / "enumeration.py"
-    names = {node.name: {getattr(n, "id", None) or getattr(n, "attr", "")
-                         for n in ast.walk(node)}
-             for node in ast.parse(path.read_text(), str(path)).body
-             if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
-    assert "_smallest_part_ok" in names["_Completions"]
-    shared = names["_Completions"] & names["count_G_andrews_k0"]
+
+    def names(tree, name):
+        node, = [node for node in tree.body if getattr(node, "name", None)
+                 == name]
+        return {getattr(n, "id", None) or getattr(n, "attr", "")
+                for n in ast.walk(node)}
+    table = names(ast.parse(path.read_text(), str(path)), "_Completions")
+    assert "_smallest_part_ok" in table
+    shared = table & names(tree, "count_G_andrews_k0")
     assert sorted(name for name in shared if name.startswith("_")) == []
+
+
+# Runs every CLI command with a profile hook set before ``overpart.cli`` is
+# imported, so calls made at import count too, and prints the functions of
+# the package (by the file and first line of their code) never entered
+ENTERED_SCAN = r"""
+import contextlib, io, json, os, sys, types
+
+entered = set()
+
+
+def hook(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+
+sys.setprofile(hook)
+import overpart.cli as cli
+
+runs, fails = [], []
+for system in (["--battery", "--trunc", "30", "--x-trunc", "3"],
+               ["--N", "31", "--a", "1,2,4,8,16", "--trunc", "40",
+                "--x-trunc", "2"]):
+    for check in cli.ALL_CHECKS:
+        for output in ("json", "table"):
+            runs.append(["verify", *system, "--checks", check,
+                         "--output", output])
+sys7 = ["--N", "7", "--a", "1,2,4"]
+for output in ("json", "csv", "table"):
+    for side in ("F", "G", "all"):
+        runs.append(["count", *sys7, "--n-max", "12", "--side", side,
+                     "--output", output])
+for output in ("json", "table"):
+    for what in ("product", "limit", "gm"):
+        runs.append(["expand", *sys7, "--trunc", "12", "--what", what,
+                     "--m", "9", "--output", output])
+for bad in (["--N", "7", "--a", "1,2,3"], ["--N", "7", "--a", "2,1"],
+            ["--N", "7", "--a", "1,1"], ["--N", "2", "--a", "1,2"],
+            ["--N", "0", "--a", "1"], ["--N", "7", "--a", "-1"],
+            ["--N", "7", "--a", ""], ["--N", "7", "--a", "x"]):
+    fails.append(["verify", *bad])
+fails += [["count", *sys7, "--n-max", "-1"],
+          ["count", "--N", "7", "--a", "1,2,5"],
+          ["expand", *sys7, "--trunc", "-1"],
+          ["expand", *sys7, "--what", "gm"],
+          ["expand", "--N", "2", "--a", "2", "--what", "limit"],
+          ["verify", *sys7, "--checks", ""],
+          ["verify", *sys7, "--checks", "nope"],
+          ["verify", *sys7, "--x-trunc", "-1"],
+          ["verify", *sys7, "--checks", "chain", "--ell-max", "1"],
+          ["verify", "--checks", "theorem"]]
+fails += [["verify", "--N", "2", "--a", "2", "--checks", check]
+          for check in cli.ALL_CHECKS if check != "tmj"]
+codes = {}
+for expect, argvs in ((0, runs), (2, fails)):
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:      # argparse rejects the input
+                code = exc.code
+        codes.setdefault(expect, set()).add(code)
+sys.setprofile(None)
+
+
+def functions(code, prefix):      # (qualified name, code) of each def
+    for const in code.co_consts:
+        if not isinstance(const, types.CodeType):
+            continue
+        name = prefix + const.co_name
+        if not const.co_flags & 1:          # a class body
+            yield from functions(const, name + ".")
+        elif not const.co_name.startswith("<"):    # not a lambda
+            yield name, const
+            yield from functions(const, name + ".<locals>.")
+
+
+package = os.path.dirname(cli.__file__)
+never = []
+for name in sorted(os.listdir(package)):
+    if name.endswith(".py"):
+        path = os.path.join(package, name)
+        with open(path) as source:
+            top = compile(source.read(), path, "exec")
+        never += [qualname for qualname, code
+                  in functions(top, name[:-3] + ".")
+                  if (code.co_filename, code.co_firstlineno) not in entered]
+print(json.dumps({"codes": {k: sorted(v) for k, v in codes.items()},
+                  "never": sorted(never)}))
+"""
+
+# each function of the package that no command enters, and why it stays
+NEVER_ENTERED = {
+    "alpha_system.AlphaSystem.__setattr__": "immutability",
+    "alpha_system.AlphaSystem.__delattr__": "immutability",
+    "alpha_system.AlphaSystem.__reduce__": "pickling",
+    "alpha_system.AlphaSystem.__eq__": "systems built apart compare equal",
+    "alpha_system.AlphaSystem.__repr__": "diagnostics",
+    "recurrence_engine.ChainBroken.__init__":
+        "raised only by a failing chain stage",
+    "recurrence_engine.ChainState.__init__":
+        "the public constructor from lists",
+    # the ring's public API, which the tests build references with
+    "series_ring.DPoly.__sub__": "ring API",
+    "series_ring.DPoly.monomial": "ring API, behind QLaurent.monomial",
+    "series_ring.QLaurent.__str__": "ring API",
+    "series_ring.QLaurent.coefficient": "ring API",
+    "series_ring.QLaurent.monomial": "ring API",
+    # the tests' reference for the chain; bench/tracer.py wraps the class
+    # by name (TRACED_CLASSES), so it stays in the package until the
+    # tracer skips a missing name
+    **{f"series_ring.XSeries.{name}": "named by the bench tracer"
+       for name in ("__init__", "one", "trunc", "_require_same", "__add__",
+                    "__mul__", "shift_x", "divide", "__eq__", "__str__")},
+}
+
+
+def test_every_package_function_is_entered_by_some_command():
+    # a function no command enters is dead code unless it is public API
+    # with a stated reason (NEVER_ENTERED); the scan runs every command in
+    # every output, with every check on the battery and on a five-
+    # generator system, and the error paths
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", ENTERED_SCAN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    scan = json.loads(proc.stdout)
+    assert scan["codes"] == {"0": [0], "2": [2]}
+    assert scan["never"] == sorted(NEVER_ENTERED)
