@@ -31,8 +31,8 @@ from functools import cached_property, lru_cache
 
 from .alpha_system import MAX_GENERATORS, alpha_weight_sum, build_system
 from .enumeration import _Completions
-from .series_ring import (QLaurent, _binomial_step, _div_row, _mul_rows,
-                          product_F, qbinomial)
+from .series_ring import (QLaurent, _binomial_step, _div_row, _gauss_coeffs,
+                          _mul_rows, product_F, qbinomial)
 
 
 class ConventionOutOfRange(ValueError):
@@ -705,20 +705,17 @@ def _x_product_tables(sys, x_trunc, trunc):
     """The multipliers ``c_j q^(j(N - a(r))) [l, j]_Q``, ``Q = q^N``, of
     :func:`_x_product_transform` for ``0 <= j <= l <= x_trunc`` as packed
     tables ``{(l, j): {e: int}}``, one with ``c_j = (-1)^j`` and one with
-    ``c_j = Q^(j(j-1)/2)``.  Each q-binomial is built and packed once: it
-    has no ``d``, so its packed map is the same at every width, and the two
-    tables shift its keys."""
+    ``c_j = Q^(j(j-1)/2)``."""
     N, ar = sys.N, sys.a[-1]
     down, up = {}, {}
     for ell in range(x_trunc + 1):
         for j in range(ell + 1):
-            binomial = qbinomial(ell, j, N, trunc)._packed(0)
             for table, shift, sign in (
                     (down, j * (N - ar), (-1) ** j),
                     (up, j * (N - ar) + N * j * (j - 1) // 2, 1)):
-                table[ell, j] = {e + shift: sign * c
-                                 for e, c in binomial.items()
-                                 if e + shift <= trunc}
+                table[ell, j] = {i * N + shift: sign * c
+                                 for i, c in enumerate(_gauss_coeffs(ell, j))
+                                 if i * N + shift <= trunc}
     return down, up
 
 

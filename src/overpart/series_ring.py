@@ -18,16 +18,15 @@ immutable by convention and every operation returns a new object.
 Operands must share truncations; mixing them raises
 ``TruncationMismatch`` instead of silently coercing.
 
-Every series product, and the long runs (the infinite product here, the
-main recurrence and the transformation chain in ``recurrence_engine``),
-hold each q-coefficient ``P_e(d)`` packed as the one int
-``P_e(2^width)``: the coefficient of ``d^k`` sits in the ``width``-bit
-slot at bit ``k * width``.  ``d -> 2^width`` is a ring map, so sums,
-products and division steps on the packed ints are exact.  A dense
-series is a *row*, a list of those ints, one per exponent, that ends at
-``q^trunc``; its length says where it starts, at ``q^0`` or, for a
-Laurent operand or a residual whose multipliers reach below ``q^0``,
-lower.  A sparse multiplier stays an ``{e: int}`` map.  One loop
+The long runs (the infinite product here, the main recurrence and the
+transformation chain in ``recurrence_engine``) hold each q-coefficient
+``P_e(d)`` packed as the one int ``P_e(2^width)``: the coefficient of
+``d^k`` sits in the ``width``-bit slot at bit ``k * width``.  ``d ->
+2^width`` is a ring map, so sums, products and division steps on the
+packed ints are exact.  A dense series is a *row*, a list of those ints,
+one per exponent, that ends at ``q^trunc``; its length says where it
+starts, at ``q^0`` or, for a residual whose multipliers reach below
+``q^0``, lower.  A sparse multiplier stays an ``{e: int}`` map.  One loop
 multiplies (:func:`_mul_rows`, ``sum a*b`` over pairs of a map and a
 row, a slice per term of the map), and one divides, by a divisor given
 as its binomial factors ``1 - c q^s``, one factor at a time
@@ -35,20 +34,20 @@ as its binomial factors ``1 - c q^s``, one factor at a time
 (:func:`_binomial_step`), which multiplies by ``1 + c q^s`` too.
 Reading the slots back as signed ints, comparing two packed series and
 testing one for zero are exact once every true coefficient lies in
-``[-2^(width-1), 2^(width-1))``, so each product proves a bound ``B`` on
-them before it starts and takes ``width = bits(max(B, 1)) + 1``.  The
-bounds come from majorants at ``d = 1``, ``|x|`` having the ``q^e``
-coefficient ``sum_k |c|`` over the terms ``c d^k q^e`` of ``x``: ``B =
-sum_j L1(a_j) max|b_j|`` for a sum of products ``sum_j a_j b_j``
-(:func:`_dot`), and ``B = max(|num| / prod (1 - q^s))`` for a quotient by
-factors ``1 - d^k q^s``.  A long run proves one bound for every value it
-will read, before it packs anything, and calls the kernels itself at
-that one width: the recurrence from majorants of its rows, and the
-chain by running its own steps on the recurrence's majorants
-(``recurrence_engine.verify_chain``).  The infinite product, like the
+``[-2^(width-1), 2^(width-1))``, so each run proves a bound ``B`` on
+every value it will read before it packs anything, and calls the kernels
+itself at the one width ``bits(max(B, 1)) + 1``.  The bounds come from
+majorants at ``d = 1``, ``|x|`` having the ``q^e`` coefficient ``sum_k
+|c|`` over the terms ``c d^k q^e`` of ``x``: the recurrence bounds its
+quotients ``max(|num| / prod (1 - q^s))`` from majorants of its rows, and
+the chain runs its own steps on the recurrence's majorants
+(``recurrence_engine.verify_chain``) and bounds a sum of products ``sum_j
+a_j b_j`` by ``sum_j L1(a_j) max|b_j|``.  The infinite product, like the
 brute-force counters of ``enumeration``, holds only counts of
 overpartitions of some ``n <= trunc``, so ``pbar(trunc)``, the number of
-overpartitions of ``trunc``, bounds it (:func:`_slot_width`).
+overpartitions of ``trunc``, bounds it (:func:`_slot_width`).  A
+``QLaurent`` product, which here only ever multiplies short Laurent
+polynomials, is one plain loop over the coefficient maps.
 """
 
 from __future__ import annotations
@@ -299,18 +298,22 @@ class QLaurent:
             self.trunc, {e: -p for e, p in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, DPoly)):
-            p = _as_dpoly(other)
-            if p.is_zero():
-                return QLaurent.zero(self.trunc)
-            out = {}
-            for e, q in self.coeffs.items():
-                prod = q * p
-                if not prod.is_zero():
-                    out[e] = prod
-            return QLaurent._wrap_clean(self.trunc, out)
+        other = self._coerce(other)
         self._require_same(other)
-        return _dot(self.trunc, [(self, other)])
+        trunc = self.trunc
+        acc = {}
+        for e1, p1 in self.coeffs.items():
+            for e2, p2 in other.coeffs.items():
+                e = e1 + e2
+                if e <= trunc:
+                    row = acc.setdefault(e, {})
+                    for d1, c1 in p1.coeffs.items():
+                        for d2, c2 in p2.coeffs.items():
+                            c = row.pop(d1 + d2, 0) + c1 * c2
+                            if c:
+                                row[d1 + d2] = c
+        return QLaurent._wrap_clean(trunc, {e: DPoly._wrap(row)
+                                            for e, row in acc.items() if row})
 
     __rmul__ = __mul__
 
@@ -496,27 +499,6 @@ def _div_row(row, factors):
     for s, c in factors:
         _binomial_step(row, s, c, over=True)
     return row
-
-
-def _dot(trunc, pairs):
-    """``sum a*b`` over the ``QLaurent`` pairs ``(a, b)`` of ``pairs``, all
-    at ``trunc``, on packed coefficients in slots sized by ``sum L1(a)
-    max|b|``, which bounds every coefficient of the sum.  Each ``a`` is
-    an ``{e: int}`` map and each ``b`` a row from ``q^min(0, min_exp)``."""
-    bound = sum(sum(a._majorant().values()) * max(
-        (abs(c) for p in b.coeffs.values() for c in p.coeffs.values()),
-        default=0) for a, b in pairs)
-    width = max(bound, 1).bit_length() + 1
-    rows = []
-    for a, b in pairs:
-        low = min(0, b.min_exp)
-        row = [0] * (trunc + 1 - low)
-        for e, c in b._packed(width).items():
-            row[e - low] = c
-        rows.append((a._packed(width), row))
-    out = _mul_rows(rows, trunc)
-    return QLaurent._from_packed(trunc, enumerate(out, trunc + 1 - len(out)),
-                                 width)
 
 
 class XSeries:

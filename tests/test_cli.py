@@ -279,8 +279,8 @@ class TestVerify:
             == (1, "count_F == count_G")
 
     def test_passing_theorem_reads_nothing_back(self, capsys, monkeypatch):
-        # every side is compared packed at one width; only the trunc-0
-        # weight pairs of the recurrence's rows are read back
+        # every side is compared packed at one width, and the trunc-0
+        # weight pairs of the recurrence's rows are multiplied unpacked
         real = QLaurent._from_packed.__func__
         truncs = []
 
@@ -291,7 +291,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--battery", "--checks",
                                "theorem", "--trunc", "40", "--output", "json")
         assert (code, json.loads(out)["verdict"]) == (0, "pass")
-        assert set(truncs) == {0}
+        assert truncs == []
 
     @pytest.mark.parametrize("side, failures, first", [
         ("count_F", 2, "count_F == count_G"),
@@ -597,6 +597,29 @@ def test_each_f_is_built_once_per_command(capsys, monkeypatch):
     # f(m, k) for 1 <= m <= r, 0 <= k < m: r(r+1)/2 per system
     assert len(set(built)) == len(built) == 3 + 6 + 6 + 10
     assert recurrence_engine._weight_pairs.cache_info().currsize == 0
+
+
+def test_series_products_are_of_trunc_0_polynomials(capsys, monkeypatch):
+    # QLaurent's product is a plain loop over the coefficient maps, as a
+    # command multiplies only short trunc-0 Laurent polynomials on it (the
+    # weight pairs and the T(m, j) sides); every long run packs its rows at
+    # one width of its own and calls the row kernels itself
+    real = QLaurent.__mul__
+    truncs = []
+
+    def spy(self, other):
+        if isinstance(other, QLaurent):
+            truncs.append(self.trunc)
+        return real(self, other)
+    monkeypatch.setattr(QLaurent, "__mul__", spy)
+    code, out, _ = run_cli(capsys, "verify", "--battery", "--checks",
+                           ",".join(cli.ALL_CHECKS), "--trunc", "30",
+                           "--x-trunc", "3", "--output", "json")
+    assert (code, json.loads(out)["verdict"]) == (0, "pass")
+    code, _, _ = run_cli(capsys, "expand", "--N", "7", "--a", "1,2,4",
+                         "--what", "limit", "--trunc", "30")
+    assert code == 0
+    assert truncs and set(truncs) == {0}
 
 
 # the checks of the benchmark's three workloads (bench/workloads.py)

@@ -1011,14 +1011,14 @@ class TestChain:
     def test_round_trip_mismatch_raises(self, sys3, monkeypatch, capsys):
         # one term too many on each inner [l, j]_(q^N) of the x-product
         # transform leaves q^(2(N - a(r)) + N) over at x^2 on the way back
-        real = recurrence_engine.qbinomial
+        real = recurrence_engine._gauss_coeffs
 
-        def bad(m, r, base_exp, trunc=None):
-            got = real(m, r, base_exp, trunc)
-            if base_exp > 0 and 0 < r < m:
-                got = got + QLaurent.monomial(got.trunc, base_exp)
+        def bad(m, r):
+            got = real(m, r)
+            if 0 < r < m:
+                got = (got[0], got[1] + 1) + got[2:]
             return got
-        monkeypatch.setattr(recurrence_engine, "qbinomial", bad)
+        monkeypatch.setattr(recurrence_engine, "_gauss_coeffs", bad)
         with pytest.raises(RoundTripMismatch):
             verify_chain(sys3, 4, 4, 12)
         assert cli.main(["verify", "--N", "3", "--a", "1,2", "--trunc", "12",
@@ -1106,34 +1106,23 @@ class TestChain:
                                                          (7, 3, 40)])
     def test_no_series_is_packed_twice(self, battery, monkeypatch, ell_max,
                                        x_trunc, trunc):
-        # every series the run packs, it packs once at its slot width; the
-        # recurrence's majorant pass also reads each row's lhs at d = 1,
-        # and the d-free q-binomials are packed once, at width 0.  Only the
-        # trunc-0 multiplier tables are multiplied out on QLaurent, whose
-        # general product packs its operands per call
-        real_packed, real_dot = QLaurent._packed, series_ring._dot
-        packed, dot_truncs, in_dot = [], [], []
+        # every series the run packs, it packs once, at its slot width: the
+        # d-free q-binomials of the x-product tables are not packed at all,
+        # and the trunc-0 multiplier tables are multiplied out on QLaurent,
+        # whose product packs nothing
+        real_packed = QLaurent._packed
+        packed = []
 
         def spy(self, width):
-            if not in_dot:
-                packed.append((self, width))
+            packed.append((self, width))
             return real_packed(self, width)
-
-        def dot(trunc, pairs):
-            dot_truncs.append(trunc)
-            in_dot.append(trunc)
-            try:
-                return real_dot(trunc, pairs)
-            finally:
-                in_dot.pop()
         monkeypatch.setattr(QLaurent, "_packed", spy)
-        monkeypatch.setattr(series_ring, "_dot", dot)
         for sys_ in battery:
             packed.clear()
             verify_chain(sys_, ell_max, x_trunc, trunc)
-            seen = [(id(x), width > 0) for x, width in packed]
+            seen = [id(x) for x, _ in packed]
             assert len(set(seen)) == len(seen), (sys_.N, sys_.a)
-        assert set(dot_truncs) == {0}
+            assert all(width > 0 for _, width in packed), (sys_.N, sys_.a)
 
 
 def _family_pad(sys):

@@ -122,6 +122,11 @@ class TestDPoly:
         assert str(DPoly()) == "0"
         assert str(DPoly({1: -1})) == "-d"
 
+    def test_qlaurent_str(self):
+        x = QLaurent.from_terms(3, [(-1, 1, 2), (0, 0, 1), (2, 1, -1)])
+        assert str(x) == "(2*d)*q^-1 + (1) + (-d)*q^2"
+        assert str(QLaurent.zero(3)) == "0"
+
 
 # -- QLaurent ring ops --------------------------------------------------
 
@@ -452,11 +457,13 @@ class TestPacked:
         assert QLaurent._from_packed(6, summed.items(), width) == a + b
 
 
-# -- the packed product and quotient kernels ----------------------------
+# -- the product and the packed quotient kernels ------------------------
 #
-# ``ref_mul`` and ``ref_divide`` are the ring's product and quotient as
-# they were written on ``DPoly`` coefficients, before every product and
-# quotient ran on packed ints.
+# ``ref_mul`` and ``ref_divide`` are the ring's product and quotient
+# written out on ``DPoly`` coefficients, apart from the package: the
+# convolution that ``QLaurent.__mul__`` runs, kept here so that a change
+# to it is checked, and the coefficient recursion that the packed
+# division kernels must match.
 
 
 def ref_mul(a, b):
@@ -541,19 +548,10 @@ class TestPackedKernels:
         assert quo == ref_divide(num, den)
         assert quo * den == num
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(kernel_series(), kernel_series()),
-                    max_size=4))
-    def test_dot_sums_the_products(self, pairs):
-        want = QLaurent.zero(10)
-        for a, b in pairs:
-            want = want + ref_mul(a, b)
-        assert series_ring._dot(10, pairs) == want
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 64, 1024])
     def test_square_whose_middle_meets_the_bound(self, n):
-        # the q^(n-1) coefficient of the square is n = L1 * max: the width
-        # rule leaves exactly its sign bit, and a power of two needs it
+        # the q^(n-1) coefficient of the square is n = L1 * max, the bound
+        # on a sum of products met exactly, a power of two among them
         g = geometric(n, 2 * n)
         sq = g * g
         assert sq.coefficient_int(n - 1, 0) == n
@@ -579,12 +577,11 @@ class TestPackedKernels:
         assert max(abs(c) for *_, c in (a * b).terms()) == BIG ** 2
 
     def test_zero_operands(self):
-        # the bound is 0, and the slots still take the 2 bits read-back needs
+        # the quotient's bound is 0, and its slots still take the 2 bits
+        # read-back needs
         zero, x = QLaurent.zero(5), QLaurent.from_terms(5, [(-1, 2, 7)])
         assert (zero * x).is_zero() and (x * zero).is_zero()
         assert divide(zero, QLaurent.one(5) + x.scale_by_monomial(3)) == zero
-        assert series_ring._dot(5, []) == zero
-        assert series_ring._dot(5, [(x, x), (-x, x)]) == zero
 
     def test_one_bit_slots_are_rejected(self):
         # a 1-bit slot reads 1 as -1 and would carry it back forever
