@@ -23,7 +23,7 @@ from .recurrence_engine import (
     NegativeExponents,
     NotStabilized,
     RoundTripMismatch,
-    _decoded_iterates,
+    _iterates,
     _ladder,
     _weight_pairs,
     g_series,
@@ -35,7 +35,7 @@ from .recurrence_engine import (
     verify_lemma2,
     verify_Tmj,
 )
-from .series_ring import NonUnitLeadingTerm, _slot_width, product_F
+from .series_ring import NonUnitLeadingTerm, QLaurent, _slot_width, product_F
 
 #: Built-in verification battery used by ``verify --battery``.
 BATTERY = ((3, (1, 2)), (7, (1, 2, 4)), (9, (1, 3, 5)), (15, (1, 2, 4, 8)))
@@ -175,19 +175,21 @@ def _run_checks(sys_, args, checks):
     j_hi = trunc // sys_.N + 1
     n_alpha = len(sys_.alpha)
 
+    # lemma1 fails at (j, m) exactly where lemma2's residual is nonzero, so
+    # whichever runs first computes each residual and the other reads it
+    peeled = {}
+
     for name in checks:
-        if name == "lemma1":
-            cases = ((f"j={j},m={m}",
-                      not verify_lemma1(sys_, j, m, trunc))
-                     for j in range(1, j_hi + 1)
-                     for m in range(1, n_alpha + 1))
-            res = _sweep(cases)
-        elif name == "lemma2":
-            cases = ((f"j={j},m={m}",
-                      verify_lemma2(sys_, j, m, trunc).is_zero())
-                     for j in range(1, j_hi + 1)
-                     for m in range(1, n_alpha + 1))
-            res = _sweep(cases)
+        if name in ("lemma1", "lemma2"):
+            for j in range(1, j_hi + 1):
+                for m in range(1, n_alpha + 1):
+                    if (j, m) not in peeled:
+                        peeled[j, m] = (
+                            not verify_lemma1(sys_, j, m, trunc)
+                            if name == "lemma1" else
+                            verify_lemma2(sys_, j, m, trunc).is_zero())
+            res = _sweep((f"j={j},m={m}", ok)
+                         for (j, m), ok in peeled.items())
         elif name == "eq357":
             cases = []
             for j in range(1, j_hi + 1):
@@ -205,11 +207,21 @@ def _run_checks(sys_, args, checks):
                      for k in range(1, sys_.r + 2))
             res = _sweep(cases)
         elif name == "rec":
+            # u_ell == g[ell N - a(1)], compared as rows at the ladder's
+            # width: the majorants bound every iterate coefficient and each
+            # count is at most pbar(trunc), all below the slots' sign bit,
+            # so equal ints are equal series; only an iterate that needs a
+            # wider width is read back, and compared with g_series
+            ladder = _ladder(sys_, trunc)
             ell_hi = (trunc + sys_.a[0]) // sys_.N
-            cases = ((f"ell={ell}",
-                      u == g_series(sys_, ell * sys_.N - sys_.a[0], trunc))
-                     for ell, u in enumerate(
-                         _decoded_iterates(sys_, ell_hi, trunc)))
+            cases = []
+            for ell, (u, width) in enumerate(
+                    _iterates(sys_, trunc, ell_hi, floor=ladder.width)):
+                m = ell * sys_.N - sys_.a[0]
+                ok = (tuple(u) == ladder.rung(m) if width == ladder.width
+                      else QLaurent._from_packed(trunc, enumerate(u), width)
+                      == g_series(sys_, m, trunc))
+                cases.append((f"ell={ell}", ok))
             res = _sweep(cases)
         elif name == "tmj":
             cases = ((f"m={m},j={j}", verify_Tmj(sys_, m, j))

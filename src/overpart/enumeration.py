@@ -110,7 +110,8 @@ class _Completions:
     them reads.  It is allocated at that length, zeros until built, and a
     column is stored by index, so a pass cut short and run again stores
     the same values.  :meth:`row` reads the running totals and adds the
-    completions past them one by one.  Totals and completions are count
+    completions past them one by one; :meth:`column` gives the rows of one
+    largest part for every ``n`` at once.  Totals and completions are count
     vectors packed by ``width``, ``guard`` bits wider than
     ``_slot_width(n_max)`` for a caller that sums signed rows or compares
     them with rows at a wider width.
@@ -181,6 +182,24 @@ class _Completions:
             below += (t[over if over < b else b]
                       + (t[plain if plain < b else b] << width))
         return below + (below << width)
+
+    def column(self, i):
+        """``[row(n, i, i + 1) for n from admissible[i] to n_max]`` in one
+        pass: each completion is read off the running totals of ``r = n -
+        admissible[i]``, whether or not ``totals[n]`` stores column ``i +
+        1``."""
+        if self.filled <= i:
+            self._extend(i + 1)
+        totals, cols, width = self.totals, self.cols, self.width
+        over, plain = self.over[i], self.plain[i]
+        first = self.smallest_ok[i]
+        out = [first + (first << width)]
+        for r in range(1, len(totals) - self.admissible[i]):
+            t, b = totals[r], cols[r]
+            below = (t[over if over < b else b]
+                     + (t[plain if plain < b else b] << width))
+            out.append(below + (below << width))
+        return out
 
 
 def count_G(sys, n_max, *, width=None):

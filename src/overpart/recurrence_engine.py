@@ -75,7 +75,8 @@ class _Ladder:
     Rung ``i`` is ``g`` with largest part at most the ``i``-th admissible
     size ``first`` (rung 0 is the empty overpartition alone): the rung
     before it plus, for each ``n >= first``, the overpartitions of ``n``
-    whose largest part is ``first``.  A rung is a tuple of ``trunc + 1``
+    whose largest part is ``first``, one column of the table
+    (:meth:`_Completions.column`).  A rung is a tuple of ``trunc + 1``
     ints, row ``n`` its ``q^n`` coefficient packed at ``d = 2^width`` as
     :meth:`QLaurent._packed` packs it, where ``width`` is
     ``_slot_width(trunc)`` plus the ``guard`` bits of :func:`_guard_bits`.
@@ -108,8 +109,7 @@ class _Ladder:
             i = len(self._series) - 1
             first, prev = self._sizes[i], self._series[-1]
             self._series.append(prev[:first] + tuple(
-                prev[n] + self._table.row(n, i, i + 1)
-                for n in range(first, self.trunc + 1)))
+                x + y for x, y in zip(prev[first:], self._table.column(i))))
         if len(self._series) > len(self._sizes):
             self._table = None      # every rung is built
         return self._series[c]
@@ -311,14 +311,34 @@ class RecRow(namedtuple("RecRow", "lhs rhs ell shifts")):
     __slots__ = ()
 
 
-def _multiplier(N, ell, M, j, m_max, trunc):
-    """``sum_(m=1)^(m_max) (-1)^(m+1) q^(m ell N) M[m, j]`` at ``trunc``,
-    sharing no object with ``M``, a multiplier table whose entries have no
-    term above ``q^0`` and so are exact at any truncation."""
-    return QLaurent.from_terms(trunc, (
-        (e + m * ell * N, k, c if m % 2 else -c)
-        for m in range(1, m_max + 1)
-        for e, p in M[m, j].coeffs.items() for k, c in p.coeffs.items()))
+def _times_factors(trunc, terms, shifts, k):
+    """The series of ``terms``, a ``{(e, deg): c}`` map of ``c d^deg q^e``,
+    times ``prod_s (1 - d^k q^s)`` over the ``shifts``, each ``s > 0``, at
+    ``trunc``.  Each factor updates ``terms`` in place from a copy of its
+    items (a key gains from one key below it only), and only the product is
+    wrapped."""
+    for s in shifts:
+        for (e, deg), c in list(terms.items()):
+            if e + s <= trunc:
+                key = e + s, deg + k
+                terms[key] = terms.get(key, 0) - c
+    return QLaurent.from_terms(trunc, ((e, deg, c)
+                                       for (e, deg), c in terms.items()))
+
+
+def _multiplier(N, ell, M, j, m_max, trunc, shifts=()):
+    """``sum_(m=1)^(m_max) (-1)^(m+1) q^(m ell N) M[m, j]`` times ``prod_s
+    (1 - q^s)`` over the ``shifts``, at ``trunc``, sharing no object with
+    ``M``, a multiplier table whose entries have no term above ``q^0`` and
+    so are exact at any truncation."""
+    terms = {}
+    for m in range(1, m_max + 1):
+        for e, p in M[m, j].coeffs.items():
+            e += m * ell * N
+            if e <= trunc:
+                for k, c in p.coeffs.items():
+                    terms[e, k] = terms.get((e, k), 0) + (c if m % 2 else -c)
+    return _times_factors(trunc, terms, shifts, 0)
 
 
 def _elimination_row(sys, k, ell, trunc):
@@ -329,20 +349,17 @@ def _elimination_row(sys, k, ell, trunc):
     (-1)^(m+1) q^(mlN) W_k(m, j)`` times ``prod_(h<j) (1 - q^((l-h)N))``,
     with ``W_k`` the weight pairs below ``a(k)``, read from the system's
     table for that cutoff (:func:`_weight_pairs`).  The factor ``h = l``
-    is 0, so ``rhs`` stops at ``j = min(k - 1, l)``.
+    is 0, so ``rhs`` stops at ``j = min(k - 1, l)``.  Each side is
+    multiplied out in one ``{(e, deg): c}`` map (:func:`_times_factors`).
     """
     _require_ladder_domain(sys)
-    lhs, shifts = QLaurent.one(trunc), []
-    for g in sys.a[:k - 1]:
-        shifts.append(ell * sys.N - g)
-        lhs = lhs + lhs.scale_by_monomial(shifts[-1], 1, -1)
-    rhs = []
-    for j in range(1, min(k - 1, ell) + 1):
-        term = _multiplier(sys.N, ell, _weight_pairs(sys, k), j, k - j, trunc)
-        for h in range(1, j):
-            term = term + term.scale_by_monomial((ell - h) * sys.N, 0, -1)
-        rhs.append(term)
-    return lhs, rhs, tuple(shifts)
+    N = sys.N
+    shifts = tuple(ell * N - g for g in sys.a[:k - 1])
+    lhs = _times_factors(trunc, {(0, 0): 1}, shifts, 1)
+    rhs = [_multiplier(N, ell, _weight_pairs(sys, k), j, k - j, trunc,
+                       [(ell - h) * N for h in range(1, j)])
+           for j in range(1, min(k - 1, ell) + 1)]
+    return lhs, rhs, shifts
 
 
 def build_rec_row(sys, ell, trunc):

@@ -293,6 +293,89 @@ class TestVerify:
         assert (code, json.loads(out)["verdict"]) == (0, "pass")
         assert truncs == []
 
+    def test_passing_rec_reads_nothing_back(self, capsys, monkeypatch):
+        # each iterate is compared with its rung as a row at the ladder's
+        # width, so neither side is read back into a series
+        read = []
+        real_from_packed = QLaurent._from_packed.__func__
+
+        def spy(cls, trunc, items, width):
+            read.append("_from_packed")
+            return real_from_packed(cls, trunc, items, width)
+        monkeypatch.setattr(QLaurent, "_from_packed", classmethod(spy))
+        monkeypatch.setattr(cli, "g_series", _raiser(AssertionError))
+        code, out, _ = run_cli(capsys, "verify", "--battery", "--checks",
+                               "rec", "--trunc", "44", "--output", "json")
+        assert (code, json.loads(out)["verdict"]) == (0, "pass")
+        assert read == []
+
+    @pytest.mark.parametrize("plant", [False, True], ids=["pass", "planted"])
+    def test_rec_reads_back_iterates_wider_than_the_ladder(
+            self, capsys, monkeypatch, plant):
+        # an iterate at a wider width than the ladder's is read back and
+        # compared with g_series, which gives the same cases and failures
+        if plant:
+            monkeypatch.setattr(recurrence_engine._Ladder, "rung",
+                                _planted_rung(recurrence_engine._Ladder.rung))
+        argv = ("verify", "--battery", "--checks", "rec", "--trunc", "44",
+                "--output", "json")
+        code, want, _ = run_cli(capsys, *argv)
+        assert (code, json.loads(want)["verdict"]) \
+            == ((1, "fail") if plant else (0, "pass"))
+        real = cli._iterates
+        widths = []
+
+        def wider(sys, trunc, steps, floor):
+            for u, width in real(sys, trunc, steps, floor=floor + 5):
+                widths.append(width - floor)
+                yield u, width
+        monkeypatch.setattr(cli, "_iterates", wider)
+        read = []
+        real_g_series = cli.g_series
+        monkeypatch.setattr(cli, "g_series", lambda *args: read.append(args)
+                            or real_g_series(*args))
+        assert run_cli(capsys, *argv)[:2] == (code, want)
+        assert len(read) == len(widths) == sum(
+            c["cases"] for s in json.loads(want)["systems"]
+            for c in s["checks"])
+        assert set(widths) == {5}
+
+    @pytest.mark.parametrize("plant", [False, True], ids=["pass", "planted"])
+    def test_lemma1_and_lemma2_share_one_residual_per_case(
+            self, capsys, monkeypatch, plant):
+        # whichever of the two runs first computes each (j, m) residual and
+        # the other reads its verdict, so their order changes nothing but
+        # the order of the checks
+        if plant:
+            monkeypatch.setattr(recurrence_engine._Ladder, "rung",
+                                _planted_rung(recurrence_engine._Ladder.rung))
+        real = recurrence_engine._packed_residual
+        residuals = []
+
+        def spy(sys, trunc, terms):
+            residuals.append((sys.N, sys.a, tuple(terms)))
+            return real(sys, trunc, terms)
+        monkeypatch.setattr(recurrence_engine, "_packed_residual", spy)
+        outs = {}
+        for checks in ("lemma1,lemma2", "lemma2,lemma1"):
+            residuals.clear()
+            code, out, _ = run_cli(capsys, "verify", "--battery", "--checks",
+                                   checks, "--trunc", "30", "--output", "json")
+            assert code == (1 if plant else 0)
+            obj = json.loads(out)
+            cases = [c["cases"] for s in obj["systems"] for c in s["checks"]]
+            assert len(residuals) == len(set(residuals)) == sum(cases) // 2
+            for entry in obj["systems"]:
+                first, second = entry["checks"]
+                assert first["name"] + "," + second["name"] == checks
+                assert {**first, "name": ""} == {**second, "name": ""}
+                entry["checks"].sort(key=lambda c: c["name"])
+            outs[checks] = obj
+        assert outs["lemma1,lemma2"] == outs["lemma2,lemma1"]
+        failures = [c["failures"] for s in outs["lemma1,lemma2"]["systems"]
+                    for c in s["checks"]]
+        assert (sum(failures) > 0) == plant
+
     @pytest.mark.parametrize("side, failures, first", [
         ("count_F", 2, "count_F == count_G"),
         ("product_F", 2, "count_F == product"),
@@ -485,6 +568,15 @@ def _raiser(exc):
     return fail
 
 
+def _planted_rung(real):
+    """``_Ladder.rung`` with one more overpartition of 12 with no plain
+    part in ``g_11``, which the ladder checks on 3/{1,2} read."""
+    def rung(self, m):
+        rows = real(self, m)
+        return rows[:12] + (rows[12] + 1,) + rows[13:] if m == 11 else rows
+    return rung
+
+
 class TestExitCodes:
     """Mathematical failures exit 1 with an ``error:`` line; bad input 2."""
 
@@ -509,7 +601,7 @@ class TestExitCodes:
         NonUnitLeadingTerm("divisor has no unit constant term"),
     ])
     def test_recurrence_failures_exit_1(self, capsys, monkeypatch, exc):
-        monkeypatch.setattr(cli, "_decoded_iterates", _raiser(exc))
+        monkeypatch.setattr(cli, "_iterates", _raiser(exc))
         code, _, err = run_cli(capsys, "verify", "--N", "7", "--a", "1,2,4",
                                "--trunc", "10", "--checks", "rec",
                                "--output", "json")

@@ -394,6 +394,19 @@ class TestLargestPartLadder:
         N, a = system
         check_ladder(build_system(a, N), n_max)
 
+    @settings(max_examples=30, deadline=None)
+    @given(admissible_systems(), st.integers(0, 40), st.integers(0, 6))
+    def test_column_is_the_rows_of_one_size(self, system, n_max, guard):
+        # a column reads its completions off the running totals whether or
+        # not totals[n] stores it; one table asks for the columns in turn,
+        # the other for each row of one size
+        N, a = system
+        sys_ = build_system(a, N)
+        table, rows = (_Completions(sys_, n_max, guard) for _ in range(2))
+        for i, s in enumerate(table.admissible):
+            assert table.column(i) == [rows.row(n, i, i + 1)
+                                       for n in range(s, n_max + 1)], (i, s)
+
 
 def scan_walk(sys_, n_max):
     """Reference for the gap side by largest part: yields ``(first,
