@@ -35,7 +35,8 @@ from .recurrence_engine import (
     verify_lemma2,
     verify_Tmj,
 )
-from .series_ring import NonUnitLeadingTerm, QLaurent, _slot_width, product_F
+from .series_ring import (NonUnitLeadingTerm, QLaurent, _gauss_coeffs,
+                          _slot_width, product_F)
 
 #: Built-in verification battery used by ``verify --battery``.
 BATTERY = ((3, (1, 2)), (7, (1, 2, 4)), (9, (1, 3, 5)), (15, (1, 2, 4, 8)))
@@ -388,8 +389,9 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        _ladder.cache_clear()           # the g_m ladders and the weight
-        _weight_pairs.cache_clear()     # pairs live for one command
+        _ladder.cache_clear()           # the g_m ladders, the weight
+        _weight_pairs.cache_clear()     # pairs and the Gaussian binomials
+        _gauss_coeffs.cache_clear()     # live for one command
 
 
 if __name__ == "__main__":

@@ -161,18 +161,19 @@ class _Completions:
                           + (t[plain if plain < b else b] << width))
         self.filled = stop
 
-    def row(self, n, start, stop):
+    def row(self, n):
         """The packed count vector of the gap-condition overpartitions of
-        ``n`` whose largest part is ``admissible[i]`` for ``start <= i <
-        stop``: the completions are summed first, then that part is placed
-        once, overlined (at ``k``) and non-overlined (at ``k + 1``)."""
+        ``n``: the completions below every admissible largest part ``<= n``
+        are summed first, then that part is placed once, overlined (at
+        ``k``) and non-overlined (at ``k + 1``)."""
+        stop = self.cols[n]
         if self.filled < stop:
             self._extend(stop)
         totals, cols, width = self.totals, self.cols, self.width
         col = totals[n]
         mid = min(stop, len(col) - 1)
-        below = col[mid] - col[start] if start < mid else 0
-        for i in range(max(start, mid), stop):
+        below = col[mid]            # column 0 is the empty sum
+        for i in range(mid, stop):
             r = n - self.admissible[i]
             if r == 0:
                 below += self.smallest_ok[i]
@@ -184,10 +185,11 @@ class _Completions:
         return below + (below << width)
 
     def column(self, i):
-        """``[row(n, i, i + 1) for n from admissible[i] to n_max]`` in one
-        pass: each completion is read off the running totals of ``r = n -
-        admissible[i]``, whether or not ``totals[n]`` stores column ``i +
-        1``."""
+        """The packed count vectors of the gap-condition overpartitions of
+        ``n`` with largest part ``admissible[i]``, for ``n`` from
+        ``admissible[i]`` to ``n_max``, in one pass: each completion is
+        read off the running totals of ``r = n - admissible[i]``, whether
+        or not ``totals[n]`` stores column ``i + 1``."""
         if self.filled <= i:
             self._extend(i + 1)
         totals, cols, width = self.totals, self.cols, self.width
@@ -217,8 +219,7 @@ def count_G(sys, n_max, *, width=None):
         raise ValueError("n_max must be non-negative")
     w = _count_width(n_max, width)
     table = _Completions(sys, n_max, w - _slot_width(n_max))
-    rows = [1] + [table.row(n, 0, table.cols[n])
-                  for n in range(1, n_max + 1)]
+    rows = [1] + [table.row(n) for n in range(1, n_max + 1)]
     del table
     return _decode_counts(rows, width)
 

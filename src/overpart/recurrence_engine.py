@@ -435,16 +435,6 @@ def _iterates(sys, trunc, steps, widen=None, floor=2):
         yield us[-1], width
 
 
-def _decoded_iterates(sys, ell_max, trunc):
-    """Yield ``u_0, ..., u_ell_max`` of :func:`run_recurrence`, each read
-    back when it is reached, so a caller that compares them one at a time
-    holds one decoded iterate."""
-    if trunc < 0:
-        raise ValueError("trunc must be non-negative")
-    for u, width in _iterates(sys, trunc, max(ell_max, 0)):
-        yield QLaurent._from_packed(trunc, enumerate(u), width)
-
-
 def run_recurrence(sys, ell_max, trunc):
     """Iterate the main recurrence; returns ``[u_0, ..., u_ell_max]``.
 
@@ -454,7 +444,10 @@ def run_recurrence(sys, ell_max, trunc):
     ``NonUnitLeadingTerm``; an iterate with a term below ``q^0`` raises
     ``NegativeExponents``.
     """
-    return list(_decoded_iterates(sys, ell_max, trunc))
+    if trunc < 0:
+        raise ValueError("trunc must be non-negative")
+    return [QLaurent._from_packed(trunc, enumerate(u), width)
+            for u, width in _iterates(sys, trunc, max(ell_max, 0))]
 
 
 def verify_key_lemma(sys, k, ell, trunc):
@@ -487,9 +480,9 @@ def _weight_pair(sys, bound_index, m, j):
     """``(d^(m-1) W(j+m-1) + d^m W(j+m)) [j+m-1, m-1]_(q^-N)``, with ``W``
     the weight sums of the subset sums below ``a(bound_index)``."""
     w1 = alpha_weight_sum(sys, bound_index, j + m - 1) \
-        .scale_by_monomial(0, m - 1, 1)
+        .scale_by_monomial(0, m - 1)
     w2 = alpha_weight_sum(sys, bound_index, j + m) \
-        .scale_by_monomial(0, m, 1)
+        .scale_by_monomial(0, m)
     return (w1 + w2) * qbinomial(j + m - 1, m - 1, -sys.N, 0)
 
 
@@ -528,7 +521,7 @@ def coeff_f(sys, m, k):
     if m < 1 or k < 0:
         raise ValueError("need m >= 1 and k >= 0")
     shift = -sys.N * k * (k + 1) // 2 - k * sys.a[-1]
-    return qbinomial(m - 1, k, -sys.N, 0).scale_by_monomial(shift, 0, 1)
+    return qbinomial(m - 1, k, -sys.N, 0).scale_by_monomial(shift)
 
 
 def _tmj(sys, m, j):
@@ -544,12 +537,12 @@ def _tmj(sys, m, j):
     f = e.f
     lhs = QLaurent.zero(0)
     for k in range(min(j - 1, m - 1) + 1):
-        lhs = lhs + (f[j, k] * b[m - k, j]).scale_by_monomial(0, k, 1)
+        lhs = lhs + (f[j, k] * b[m - k, j]).scale_by_monomial(0, k)
     rhs = QLaurent.zero(0)
     for k in range(min(m - 1, j) + 1):
         pair = e[m, j - k]
         if k < j:
-            pair = pair + e[m, j - k - 1].scale_by_monomial(-sys.a[-1], 0, 1)
+            pair = pair + e[m, j - k - 1].scale_by_monomial(-sys.a[-1])
         rhs = rhs + f[m, k] * pair
     return lhs, rhs
 

@@ -1,13 +1,17 @@
-"""Exact truncated series arithmetic in three nested variables.
+"""Exact truncated series arithmetic in ``q`` and ``x``, with coefficients
+that are polynomials in ``d``.
 
 Counting overpartitions refined by the number of non-overlined parts
 needs three levels of structure:
 
-* ``DPoly``    - polynomials in the part-count marker ``d`` with integer
-  coefficients (the coefficient of ``d^k`` counts objects with ``k``
-  non-overlined parts),
+* ``DPoly``    - the record of one ``q``-coefficient, a polynomial in the
+  part-count marker ``d`` with integer coefficients (the coefficient of
+  ``d^k`` counts objects with ``k`` non-overlined parts); it checks its
+  degrees and does no arithmetic,
 * ``QLaurent`` - Laurent series in ``q`` truncated above at ``trunc``,
   with ``DPoly`` coefficients; negative ``q``-exponents are kept exactly,
+  and its sums and products merge the coefficients' ``{deg: c}`` maps
+  themselves,
 * ``XSeries``  - series in an auxiliary variable ``x`` truncated at
   ``x_trunc``, with ``QLaurent`` coefficients; it is the tests' reference
   for the transformation chain, which runs on lists of coefficients.
@@ -66,10 +70,13 @@ class NonUnitLeadingTerm(ValueError):
 
 
 class DPoly:
-    """Polynomial in the marker ``d`` with integer coefficients.
+    """One ``q``-coefficient: a polynomial in the marker ``d`` with
+    integer coefficients.
 
-    Stored sparsely as a degree -> coefficient map with no explicit
-    zeros.  Degrees are non-negative.
+    ``coeffs`` maps each degree to its coefficient, with no explicit
+    zeros; the constructor drops zeros and rejects negative degrees.  A
+    ``DPoly`` is a validated record, immutable by convention, with no
+    arithmetic of its own: ``QLaurent`` adds and multiplies the maps.
     """
 
     __slots__ = ("coeffs",)
@@ -84,14 +91,6 @@ class DPoly:
                     clean[deg] = c
         self.coeffs = clean
 
-    @classmethod
-    def const(cls, c):
-        return cls({0: c})
-
-    @classmethod
-    def monomial(cls, deg, c=1):
-        return cls({deg: c})
-
     def is_zero(self):
         return not self.coeffs
 
@@ -99,51 +98,7 @@ class DPoly:
     def degree(self):
         return max(self.coeffs) if self.coeffs else -1
 
-    def __add__(self, other):
-        other = _as_dpoly(other)
-        out = dict(self.coeffs)
-        for deg, c in other.coeffs.items():
-            s = out.get(deg, 0) + c
-            if s:
-                out[deg] = s
-            else:
-                out.pop(deg, None)
-        return DPoly._wrap(out)
-
-    def __sub__(self, other):
-        return self + (-_as_dpoly(other))
-
-    def __neg__(self):
-        return DPoly._wrap({deg: -c for deg, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return DPoly()
-            return DPoly._wrap({deg: c * other for deg, c in self.coeffs.items()})
-        other = _as_dpoly(other)
-        out = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                deg = d1 + d2
-                s = out.get(deg, 0) + c1 * c2
-                if s:
-                    out[deg] = s
-                else:
-                    out.pop(deg, None)
-        return DPoly._wrap(out)
-
-    __rmul__ = __mul__
-
-    def shift(self, deg):
-        """Multiply by ``d**deg``."""
-        if deg == 0:
-            return self
-        return DPoly._wrap({k + deg: c for k, c in self.coeffs.items()})
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = DPoly.const(other)
         if not isinstance(other, DPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -185,11 +140,11 @@ def _as_dpoly(value):
     if isinstance(value, DPoly):
         return value
     if isinstance(value, int):
-        return DPoly.const(value)
+        return DPoly({0: value})
     raise TypeError(f"cannot coerce {type(value).__name__} to DPoly")
 
 
-_DPOLY_ONE = DPoly.const(1)
+_DPOLY_ONE = DPoly({0: 1})
 
 
 class QLaurent:
@@ -226,7 +181,7 @@ class QLaurent:
     @classmethod
     def monomial(cls, trunc, q_exp, d_deg=0, c=1):
         """The single term ``c * d**d_deg * q**q_exp`` (or 0 past trunc)."""
-        return cls(trunc, {q_exp: DPoly.monomial(d_deg, c)})
+        return cls(trunc, {q_exp: DPoly({d_deg: c})})
 
     @classmethod
     def from_terms(cls, trunc, terms):
@@ -282,20 +237,25 @@ class QLaurent:
         self._require_same(other)
         out = dict(self.coeffs)
         for e, p in other.coeffs.items():
-            s = out.get(e)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            if e not in out:
+                out[e] = p
+                continue
+            row = dict(out.pop(e).coeffs)
+            for deg, c in p.coeffs.items():
+                c += row.pop(deg, 0)
+                if c:
+                    row[deg] = c
+            if row:
+                out[e] = DPoly._wrap(row)
         return QLaurent._wrap_clean(self.trunc, out)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __neg__(self):
-        return QLaurent._wrap_clean(
-            self.trunc, {e: -p for e, p in self.coeffs.items()})
+        return QLaurent._wrap_clean(self.trunc, {
+            e: DPoly._wrap({deg: -c for deg, c in p.coeffs.items()})
+            for e, p in self.coeffs.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -317,22 +277,17 @@ class QLaurent:
 
     __rmul__ = __mul__
 
-    def scale_by_monomial(self, e_q, e_d=0, c=1):
-        """Multiply by the monomial ``c * d**e_d * q**e_q``.
+    def scale_by_monomial(self, e_q, e_d=0):
+        """Multiply by the monomial ``d**e_d * q**e_q``.
 
         A negative ``e_q`` lowers ``min_exp``; terms pushed above
         ``trunc`` are dropped.
         """
-        if not c:
-            return QLaurent.zero(self.trunc)
-        out = {}
-        for e, p in self.coeffs.items():
-            ne = e + e_q
-            if ne > self.trunc:
-                continue
-            np_ = p.shift(e_d) * c if c != 1 else p.shift(e_d)
-            out[ne] = np_
-        return QLaurent._wrap_clean(self.trunc, out)
+        trunc = self.trunc
+        return QLaurent._wrap_clean(trunc, {
+            e + e_q: DPoly._wrap({k + e_d: c for k, c in p.coeffs.items()})
+            if e_d else p
+            for e, p in self.coeffs.items() if e + e_q <= trunc})
 
     def _require_unit_leading(self):
         """Raise ``NonUnitLeadingTerm`` unless this divisor starts with
@@ -403,7 +358,7 @@ class QLaurent:
 
     def __eq__(self, other):
         if isinstance(other, (int, DPoly)):
-            other = QLaurent(self.trunc, {0: _as_dpoly(other)})
+            other = QLaurent(self.trunc, {0: other})
         if not isinstance(other, QLaurent):
             return NotImplemented
         return self.trunc == other.trunc and self.coeffs == other.coeffs
@@ -435,7 +390,7 @@ class QLaurent:
 
     def _coerce(self, other):
         if isinstance(other, (int, DPoly)):
-            return QLaurent(self.trunc, {0: _as_dpoly(other)})
+            return QLaurent(self.trunc, {0: other})
         if isinstance(other, QLaurent):
             return other
         raise TypeError(f"cannot combine QLaurent with {type(other).__name__}")

@@ -160,7 +160,7 @@ def test_criterion_7_identity_suites():
                             tot = tot + qbinomial(n, k, 1, trunc) \
                                 .scale_by_monomial(
                                     k * (k - 1) // 2 + k * e,
-                                    k * ddeg, sign ** k)
+                                    k * ddeg) * sign ** k
                         assert prod == tot, (n, e, sign, ddeg)
 
         for base in (-3, -7):

@@ -22,6 +22,7 @@ from overpart import (
     cli,
     g_series,
     recurrence_engine,
+    series_ring,
 )
 from overpart.alpha_system import MAX_GENERATORS
 from overpart.cli import main
@@ -646,6 +647,27 @@ def test_ladder_cache_lives_for_one_command(capsys):
     assert recurrence_engine._ladder.cache_info().currsize == 0
     # the 3/{1,2} ladder at trunc 44 alone holds about 2 MiB
     assert held < 2**19, held
+
+
+@pytest.mark.parametrize("code,argv", [
+    (0, ("--N", "7", "--a", "1,2,4", "--checks", "chain", "--trunc", "40",
+         "--x-trunc", "8")),
+    (2, ("--N", "2", "--a", "2", "--checks", "tmj,lemma1")),
+], ids=["chain", "error"])
+def test_gauss_coefficients_live_for_one_command(capsys, monkeypatch, code,
+                                                 argv):
+    # the Gaussian binomials' table is unbounded; the chain and the weight
+    # pairs fill it, and it must not outlive the command that filled it
+    table = series_ring._gauss_coeffs
+    filled = []
+
+    def clear(real=table.cache_clear):
+        filled.append(table.cache_info().currsize)
+        real()
+    monkeypatch.setattr(table, "cache_clear", clear)
+    assert run_cli(capsys, "verify", *argv, "--output", "json")[0] == code
+    assert filled[0] > 0
+    assert table.cache_info().currsize == 0
 
 
 def test_each_weight_pair_is_built_once_per_command(capsys, monkeypatch):

@@ -398,14 +398,20 @@ class TestLargestPartLadder:
     @given(admissible_systems(), st.integers(0, 40), st.integers(0, 6))
     def test_column_is_the_rows_of_one_size(self, system, n_max, guard):
         # a column reads its completions off the running totals whether or
-        # not totals[n] stores it; one table asks for the columns in turn,
-        # the other for each row of one size
+        # not totals[n] stores it; the scan counts the same overpartitions
+        # of each n with largest part s, overlined (k non-overlined parts)
+        # or not (k + 1)
         N, a = system
         sys_ = build_system(a, N)
-        table, rows = (_Completions(sys_, n_max, guard) for _ in range(2))
-        for i, s in enumerate(table.admissible):
-            assert table.column(i) == [rows.row(n, i, i + 1)
-                                       for n in range(s, n_max + 1)], (i, s)
+        table = _Completions(sys_, n_max, guard)
+        w = table.width
+        scan = list(scan_walk(sys_, n_max))
+        assert [s for s, _ in scan] == table.admissible
+        for i, (s, tail) in enumerate(scan):
+            below = [0] * (n_max + 1 - s)
+            for (k, n), c in tail.items():
+                below[n - s] += c << (k * w)
+            assert table.column(i) == [x + (x << w) for x in below], (i, s)
 
 
 def scan_walk(sys_, n_max):

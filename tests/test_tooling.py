@@ -51,7 +51,7 @@ def _is_binomial(node):
 
 
 def test_no_binomial_factor_fed_to_the_general_product():
-    # a factor 1 + c d^k q^e is applied as x + x.scale_by_monomial(e, k, c)
+    # a factor 1 + c d^k q^e is applied as x + c x.scale_by_monomial(e, k)
     # (or divided out of a row one factor at a time), never multiplied out
     # term by term against every term of x
     offenders = []
@@ -347,11 +347,6 @@ NEVER_ENTERED = {
     "recurrence_engine.ChainState.__init__":
         "the public constructor from lists",
     # the ring's public API, which the tests build references with
-    "series_ring.DPoly.__sub__": "ring API",
-    "series_ring.DPoly.__mul__":
-        "ring API, behind QLaurent.scale_by_monomial's c, which every "
-        "command leaves at 1",
-    "series_ring.DPoly.monomial": "ring API, behind QLaurent.monomial",
     "series_ring.QLaurent.__str__":
         "ring API, format pinned by test_series_ring's test_qlaurent_str",
     "series_ring.QLaurent.coefficient": "ring API",
