@@ -201,6 +201,9 @@ PINNED_FORMATS = {
         "57d5afae9a05c661b0cbe1e3a5f998248be676cdcc6f4859efcdaecbdd862664",
     ("expand", "--what", "limit", "--trunc", "200", "--output", "json"):
         "db266dcf64c5ceddf60bfb00b0fa536a2ac8ab5419a474c638e9232c92c93817",
+    # the recurrence at depth, where its packed ints are largest
+    ("expand", "--what", "limit", "--trunc", "300", "--output", "json"):
+        "7c6293a45b563c5f1053505acadeb9cefcef2978fa9f1f936614dbdcf20a57f1",
     ("verify", "--checks", "lemma1,lemma2,eq357,key,rec,tmj", "--trunc", "30",
      "--output", "json"):
         "c934a440971e91b4b25016485f79ad5c765fee3f3adbd554ce9c2c0e3a9656f8",
