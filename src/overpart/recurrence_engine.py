@@ -31,8 +31,9 @@ from functools import cached_property, lru_cache
 
 from .alpha_system import MAX_GENERATORS, alpha_weight_sum, build_system
 from .enumeration import _Completions
-from .series_ring import (QLaurent, _binomial_step, _div_row, _gauss_coeffs,
-                          _mul_rows, product_F, qbinomial)
+from .series_ring import (NonUnitLeadingTerm, QLaurent, _binomial_step,
+                          _div_row, _gauss_coeffs, _mul_rows, product_F,
+                          qbinomial)
 
 
 class ConventionOutOfRange(ValueError):
@@ -305,32 +306,33 @@ class RecRow(namedtuple("RecRow", "lhs rhs ell shifts")):
     weight pairs over all subset sums (:func:`_weight_pairs` at cutoff
     ``r + 1``).  ``rhs`` has ``min(r, ell)`` entries: it stops at ``u_0``.
     ``lhs`` is ``prod_s (1 - d q^s)`` over the ``shifts`` ``s = ell N -
-    a(j)``, which the recurrence divides by one factor at a time.
+    a(j)``, which the recurrence divides by one factor at a time.  The
+    recurrence itself reads the same terms as ``{(e, deg): c}`` maps
+    (:func:`_rec_row`); this is their ``QLaurent`` view.
     """
 
     __slots__ = ()
 
 
 def _times_factors(trunc, terms, shifts, k):
-    """The series of ``terms``, a ``{(e, deg): c}`` map of ``c d^deg q^e``,
-    times ``prod_s (1 - d^k q^s)`` over the ``shifts``, each ``s > 0``, at
-    ``trunc``.  Each factor updates ``terms`` in place from a copy of its
-    items (a key gains from one key below it only), and only the product is
-    wrapped."""
+    """``terms``, a ``{(e, deg): c}`` map of ``c d^deg q^e``, times ``prod_s
+    (1 - d^k q^s)`` over the ``shifts``, each ``s > 0``, at ``trunc``, as
+    such a map with no zero entry.  Each factor updates ``terms`` in place
+    from a copy of its items (a key gains from one key below it only)."""
     for s in shifts:
         for (e, deg), c in list(terms.items()):
             if e + s <= trunc:
                 key = e + s, deg + k
                 terms[key] = terms.get(key, 0) - c
-    return QLaurent.from_terms(trunc, ((e, deg, c)
-                                       for (e, deg), c in terms.items()))
+    return {key: c for key, c in terms.items() if c}
 
 
 def _multiplier(N, ell, M, j, m_max, trunc, shifts=()):
     """``sum_(m=1)^(m_max) (-1)^(m+1) q^(m ell N) M[m, j]`` times ``prod_s
-    (1 - q^s)`` over the ``shifts``, at ``trunc``, sharing no object with
-    ``M``, a multiplier table whose entries have no term above ``q^0`` and
-    so are exact at any truncation."""
+    (1 - q^s)`` over the ``shifts``, at ``trunc``, as a ``{(e, deg): c}``
+    map (:func:`_times_factors`), from ``M``, a multiplier table whose
+    entries have no term above ``q^0`` and so are exact at any
+    truncation."""
     terms = {}
     for m in range(1, m_max + 1):
         for e, p in M[m, j].coeffs.items():
@@ -350,7 +352,8 @@ def _elimination_row(sys, k, ell, trunc):
     with ``W_k`` the weight pairs below ``a(k)``, read from the system's
     table for that cutoff (:func:`_weight_pairs`).  The factor ``h = l``
     is 0, so ``rhs`` stops at ``j = min(k - 1, l)``.  Each side is
-    multiplied out in one ``{(e, deg): c}`` map (:func:`_times_factors`).
+    multiplied out in one ``{(e, deg): c}`` map (:func:`_times_factors`),
+    and is returned as that map.
     """
     _require_ladder_domain(sys)
     N = sys.N
@@ -362,22 +365,36 @@ def _elimination_row(sys, k, ell, trunc):
     return lhs, rhs, shifts
 
 
-def build_rec_row(sys, ell, trunc):
-    """Materialize every coefficient of the main recurrence at ``ell``.
-
-    The elimination row at the top cutoff ``k = r + 1``, whose weight
-    pairs ``b`` are those over all subset sums (:func:`_weight_pairs` at
-    that cutoff): ``lhs = prod_j (1 - d q^(lN - a(j)))``; each
-    ``rhs[j-1]`` is ``sum_(m=1)^(r+1-j) (-1)^(m+1) q^(mlN) b(m, j)``, the
-    ``u_(ell-1)`` one plus a standalone 1, times ``prod_(h<j) (1 -
-    q^((l-h)N))``, which is 0 for every term reaching below ``u_0``, so
-    ``rhs`` has ``min(r, ell)`` entries.
-    """
+def _rec_row(sys, ell, trunc):
+    """``(lhs, rhs, shifts)`` of the main recurrence at ``ell`` (see
+    :class:`RecRow`), the sides as ``{(e, deg): c}`` maps with no zero
+    entry: the elimination row at the top cutoff ``k = r + 1`` with the
+    standalone 1 added to ``rhs[0]``, the multiplier of ``u_(ell-1)``."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     lhs, rhs, shifts = _elimination_row(sys, sys.r + 1, ell, trunc)
-    rhs[0] = rhs[0] + QLaurent.one(trunc)
+    one = rhs[0].pop((0, 0), 0) + 1
+    if one:
+        rhs[0][0, 0] = one
+    return lhs, rhs, shifts
+
+
+def build_rec_row(sys, ell, trunc):
+    """Materialize every coefficient of the main recurrence at ``ell``: the
+    ``QLaurent`` view (:class:`RecRow`) of the maps of :func:`_rec_row`."""
+    lhs, rhs, shifts = _rec_row(sys, ell, trunc)
+    lhs, *rhs = (QLaurent.from_terms(trunc, ((e, deg, c)
+                                             for (e, deg), c in terms.items()))
+                 for terms in (lhs, *rhs))
     return RecRow(lhs=lhs, rhs=tuple(rhs), ell=ell, shifts=shifts)
+
+
+def _collect(pairs):
+    """``{e: sum x}`` over the ``(e, x)`` of ``pairs``."""
+    out = {}
+    for e, x in pairs:
+        out[e] = out.get(e, 0) + x
+    return out
 
 
 def _iterates(sys, trunc, steps, widen=None, floor=2):
@@ -387,32 +404,42 @@ def _iterates(sys, trunc, steps, widen=None, floor=2):
     at least ``floor``.  Readers must not change a row.
 
     Each step is ``u_ell = num / lhs``, ``num = sum_j rhs_j u_(ell-j)``
-    (:func:`_mul_rows`, the multipliers ``rhs_j`` as ``{e: int}`` maps),
-    divided by the factors ``1 - d q^s`` of ``lhs`` one at a time
-    (:func:`_div_row`).  The rows are built first and run once on
-    majorants at ``d = 1``, where each factor is ``1 - q^s``: ``|num| /
-    lhs(1)`` bounds ``u_ell``, and ``|num|`` too, as ``1/lhs = prod_s 1/(1
-    - d q^s)`` has nonnegative coefficients and constant 1.  That fixes
-    ``width``, so the slots of every iterate and every ``num`` hold their
-    true coefficients, and reading an iterate back, comparing two packed
-    iterates and testing a packed coefficient for zero are all exact.  Only
-    the last ``r`` iterates are kept, as far back as a row reads.
+    (:func:`_mul_rows`), divided by the factors ``1 - d q^s`` of ``lhs``
+    one at a time (:func:`_div_row`).  The rows are built first as the
+    maps of :func:`_rec_row`, and each ``rhs_j`` reaches the kernels as an
+    ``{e: int}`` map collected from its own.  Unless every shift ``s`` is
+    positive, so that ``lhs`` starts with the constant 1,
+    ``NonUnitLeadingTerm`` is raised before any division.  The rows run
+    once on majorants ``{e: sum |c|}`` at ``d = 1``, where each factor is
+    ``1 - q^s``: ``|num| / lhs(1)`` bounds ``u_ell``, and ``|num|`` too, as
+    ``1/lhs = prod_s 1/(1 - d q^s)`` has nonnegative coefficients and
+    constant 1.  That fixes ``width``, so the slots of every iterate and
+    every ``num`` hold their true coefficients, and reading an iterate back,
+    comparing two packed iterates and testing a packed coefficient for zero
+    are all exact.  Only the last ``r`` iterates are kept, as far back as a
+    row reads.
     ``widen``, if given, is called once with the majorant rows ``[|u_0|,
     ..., |u_steps|]`` and returns a bound that ``width`` must hold too, so
     that the caller can go on computing with the iterates at their width
     (:func:`verify_chain`); ``floor`` lets a caller compare the iterates
     with rows packed at a wider width (:func:`limit_u`).  A wider width
-    holds the same bounds.
+    holds the same bounds.  A row with a term below ``q^0`` in its ``num``
+    raises ``NegativeExponents`` before its packed division.
     """
-    rows = [build_rec_row(sys, ell, trunc) for ell in range(1, steps + 1)]
+    rows = [_rec_row(sys, ell, trunc)[1:] for ell in range(1, steps + 1)]
+    for ell, (_, shifts) in enumerate(rows, 1):
+        if min(shifts) < 1:
+            raise NonUnitLeadingTerm(
+                f"divisor at ell={ell} has the factor 1 - d q^{min(shifts)}: "
+                "its leading coefficient is not 1 at q^0")
     one = [1] + [0] * trunc
     us = deque([one], maxlen=sys.r if widen is None else None)
     bound = 1
-    for row in rows:
+    for rhs, shifts in rows:
         us.append(_div_row(
-            _mul_rows([(c._majorant(), us[-j])
-                       for j, c in enumerate(row.rhs, 1)], trunc),
-            [(s, 1) for s in row.shifts]))
+            _mul_rows([(_collect((e, abs(c)) for (e, _), c in terms.items()),
+                        us[-j]) for j, terms in enumerate(rhs, 1)], trunc),
+            [(s, 1) for s in shifts]))
         bound = max(bound, max(us[-1]))
     if widen is not None:
         bound = max(bound, widen(list(us)))
@@ -420,18 +447,18 @@ def _iterates(sys, trunc, steps, widen=None, floor=2):
     d = 1 << width
     us = deque([one], maxlen=sys.r)
     yield one, width
-    for row in rows:
-        row.lhs._require_unit_leading()
-        num = _mul_rows([(c._packed(width), us[-j])
-                         for j, c in enumerate(row.rhs, 1)], trunc)
+    for ell, (rhs, shifts) in enumerate(rows, 1):
+        num = _mul_rows([(_collect((e, c << deg * width)
+                                   for (e, deg), c in terms.items()), us[-j])
+                         for j, terms in enumerate(rhs, 1)], trunc)
         below = len(num) - trunc - 1
         if any(num[:below]):
             low = next(e for e, c in enumerate(num, -below) if c)
             raise NegativeExponents(
-                f"recurrence produced negative exponents at ell={row.ell}: "
+                f"recurrence produced negative exponents at ell={ell}: "
                 f"q^{low}")
         del num[:below]
-        us.append(_div_row(num, [(s, d) for s in row.shifts]))
+        us.append(_div_row(num, [(s, d) for s in shifts]))
         yield us[-1], width
 
 
@@ -439,9 +466,9 @@ def run_recurrence(sys, ell_max, trunc):
     """Iterate the main recurrence; returns ``[u_0, ..., u_ell_max]``.
 
     Each step solves for ``u_ell`` by exact series division on packed
-    coefficients (see :func:`_iterates`); the divisor always starts with
-    constant term 1 for a valid system, and a violation surfaces as
-    ``NonUnitLeadingTerm``; an iterate with a term below ``q^0`` raises
+    coefficients (see :func:`_iterates`); every factor ``1 - d q^s`` of
+    the divisor has ``s > 0`` for a valid system, and a violation surfaces
+    as ``NonUnitLeadingTerm``; an iterate with a term below ``q^0`` raises
     ``NegativeExponents``.
     """
     if trunc < 0:
@@ -466,10 +493,10 @@ def verify_key_lemma(sys, k, ell, trunc):
     a1 = sys.a[0]
     lhs, rhs, _ = _elimination_row(sys, k, ell, trunc)
     return _packed_residual(sys, trunc, [
-        *((e, d, c, ell * N - a1) for e, d, c in lhs.terms()),
+        *((e, d, c, ell * N - a1) for (e, d), c in lhs.items()),
         (0, 0, -1, ell * N - sys.generator(k)),
         *((e, d, -c, (ell - j) * N - a1)
-          for j, term in enumerate(rhs, 1) for e, d, c in term.terms())])
+          for j, terms in enumerate(rhs, 1) for (e, d), c in terms.items())])
 
 
 # -- coefficient families of the transformation chain -----------------

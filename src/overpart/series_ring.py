@@ -35,7 +35,9 @@ multiplies (:func:`_mul_rows`, ``sum a*b`` over pairs of a map and a
 row, a slice per term of the map), and one divides, by a divisor given
 as its binomial factors ``1 - c q^s``, one factor at a time
 (:func:`_div_row`); a factor is one slice-wise step
-(:func:`_binomial_step`), which multiplies by ``1 + c q^s`` too.
+(:func:`_binomial_step`), which multiplies by ``1 + c q^s`` too.  A unit
+term or factor, most of the work in the recurrence, is a plain sum or
+difference of slices.
 Reading the slots back as signed ints, comparing two packed series and
 testing one for zero are exact once every true coefficient lies in
 ``[-2^(width-1), 2^(width-1))``, so each run proves a bound ``B`` on
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
-from operator import itemgetter
+from operator import add, itemgetter, sub
 
 
 class TruncationMismatch(ValueError):
@@ -289,13 +291,6 @@ class QLaurent:
             if e_d else p
             for e, p in self.coeffs.items() if e + e_q <= trunc})
 
-    def _require_unit_leading(self):
-        """Raise ``NonUnitLeadingTerm`` unless this divisor starts with
-        the constant 1 at ``q**0``."""
-        if self.min_exp != 0 or self.coeffs.get(0) != _DPOLY_ONE:
-            raise NonUnitLeadingTerm(
-                "divisor must have leading coefficient 1 at q^0")
-
     def _majorant(self):
         """``{e: sum_k |c|}`` over the terms ``c d^k q^e``: a series in
         ``q`` alone whose coefficients bound those of this series."""
@@ -420,17 +415,24 @@ class QLaurent:
 def _mul_rows(pairs, trunc):
     """``sum a*b`` over the ``(a, b)`` of ``pairs``, ``a`` an ``{e: int}``
     map and ``b`` a row, as a row.  Each term ``x q^e`` of ``a`` adds ``x``
-    times ``b``, shifted by ``e``, in one slice.  The result starts at
-    ``q^0`` or, if a term of some ``a`` reaches lower on the first entry of
-    its ``b``, at the lowest such exponent, so nothing below ``q^0`` is
-    dropped."""
+    times ``b``, shifted by ``e``, in one slice; a term with ``x = 1`` adds
+    ``b`` and one with ``x = -1`` subtracts it, with no multiplication.  The
+    result starts at ``q^0`` or, if a term of some ``a`` reaches lower on
+    the first entry of its ``b``, at the lowest such exponent, so nothing
+    below ``q^0`` is dropped."""
     size = max([trunc + 1, *(len(b) - min(a) for a, b in pairs if a)])
     out = [0] * size
     for a, b in pairs:
         n = len(b)
         for e, x in a.items():
             i = e + size - n
-            if x and i < size:
+            if not x or i >= size:
+                continue
+            if x == 1:
+                out[i:i + n] = map(add, out[i:i + n], b)
+            elif x == -1:
+                out[i:i + n] = map(sub, out[i:i + n], b)
+            else:
                 out[i:i + n] = [y + x * z for y, z in zip(out[i:i + n], b)]
     return out
 
@@ -440,12 +442,20 @@ def _binomial_step(row, s, c, over=False):
     it by ``1 - c q^s``, for ``s > 0``: each entry adds ``c`` times the one
     ``s`` below it, as it was for the product (one slice) and as it has
     become for the quotient (one block of ``s`` entries at a time, in
-    ascending order)."""
+    ascending order).  At ``c = 1``, as in every division of majorants and
+    every ``1 + q^e``, an entry adds the other with no multiplication."""
     if not over:
-        row[s:] = [x + c * y for x, y in zip(row[s:], row)]
+        if c == 1:
+            row[s:] = map(add, row[s:], row)
+        else:
+            row[s:] = [x + c * y for x, y in zip(row[s:], row)]
         return
     for i in range(s, len(row), s):
-        row[i:i + s] = [x + c * y for x, y in zip(row[i:i + s], row[i - s:i])]
+        if c == 1:
+            row[i:i + s] = map(add, row[i:i + s], row[i - s:i])
+        else:
+            row[i:i + s] = [x + c * y
+                            for x, y in zip(row[i:i + s], row[i - s:i])]
 
 
 def _div_row(row, factors):

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import strategies as st
 
-from overpart import QLaurent, beta, build_system
+from overpart import (DPoly, NonUnitLeadingTerm, QLaurent, beta,
+                      build_system)
 from overpart.cli import BATTERY
 
 
@@ -199,7 +200,9 @@ def divide(num, den):
     majorants ``|num| / (1 - |den - 1|)`` sizes."""
     den = num._coerce(den)
     num._require_same(den)
-    den._require_unit_leading()
+    if den.min_exp != 0 or den.coefficient(0) != DPoly({0: 1}):
+        raise NonUnitLeadingTerm(
+            "divisor must have leading coefficient 1 at q^0")
     bound = div_packed(num._majorant(), {
         e: -c for e, c in den._majorant().items()}, num.trunc)
     width = max([1, *bound.values()]).bit_length() + 1

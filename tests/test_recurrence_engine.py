@@ -43,6 +43,21 @@ from overpart.enumeration import _Completions
 from conftest import admissible_systems, cells, d0, divide, factor_product
 
 
+def as_series(trunc, terms):
+    """The ``QLaurent`` of a ``{(e, deg): c}`` map of terms ``c d^deg
+    q^e``."""
+    return QLaurent.from_terms(trunc, ((e, deg, c)
+                                       for (e, deg), c in terms.items()))
+
+
+def plus(terms, e, k, c):
+    """A new ``{(e, deg): c}`` map: ``terms`` plus ``c d^k q^e``, with no
+    zero entry."""
+    out = dict(terms)
+    out[e, k] = out.get((e, k), 0) + c
+    return {key: x for key, x in out.items() if x}
+
+
 def rung_series(ladder, m):
     """The packed rung of ``ladder`` for the bound ``m``, read back."""
     return QLaurent._from_packed(ladder.trunc, enumerate(ladder.rung(m)),
@@ -305,8 +320,9 @@ class TestRecRow:
                     if k == r + 1:
                         rhs = build_rec_row(sys_, ell, trunc).rhs
                     else:
-                        rhs = recurrence_engine._elimination_row(
-                            sys_, k, ell, trunc)[1]
+                        rhs = [as_series(trunc, terms) for terms in
+                               recurrence_engine._elimination_row(
+                                   sys_, k, ell, trunc)[1]]
                     want = []
                     for j in range(1, k):
                         total = one if (j, k) == (1, r + 1) else zero
@@ -398,11 +414,12 @@ def reference_iterates(sys, steps, trunc):
 
 
 def negated_first_rhs(real):
-    """``build_rec_row`` with ``rhs[0]`` negated, so the iterates go
+    """``_rec_row`` with ``rhs[0]`` negated, so the iterates go
     negative."""
     def row(sys, ell, trunc):
-        got = real(sys, ell, trunc)
-        return got._replace(rhs=(-got.rhs[0],) + got.rhs[1:])
+        lhs, rhs, shifts = real(sys, ell, trunc)
+        rhs[0] = {key: -c for key, c in rhs[0].items()}
+        return lhs, rhs, shifts
     return row
 
 
@@ -452,8 +469,8 @@ class TestPackedIterates:
         # the true iterates are nonnegative; only a perturbed row puts
         # negative coefficients in the packed slots
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recurrence_engine, "build_rec_row",
-                       negated_first_rhs(recurrence_engine.build_rec_row))
+            mp.setattr(recurrence_engine, "_rec_row",
+                       negated_first_rhs(recurrence_engine._rec_row))
             for sys_ in battery:
                 us = self.check(sys_, trunc)
                 assert any(c < 0 for u in us for _, _, c in u.terms())
@@ -468,8 +485,8 @@ class TestPackedIterates:
     def test_negative_slots_on_drawn_systems(self, system, trunc):
         sys_ = build_system(system[1], system[0])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recurrence_engine, "build_rec_row",
-                       negated_first_rhs(recurrence_engine.build_rec_row))
+            mp.setattr(recurrence_engine, "_rec_row",
+                       negated_first_rhs(recurrence_engine._rec_row))
             self.check(sys_, trunc)
 
     def test_slot_width_at_trunc_120(self, sys3):
@@ -484,41 +501,43 @@ class TestPackedIterates:
     def test_zero_rows(self, sys7, monkeypatch):
         # a row whose num vanishes leaves nothing for the sizing pass to
         # bound but u_0
-        real = recurrence_engine.build_rec_row
+        real = recurrence_engine._rec_row
 
         def zero(sys, ell, trunc):
-            row = real(sys, ell, trunc)
-            return row._replace(rhs=tuple(c * 0 for c in row.rhs))
-        monkeypatch.setattr(recurrence_engine, "build_rec_row", zero)
+            lhs, rhs, shifts = real(sys, ell, trunc)
+            return lhs, [{} for _ in rhs], shifts
+        monkeypatch.setattr(recurrence_engine, "_rec_row", zero)
         assert run_recurrence(sys7, 3, 10) == [QLaurent.one(10)] + [
             QLaurent.zero(10)] * 3
 
-    @pytest.mark.parametrize("bad_lhs, want", [
+    @pytest.mark.parametrize("bad_shift, want", [
         (True, NonUnitLeadingTerm), (False, NegativeExponents)])
     def test_errors_come_before_the_packed_division(self, sys7, monkeypatch,
-                                                    bad_lhs, want):
-        # row 1's rhs reaches below q^0 and, with bad_lhs, its lhs starts
-        # with 2: the divisor is checked first, then num, and row 1 is
-        # never divided; the sizing pass divides each row's majorants once
-        real = recurrence_engine.build_rec_row
+                                                    bad_shift, want):
+        # row 1's rhs reaches below q^0 and, with bad_shift, its lhs has the
+        # factor 1 - d q^0, whose constant is not 1: the shifts are checked
+        # before any division, then num, and row 1 is never divided; the
+        # sizing pass divides each row's majorants once
+        real = recurrence_engine._rec_row
         divisions = []
 
         def broken(sys, ell, trunc):
-            row = real(sys, ell, trunc)
+            lhs, rhs, shifts = real(sys, ell, trunc)
             if ell > 1:
-                return row
-            return row._replace(
-                lhs=row.lhs + row.lhs if bad_lhs else row.lhs,
-                rhs=tuple(c.scale_by_monomial(-1) for c in row.rhs))
+                return lhs, rhs, shifts
+            if bad_shift:
+                shifts = (0,) + shifts[1:]
+            return lhs, [{(e - 1, deg): c for (e, deg), c in terms.items()}
+                         for terms in rhs], shifts
 
         def counted(row, factors):
             divisions.append(len(row))
             return series_ring._div_row(row, factors)
-        monkeypatch.setattr(recurrence_engine, "build_rec_row", broken)
+        monkeypatch.setattr(recurrence_engine, "_rec_row", broken)
         monkeypatch.setattr(recurrence_engine, "_div_row", counted)
         with pytest.raises(want):
             run_recurrence(sys7, 3, 10)
-        assert len(divisions) == 3
+        assert len(divisions) == (0 if bad_shift else 3)
 
 
 class TestKeyLemma:
@@ -618,6 +637,7 @@ def ref_key_lemma(sys, k, ell, trunc):
     N = sys.N
     a1 = sys.a[0]
     lhs, rhs, _ = recurrence_engine._elimination_row(sys, k, ell, trunc)
+    lhs, rhs = as_series(trunc, lhs), [as_series(trunc, x) for x in rhs]
     res = lhs * g_series(sys, ell * N - a1, trunc)
     res = res - g_series(sys, ell * N - sys.generator(k), trunc)
     for j, term in enumerate(rhs, 1):
@@ -728,9 +748,9 @@ class TestPackedChecks:
 
         def row(sys, k, ell, trunc):
             lhs, rhs, shifts = real(sys, k, ell, trunc)
-            lhs = lhs + QLaurent.monomial(trunc, -3, 1, 2)
+            lhs = plus(lhs, -3, 1, 2)
             if rhs:
-                rhs[-1] = rhs[-1] + QLaurent.monomial(trunc, -5, 0, -1)
+                rhs[-1] = plus(rhs[-1], -5, 0, -1)
             return lhs, rhs, shifts
         monkeypatch.setattr(recurrence_engine, "_elimination_row", row)
         for sys_ in battery:
@@ -774,7 +794,7 @@ class TestPackedChecks:
                     lhs, rhs, _ = recurrence_engine._elimination_row(
                         sys_, k, ell, 60)
                     units = 1 + sum(abs(c) for side in (lhs, *rhs)
-                                    for _, _, c in side.terms())
+                                    for c in side.values())
                     assert units.bit_length() <= guard, (sys_, k, ell)
 
 
@@ -934,13 +954,13 @@ class TestLimit:
     def test_negative_exponents_raise(self, sys7, monkeypatch):
         # shift every right-hand coefficient down one power of q, so u_1
         # picks up a q^-1 term
-        real = recurrence_engine.build_rec_row
+        real = recurrence_engine._rec_row
 
         def shifted(sys, ell, trunc):
-            row = real(sys, ell, trunc)
-            rhs = tuple(c.scale_by_monomial(-1) for c in row.rhs)
-            return row._replace(rhs=rhs)
-        monkeypatch.setattr(recurrence_engine, "build_rec_row", shifted)
+            lhs, rhs, shifts = real(sys, ell, trunc)
+            return lhs, [{(e - 1, deg): c for (e, deg), c in terms.items()}
+                         for terms in rhs], shifts
+        monkeypatch.setattr(recurrence_engine, "_rec_row", shifted)
         with pytest.raises(NegativeExponents):
             recurrence_engine.run_recurrence(sys7, 2, 10)
 
@@ -1055,15 +1075,14 @@ class TestChain:
 
     def test_broken_reduced_recurrence_reports_ell(self, sys3, monkeypatch):
         # one extra q^4 on the reduced system's u_(l-1) multiplier at l = 2
-        real = recurrence_engine.build_rec_row
+        real = recurrence_engine._rec_row
 
         def bad_row(sys, ell, trunc):
-            row = real(sys, ell, trunc)
+            lhs, rhs, shifts = real(sys, ell, trunc)
             if sys.r == 1 and ell == 2:
-                rhs = (row.rhs[0] + QLaurent.monomial(trunc, 4),)
-                return row._replace(rhs=rhs)
-            return row
-        monkeypatch.setattr(recurrence_engine, "build_rec_row", bad_row)
+                rhs = [plus(rhs[0], 4, 0, 1)]
+            return lhs, rhs, shifts
+        monkeypatch.setattr(recurrence_engine, "_rec_row", bad_row)
         with pytest.raises(ChainBroken) as exc:
             verify_chain(sys3, 5, 5, 20)
         failed = [(st_.name, st_.detail) for st_ in exc.value.report.stages
@@ -1523,8 +1542,8 @@ def residual_sums(sys_, ys, M):
     for ell, y in enumerate(ys):
         res = y - ys[ell - 1] if ell else y
         for j in range(min(r, ell) + 1):
-            res = res - recurrence_engine._multiplier(
-                sys_.N, ell, M, j, r, trunc) * ys[ell - j]
+            res = res - as_series(trunc, recurrence_engine._multiplier(
+                sys_.N, ell, M, j, r, trunc)) * ys[ell - j]
         sums.append(res)
     return sums
 
@@ -1594,9 +1613,8 @@ class TestChainWidth:
 
     def test_negative_iterates(self, battery, monkeypatch):
         # negated rows put negative coefficients in every packed series
-        monkeypatch.setattr(recurrence_engine, "build_rec_row",
-                            negated_first_rhs(
-                                recurrence_engine.build_rec_row))
+        monkeypatch.setattr(recurrence_engine, "_rec_row",
+                            negated_first_rhs(recurrence_engine._rec_row))
         for sys_ in battery:
             self.check(sys_, 6, 4, 30)
 
@@ -1620,24 +1638,24 @@ class TestChainWidth:
 
 
 def planted_rows(real, reduced, plants):
-    """``build_rec_row`` with ``c d^k q^e`` added to ``rhs[j-1]`` of the
+    """``_rec_row`` with ``c d^k q^e`` added to ``rhs[j-1]`` of the
     ``reduced`` system's row at ``ell`` for each ``(ell, j, e, k, c)`` of
-    ``plants`` (a ``j`` past the row's end plants nothing)."""
+    ``plants`` (a ``j`` past the row's end, or an ``e`` past ``trunc``,
+    plants nothing)."""
     def row(sys, ell, trunc):
-        got = real(sys, ell, trunc)
-        rhs = list(got.rhs)
+        lhs, rhs, shifts = real(sys, ell, trunc)
         for at, j, e, k, c in plants:
-            if sys == reduced and at == ell and j <= len(rhs):
-                rhs[j - 1] = rhs[j - 1] + QLaurent.monomial(trunc, e, k, c)
-        return got._replace(rhs=tuple(rhs))
+            if sys == reduced and at == ell and j <= len(rhs) and e <= trunc:
+                rhs[j - 1] = plus(rhs[j - 1], e, k, c)
+        return lhs, rhs, shifts
     return row
 
 
 def reduced_residual(reduced, mus, trunc):
     """The first nonzero term ``(ell, q, d, c)`` below ``q^trunc``, or
     None, of the reduced recurrence's residual ``lhs mu_l - sum_j rhs_j
-    mu_(l-j)`` over ``1 <= l < len(mus)``, on the rows of (a possibly
-    patched) ``build_rec_row``."""
+    mu_(l-j)`` over ``1 <= l < len(mus)``, on the rows of ``build_rec_row``,
+    the view of (a possibly patched) ``_rec_row``."""
     work = mus[0].trunc
     for ell in range(1, len(mus)):
         row = recurrence_engine.build_rec_row(reduced, ell, work)
@@ -1658,8 +1676,8 @@ class TestReducedRecurrenceDetail:
         match the reference residual, which it returns."""
         reduced = build_system(sys_.a[:-1], sys_.N)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(recurrence_engine, "build_rec_row", planted_rows(
-                recurrence_engine.build_rec_row, reduced, plants))
+            patch.setattr(recurrence_engine, "_rec_row", planted_rows(
+                recurrence_engine._rec_row, reduced, plants))
             report = _chain_report(sys_, ell_max, x_trunc, trunc)
             want = reduced_residual(reduced, report.state.mu, trunc)
         stages = {st_.name: st_.detail for st_ in report.stages}

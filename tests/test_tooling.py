@@ -136,19 +136,26 @@ def test_only_the_kernel_sites_call_the_packed_kernels():
 
 
 def test_only_the_ring_updates_rows_slice_by_slice():
-    # a row updated in place from a comprehension over zip(...) is the
-    # ring's multiply or binomial step; a caller that writes its own keeps
-    # a second multiply loop beside _mul_rows
+    # a row updated in place from map(...) or from a comprehension over
+    # zip(...) is the ring's multiply or binomial step; a caller that
+    # writes its own keeps a second multiply loop beside _mul_rows
+    def calls(node, name):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name)
+
     def is_row_update(node):
         return (isinstance(node, ast.Assign)
                 and any(isinstance(target, ast.Subscript)
                         and isinstance(target.slice, ast.Slice)
                         for target in node.targets)
-                and isinstance(node.value, (ast.ListComp, ast.GeneratorExp))
-                and any(isinstance(gen.iter, ast.Call)
-                        and isinstance(gen.iter.func, ast.Name)
-                        and gen.iter.func.id == "zip"
-                        for gen in node.value.generators))
+                and (calls(node.value, "map")
+                     or isinstance(node.value,
+                                   (ast.ListComp, ast.GeneratorExp))
+                     and any(calls(gen.iter, "zip")
+                             for gen in node.value.generators)))
+    for form in ("out[i:j] = map(add, out[i:j], b)",
+                 "out[i:j] = [y + x * z for y, z in zip(out[i:j], b)]"):
+        assert is_row_update(ast.parse(form).body[0]), form
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
@@ -346,10 +353,13 @@ NEVER_ENTERED = {
         "raised only by a failing chain stage",
     "recurrence_engine.ChainState.__init__":
         "the public constructor from lists",
+    "recurrence_engine.build_rec_row":
+        "public API: the QLaurent view of a recurrence row",
     # the ring's public API, which the tests build references with
     "series_ring.QLaurent.__str__":
         "ring API, format pinned by test_series_ring's test_qlaurent_str",
     "series_ring.QLaurent.coefficient": "ring API",
+    "series_ring.QLaurent.min_exp": "ring API",
     "series_ring.QLaurent.monomial": "ring API",
     # the tests' reference for the chain; bench/tracer.py wraps the class
     # by name (TRACED_CLASSES), so it stays in the package until the
