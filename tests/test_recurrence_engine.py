@@ -514,10 +514,11 @@ class TestPackedIterates:
         (True, NonUnitLeadingTerm), (False, NegativeExponents)])
     def test_errors_come_before_the_packed_division(self, sys7, monkeypatch,
                                                     bad_shift, want):
-        # row 1's rhs reaches below q^0 and, with bad_shift, its lhs has the
-        # factor 1 - d q^0, whose constant is not 1: the shifts are checked
-        # before any division, then num, and row 1 is never divided; the
-        # sizing pass divides each row's majorants once
+        # row 1's rhs reaches below q^0 and, with bad_shift, its lhs has a
+        # factor 1 - d q^s with s < 0, which a quotient step would skip: the
+        # shifts are checked before any division, then each packed num, so
+        # row 1 is never divided; the sizing pass divides each row's
+        # majorants once
         real = recurrence_engine._rec_row
         divisions = []
 
@@ -526,7 +527,7 @@ class TestPackedIterates:
             if ell > 1:
                 return lhs, rhs, shifts
             if bad_shift:
-                shifts = (0,) + shifts[1:]
+                shifts = (-shifts[0],) + shifts[1:]
             return lhs, [{(e - 1, deg): c for (e, deg), c in terms.items()}
                          for terms in rhs], shifts
 
