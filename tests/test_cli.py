@@ -210,6 +210,11 @@ PINNED_FORMATS = {
     ("verify", "--checks", "lemma1,lemma2,eq357,key,rec,tmj", "--trunc", "60",
      "--output", "json"):
         "3c82f8c8dfeff6f0ea4b87c38b2df5415d677be8567497d13bea87bff8228075",
+    # past the benchmark's trunc 44: where the ladder checks' window of
+    # rungs drops the most of the ladder
+    ("verify", "--checks", "lemma1,lemma2,eq357,key,rec,tmj", "--trunc", "120",
+     "--output", "json"):
+        "86ccca12656650862a6d35f447068d54d4eb4e1b3a407c9d24419bf14c164e10",
     ("verify", "--checks", "chain", "--trunc", "30", "--x-trunc", "4",
      "--output", "json"):
         "cf706709ee23ac5f40b445e15faaf2520f162e8934f5a5f7d999927ba9530b2b",
