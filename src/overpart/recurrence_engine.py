@@ -25,9 +25,11 @@ verification passes iff the residual is identically zero.  Negative
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque, namedtuple
 from functools import cached_property, lru_cache
+from itertools import islice
+from operator import add
 
 from .alpha_system import MAX_GENERATORS, alpha_weight_sum, build_system
 from .enumeration import _Completions
@@ -84,7 +86,8 @@ class _Ladder:
     Rungs are built only as far as the bounds asked for so far need, so a
     lone small bound does not pay for the whole truncation.  A rung is
     appended only once it is complete, so an interrupted build leaves the
-    ladder as it was.
+    ladder as it was.  A reader that reads the bounds in ascending windows
+    drops the rungs below its window (:meth:`release`).
     """
 
     def __init__(self, sys, trunc):
@@ -95,6 +98,7 @@ class _Ladder:
         self.width = self._table.width
         self._sizes = self._table.admissible
         self._series = [(1,) + (0,) * trunc]
+        self._released = 0      # rungs below this index are dropped
 
     def rung(self, m):
         """The packed rows of ``g_m`` for the largest-part bound ``m``, or
@@ -106,14 +110,24 @@ class _Ladder:
             band = min(-m // self.sys.N, self.sys.r - 1)
             return (_sign(band) << band * self.width,) + (0,) * self.trunc
         c = bisect_right(self._sizes, m)
+        if c < self._released:
+            raise LookupError(f"the rung of g_{m} was released")
         while len(self._series) <= c:
             i = len(self._series) - 1
             first, prev = self._sizes[i], self._series[-1]
             self._series.append(prev[:first] + tuple(
-                x + y for x, y in zip(prev[first:], self._table.column(i))))
+                map(add, prev[first:], self._table.column(i))))
         if len(self._series) > len(self._sizes):
             self._table = None      # every rung is built
         return self._series[c]
+
+    def release(self, bound):
+        """Drop every rung that only bounds ``<= bound`` read, keeping the
+        last one built; reading one of them again raises ``LookupError``."""
+        stop = min(bisect_right(self._sizes, bound + 1), len(self._series) - 1)
+        for c in range(self._released, stop):
+            self._series[c] = None
+        self._released = max(self._released, stop)
 
 
 @lru_cache(maxsize=1)     # a command reads one ladder per system
@@ -151,14 +165,14 @@ def g_series(sys, m, trunc):
 
 
 def _guard_bits(sys):
-    """``bits(t)`` for the largest ``t`` that a check hands
-    :func:`_packed_residual`: 4 for ``verify_lemma2``, 6 and ``2 + 2
-    len(alpha)`` for ``verify_eq_357``, and for ``verify_key_lemma`` at
-    cutoff ``a(k)`` ``L1(lhs) + 1 + sum_j L1(rhs_j) <= 2^(k-1) + 1 +
-    sum_j 2^(j-1) sum_m L1(W_k(m, j))``.  The weight pairs ``W_k`` are
-    exact at trunc 0, so this depends on neither ``ell`` nor ``trunc``;
-    their coefficients are nonnegative and grow with ``k``, so the top
-    cutoff's table of :func:`_weight_pairs` bounds every ``k``.
+    """``bits(t)`` for the largest ``t`` of a residual row
+    (:func:`_residual_row`): 4 for lemma2's rows, 6 for the contraction's
+    and ``2 + 2 len(alpha)`` for eq357's sums (:func:`_sum_rows`), and for
+    the key lemma's at cutoff ``a(k)`` ``L1(lhs) + 1 + sum_j L1(rhs_j) <=
+    2^(k-1) + 1 + sum_j 2^(j-1) sum_m L1(W_k(m, j))``.  The weight pairs
+    ``W_k`` are exact at trunc 0, so this depends on neither ``ell`` nor
+    ``trunc``; their coefficients are nonnegative and grow with ``k``, so
+    the top cutoff's table of :func:`_weight_pairs` bounds every ``k``.
     """
     r = sys.r
     pairs = _weight_pairs(sys, r + 1)
@@ -168,30 +182,42 @@ def _guard_bits(sys):
     return max(6, 2 + 2 * len(sys.alpha), key).bit_length()
 
 
-def _packed_residual(sys, trunc, terms):
-    """``sum c d^k q^e g_m`` over the ``(e, k, c, m)`` of ``terms``, one
-    ``_mul_rows`` call on the ladder's packed rungs, each rung's terms one
-    ``{e: c 2^(k width)}`` map, reading back the nonzero rows.
-
-    Every ladder count is at most ``pbar(trunc)``, so each coefficient of
-    the sum is below ``2^bits(t) pbar(trunc)``, ``t = sum |c|``, in absolute
-    value: below the slots' sign bit if ``bits(t)`` is within the ladder's
-    guard, and ``OverflowError`` is raised if not.  So the sum, exact as
-    ``d -> 2^width`` is a ring map, reads back exactly.
-    """
-    ladder = _ladder(sys, trunc)
-    units = sum(abs(c) for _, _, c, _ in terms)
+def _require_guard(ladder, units):
+    """Every ladder count is at most ``pbar(trunc)``, so a sum of ``units``
+    unit multiples of rungs has each coefficient below ``2^bits(units)
+    pbar(trunc)`` in absolute value: below the slots' sign bit if
+    ``bits(units)`` is within the ladder's guard.  Raise ``OverflowError``
+    if not."""
     if units.bit_length() > ladder.guard:
         raise OverflowError(
             f"a sum of {units} unit rows needs more than the {ladder.guard} "
             f"guard bits of its ladder's {ladder.width}-bit slots")
+
+
+def _residual_row(ladder, terms):
+    """``sum c d^k q^e g_m`` over the ``(e, k, c, m)`` of ``terms`` as a
+    row, one ``_mul_rows`` call on the ladder's packed rungs, each rung's
+    terms one ``{e: c 2^(k width)}`` map.  Its last entry is the ``q^trunc``
+    coefficient; it reaches below ``q^0`` only if some term does.
+
+    Checked by :func:`_require_guard` for ``sum |c|`` units, so the sum,
+    exact as ``d -> 2^width`` is a ring map, is zero iff every entry is,
+    and reads back exactly (:func:`_read_row`).
+    """
+    _require_guard(ladder, sum(abs(c) for _, _, c, _ in terms))
     maps = {}
     for e, k, c, m in terms:
         a = maps.setdefault(m, {})
         a[e] = a.get(e, 0) + (c << k * ladder.width)
-    out = _mul_rows([(a, ladder.rung(m)) for m, a in maps.items()], trunc)
+    return _mul_rows([(a, ladder.rung(m)) for m, a in maps.items()],
+                     ladder.trunc)
+
+
+def _read_row(ladder, row):
+    """The series of a residual row of ``ladder`` (:func:`_residual_row`)."""
     return QLaurent._from_packed(
-        trunc, enumerate(out, trunc + 1 - len(out)), ladder.width)
+        ladder.trunc, enumerate(row, ladder.trunc + 1 - len(row)),
+        ladder.width)
 
 
 def _peel_cutoffs(sys, j, m):
@@ -213,6 +239,53 @@ def _peeled(sys, j, al):
     w, v = sys.w_table[al], sys.v_table[al]
     return [(j * N - al, 0, -1, (j - w) * N - v),
             (j * N - al, 1, -1, (j - w + 1) * N - v)]
+
+
+def _peel_row(ladder, j, m):
+    """The residual row (:func:`_residual_row`) of the series-level peeling
+    identity at ``(j, m)`` (:func:`verify_lemma2`)."""
+    sys = ladder.sys
+    am, am1 = _peel_cutoffs(sys, j, m)
+    return _residual_row(ladder, [
+        (0, 0, 1, j * sys.N - am), (0, 0, -1, j * sys.N - am1),
+        *_peeled(sys, j, am)])
+
+
+def _sum_rows(ladder, rows):
+    """Yield eq357's sum residual rows at one ``j``, for ``k = 1 .. r + 1``,
+    from ``rows``, lemma2's rows at that ``j`` in the order of ``alpha``
+    (:func:`_peel_row`), read only as far as the ``k`` asked for.
+
+    The rows of every ``alpha(m) < a(k)`` telescope: ``alpha(1) = a(1)``,
+    and the subset sum after the last one below ``a(k)`` is ``a(k)``, or
+    ``a_ext`` at ``k = r + 1``.  So their sum is ``g[jN-a(1)] - g[jN-a(k)]``
+    minus every peeled term below ``a(k)``, the residual of
+    :func:`verify_eq_357`, ``2 + 2 count`` unit rows for ``count`` subset
+    sums, which :func:`_require_guard` checks.  Each sum is the one before
+    plus the rows from ``a(k-1)`` up, in one ``_mul_rows`` call.
+    """
+    sys, trunc = ladder.sys, ladder.trunc
+    rows, total, done = iter(rows), [0] * (trunc + 1), 0
+    for k in range(1, sys.r + 2):
+        count = bisect_left(sys.alpha, sys.generator(k))
+        _require_guard(ladder, 2 + 2 * count)
+        total = _mul_rows([({0: 1}, row) for row in
+                           (total, *islice(rows, count - done))], trunc)
+        done = count
+        yield total
+
+
+def _contraction_row(ladder, j, k):
+    """The residual row (:func:`_residual_row`) of the one-step contraction
+    at ``(j, k)``, ``k <= r`` (:func:`verify_eq_357`)."""
+    sys = ladder.sys
+    N, a1, ak = sys.N, sys.a[0], sys.generator(k)
+    return _residual_row(ladder, [
+        (0, 0, 1, j * N - ak), (j * N - ak, 1, -1, j * N - ak),
+        (0, 0, -1, j * N - sys.generator(k + 1)),
+        (N - ak, 0, -1, (j - 1) * N - a1),
+        (N - ak, 0, 1, (j - 1) * N - ak),
+        (j * N - ak, 0, -1, (j - 1) * N - ak)])
 
 
 def verify_lemma1(sys, j, m, n_max):
@@ -251,10 +324,8 @@ def verify_lemma2(sys, j, m, trunc):
     Zero iff ``g[jN-alpha(m)] = g[jN-alpha(m+1)]
     + q^(jN-alpha(m)) * (g[(j-w)N-v] + d * g[(j-w+1)N-v])``.
     """
-    am, am1 = _peel_cutoffs(sys, j, m)
-    return _packed_residual(sys, trunc, [
-        (0, 0, 1, j * sys.N - am), (0, 0, -1, j * sys.N - am1),
-        *_peeled(sys, j, am)])
+    ladder = _ladder(sys, trunc)
+    return _read_row(ladder, _peel_row(ladder, j, m))
 
 
 def verify_eq_357(sys, j, k, trunc):
@@ -275,23 +346,12 @@ def verify_eq_357(sys, j, k, trunc):
     if not 1 <= k <= sys.r + 1:
         raise ValueError(f"k outside 1..{sys.r + 1}")
     _require_ladder_domain(sys)
-    N = sys.N
-    a1 = sys.a[0]
-    ak = sys.generator(k)
-
-    res35 = _packed_residual(sys, trunc, [
-        (0, 0, 1, j * N - a1), (0, 0, -1, j * N - ak),
-        *(t for al in sys.alpha if al < ak for t in _peeled(sys, j, al))])
-
-    res37 = None
-    if k <= sys.r:
-        res37 = _packed_residual(sys, trunc, [
-            (0, 0, 1, j * N - ak), (j * N - ak, 1, -1, j * N - ak),
-            (0, 0, -1, j * N - sys.generator(k + 1)),
-            (N - ak, 0, -1, (j - 1) * N - a1),
-            (N - ak, 0, 1, (j - 1) * N - ak),
-            (j * N - ak, 0, -1, (j - 1) * N - ak)])
-    return res35, res37
+    ladder = _ladder(sys, trunc)
+    rows = (_peel_row(ladder, j, m) for m in range(1, len(sys.alpha) + 1))
+    *_, total = islice(_sum_rows(ladder, rows), k)
+    return _read_row(ladder, total), (
+        _read_row(ladder, _contraction_row(ladder, j, k)) if k <= sys.r
+        else None)
 
 
 # -- the main recurrence ----------------------------------------------
@@ -343,6 +403,18 @@ def _multiplier(N, ell, M, j, m_max, trunc, shifts=()):
     return _times_factors(trunc, terms, shifts, 0)
 
 
+def _elimination_rhs(sys, k, ell, trunc):
+    """``(rhs, shifts)`` of :func:`_elimination_row`, with ``lhs`` left as
+    its ``shifts``, which the recurrence divides by one factor at a
+    time."""
+    _require_ladder_domain(sys)
+    N = sys.N
+    rhs = [_multiplier(N, ell, _weight_pairs(sys, k), j, k - j, trunc,
+                       [(ell - h) * N for h in range(1, j)])
+           for j in range(1, min(k - 1, ell) + 1)]
+    return rhs, tuple(ell * N - g for g in sys.a[:k - 1])
+
+
 def _elimination_row(sys, k, ell, trunc):
     """``(lhs, rhs, shifts)`` of the elimination identity with cutoff
     ``a(k)``: ``lhs = prod_(j<k) (1 - d q^(lN - a(j)))``, ``shifts`` its
@@ -355,37 +427,33 @@ def _elimination_row(sys, k, ell, trunc):
     multiplied out in one ``{(e, deg): c}`` map (:func:`_times_factors`),
     and is returned as that map.
     """
-    _require_ladder_domain(sys)
-    N = sys.N
-    shifts = tuple(ell * N - g for g in sys.a[:k - 1])
-    lhs = _times_factors(trunc, {(0, 0): 1}, shifts, 1)
-    rhs = [_multiplier(N, ell, _weight_pairs(sys, k), j, k - j, trunc,
-                       [(ell - h) * N for h in range(1, j)])
-           for j in range(1, min(k - 1, ell) + 1)]
-    return lhs, rhs, shifts
+    rhs, shifts = _elimination_rhs(sys, k, ell, trunc)
+    return _times_factors(trunc, {(0, 0): 1}, shifts, 1), rhs, shifts
 
 
 def _rec_row(sys, ell, trunc):
-    """``(lhs, rhs, shifts)`` of the main recurrence at ``ell`` (see
-    :class:`RecRow`), the sides as ``{(e, deg): c}`` maps with no zero
+    """``(rhs, shifts)`` of the main recurrence at ``ell`` (see
+    :class:`RecRow`), ``rhs`` as ``{(e, deg): c}`` maps with no zero
     entry: the elimination row at the top cutoff ``k = r + 1`` with the
     standalone 1 added to ``rhs[0]``, the multiplier of ``u_(ell-1)``."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    lhs, rhs, shifts = _elimination_row(sys, sys.r + 1, ell, trunc)
+    rhs, shifts = _elimination_rhs(sys, sys.r + 1, ell, trunc)
     one = rhs[0].pop((0, 0), 0) + 1
     if one:
         rhs[0][0, 0] = one
-    return lhs, rhs, shifts
+    return rhs, shifts
 
 
 def build_rec_row(sys, ell, trunc):
     """Materialize every coefficient of the main recurrence at ``ell``: the
-    ``QLaurent`` view (:class:`RecRow`) of the maps of :func:`_rec_row`."""
-    lhs, rhs, shifts = _rec_row(sys, ell, trunc)
+    ``QLaurent`` view (:class:`RecRow`) of the maps of :func:`_rec_row`,
+    with ``lhs`` multiplied out of its shifts."""
+    rhs, shifts = _rec_row(sys, ell, trunc)
     lhs, *rhs = (QLaurent.from_terms(trunc, ((e, deg, c)
                                              for (e, deg), c in terms.items()))
-                 for terms in (lhs, *rhs))
+                 for terms in (_times_factors(trunc, {(0, 0): 1}, shifts, 1),
+                               *rhs))
     return RecRow(lhs=lhs, rhs=tuple(rhs), ell=ell, shifts=shifts)
 
 
@@ -426,7 +494,7 @@ def _iterates(sys, trunc, steps, widen=None, floor=2):
     holds the same bounds.  A row with a term below ``q^0`` in its ``num``
     raises ``NegativeExponents`` before its packed division.
     """
-    rows = [_rec_row(sys, ell, trunc)[1:] for ell in range(1, steps + 1)]
+    rows = [_rec_row(sys, ell, trunc) for ell in range(1, steps + 1)]
     for ell, (_, shifts) in enumerate(rows, 1):
         if min(shifts) < 1:
             raise NonUnitLeadingTerm(
@@ -477,6 +545,19 @@ def run_recurrence(sys, ell_max, trunc):
             for u, width in _iterates(sys, trunc, max(ell_max, 0))]
 
 
+def _key_row(ladder, k, ell):
+    """The residual row (:func:`_residual_row`) of the elimination identity
+    with cutoff ``a(k)`` at ``ell`` (:func:`verify_key_lemma`)."""
+    sys = ladder.sys
+    N, a1 = sys.N, sys.a[0]
+    lhs, rhs, _ = _elimination_row(sys, k, ell, ladder.trunc)
+    return _residual_row(ladder, [
+        *((e, d, c, ell * N - a1) for (e, d), c in lhs.items()),
+        (0, 0, -1, ell * N - sys.generator(k)),
+        *((e, d, -c, (ell - j) * N - a1)
+          for j, terms in enumerate(rhs, 1) for (e, d), c in terms.items())])
+
+
 def verify_key_lemma(sys, k, ell, trunc):
     """Residual of the elimination identity with cutoff ``a(k)``.
 
@@ -489,14 +570,8 @@ def verify_key_lemma(sys, k, ell, trunc):
         raise ValueError(f"k outside 1..{sys.r + 1}")
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    N = sys.N
-    a1 = sys.a[0]
-    lhs, rhs, _ = _elimination_row(sys, k, ell, trunc)
-    return _packed_residual(sys, trunc, [
-        *((e, d, c, ell * N - a1) for (e, d), c in lhs.items()),
-        (0, 0, -1, ell * N - sys.generator(k)),
-        *((e, d, -c, (ell - j) * N - a1)
-          for j, terms in enumerate(rhs, 1) for (e, d), c in terms.items())])
+    ladder = _ladder(sys, trunc)
+    return _read_row(ladder, _key_row(ladder, k, ell))
 
 
 # -- coefficient families of the transformation chain -----------------

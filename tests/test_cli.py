@@ -352,35 +352,40 @@ class TestVerify:
     @pytest.mark.parametrize("plant", [False, True], ids=["pass", "planted"])
     def test_lemma1_and_lemma2_share_one_residual_per_case(
             self, capsys, monkeypatch, plant):
-        # whichever of the two runs first computes each (j, m) residual and
-        # the other reads its verdict, so their order changes nothing but
+        # lemma2's row at each (j, m) is computed once, and lemma1, lemma2
+        # and eq357's sums all read it, so their order changes nothing but
         # the order of the checks
         if plant:
             monkeypatch.setattr(recurrence_engine._Ladder, "rung",
                                 _planted_rung(recurrence_engine._Ladder.rung))
-        real = recurrence_engine._packed_residual
-        residuals = []
+        real = cli._peel_row
+        rows = []
 
-        def spy(sys, trunc, terms):
-            residuals.append((sys.N, sys.a, tuple(terms)))
-            return real(sys, trunc, terms)
-        monkeypatch.setattr(recurrence_engine, "_packed_residual", spy)
+        def spy(ladder, j, m):
+            rows.append((ladder.sys.N, ladder.sys.a, j, m))
+            return real(ladder, j, m)
+        monkeypatch.setattr(cli, "_peel_row", spy)
         outs = {}
-        for checks in ("lemma1,lemma2", "lemma2,lemma1"):
-            residuals.clear()
+        for checks in ("lemma1,lemma2", "lemma2,lemma1",
+                       "lemma2,eq357,lemma1"):
+            rows.clear()
             code, out, _ = run_cli(capsys, "verify", "--battery", "--checks",
                                    checks, "--trunc", "30", "--output", "json")
             assert code == (1 if plant else 0)
             obj = json.loads(out)
-            cases = [c["cases"] for s in obj["systems"] for c in s["checks"]]
-            assert len(residuals) == len(set(residuals)) == sum(cases) // 2
             for entry in obj["systems"]:
+                assert ",".join(c["name"] for c in entry["checks"]) == checks
+                entry["checks"] = sorted(
+                    (c for c in entry["checks"] if c["name"] != "eq357"),
+                    key=lambda c: c["name"])
                 first, second = entry["checks"]
-                assert first["name"] + "," + second["name"] == checks
                 assert {**first, "name": ""} == {**second, "name": ""}
-                entry["checks"].sort(key=lambda c: c["name"])
+            cases = [s["checks"][0]["cases"] for s in obj["systems"]]
+            assert len(rows) == len(set(rows)) == sum(cases)
             outs[checks] = obj
-        assert outs["lemma1,lemma2"] == outs["lemma2,lemma1"]
+        assert outs["lemma1,lemma2"] == outs["lemma2,lemma1"] \
+            == {**outs["lemma2,eq357,lemma1"], "verdict": (
+                "fail" if plant else "pass")}
         failures = [c["failures"] for s in outs["lemma1,lemma2"]["systems"]
                     for c in s["checks"]]
         assert (sum(failures) > 0) == plant
@@ -530,6 +535,25 @@ class TestOneGeneratorAtModulus:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: N = a(1) = {N} lies outside")
 
+    @pytest.mark.parametrize("checks", [
+        "tmj,lemma1", "lemma1,tmj", "rec", "key,tmj,rec"])
+    def test_ladder_error_comes_where_the_first_ladder_check_is_listed(
+            self, capsys, monkeypatch, checks):
+        # the ladder checks run together where the first of them is listed,
+        # so a tmj listed before them runs first and one listed after them
+        # does not run; whichever ladder check meets the domain first
+        # raises the same error
+        ran = []
+        real = cli.verify_Tmj
+        monkeypatch.setattr(cli, "verify_Tmj",
+                            lambda *args: ran.append(args) or real(*args))
+        code, out, err = run_cli(capsys, "verify", "--N", "2", "--a", "2",
+                                 "--checks", checks, "--trunc", "12")
+        assert (code, out) == (2, "")
+        assert err == ("error: N = a(1) = 2 lies outside the peeling and "
+                       "recurrence identities, which need N > a(r)\n")
+        assert bool(ran) == checks.startswith("tmj")
+
     def test_theorem_rejects_the_system_before_counting(self, capsys,
                                                         monkeypatch):
         # limit_u runs first and raises the ladder's domain error itself
@@ -569,6 +593,68 @@ def test_ladder_checks_on_drawn_systems(system, trunc):
     else:
         assert code == 0
         assert json.loads(out.getvalue())["verdict"] == "pass"
+
+
+LADDER_SYSTEMS = {"battery": ("--battery", "--trunc", "30"),
+                  "r5": ("--N", "31", "--a", "1,2,4,8,16", "--trunc", "40")}
+
+
+@pytest.mark.parametrize("plant", [False, True], ids=["pass", "planted"])
+@pytest.mark.parametrize("system", LADDER_SYSTEMS.values(),
+                         ids=LADDER_SYSTEMS)
+def test_ladder_checks_read_alike_alone_and_together(capsys, monkeypatch,
+                                                     system, plant):
+    # the ladder checks run in one sweep over j, and each check's entry is
+    # still the one it has when it runs alone, in any order
+    if plant:
+        monkeypatch.setattr(recurrence_engine._Ladder, "rung",
+                            _planted_rung(recurrence_engine._Ladder.rung))
+
+    def run(checks):
+        code, out, _ = run_cli(capsys, "verify", *system, "--checks", checks,
+                               "--output", "json")
+        return code, json.loads(out)["systems"]
+    alone = {name: run(name) for name in ("lemma1", "lemma2", "eq357", "key",
+                                          "rec")}
+    assert any(code for code, _ in alone.values()) == plant
+    for checks in ("eq357,lemma2", "key,rec,lemma1", "rec,eq357,key,lemma2"):
+        names = checks.split(",")
+        code, systems = run(checks)
+        assert code == max(alone[name][0] for name in names)
+        for i, entry in enumerate(systems):
+            assert entry["checks"] == [alone[name][1][i]["checks"][0]
+                                       for name in names]
+
+
+def test_the_sweep_keeps_a_window_of_rungs(capsys, monkeypatch):
+    # no case after step j reads a bound at or below (j - r)N, and the
+    # sweep holds no rung of one; on 3/{1,2} every size is admissible, so
+    # rung m is g_m, and reading a released one raises
+    N, r, trunc = 3, 2, 120
+    real = recurrence_engine._Ladder.release
+    held = []
+
+    def release(self, bound):
+        real(self, bound)
+        j = len(held) + 1
+        assert bound == (j - r) * N
+        kept = [m for m, rung in enumerate(self._series) if rung is not None]
+        assert self._sizes[:len(self._series) - 1] == list(
+            range(1, len(self._series)))
+        assert min(kept) > bound, (j, kept)
+        for m in range(1, bound + 1):
+            with pytest.raises(LookupError):
+                self.rung(m)
+        assert self.rung(-N) == (-1 << self.width,) + (0,) * trunc
+        held.append(len(kept))
+    monkeypatch.setattr(recurrence_engine._Ladder, "release", release)
+    code, out, _ = run_cli(capsys, "verify", "--N", str(N), "--a", "1,2",
+                           "--checks", "lemma1,lemma2,eq357,key,rec",
+                           "--trunc", str(trunc), "--output", "json")
+    assert (code, json.loads(out)["verdict"]) == (0, "pass")
+    assert len(held) == trunc // N + 1
+    # the bounds in ((j - r)N, jN) and the last rung built
+    assert max(held) <= (r + 1) * N
 
 
 def _raiser(exc):

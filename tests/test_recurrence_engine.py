@@ -417,9 +417,9 @@ def negated_first_rhs(real):
     """``_rec_row`` with ``rhs[0]`` negated, so the iterates go
     negative."""
     def row(sys, ell, trunc):
-        lhs, rhs, shifts = real(sys, ell, trunc)
+        rhs, shifts = real(sys, ell, trunc)
         rhs[0] = {key: -c for key, c in rhs[0].items()}
-        return lhs, rhs, shifts
+        return rhs, shifts
     return row
 
 
@@ -504,8 +504,8 @@ class TestPackedIterates:
         real = recurrence_engine._rec_row
 
         def zero(sys, ell, trunc):
-            lhs, rhs, shifts = real(sys, ell, trunc)
-            return lhs, [{} for _ in rhs], shifts
+            rhs, shifts = real(sys, ell, trunc)
+            return [{} for _ in rhs], shifts
         monkeypatch.setattr(recurrence_engine, "_rec_row", zero)
         assert run_recurrence(sys7, 3, 10) == [QLaurent.one(10)] + [
             QLaurent.zero(10)] * 3
@@ -523,13 +523,13 @@ class TestPackedIterates:
         divisions = []
 
         def broken(sys, ell, trunc):
-            lhs, rhs, shifts = real(sys, ell, trunc)
+            rhs, shifts = real(sys, ell, trunc)
             if ell > 1:
-                return lhs, rhs, shifts
+                return rhs, shifts
             if bad_shift:
                 shifts = (-shifts[0],) + shifts[1:]
-            return lhs, [{(e - 1, deg): c for (e, deg), c in terms.items()}
-                         for terms in rhs], shifts
+            return [{(e - 1, deg): c for (e, deg), c in terms.items()}
+                    for terms in rhs], shifts
 
         def counted(row, factors):
             divisions.append(len(row))
@@ -958,9 +958,9 @@ class TestLimit:
         real = recurrence_engine._rec_row
 
         def shifted(sys, ell, trunc):
-            lhs, rhs, shifts = real(sys, ell, trunc)
-            return lhs, [{(e - 1, deg): c for (e, deg), c in terms.items()}
-                         for terms in rhs], shifts
+            rhs, shifts = real(sys, ell, trunc)
+            return [{(e - 1, deg): c for (e, deg), c in terms.items()}
+                    for terms in rhs], shifts
         monkeypatch.setattr(recurrence_engine, "_rec_row", shifted)
         with pytest.raises(NegativeExponents):
             recurrence_engine.run_recurrence(sys7, 2, 10)
@@ -1079,10 +1079,10 @@ class TestChain:
         real = recurrence_engine._rec_row
 
         def bad_row(sys, ell, trunc):
-            lhs, rhs, shifts = real(sys, ell, trunc)
+            rhs, shifts = real(sys, ell, trunc)
             if sys.r == 1 and ell == 2:
                 rhs = [plus(rhs[0], 4, 0, 1)]
-            return lhs, rhs, shifts
+            return rhs, shifts
         monkeypatch.setattr(recurrence_engine, "_rec_row", bad_row)
         with pytest.raises(ChainBroken) as exc:
             verify_chain(sys3, 5, 5, 20)
@@ -1644,11 +1644,11 @@ def planted_rows(real, reduced, plants):
     ``plants`` (a ``j`` past the row's end, or an ``e`` past ``trunc``,
     plants nothing)."""
     def row(sys, ell, trunc):
-        lhs, rhs, shifts = real(sys, ell, trunc)
+        rhs, shifts = real(sys, ell, trunc)
         for at, j, e, k, c in plants:
             if sys == reduced and at == ell and j <= len(rhs) and e <= trunc:
                 rhs[j - 1] = plus(rhs[j - 1], e, k, c)
-        return lhs, rhs, shifts
+        return rhs, shifts
     return row
 
 
