@@ -122,8 +122,8 @@ class _Ladder:
         return self._series[c]
 
     def release(self, bound):
-        """Drop every rung that only bounds ``<= bound`` read, keeping the
-        last one built; reading one of them again raises ``LookupError``."""
+        """Drop every rung that no bound above ``bound`` reads, but the last
+        one built; reading a dropped rung raises ``LookupError``."""
         stop = min(bisect_right(self._sizes, bound + 1), len(self._series) - 1)
         for c in range(self._released, stop):
             self._series[c] = None

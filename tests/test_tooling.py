@@ -271,9 +271,7 @@ runs, fails = [], []
 for system in (["--battery", "--trunc", "30", "--x-trunc", "3"],
                ["--N", "31", "--a", "1,2,4,8,16", "--trunc", "40",
                 "--x-trunc", "2"]):
-    # lemma1 and lemma2 share one residual per case, which the first of
-    # them computes, each through its own function
-    for check in (*cli.ALL_CHECKS, "lemma2,lemma1"):
+    for check in cli.ALL_CHECKS:
         for output in ("json", "table"):
             runs.append(["verify", *system, "--checks", check,
                          "--output", output])
