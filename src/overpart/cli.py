@@ -195,7 +195,7 @@ def _ladder_cases(sys_, trunc, names):
     reads ``(j+1-w)N - v`` with ``w <= r`` and ``v <= a(r) < N``, the key
     lemma ``(j+1-j')N - a(1)`` with ``j' <= r``, the contraction ``jN -
     a(k)`` and ``rec`` ``(j+1)N - a(1)``.  So after step ``j`` the ladder
-    releases the rungs below that bound.
+    releases every rung that only bounds at or below it read.
     """
     N, r, a1 = sys_.N, sys_.r, sys_.a[0]
     ladder = _Ladder(sys_, trunc)
