@@ -39,6 +39,7 @@ from .recurrence_engine import (
     verify_chain,
     verify_eq_357,
     verify_key_lemma,
+    verify_ladder,
     verify_lemma1,
     verify_lemma2,
     verify_Tmj,
@@ -66,6 +67,6 @@ __all__ = [
     "RoundTripMismatch", "g_series", "verify_lemma1",
     "verify_lemma2", "verify_eq_357", "build_rec_row", "run_recurrence",
     "verify_key_lemma", "coeff_f",
-    "verify_Tmj", "verify_chain", "limit_u",
+    "verify_Tmj", "verify_chain", "verify_ladder", "limit_u",
     "__version__",
 ]

@@ -23,21 +23,16 @@ from .recurrence_engine import (
     NegativeExponents,
     NotStabilized,
     RoundTripMismatch,
-    _contraction_row,
-    _iterates,
-    _key_row,
-    _Ladder,
     _ladder,
-    _peel_row,
-    _sum_rows,
     _weight_pairs,
     g_series,
     limit_u,
     verify_chain,
+    verify_ladder,
     verify_Tmj,
 )
-from .series_ring import (NonUnitLeadingTerm, QLaurent, _gauss_coeffs,
-                          _slot_width, product_F)
+from .series_ring import (NonUnitLeadingTerm, _gauss_coeffs, _slot_width,
+                          product_F)
 
 #: Built-in verification battery used by ``verify --battery``.
 BATTERY = ((3, (1, 2)), (7, (1, 2, 4)), (9, (1, 3, 5)), (15, (1, 2, 4, 8)))
@@ -174,70 +169,6 @@ def _sweep(cases):
     return {"cases": total, "failures": failures, "first_failure": first}
 
 
-def _ladder_cases(sys_, trunc, names):
-    """``{name: [(label, ok), ...]}`` for the ladder checks ``names``, run
-    in one ascending sweep over ``j`` on one ladder: at each ``j``, every
-    check's cases at that ``j``, so each check's cases come in its own
-    order, ``(j, m)``, ``(j, k)``, ``(ell, k)`` with ``ell = j``, and
-    ``ell`` from 0.
-
-    Every identity's residual is a packed row (see
-    ``recurrence_engine._residual_row``), zero iff the case passes.
-    lemma1 fails at ``(j, m)`` exactly where lemma2's residual is nonzero,
-    so both read one row, and eq357's sums are running sums of those rows
-    (``_sum_rows``).  ``rec`` compares ``u_ell`` with ``g[ell N - a(1)]`` as
-    rows at the ladder's width: the majorants bound every iterate
-    coefficient and each count is at most ``pbar(trunc)``, all below the
-    slots' sign bit, so equal ints are equal series; only an iterate that
-    needs a wider width is read back, and compared with ``g_series``.
-
-    A case at ``j + 1`` reads no bound at or below ``(j - r)N``: peeling
-    reads ``(j+1-w)N - v`` with ``w <= r`` and ``v <= a(r) < N``, the key
-    lemma ``(j+1-j')N - a(1)`` with ``j' <= r``, the contraction ``jN -
-    a(k)`` and ``rec`` ``(j+1)N - a(1)``.  So after step ``j`` the ladder
-    releases every rung that only bounds at or below it read.
-    """
-    N, r, a1 = sys_.N, sys_.r, sys_.a[0]
-    ladder = _Ladder(sys_, trunc)
-    cases = {name: [] for name in names}
-    peel = [name for name in ("lemma1", "lemma2") if name in cases]
-
-    def rec_case(ell):
-        u, width = next(iterates)
-        m = ell * N - a1
-        ok = (tuple(u) == ladder.rung(m) if width == ladder.width
-              else QLaurent._from_packed(trunc, enumerate(u), width)
-              == g_series(sys_, m, trunc))
-        cases["rec"].append((f"ell={ell}", ok))
-
-    if "rec" in cases:
-        ell_hi = (trunc + a1) // N
-        iterates = _iterates(sys_, trunc, ell_hi, floor=ladder.width)
-        rec_case(0)
-    for j in range(1, trunc // N + 2):
-        if peel or "eq357" in cases:
-            rows = [_peel_row(ladder, j, m)
-                    for m in range(1, len(sys_.alpha) + 1)]
-            for name in peel:
-                cases[name] += ((f"j={j},m={m}", not any(row))
-                                for m, row in enumerate(rows, 1))
-        if "eq357" in cases:
-            for k, total in enumerate(_sum_rows(ladder, rows), 1):
-                cases["eq357"].append((f"sum j={j},k={k}", not any(total)))
-                if k <= r:
-                    cases["eq357"].append((
-                        f"contraction j={j},k={k}",
-                        not any(_contraction_row(ladder, j, k))))
-        if "key" in cases:
-            cases["key"] += ((f"k={k},ell={j}",
-                              not any(_key_row(ladder, k, j)))
-                             for k in range(1, r + 2))
-        if "rec" in cases and j <= ell_hi:
-            rec_case(j)
-        ladder.release((j - r) * N)
-    return cases
-
-
 def _run_checks(sys_, args, checks):
     results = []
     trunc = args.trunc
@@ -246,7 +177,7 @@ def _run_checks(sys_, args, checks):
     for name in checks:
         if name in _LADDER_CHECKS:
             if swept is None:
-                swept = _ladder_cases(sys_, trunc, [
+                swept = verify_ladder(sys_, trunc, [
                     c for c in checks if c in _LADDER_CHECKS])
             res = _sweep(swept[name])
         elif name == "tmj":

@@ -34,8 +34,8 @@ from operator import add
 from .alpha_system import MAX_GENERATORS, alpha_weight_sum, build_system
 from .enumeration import _Completions
 from .series_ring import (NonUnitLeadingTerm, QLaurent, _binomial_step,
-                          _div_row, _gauss_coeffs, _mul_rows, product_F,
-                          qbinomial)
+                          _div_row, _gauss_coeffs, _mul_rows, _slot_width,
+                          product_F, qbinomial)
 
 
 class ConventionOutOfRange(ValueError):
@@ -82,7 +82,8 @@ class _Ladder:
     (:meth:`_Completions.column`).  A rung is a tuple of ``trunc + 1``
     ints, row ``n`` its ``q^n`` coefficient packed at ``d = 2^width`` as
     :meth:`QLaurent._packed` packs it, where ``width`` is
-    ``_slot_width(trunc)`` plus the ``guard`` bits of :func:`_guard_bits`.
+    ``_slot_width(trunc)`` plus ``guard`` bits: :func:`_guard_bits`, or more
+    for a ``width`` of at least ``least_width`` (:func:`verify_ladder`).
     Rungs are built only as far as the bounds asked for so far need, so a
     lone small bound does not pay for the whole truncation.  A rung is
     appended only once it is complete, so an interrupted build leaves the
@@ -90,10 +91,11 @@ class _Ladder:
     drops the rungs below its window (:meth:`release`).
     """
 
-    def __init__(self, sys, trunc):
+    def __init__(self, sys, trunc, least_width=0):
         if trunc < 0:
             raise ValueError("trunc must be non-negative")
-        self.sys, self.trunc, self.guard = sys, trunc, _guard_bits(sys)
+        self.sys, self.trunc = sys, trunc
+        self.guard = max(_guard_bits(sys), least_width - _slot_width(trunc))
         self._table = _Completions(sys, trunc, self.guard)
         self.width = self._table.width
         self._sizes = self._table.admissible
@@ -130,7 +132,7 @@ class _Ladder:
         self._released = max(self._released, stop)
 
 
-@lru_cache(maxsize=1)     # a command reads one ladder per system
+@lru_cache(maxsize=1)   # for g_series and the views; verify_ladder has its own
 def _ladder(sys, trunc):
     return _Ladder(sys, trunc)
 
@@ -490,9 +492,9 @@ def _iterates(sys, trunc, steps, widen=None, floor=2):
     ..., |u_steps|]`` and returns a bound that ``width`` must hold too, so
     that the caller can go on computing with the iterates at their width
     (:func:`verify_chain`); ``floor`` lets a caller compare the iterates
-    with rows packed at a wider width (:func:`limit_u`).  A wider width
-    holds the same bounds.  A row with a term below ``q^0`` in its ``num``
-    raises ``NegativeExponents`` before its packed division.
+    with rows packed at a wider width (:func:`limit_u`, :func:`verify_ladder`).
+    A wider width holds the same bounds.  A row with a term below ``q^0`` in
+    its ``num`` raises ``NegativeExponents`` before its packed division.
     """
     rows = [_rec_row(sys, ell, trunc) for ell in range(1, steps + 1)]
     for ell, (_, shifts) in enumerate(rows, 1):
@@ -572,6 +574,69 @@ def verify_key_lemma(sys, k, ell, trunc):
         raise ValueError("ell must be >= 1")
     ladder = _ladder(sys, trunc)
     return _read_row(ladder, _key_row(ladder, k, ell))
+
+
+def verify_ladder(sys, trunc, names):
+    """``{name: [(label, ok), ...]}`` for the ladder checks ``names``
+    (``lemma1``, ``lemma2``, ``eq357``, ``key``, ``rec``), run in one
+    ascending sweep over ``j`` on one ladder of its own: at each ``j``,
+    every check's cases at that ``j``, so each check's cases come in its
+    own order, ``(j, m)``, ``(j, k)``, ``(ell, k)`` with ``ell = j``, and
+    ``ell`` from 0.  ``ok`` is the zero test of the matching view; for
+    ``rec``, whether :func:`run_recurrence`'s ``u_ell`` is ``g[ell N - a(1)]``.
+
+    Every identity's residual is a packed row (:func:`_residual_row`),
+    zero iff the case passes, and nothing is read back.  lemma1 fails at
+    ``(j, m)`` exactly where lemma2's residual is nonzero, so both read one
+    row, and eq357's sums are running sums of those rows (:func:`_sum_rows`).
+    For ``rec`` the iterates come first, at a width of at least the
+    ladder's, and the ladder is built at theirs, so ``u_ell`` compares with
+    ``g[ell N - a(1)]`` as ints: the majorants bound every iterate
+    coefficient and each count is at most ``pbar(trunc)``, all below the
+    slots' sign bit, so equal ints are equal series.
+
+    A case at ``j + 1`` reads no bound at or below ``(j - r)N``: peeling
+    reads ``(j+1-w)N - v`` with ``w <= r`` and ``v <= a(r) < N``, the key
+    lemma ``(j+1-j')N - a(1)`` with ``j' <= r``, the contraction ``jN -
+    a(k)`` and ``rec`` ``(j+1)N - a(1)``.  So after step ``j`` the ladder
+    releases every rung that only bounds at or below it read.
+    """
+    N, r, a1 = sys.N, sys.r, sys.a[0]
+    cases = {name: [] for name in names}
+    peel = [name for name in ("lemma1", "lemma2") if name in cases]
+    if "rec" in cases:
+        ell_hi = (trunc + a1) // N
+        iterates = _iterates(sys, trunc, ell_hi,
+                             floor=_slot_width(trunc) + _guard_bits(sys))
+        u, width = next(iterates)
+        ladder = _Ladder(sys, trunc, least_width=width)
+        cases["rec"].append(("ell=0", tuple(u) == ladder.rung(-a1)))
+    else:
+        ladder = _Ladder(sys, trunc)
+    for j in range(1, trunc // N + 2):
+        if peel or "eq357" in cases:
+            rows = [_peel_row(ladder, j, m)
+                    for m in range(1, len(sys.alpha) + 1)]
+            for name in peel:
+                cases[name] += ((f"j={j},m={m}", not any(row))
+                                for m, row in enumerate(rows, 1))
+        if "eq357" in cases:
+            for k, total in enumerate(_sum_rows(ladder, rows), 1):
+                cases["eq357"].append((f"sum j={j},k={k}", not any(total)))
+                if k <= r:
+                    cases["eq357"].append((
+                        f"contraction j={j},k={k}",
+                        not any(_contraction_row(ladder, j, k))))
+        if "key" in cases:
+            cases["key"] += ((f"k={k},ell={j}",
+                              not any(_key_row(ladder, k, j)))
+                             for k in range(1, r + 2))
+        if "rec" in cases and j <= ell_hi:
+            u, _ = next(iterates)
+            cases["rec"].append((f"ell={j}",
+                                 tuple(u) == ladder.rung(j * N - a1)))
+        ladder.release((j - r) * N)
+    return cases
 
 
 # -- coefficient families of the transformation chain -----------------

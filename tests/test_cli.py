@@ -22,7 +22,13 @@ from overpart import (
     cli,
     g_series,
     recurrence_engine,
+    run_recurrence,
     series_ring,
+    verify_eq_357,
+    verify_key_lemma,
+    verify_ladder,
+    verify_lemma1,
+    verify_lemma2,
 )
 from overpart.alpha_system import MAX_GENERATORS
 from overpart.cli import main
@@ -312,17 +318,19 @@ class TestVerify:
             read.append("_from_packed")
             return real_from_packed(cls, trunc, items, width)
         monkeypatch.setattr(QLaurent, "_from_packed", classmethod(spy))
-        monkeypatch.setattr(cli, "g_series", _raiser(AssertionError))
+        monkeypatch.setattr(recurrence_engine, "g_series",
+                            _raiser(AssertionError))
         code, out, _ = run_cli(capsys, "verify", "--battery", "--checks",
                                "rec", "--trunc", "44", "--output", "json")
         assert (code, json.loads(out)["verdict"]) == (0, "pass")
         assert read == []
 
     @pytest.mark.parametrize("plant", [False, True], ids=["pass", "planted"])
-    def test_rec_reads_back_iterates_wider_than_the_ladder(
+    def test_rec_builds_its_ladder_at_the_iterates_width(
             self, capsys, monkeypatch, plant):
-        # an iterate at a wider width than the ladder's is read back and
-        # compared with g_series, which gives the same cases and failures
+        # the sweep builds its ladder at whatever width the iterates come
+        # out at, so iterates wider than usual still compare as ints, with
+        # the same cases and failures, and nothing is read back
         if plant:
             monkeypatch.setattr(recurrence_engine._Ladder, "rung",
                                 _planted_rung(recurrence_engine._Ladder.rung))
@@ -331,23 +339,38 @@ class TestVerify:
         code, want, _ = run_cli(capsys, *argv)
         assert (code, json.loads(want)["verdict"]) \
             == ((1, "fail") if plant else (0, "pass"))
-        real = cli._iterates
-        widths = []
+        real = recurrence_engine._iterates
+        floors, widths = [], []
 
         def wider(sys, trunc, steps, floor):
+            floors.append(floor + 5)
             for u, width in real(sys, trunc, steps, floor=floor + 5):
                 widths.append(width - floor)
                 yield u, width
-        monkeypatch.setattr(cli, "_iterates", wider)
+        monkeypatch.setattr(recurrence_engine, "_iterates", wider)
+        real_init = recurrence_engine._Ladder.__init__
+        ladders = []
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            ladders.append(self.width)
+        monkeypatch.setattr(recurrence_engine._Ladder, "__init__", init)
         read = []
-        real_g_series = cli.g_series
-        monkeypatch.setattr(cli, "g_series", lambda *args: read.append(args)
-                            or real_g_series(*args))
+        real_from_packed = QLaurent._from_packed.__func__
+
+        def spy(cls, *args):
+            read.append("_from_packed")
+            return real_from_packed(cls, *args)
+        monkeypatch.setattr(QLaurent, "_from_packed", classmethod(spy))
+        monkeypatch.setattr(recurrence_engine, "g_series",
+                            lambda *args: read.append("g_series"))
         assert run_cli(capsys, *argv)[:2] == (code, want)
-        assert len(read) == len(widths) == sum(
-            c["cases"] for s in json.loads(want)["systems"]
-            for c in s["checks"])
+        assert len(widths) == sum(c["cases"]
+                                  for s in json.loads(want)["systems"]
+                                  for c in s["checks"])
         assert set(widths) == {5}
+        assert ladders == floors and len(floors) == len(cli.BATTERY)
+        assert read == []
 
     @pytest.mark.parametrize("plant", [False, True], ids=["pass", "planted"])
     def test_lemma1_and_lemma2_share_one_residual_per_case(
@@ -358,13 +381,13 @@ class TestVerify:
         if plant:
             monkeypatch.setattr(recurrence_engine._Ladder, "rung",
                                 _planted_rung(recurrence_engine._Ladder.rung))
-        real = cli._peel_row
+        real = recurrence_engine._peel_row
         rows = []
 
         def spy(ladder, j, m):
             rows.append((ladder.sys.N, ladder.sys.a, j, m))
             return real(ladder, j, m)
-        monkeypatch.setattr(cli, "_peel_row", spy)
+        monkeypatch.setattr(recurrence_engine, "_peel_row", spy)
         outs = {}
         for checks in ("lemma1,lemma2", "lemma2,lemma1",
                        "lemma2,eq357,lemma1"):
@@ -625,6 +648,51 @@ def test_ladder_checks_read_alike_alone_and_together(capsys, monkeypatch,
                                        for name in names]
 
 
+LADDER_RUNS = {"battery": [(build_system(a, N), 30) for N, a in cli.BATTERY],
+               "r5": [(build_system((1, 2, 4, 8, 16), 31), 40)]}
+
+
+@pytest.mark.parametrize("plant", [False, True], ids=["pass", "planted"])
+@pytest.mark.parametrize("system", LADDER_RUNS, ids=LADDER_RUNS)
+def test_the_sweep_agrees_with_the_public_views(monkeypatch, system, plant):
+    # each case of the sweep passes iff the QLaurent view of its identity
+    # is zero, and each rec case iff run_recurrence's iterate is g_series'
+    if plant:
+        monkeypatch.setattr(recurrence_engine._Ladder, "rung",
+                            _planted_rung(recurrence_engine._Ladder.rung))
+    names = ("lemma1", "lemma2", "eq357", "key", "rec")
+    failures = 0
+    for sys_, trunc in LADDER_RUNS[system]:
+        swept = verify_ladder(sys_, trunc, names)
+        assert list(swept) == list(names)
+        us = run_recurrence(sys_, len(swept["rec"]) - 1, trunc)
+        for name, cases in swept.items():
+            assert cases
+            for label, ok in cases:
+                kind, _, at = label.rpartition(" ")
+                at = {key: int(value) for key, value in
+                      (pair.split("=") for pair in at.split(","))}
+                if name == "lemma1":
+                    want = verify_lemma1(sys_, at["j"], at["m"], trunc) == []
+                elif name == "lemma2":
+                    want = verify_lemma2(sys_, at["j"], at["m"],
+                                         trunc).is_zero()
+                elif name == "eq357":
+                    total, contraction = verify_eq_357(sys_, at["j"],
+                                                       at["k"], trunc)
+                    want = (total if kind == "sum"
+                            else contraction).is_zero()
+                elif name == "key":
+                    want = verify_key_lemma(sys_, at["k"], at["ell"],
+                                            trunc).is_zero()
+                else:
+                    m = at["ell"] * sys_.N - sys_.a[0]
+                    want = us[at["ell"]] == g_series(sys_, m, trunc)
+                assert ok == want, (sys_, name, label)
+                failures += not ok
+    assert bool(failures) == plant
+
+
 def test_the_sweep_keeps_a_window_of_rungs(capsys, monkeypatch):
     # no case after step j reads a bound at or below (j - r)N, and the
     # sweep holds no rung of one; on 3/{1,2} every size is admissible, so
@@ -695,7 +763,7 @@ class TestExitCodes:
         NonUnitLeadingTerm("divisor has no unit constant term"),
     ])
     def test_recurrence_failures_exit_1(self, capsys, monkeypatch, exc):
-        monkeypatch.setattr(cli, "_iterates", _raiser(exc))
+        monkeypatch.setattr(recurrence_engine, "_iterates", _raiser(exc))
         code, _, err = run_cli(capsys, "verify", "--N", "7", "--a", "1,2,4",
                                "--trunc", "10", "--checks", "rec",
                                "--output", "json")

@@ -217,6 +217,20 @@ def test_enumeration_stays_independent_of_the_identities():
 
 
 
+def test_cli_reaches_the_identities_by_public_names():
+    # the CLI runs each check through its public function, so the benchmark
+    # tracer, which wraps public names, charges the work to the module that
+    # does it; the only private names it imports are the per-command caches
+    # it clears
+    path = PACKAGE / "cli.py"
+    private = {alias.name
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "recurrence_engine"
+               for alias in node.names if alias.name.startswith("_")}
+    assert private - {"_ladder", "_weight_pairs"} == set()
+
+
 def test_oracles_share_no_code_with_the_counters():
     # an oracle that runs a counter's own helper agrees with the counter
     # when that helper is wrong: the tests' oracles import nothing from the
