@@ -236,6 +236,11 @@ PINNED_FORMATS = {
     ("verify", "--checks", "chain", "--trunc", "80", "--x-trunc", "7",
      "--output", "json"):
         "6f4fb472baa6aaf4cc0cc21ccd2f9edc00d52ec201513143d80d10677c37a153",
+    # full x-coverage: mu_limit compares up to q^60 on every system, as
+    # x_trunc N - a(1) >= 60 (3/{1,2} needs x_trunc >= 21)
+    ("verify", "--checks", "chain", "--trunc", "60", "--x-trunc", "21",
+     "--output", "json"):
+        "a6f30e03a6923e7274c6792b1ccab83a36a76921102a546bc255f03c7a52dc7f",
     # one row per pass, and mu_limit has nothing to compare
     ("verify", "--checks", "chain", "--trunc", "40", "--x-trunc", "0",
      "--output", "json"):
