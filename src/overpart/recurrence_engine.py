@@ -34,8 +34,9 @@ from operator import add
 from .alpha_system import MAX_GENERATORS, alpha_weight_sum, build_system
 from .enumeration import _Completions
 from .series_ring import (NonUnitLeadingTerm, QLaurent, _binomial_step,
-                          _div_row, _gauss_coeffs, _mul_rows, _slot_width,
-                          product_F, qbinomial)
+                          _div_row, _first_term, _gauss_coeffs, _gaussian,
+                          _mul_maps, _mul_rows, _read_row, _slot_width,
+                          product_F)
 
 
 class ConventionOutOfRange(ValueError):
@@ -80,15 +81,15 @@ class _Ladder:
     before it plus, for each ``n >= first``, the overpartitions of ``n``
     whose largest part is ``first``, one column of the table
     (:meth:`_Completions.column`).  A rung is a tuple of ``trunc + 1``
-    ints, row ``n`` its ``q^n`` coefficient packed at ``d = 2^width`` as
-    :meth:`QLaurent._packed` packs it, where ``width`` is
-    ``_slot_width(trunc)`` plus ``guard`` bits: :func:`_guard_bits`, or more
-    for a ``width`` of at least ``least_width`` (:func:`verify_ladder`).
-    Rungs are built only as far as the bounds asked for so far need, so a
-    lone small bound does not pay for the whole truncation.  A rung is
-    appended only once it is complete, so an interrupted build leaves the
-    ladder as it was.  A reader that reads the bounds in ascending windows
-    drops the rungs below its window (:meth:`release`).
+    ints, row ``n`` its ``q^n`` coefficient ``P_n(d)`` packed as
+    ``P_n(2^width)``, where ``width`` is ``_slot_width(trunc)`` plus
+    ``guard`` bits: :func:`_guard_bits`, or more for a ``width`` of at
+    least ``least_width`` (:func:`verify_ladder`).  Rungs are built only as
+    far as the bounds asked for so far need, so a lone small bound does not
+    pay for the whole truncation.  A rung is appended only once it is
+    complete, so an interrupted build leaves the ladder as it was.  A
+    reader that reads the bounds in ascending windows drops the rungs below
+    its window (:meth:`release`).
     """
 
     def __init__(self, sys, trunc, least_width=0):
@@ -162,8 +163,7 @@ def g_series(sys, m, trunc):
     subscript drops below zero.
     """
     ladder = _ladder(sys, trunc)
-    return QLaurent._from_packed(trunc, enumerate(ladder.rung(m)),
-                                 ladder.width)
+    return _read_row(trunc, ladder.width, ladder.rung(m))
 
 
 def _guard_bits(sys):
@@ -180,7 +180,7 @@ def _guard_bits(sys):
     pairs = _weight_pairs(sys, r + 1)
     key = 2 ** r + 1 + sum(
         2 ** (j - 1) * abs(c) for j in range(1, r + 1)
-        for m in range(1, r + 2 - j) for *_, c in pairs[m, j].terms())
+        for m in range(1, r + 2 - j) for c in pairs[m, j].values())
     return max(6, 2 + 2 * len(sys.alpha), key).bit_length()
 
 
@@ -213,13 +213,6 @@ def _residual_row(ladder, terms):
         a[e] = a.get(e, 0) + (c << k * ladder.width)
     return _mul_rows([(a, ladder.rung(m)) for m, a in maps.items()],
                      ladder.trunc)
-
-
-def _read_row(ladder, row):
-    """The series of a residual row of ``ladder`` (:func:`_residual_row`)."""
-    return QLaurent._from_packed(
-        ladder.trunc, enumerate(row, ladder.trunc + 1 - len(row)),
-        ladder.width)
 
 
 def _peel_cutoffs(sys, j, m):
@@ -327,7 +320,7 @@ def verify_lemma2(sys, j, m, trunc):
     + q^(jN-alpha(m)) * (g[(j-w)N-v] + d * g[(j-w+1)N-v])``.
     """
     ladder = _ladder(sys, trunc)
-    return _read_row(ladder, _peel_row(ladder, j, m))
+    return _read_row(trunc, ladder.width, _peel_row(ladder, j, m))
 
 
 def verify_eq_357(sys, j, k, trunc):
@@ -351,9 +344,9 @@ def verify_eq_357(sys, j, k, trunc):
     ladder = _ladder(sys, trunc)
     rows = (_peel_row(ladder, j, m) for m in range(1, len(sys.alpha) + 1))
     *_, total = islice(_sum_rows(ladder, rows), k)
-    return _read_row(ladder, total), (
-        _read_row(ladder, _contraction_row(ladder, j, k)) if k <= sys.r
-        else None)
+    return _read_row(trunc, ladder.width, total), (
+        _read_row(trunc, ladder.width, _contraction_row(ladder, j, k))
+        if k <= sys.r else None)
 
 
 # -- the main recurrence ----------------------------------------------
@@ -392,16 +385,14 @@ def _times_factors(trunc, terms, shifts, k):
 def _multiplier(N, ell, M, j, m_max, trunc, shifts=()):
     """``sum_(m=1)^(m_max) (-1)^(m+1) q^(m ell N) M[m, j]`` times ``prod_s
     (1 - q^s)`` over the ``shifts``, at ``trunc``, as a ``{(e, deg): c}``
-    map (:func:`_times_factors`), from ``M``, a multiplier table whose
-    entries have no term above ``q^0`` and so are exact at any
-    truncation."""
+    map (:func:`_times_factors`), from ``M``, a multiplier table of such
+    maps with no term above ``q^0``, so exact at any truncation."""
     terms = {}
     for m in range(1, m_max + 1):
-        for e, p in M[m, j].coeffs.items():
+        for (e, k), c in M[m, j].items():
             e += m * ell * N
             if e <= trunc:
-                for k, c in p.coeffs.items():
-                    terms[e, k] = terms.get((e, k), 0) + (c if m % 2 else -c)
+                terms[e, k] = terms.get((e, k), 0) + (c if m % 2 else -c)
     return _times_factors(trunc, terms, shifts, 0)
 
 
@@ -470,8 +461,8 @@ def _collect(pairs):
 def _iterates(sys, trunc, steps, widen=None, floor=2):
     """Yield ``(u_ell, width)`` for ``ell = 0 .. steps``: the iterates of
     the main recurrence, each a row of ``trunc + 1`` ints packed at ``d =
-    2^width`` as :meth:`QLaurent._packed` packs them, at one ``width`` of
-    at least ``floor``.  Readers must not change a row.
+    2^width``, one ``width`` of at least ``floor``; readers must not change
+    a row.
 
     Each step is ``u_ell = num / lhs``, ``num = sum_j rhs_j u_(ell-j)``
     (:func:`_mul_rows`), divided by the factors ``1 - d q^s`` of ``lhs``
@@ -492,9 +483,10 @@ def _iterates(sys, trunc, steps, widen=None, floor=2):
     ..., |u_steps|]`` and returns a bound that ``width`` must hold too, so
     that the caller can go on computing with the iterates at their width
     (:func:`verify_chain`); ``floor`` lets a caller compare the iterates
-    with rows packed at a wider width (:func:`limit_u`, :func:`verify_ladder`).
-    A wider width holds the same bounds.  A row with a term below ``q^0`` in
-    its ``num`` raises ``NegativeExponents`` before its packed division.
+    with rows packed at a wider width (:func:`limit_u`, :func:`verify_ladder`
+    and the chain's reduced iterates).  A wider width holds the same bounds.
+    A row with a term below ``q^0`` in its ``num`` raises
+    ``NegativeExponents`` before its packed division.
     """
     rows = [_rec_row(sys, ell, trunc) for ell in range(1, steps + 1)]
     for ell, (_, shifts) in enumerate(rows, 1):
@@ -543,7 +535,7 @@ def run_recurrence(sys, ell_max, trunc):
     """
     if trunc < 0:
         raise ValueError("trunc must be non-negative")
-    return [QLaurent._from_packed(trunc, enumerate(u), width)
+    return [_read_row(trunc, width, u)
             for u, width in _iterates(sys, trunc, max(ell_max, 0))]
 
 
@@ -573,7 +565,7 @@ def verify_key_lemma(sys, k, ell, trunc):
     if ell < 1:
         raise ValueError("ell must be >= 1")
     ladder = _ladder(sys, trunc)
-    return _read_row(ladder, _key_row(ladder, k, ell))
+    return _read_row(trunc, ladder.width, _key_row(ladder, k, ell))
 
 
 def verify_ladder(sys, trunc, names):
@@ -640,24 +632,22 @@ def verify_ladder(sys, trunc, names):
 
 
 # -- coefficient families of the transformation chain -----------------
-# Each family has no exponent above 0, so it is built, exactly, at trunc 0.
+# Each family is an {(e, k): c} map of terms c d^k q^e, none above q^0.
 
 
 def _weight_pair(sys, bound_index, m, j):
     """``(d^(m-1) W(j+m-1) + d^m W(j+m)) [j+m-1, m-1]_(q^-N)``, with ``W``
-    the weight sums of the subset sums below ``a(bound_index)``."""
-    w1 = alpha_weight_sum(sys, bound_index, j + m - 1) \
-        .scale_by_monomial(0, m - 1)
-    w2 = alpha_weight_sum(sys, bound_index, j + m) \
-        .scale_by_monomial(0, m)
-    return (w1 + w2) * qbinomial(j + m - 1, m - 1, -sys.N, 0)
+    the weight sums (terms ``q^-s``) below ``a(bound_index)``."""
+    weights = {(e, k): 1 for k in (m - 1, m)
+               for e in alpha_weight_sum(sys, bound_index, j + k).coeffs}
+    return _mul_maps(weights, _gaussian(j + m - 1, m - 1, -sys.N), {})
 
 
 class _WeightPairs(dict):
     """The weight pairs ``W_k(m, j)`` below ``a(k)``, one table per system
-    and cutoff, each built at trunc 0 when first read; those with ``m + j >
-    k`` are 0 (a subset sum below ``a(k)`` has at most ``k - 1`` summands)
-    and not built.  Readers must not change an entry."""
+    and cutoff, each built when first read; those with ``m + j > k`` are 0
+    (a subset sum below ``a(k)`` has at most ``k - 1`` summands) and not
+    built.  Readers must not change an entry."""
 
     def __init__(self, sys, k):
         self.sys, self.k = sys, k
@@ -665,17 +655,16 @@ class _WeightPairs(dict):
     def __missing__(self, key):
         m, j = key
         self[key] = (_weight_pair(self.sys, self.k, m, j)
-                     if m + j <= self.k else QLaurent.zero(0))
+                     if m + j <= self.k else {})
         return self[key]
 
     @cached_property
     def f(self):
-        """``{(m, k): f(m, k)}`` of :func:`coeff_f` for ``1 <= m <= r``,
-        ``0 <= k < m`` (the others are 0), built on first read; :func:`_tmj`
-        reads the one of the table below ``a(r)``, so each is built once
-        per system while the tables live."""
+        """``{(m, k): f(m, k)}`` for ``1 <= m <= r``, ``0 <= k < m`` (the
+        others are 0), built on first read; :func:`_tmj` reads the one below
+        ``a(r)``, so each is built once per system while the tables live."""
         sys = self.sys
-        return {(m, k): coeff_f(sys, m, k)
+        return {(m, k): _coeff_f(sys, m, k)
                 for m in range(1, sys.r + 1) for k in range(m)}
 
 
@@ -683,34 +672,33 @@ class _WeightPairs(dict):
 _weight_pairs = lru_cache(maxsize=MAX_GENERATORS + 1)(_WeightPairs)
 
 
+def _coeff_f(sys, m, k):
+    """``f(m, k) = q^(-N k(k+1)/2 - k a(r)) [m-1, k]_(q^-N)``."""
+    return _gaussian(m - 1, k, -sys.N, -sys.N * k * (k + 1) // 2
+                     - k * sys.a[-1])
+
+
 def coeff_f(sys, m, k):
-    """``q^(-N k(k+1)/2 - k a(r)) [m-1, k]_(q^-N)``."""
+    """``q^(-N k(k+1)/2 - k a(r)) [m-1, k]_(q^-N)``, as a ``QLaurent``."""
     if m < 1 or k < 0:
         raise ValueError("need m >= 1 and k >= 0")
-    shift = -sys.N * k * (k + 1) // 2 - k * sys.a[-1]
-    return qbinomial(m - 1, k, -sys.N, 0).scale_by_monomial(shift)
+    return QLaurent.from_terms(0, ((e, 0, c) for (e, _), c
+                                   in _coeff_f(sys, m, k).items()))
 
 
 def _tmj(sys, m, j):
-    """Both sides of ``T(m, j)`` (see :func:`verify_Tmj`) at trunc 0, with
-    ``b`` and ``e`` read off the weight-pair tables at ``a(r+1)``, ``a(r)``,
-    and ``f`` off the latter's :attr:`_WeightPairs.f`; ``c(k, j) b = d^k
-    f(j, k) b``.
-
-    Every member of ``c, b, e, f`` has exponents <= 0, so the products
-    are exact at trunc 0.
-    """
+    """Both sides of ``T(m, j)`` (see :func:`verify_Tmj`), with ``b`` and
+    ``e`` read off the weight-pair tables at ``a(r+1)``, ``a(r)``, and ``f``
+    off the latter's :attr:`_WeightPairs.f`; ``c(k, j) b = d^k f(j, k) b``."""
     b, e = _weight_pairs(sys, sys.r + 1), _weight_pairs(sys, sys.r)
     f = e.f
-    lhs = QLaurent.zero(0)
-    for k in range(min(j - 1, m - 1) + 1):
-        lhs = lhs + (f[j, k] * b[m - k, j]).scale_by_monomial(0, k)
-    rhs = QLaurent.zero(0)
-    for k in range(min(m - 1, j) + 1):
-        pair = e[m, j - k]
+    lhs, rhs = {}, {}
+    for k in range(min(j, m)):
+        _mul_maps(f[j, k], b[m - k, j], lhs, 0, k)
+    for k in range(min(m, j + 1)):
+        _mul_maps(f[m, k], e[m, j - k], rhs)
         if k < j:
-            pair = pair + e[m, j - k - 1].scale_by_monomial(-sys.a[-1])
-        rhs = rhs + f[m, k] * pair
+            _mul_maps(f[m, k], e[m, j - k - 1], rhs, -sys.a[-1])
     return lhs, rhs
 
 
@@ -718,7 +706,7 @@ def verify_Tmj(sys, m, j):
     """Equality of the two assembled q-difference-equation coefficients.
 
     Compares ``sum_k c(k,j) b(m-k,j)`` with ``sum_k f(m,k) e(m,j-k)
-    + q^(-a(r)) sum_k f(m,k) e(m,j-k-1)`` as exact Laurent polynomials.
+    + q^(-a(r)) sum_k f(m,k) e(m,j-k-1)`` term by term.
     """
     if not (1 <= m <= sys.r and 1 <= j <= sys.r):
         raise ValueError("need 1 <= m, j <= r")
@@ -757,7 +745,7 @@ def limit_u(sys, trunc, *, floor=None):
             f"and {ell_stop + 1}")
     if floor is not None:
         return last, width
-    return QLaurent._from_packed(trunc, enumerate(last), width)
+    return _read_row(trunc, width, last)
 
 
 # -- the transformation chain ------------------------------------------
@@ -770,8 +758,8 @@ ChainStage = namedtuple("ChainStage", "name residual_zero detail",
 class ChainState:
     """Every intermediate object of one chain run, as lists of ``QLaurent``
     at ``trunc``: ``u`` and ``beta`` up to ``ell_max``, ``s`` and ``mu`` up
-    to ``x_trunc``.  A chain run hands over its packed rows instead
-    (:meth:`_of_rows`), and each list is read back when first read."""
+    to ``x_trunc``.  A chain run reads none back: it hands over its packed
+    rows (:meth:`_of_rows`), and each list is read back when first read."""
 
     def __init__(self, u, beta, s, mu):
         self.u, self.beta, self.s, self.mu = u, beta, s, mu
@@ -786,8 +774,7 @@ class ChainState:
 
     def _read_back(self, name):
         trunc, width, rows = self._rows
-        return [QLaurent._from_packed(trunc, enumerate(x), width)
-                for x in rows.pop(name)]
+        return [_read_row(trunc, width, x) for x in rows.pop(name)]
 
     u = cached_property(lambda self: self._read_back("u"))
     beta = cached_property(lambda self: self._read_back("beta"))
@@ -839,11 +826,11 @@ def _coeff_residuals(sys, ys, M, width, trunc):
 
     Each row's sum is one :func:`_mul_rows` call, the ``q^(m ell N)`` of
     a multiplier a shift of ``M[m, j]``'s keys, starting where the
-    multipliers reach below ``q^0``, and only a nonzero sum is read back.
-    That is exact when every coefficient of the sum lies below
+    multipliers reach below ``q^0``, and only a nonzero sum is read back
+    (:func:`_first_term`).  That is exact when every coefficient lies below
     ``2^(width-1)``: the row's ``sum L1(a) max|b|`` over its products bounds
-    them (:func:`_rows_bound`), and :func:`verify_chain` sizes its width
-    by it.
+    them (:func:`_rows_bound`), and :func:`verify_chain` sizes its width by
+    it.
     """
     N, r = sys.N, sys.r
     offenders = []
@@ -859,13 +846,8 @@ def _coeff_residuals(sys, ys, M, width, trunc):
                     if e + shift <= trunc:
                         mult[e + shift] = mult.get(e + shift, 0) + sign * c
             pairs.append((mult, ys[ell - j]))
-        res = _mul_rows(pairs, trunc)
-        if any(res):
-            offenders.append((ell,) + QLaurent._from_packed(
-                trunc, enumerate(res, trunc + 1 - len(res)),
-                width).first_nonzero())
-        else:
-            offenders.append(None)
+        first = _first_term(trunc, width, _mul_rows(pairs, trunc))
+        offenders.append(first and (ell,) + first)
     return offenders
 
 
@@ -938,25 +920,25 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     ``beta``'s quotient by the x-product (:func:`_x_product_transform`,
     checked by the inverse transform) and ``s``, and checks the recurrence
     or q-difference equation each object must satisfy, ending with ``mu``
-    matching the reduced (one generator fewer) infinite product.  Raises
-    :class:`ChainBroken` naming the first failing stage; the report
-    carries every residual verdict either way.  Every stage is exact at
-    ``trunc``: only the multipliers (:func:`_coeff_residuals`) reach below
-    ``q^0``, and each divisor is divided out as its factors ``1 - q^s``,
-    ``s > 0``.
+    matching the reduced (one generator fewer) system's iterates and
+    infinite product.  Raises :class:`ChainBroken` naming the first failing
+    stage; the report carries every residual verdict either way.  Every
+    stage is exact at ``trunc``: only the multipliers
+    (:func:`_coeff_residuals`) reach below ``q^0``, and each divisor is
+    divided out as its factors ``1 - q^s``, ``s > 0``.
 
-    The run holds ``u, nu, beta, mu, s`` as rows and every multiplier as
-    an ``{e: int}`` map, all packed at one ``d = 2^width``, and reads back
-    only ``mu`` and the offending rows;
-    ``ChainState`` reads back the others when they are first read.  Each
-    value it reads back, compares or tests for zero has every coefficient
-    below ``2^(width-1)``, so each of those steps is exact: before the
-    packed run, :func:`_iterates` hands the majorants ``|u_l|`` at ``d =
-    1`` to the same steps on majorants, and ``width`` holds what they
-    give.  ``|nu_l| <= |u_l| prod_h (1 + q^(hN - a(r)))``;
-    ``|beta_l| <= |nu_l| / den_l`` and ``|s_l| <= |mu_l| / den_l``, as
-    ``1/den_l = prod_(h<=l) 1/(1 - q^(hN))`` has no ``d`` and nonnegative
-    coefficients; ``|mu_l| <= sum_j q^(j(N - a(r))) [l, j]_Q
+    The run holds ``u, nu, beta, mu, s``, the reduced iterates and the
+    reduced product up to ``q^eff``, ``eff = min(trunc, x_trunc N - a(1))``,
+    as rows and every multiplier as an ``{e: int}`` map, all packed at one
+    ``d = 2^width``, and reads back only a failing stage's first offender.
+    Each value it reads back, compares or tests for zero has every
+    coefficient below ``2^(width-1)``, so each of those steps is exact:
+    ``width`` holds ``pbar(eff)``, the reduced iterates' majorants and the
+    same steps run on the majorants ``|u_l|`` at ``d = 1`` that
+    :func:`_iterates` hands over.  ``|nu_l| <= |u_l| prod_h (1 + q^(hN -
+    a(r)))``; ``|beta_l| <= |nu_l| / den_l`` and ``|s_l| <= |mu_l| /
+    den_l``, as ``1/den_l = prod_(h<=l) 1/(1 - q^(hN))`` has no ``d`` and
+    nonnegative coefficients; ``|mu_l| <= sum_j q^(j(N - a(r))) [l, j]_Q
     |nu_(l-j)|``; and each sum of products, the round trip's and each
     residual row's, is bounded by ``sum L1(a) max|b|``.
     """
@@ -967,9 +949,9 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     if ell_max < x_trunc:
         raise ValueError("ell_max must be at least x_trunc")
     N, r, a1 = sys.N, sys.r, sys.a[0]
-    # multipliers M[m, j] of the three q-difference equations, at trunc 0:
-    # each has the weight pair e(m, 0) at j = 0 (f(m, 0) = 1), then the
-    # left side of T(m, j), its right side, or e(m, j)
+    # multipliers M[m, j] of the three q-difference equations: each has the
+    # weight pair e(m, 0) at j = 0 (f(m, 0) = 1), then the left side of
+    # T(m, j), its right side, or e(m, j)
     e = {(m, j): _weight_pairs(sys, r)[m, j]
          for m in range(1, r + 1) for j in range(r + 1)}
     left = {(m, 0): e[m, 0] for m in range(1, r + 1)}
@@ -978,13 +960,17 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
         for j in range(1, r + 1):
             left[m, j], right[m, j] = _tmj(sys, m, j)
     tables = (left, right, e)
-    l1 = [[sum(sum(M[m, j]._majorant().values()) for m in range(1, r + 1))
+    l1 = [[sum(abs(c) for m in range(1, r + 1) for c in M[m, j].values())
            for j in range(r + 1)] for M in tables]
     down, up = _x_product_tables(sys, x_trunc, trunc)
     down_majorant = {key: {k: abs(c) for k, c in x.items()}
                      for key, x in down.items()}
+    reduced = build_system(sys.a[:-1], N)
+    eff = min(trunc, x_trunc * N - a1)
+    reduced_us = None   # the reduced iterates, started by widen
 
     def widen(majorants):
+        nonlocal reduced_us
         # the run's steps on the majorants |u_l| at d = 1, and the largest
         # coefficient each value it reads can have (see the docstring)
         nus, betas, mus, s = (
@@ -992,18 +978,21 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
                 sys, majorants, 1, down_majorant, x_trunc, trunc))
         back = max(sum(sum(up[ell, j].values()) * mus[ell - j]
                        for j in range(ell + 1)) for ell in range(x_trunc + 1))
-        return max(back, *nus, _rows_bound(betas, l1[0], r),
-                   _rows_bound(betas[:x_trunc + 1], l1[1], r),
-                   _rows_bound(s, l1[2], r))
+        bound = max(back, *nus, _rows_bound(betas, l1[0], r),
+                    _rows_bound(betas[:x_trunc + 1], l1[1], r),
+                    _rows_bound(s, l1[2], r))
+        # the reduced iterates' majorant pass, at a width that holds bound
+        # and pbar(eff) too; the run takes that width, as bound >= |u_l|
+        reduced_us = _iterates(reduced, trunc, x_trunc, floor=max(
+            bound.bit_length() + 1, _slot_width(max(eff, 0))))
+        return (1 << next(reduced_us)[1] - 1) - 1
 
     u = []
     for x, width in _iterates(sys, trunc, ell_max, widen):
         u.append(x)
-    # each distinct multiplier packed once: M[m, 0] is e(m, 0) in all three
-    distinct = {id(M): M for table in tables for M in table.values()}
-    packed = {key: M._packed(width) for key, M in distinct.items()}
-    left, right, e = ({key: packed[id(M)] for key, M in table.items()}
-                      for table in tables)
+    left, right, e = ({key: _collect((n, c << k * width)
+                                     for (n, k), c in M.items())
+                       for key, M in table.items()} for table in tables)
 
     # nu[ell] = u_ell num_ell = beta_ell den_ell, with num[ell] =
     # prod_(h<=ell) (1 - d q^(hN - a(r))); mu is the quotient by the
@@ -1033,31 +1022,19 @@ def verify_chain(sys, ell_max, x_trunc, trunc):
     record("eq_dprime", *rows)
     record("rec_dprime", *rows[1:])
 
-    state = ChainState._of_rows(trunc, width, u=u, beta=betas, s=s, mu=mus)
-    # mu are the reduced system's iterates: where they first differ, the
-    # reduced recurrence's residual is lhs (mu_l - u'_l), whose first term
-    # is that of mu_l - u'_l, as lhs is 1 plus terms above q^0
-    reduced = build_system(sys.a[:-1], N)
-    offender = None
-    if state.mu[0] != QLaurent.one(trunc):
-        offender = (0, "mu_0 != 1")
-    else:
-        for ell, u_red in enumerate(run_recurrence(reduced, x_trunc,
-                                                   trunc)):
-            if state.mu[ell] != u_red:
-                offender = (ell,) + (state.mu[ell] - u_red).first_nonzero()
-                break
-    record("rec_reduced", offender)
+    # mu are the reduced iterates u' (u'_0 = 1 = mu_0): where they differ,
+    # lhs (mu_l - u'_l) has the first term of mu_l - u'_l (lhs is 1 + ...)
+    firsts = ((ell, _first_term(trunc, width, mus[ell], u_red))
+              for ell, (u_red, _) in enumerate(reduced_us, 1))
+    record("rec_reduced", next(((ell,) + t for ell, t in firsts if t), None))
 
     # stabilized mu equals the reduced infinite product
-    eff = min(trunc, x_trunc * N - a1)
-    offender = None
-    if eff >= 0:
-        offender = (product_F(reduced, eff)
-                    - state.mu[x_trunc].with_trunc(eff)).first_nonzero()
-    record("mu_limit", offender)
+    record("mu_limit", None if eff < 0 else _first_term(
+        eff, width, product_F(reduced, eff, width=width),
+        mus[x_trunc][:eff + 1]))
 
-    report.state = state
+    report.state = ChainState._of_rows(trunc, width, u=u, beta=betas, s=s,
+                                       mu=mus)
     failed = report.first_failure()
     if failed is not None:
         raise ChainBroken(failed.name, report)

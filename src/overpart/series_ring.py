@@ -51,9 +51,9 @@ the chain runs its own steps on the recurrence's majorants
 a_j b_j`` by ``sum_j L1(a_j) max|b_j|``.  The infinite product, like the
 brute-force counters of ``enumeration``, holds only counts of
 overpartitions of some ``n <= trunc``, so ``pbar(trunc)``, the number of
-overpartitions of ``trunc``, bounds it (:func:`_slot_width`).  A
-``QLaurent`` product, which here only ever multiplies short Laurent
-polynomials, is one plain loop over the coefficient maps.
+overpartitions of ``trunc``, bounds it (:func:`_slot_width`).  No command
+multiplies ``QLaurent`` series: the chain's short Laurent polynomials are
+``{(e, k): c}`` maps of terms ``c d^k q^e``, multiplied by :func:`_mul_maps`.
 """
 
 from __future__ import annotations
@@ -291,20 +291,6 @@ class QLaurent:
             if e_d else p
             for e, p in self.coeffs.items() if e + e_q <= trunc})
 
-    def _majorant(self):
-        """``{e: sum_k |c|}`` over the terms ``c d^k q^e``: a series in
-        ``q`` alone whose coefficients bound those of this series."""
-        return {e: sum(map(abs, p.coeffs.values()))
-                for e, p in self.coeffs.items()}
-
-    def _packed(self, width):
-        """``{e: P_e(2**width)}`` for the coefficients ``P_e(d)``: the
-        coefficient of ``d^k q^e`` in the ``width``-bit slot at bit
-        ``k * width`` (slots may borrow from each other, see
-        :meth:`_from_packed`)."""
-        return {e: sum(c << (k * width) for k, c in p.coeffs.items())
-                for e, p in self.coeffs.items()}
-
     @classmethod
     def _from_packed(cls, trunc, items, width):
         """The series whose ``q**e`` coefficient ``P_e`` has
@@ -435,6 +421,34 @@ def _mul_rows(pairs, trunc):
             else:
                 out[i:i + n] = [y + x * z for y, z in zip(out[i:i + n], b)]
     return out
+
+
+def _mul_maps(a, b, out, e=0, k=0):
+    """Add ``q^e d^k a b`` to ``out`` and return it, for ``{(e, k): c}`` maps
+    of exact Laurent polynomials; a zero entry is dropped, nothing else."""
+    for (e1, k1), c1 in a.items():
+        for (e2, k2), c2 in b.items():
+            key = e + e1 + e2, k + k1 + k2
+            c = out.pop(key, 0) + c1 * c2
+            if c:
+                out[key] = c
+    return out
+
+
+def _read_row(trunc, width, row):
+    """A row packed at ``d = 2^width``, ending at ``q^trunc``, read back."""
+    return QLaurent._from_packed(trunc, enumerate(row, trunc + 1 - len(row)),
+                                 width)
+
+
+def _first_term(trunc, width, a, b=()):
+    """The first term ``(q, d, c)`` of ``a - b``, or None if it is 0, for
+    rows packed at ``d = 2^width`` that end at ``q^trunc``, each read back
+    on its own (their difference can leave the slots' range) if they differ."""
+    if (a == b) if b else not any(a):
+        return None
+    return (_read_row(trunc, width, a)
+            - _read_row(trunc, width, b)).first_nonzero()
 
 
 def _binomial_step(row, s, c, over=False):
@@ -586,6 +600,12 @@ def _gauss_coeffs(m, r):
     return tuple(out)
 
 
+def _gaussian(m, r, base_exp, shift=0):
+    """``q^shift [m r]`` at ``q**base_exp`` as an ``{(e, 0): c}`` map."""
+    return {(shift + i * base_exp, 0): c
+            for i, c in enumerate(_gauss_coeffs(m, r))}
+
+
 def qbinomial(m, r, base_exp, trunc=None):
     """Gaussian binomial [m r] evaluated at ``q**base_exp``.
 
@@ -649,7 +669,7 @@ def _decode_counts(rows, width):
     if width is not None:
         return rows
     n_max = len(rows) - 1
-    return QLaurent._from_packed(n_max, enumerate(rows), _slot_width(n_max))
+    return _read_row(n_max, _slot_width(n_max), rows)
 
 
 def product_F(sys, trunc, *, width=None):

@@ -193,6 +193,22 @@ def div_packed(num, den, trunc):
     return quo
 
 
+def majorant(series):
+    """``{e: sum_k |c|}`` over the terms ``c d^k q^e`` of a ``QLaurent``: a
+    series in ``q`` alone whose coefficients bound those of ``series``."""
+    return {e: sum(map(abs, p.coeffs.values()))
+            for e, p in series.coeffs.items()}
+
+
+def packed(series, width):
+    """``{e: P_e(2**width)}`` for the coefficients ``P_e(d)`` of a
+    ``QLaurent``: the coefficient of ``d^k q^e`` in the ``width``-bit slot
+    at bit ``k * width`` (slots may borrow from each other, see
+    ``QLaurent._from_packed``)."""
+    return {e: sum(c << (k * width) for k, c in p.coeffs.items())
+            for e, p in series.coeffs.items()}
+
+
 def divide(num, den):
     """The reference quotient ``num / den`` of two ``QLaurent`` series, for
     ``den`` starting with the constant 1 at ``q**0`` (no negative
@@ -203,8 +219,8 @@ def divide(num, den):
     if den.min_exp != 0 or den.coefficient(0) != DPoly({0: 1}):
         raise NonUnitLeadingTerm(
             "divisor must have leading coefficient 1 at q^0")
-    bound = div_packed(num._majorant(), {
-        e: -c for e, c in den._majorant().items()}, num.trunc)
+    bound = div_packed(majorant(num), {
+        e: -c for e, c in majorant(den).items()}, num.trunc)
     width = max([1, *bound.values()]).bit_length() + 1
     return QLaurent._from_packed(num.trunc, div_packed(
-        num._packed(width), den._packed(width), num.trunc).items(), width)
+        packed(num, width), packed(den, width), num.trunc).items(), width)

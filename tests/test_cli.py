@@ -330,6 +330,24 @@ class TestVerify:
         assert (code, json.loads(out)["verdict"]) == (0, "pass")
         assert read == []
 
+    def test_passing_chain_reads_nothing_back(self, capsys, monkeypatch):
+        # mu is compared with the reduced system's iterates and product as
+        # rows at the run's one width, so nothing is read back into a series
+        read = []
+        real_from_packed = QLaurent._from_packed.__func__
+
+        def spy(cls, trunc, items, width):
+            read.append(trunc)
+            return real_from_packed(cls, trunc, items, width)
+        monkeypatch.setattr(QLaurent, "_from_packed", classmethod(spy))
+        monkeypatch.setattr(recurrence_engine, "run_recurrence",
+                            _raiser(AssertionError))
+        code, out, _ = run_cli(capsys, "verify", "--battery", "--checks",
+                               "chain", "--trunc", "56", "--x-trunc", "5",
+                               "--output", "json")
+        assert (code, json.loads(out)["verdict"]) == (0, "pass")
+        assert read == []
+
     @pytest.mark.parametrize("plant", [False, True], ids=["pass", "planted"])
     def test_rec_builds_its_ladder_at_the_iterates_width(
             self, capsys, monkeypatch, plant):
@@ -534,7 +552,7 @@ class TestVerify:
         def bad_tmj(sys, m, j):
             lhs, rhs = real(sys, m, j)
             if (m, j) == (1, 2):
-                lhs = lhs + QLaurent.one(0)
+                lhs = {**lhs, (0, 0): lhs.get((0, 0), 0) + 1}
             return lhs, rhs
         monkeypatch.setattr(recurrence_engine, "_tmj", bad_tmj)
         code, out, err = run_cli(capsys, "verify", "--N", "3", "--a", "1,2",
@@ -862,13 +880,13 @@ def test_each_weight_pair_is_built_once_per_command(capsys, monkeypatch):
 def test_each_f_is_built_once_per_command(capsys, monkeypatch):
     # both sides of every T(m, j) read f(m, k) off one table per system, in
     # the tmj check and the chain alike
-    real = recurrence_engine.coeff_f
+    real = recurrence_engine._coeff_f
     built = []
 
     def counted(sys, m, k):
         built.append((sys.N, tuple(sys.a), m, k))
         return real(sys, m, k)
-    monkeypatch.setattr(recurrence_engine, "coeff_f", counted)
+    monkeypatch.setattr(recurrence_engine, "_coeff_f", counted)
     recurrence_engine._weight_pairs.cache_clear()
     code, out, _ = run_cli(capsys, "verify", "--battery", "--checks",
                            "tmj,chain", "--trunc", "30", "--x-trunc", "3",
@@ -879,27 +897,31 @@ def test_each_f_is_built_once_per_command(capsys, monkeypatch):
     assert recurrence_engine._weight_pairs.cache_info().currsize == 0
 
 
-def test_series_products_are_of_trunc_0_polynomials(capsys, monkeypatch):
-    # QLaurent's product is a plain loop over the coefficient maps, as a
-    # command multiplies only short trunc-0 Laurent polynomials on it (the
-    # weight pairs and the T(m, j) sides); every long run packs its rows at
-    # one width of its own and calls the row kernels itself
+def test_no_command_multiplies_series(capsys, monkeypatch):
+    # the chain's trunc-0 coefficient families (the weight pairs, f(m, k)
+    # and the T(m, j) sides) are {(e, k): c} maps multiplied by
+    # series_ring._mul_maps, and every long run packs its rows at one width
+    # of its own and calls the row kernels itself: no QLaurent product
     real = QLaurent.__mul__
-    truncs = []
+    products = []
 
     def spy(self, other):
-        if isinstance(other, QLaurent):
-            truncs.append(self.trunc)
+        products.append((self, other))
         return real(self, other)
     monkeypatch.setattr(QLaurent, "__mul__", spy)
+    monkeypatch.setattr(QLaurent, "__rmul__", spy)
     code, out, _ = run_cli(capsys, "verify", "--battery", "--checks",
                            ",".join(cli.ALL_CHECKS), "--trunc", "30",
                            "--x-trunc", "3", "--output", "json")
     assert (code, json.loads(out)["verdict"]) == (0, "pass")
-    code, _, _ = run_cli(capsys, "expand", "--N", "7", "--a", "1,2,4",
-                         "--what", "limit", "--trunc", "30")
+    for what in ("limit", "product", "gm"):
+        code, _, _ = run_cli(capsys, "expand", "--N", "7", "--a", "1,2,4",
+                             "--what", what, "--m", "9", "--trunc", "30")
+        assert code == 0
+    code, _, _ = run_cli(capsys, "count", "--N", "7", "--a", "1,2,4",
+                         "--side", "all", "--n-max", "30")
     assert code == 0
-    assert truncs and set(truncs) == {0}
+    assert products == []
 
 
 # the checks of the benchmark's three workloads (bench/workloads.py)

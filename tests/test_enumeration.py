@@ -25,7 +25,7 @@ from overpart.series_ring import _overpartition_count, _slot_width
 
 from conftest import (
     BATTERY, admissible_systems, brute_table, cells, count_G_andrews_k0, d0,
-    gen_overpartitions, in_gap_side)
+    gen_overpartitions, in_gap_side, packed)
 
 
 class TestCountAll:
@@ -280,8 +280,8 @@ class TestCountG:
         finally:
             sys.setrecursionlimit(limit)
         assert (got_F, got_G) == (want_F, want_G)
-        packed = want_G._packed(ladder.width)
-        assert top == tuple(packed.get(n, 0) for n in range(121))
+        slots = packed(want_G, ladder.width)
+        assert top == tuple(slots.get(n, 0) for n in range(121))
 
 
 def last_read_columns(sys_, n_max):

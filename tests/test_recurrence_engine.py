@@ -40,7 +40,8 @@ from overpart import (
 from overpart import cli, recurrence_engine, series_ring
 from overpart.enumeration import _Completions
 
-from conftest import admissible_systems, cells, d0, divide, factor_product
+from conftest import (BATTERY, admissible_systems, cells, d0, divide,
+                      factor_product, majorant, packed)
 
 
 def as_series(trunc, terms):
@@ -48,6 +49,12 @@ def as_series(trunc, terms):
     q^e``."""
     return QLaurent.from_terms(trunc, ((e, deg, c)
                                        for (e, deg), c in terms.items()))
+
+
+def as_row(series, width):
+    """The packed row ``q^0 .. q^trunc`` of a ``QLaurent`` at ``width``."""
+    slots = packed(series, width)
+    return [slots.get(n, 0) for n in range(series.trunc + 1)]
 
 
 def plus(terms, e, k, c):
@@ -811,14 +818,15 @@ class TestCoefficientFamilies:
             (-3, 1, 1), (-5, 1, 1), (-6, 1, 1),
         ])
         # b(m, j): the weight pair over all subset sums
-        assert recurrence_engine._weight_pair(sys7, sys7.r + 1, 1, 1) == want
+        assert as_series(0, recurrence_engine._weight_pair(
+            sys7, sys7.r + 1, 1, 1)) == want
 
     def test_f0_e0_weight_pair(self, battery):
         for sys_ in battery:
             for m in range(1, sys_.r + 1):
                 # e(m, j): the weight pair below a(r)
-                got = coeff_f(sys_, m, 0) \
-                    * recurrence_engine._weight_pair(sys_, sys_.r, m, 0)
+                got = coeff_f(sys_, m, 0) * as_series(
+                    0, recurrence_engine._weight_pair(sys_, sys_.r, m, 0))
                 want = alpha_weight_sum(sys_, sys_.r, m - 1) \
                     .scale_by_monomial(0, m - 1)
                 want = want + alpha_weight_sum(sys_, sys_.r, m) \
@@ -852,10 +860,10 @@ def check_weight_pair_tables(sys_):
             for j in range(k + 1):
                 fresh = weight_pair(sys_, k, m, j)
                 assert table[m, j] == fresh, (k, m, j)
-                assert table[m, j].with_trunc(30) \
+                assert as_series(30, table[m, j]) \
                     == weight_pair_at(sys_, k, m, j, 30), (k, m, j)
                 if m + j > k:
-                    assert fresh.is_zero(), (k, m, j)
+                    assert not fresh, (k, m, j)
 
 
 class TestWeightPairTables:
@@ -885,6 +893,60 @@ class TestWeightPairTables:
                     p.coeffs[0] = p.coeffs.get(0, 0) + 1
             series.coeffs[-1] = DPoly({0: 7})
         assert results() == before
+
+
+def reference_families(sys_):
+    """The weight pairs below ``a(r)`` and ``a(r+1)``, ``f(m, k)`` and both
+    sides of every ``T(m, j)``, multiplied out on ``QLaurent`` at trunc 0
+    from ``alpha_weight_sum``, ``qbinomial`` and ``scale_by_monomial``."""
+    N, r, ar = sys_.N, sys_.r, sys_.a[-1]
+
+    def pair(k, m, j):
+        low = alpha_weight_sum(sys_, k, j + m - 1).scale_by_monomial(0, m - 1)
+        high = alpha_weight_sum(sys_, k, j + m).scale_by_monomial(0, m)
+        return (low + high) * qbinomial(j + m - 1, m - 1, -N, 0)
+    pairs = {(k, m, j): pair(k, m, j) for k in (r, r + 1)
+             for m in range(1, r + 2) for j in range(r + 1)}
+    f = {(m, k): qbinomial(m - 1, k, -N, 0).scale_by_monomial(
+        -N * k * (k + 1) // 2 - k * ar) for m in range(1, r + 1)
+        for k in range(m)}
+    zero = QLaurent.zero(0)
+    sides = {}
+    for m in range(1, r + 1):
+        for j in range(1, r + 1):
+            lhs = rhs = zero
+            for k in range(min(j, m)):
+                lhs = lhs + (f[j, k] * pairs[r + 1, m - k, j]) \
+                    .scale_by_monomial(0, k)
+            for k in range(min(m, j + 1)):
+                e = pairs[r, m, j - k]
+                if k < j:
+                    e = e + pairs[r, m, j - k - 1].scale_by_monomial(-ar)
+                rhs = rhs + f[m, k] * e
+            sides[m, j] = lhs, rhs
+    return pairs, f, sides
+
+
+class TestFamiliesAgainstQLaurent:
+    """Each flat family the chain reads equals its reference multiplied out
+    on ``QLaurent``, so the maps are checked apart from ``_mul_maps``."""
+
+    @pytest.mark.parametrize("system", [*BATTERY, (31, (1, 2, 4, 8, 16))],
+                             ids=lambda s: f"{s[0]}-{len(s[1])}")
+    def test_families(self, system):
+        sys_ = build_system(system[1], system[0])
+        pairs, f, sides = reference_families(sys_)
+        for (k, m, j), want in pairs.items():
+            got = recurrence_engine._weight_pairs(sys_, k)[m, j]
+            assert as_series(0, got) == want, (k, m, j)
+        table = recurrence_engine._weight_pairs(sys_, sys_.r).f
+        assert table.keys() == f.keys()
+        for (m, k), want in f.items():
+            assert as_series(0, table[m, k]) == want == coeff_f(sys_, m, k)
+        for (m, j), want in sides.items():
+            got = recurrence_engine._tmj(sys_, m, j)
+            assert tuple(as_series(0, x) for x in got) == want, (m, j)
+            assert verify_Tmj(sys_, m, j)
 
 
 class TestLimit:
@@ -983,11 +1045,11 @@ class TestChain:
         assert all(st.residual_zero for st in report.stages)
 
     def test_state_read_back_on_demand(self, sys3):
-        # the run reads back only mu; each other list is read back when
+        # a passing run reads back nothing; each list is read back when
         # first read, and kept
         state = verify_chain(sys3, 6, 4, 20).state
         assert [name for name in ("u", "beta", "s", "mu")
-                if name in vars(state)] == ["mu"]
+                if name in vars(state)] == []
         assert state.u == run_recurrence(sys3, 6, 20)
         assert state.u is state.u
         assert [len(state.beta), len(state.s), len(state.mu)] == [7, 5, 5]
@@ -1048,8 +1110,9 @@ class TestChain:
 
     def test_broken_chain_reports_stage(self, sys3, monkeypatch):
         # corrupt the reduced-product comparison to exercise the failure path
-        def wrong_product(sys, trunc):
-            return QLaurent.monomial(trunc, 1, 0, 42) + QLaurent.one(trunc)
+        def wrong_product(sys, trunc, *, width):
+            return as_row(QLaurent.monomial(trunc, 1, 0, 42)
+                          + QLaurent.one(trunc), width)
         monkeypatch.setattr(recurrence_engine, "product_F", wrong_product)
         with pytest.raises(ChainBroken) as exc:
             recurrence_engine.verify_chain(sys3, 6, 6, 15)
@@ -1063,9 +1126,9 @@ class TestChain:
         # the detail is the lowest term of product - mu below q^eff, eff =
         # min(trunc, x_trunc N - a(1)); at x_trunc 0 there is nothing to
         # compare, so the stage passes whatever the product
-        def wrong_product(sys, trunc):
-            return QLaurent.from_terms(trunc, [(0, 0, 1), (1, 0, 42),
-                                               (2, 1, -5), (9, 0, 7)])
+        def wrong_product(sys, trunc, *, width):
+            return as_row(QLaurent.from_terms(trunc, [
+                (0, 0, 1), (1, 0, 42), (2, 1, -5), (9, 0, 7)]), width)
         monkeypatch.setattr(recurrence_engine, "product_F", wrong_product)
         for x_trunc, trunc, want in ((3, 15, (1, 0, 42)), (3, 1, (1, 0, 42)),
                                      (0, 15, None)):
@@ -1100,7 +1163,7 @@ class TestChain:
         def bad_tmj(sys, m, j):
             sides = list(real(sys, m, j))
             if (m, j) == (1, 2):
-                sides[side] = sides[side] + QLaurent.one(0)
+                sides[side] = plus(sides[side], 0, 0, 1)
             return tuple(sides)
         monkeypatch.setattr(recurrence_engine, "_tmj", bad_tmj)
         with pytest.raises(ChainBroken) as exc:
@@ -1121,28 +1184,6 @@ class TestChain:
             for j in range(1, sys_.r + 1):
                 assert verify_Tmj(sys_, m, j), (m, j)
 
-    @pytest.mark.parametrize("ell_max, x_trunc, trunc", [(5, 5, 56),
-                                                         (7, 3, 40)])
-    def test_no_series_is_packed_twice(self, battery, monkeypatch, ell_max,
-                                       x_trunc, trunc):
-        # every series the run packs, it packs once, at its slot width: the
-        # d-free q-binomials of the x-product tables are not packed at all,
-        # and the trunc-0 multiplier tables are multiplied out on QLaurent,
-        # whose product packs nothing
-        real_packed = QLaurent._packed
-        packed = []
-
-        def spy(self, width):
-            packed.append((self, width))
-            return real_packed(self, width)
-        monkeypatch.setattr(QLaurent, "_packed", spy)
-        for sys_ in battery:
-            packed.clear()
-            verify_chain(sys_, ell_max, x_trunc, trunc)
-            seen = [id(x) for x, _ in packed]
-            assert len(set(seen)) == len(seen), (sys_.N, sys_.a)
-            assert all(width > 0 for _, width in packed), (sys_.N, sys_.a)
-
 
 def _family_pad(sys):
     """Headroom read off the unscaled families ``c, b, e, f`` instead of
@@ -1154,9 +1195,9 @@ def _family_pad(sys):
     # c(k, j) = d^k f(j, k); b and e are the weight pairs at a(r+1), a(r)
     min_c = min(coeff_f(sys, j, k).scale_by_monomial(0, k).min_exp
                 for j in range(1, r + 1) for k in range(j))
-    min_b = min(pair(sys, r + 1, m, j).min_exp
+    min_b = min(as_series(0, pair(sys, r + 1, m, j)).min_exp
                 for j in range(1, r + 1) for m in range(1, r + 1))
-    min_e = min(pair(sys, r, m, j).min_exp
+    min_e = min(as_series(0, pair(sys, r, m, j)).min_exp
                 for m in range(1, r + 1) for j in range(r + 1))
     min_f = min(coeff_f(sys, m, k).min_exp
                 for m in range(1, r + 1) for k in range(m))
@@ -1188,15 +1229,15 @@ def _tmj_plus_one(side):
     def tmj(sys, m, j):
         sides = list(real(sys, m, j))
         if (m, j) == (1, 2) and side is not None:
-            sides[side] = sides[side] + QLaurent.one(0)
+            sides[side] = plus(sides[side], 0, 0, 1)
         return tuple(sides)
     return tmj
 
 
-def _chain_tables(sys, work):
+def _chain_maps(sys):
     """``left``, ``right`` and ``e`` as :func:`verify_chain` builds them,
-    through ``recurrence_engine._tmj`` (so a patched one), raised to
-    ``work``."""
+    through ``recurrence_engine._tmj`` (so a patched one), as ``{(e, deg):
+    c}`` maps."""
     r = sys.r
     pairs = recurrence_engine._weight_pairs(sys, r)
     e = {(m, j): pairs[m, j] for m in range(1, r + 1) for j in range(r + 1)}
@@ -1205,8 +1246,14 @@ def _chain_tables(sys, work):
     for m in range(1, r + 1):
         for j in range(1, r + 1):
             left[m, j], right[m, j] = recurrence_engine._tmj(sys, m, j)
-    return tuple({key: val.with_trunc(work) for key, val in tab.items()}
-                 for tab in (left, right, e))
+    return left, right, e
+
+
+def _chain_tables(sys, work):
+    """The tables of :func:`_chain_maps` as ``QLaurent`` series at
+    ``work``."""
+    return tuple({key: as_series(work, val) for key, val in tab.items()}
+                 for tab in _chain_maps(sys))
 
 
 def _first(rows):
@@ -1414,17 +1461,17 @@ def packed_residuals(sys_, ys, M):
     ``ys`` and table ``M``, packed in slots sized by the rows' ``sum L1(a)
     max|b|`` (``_rows_bound``)."""
     r = sys_.r
-    l1 = [sum(sum(M[m, j]._majorant().values()) for m in range(1, r + 1))
+    l1 = [sum(sum(majorant(M[m, j]).values()) for m in range(1, r + 1))
           for j in range(r + 1)]
     bound = recurrence_engine._rows_bound([max_abs(y) for y in ys], l1, r)
     width = max(bound, 1).bit_length() + 1
     trunc = ys[0].trunc
     rows = [[0] * (trunc + 1) for _ in ys]
     for row, y in zip(rows, ys):
-        for e, c in y._packed(width).items():
+        for e, c in packed(y, width).items():
             row[e] = c
     return recurrence_engine._coeff_residuals(
-        sys_, rows, {key: x._packed(width) for key, x in M.items()}, width,
+        sys_, rows, {key: packed(x, width) for key, x in M.items()}, width,
         trunc)
 
 
@@ -1492,8 +1539,7 @@ class TestChainResiduals:
     def test_x0_row_fails_the_equations_only(self, sys3, monkeypatch):
         # a d on e(1, 0), which is M[1, 0] of all three tables
         pairs = recurrence_engine._weight_pairs(sys3, sys3.r)
-        monkeypatch.setitem(pairs, (1, 0),
-                            pairs[1, 0] + QLaurent.monomial(0, 0, 1))
+        monkeypatch.setitem(pairs, (1, 0), plus(pairs[1, 0], 0, 1, 1))
         with pytest.raises(ChainBroken) as exc:
             verify_chain(sys3, 5, 3, 20)
         assert [(st_.name, st_.detail) for st_ in exc.value.report.stages
@@ -1508,8 +1554,9 @@ class TestChainResiduals:
         # a term on u_5 reaches the left rows 5 and 6; eq reads rows 0..3
         real = recurrence_engine._iterates
 
-        def bumped(sys, trunc, steps, widen=None):
-            for ell, (u, width) in enumerate(real(sys, trunc, steps, widen)):
+        def bumped(sys, trunc, steps, widen=None, floor=2):
+            for ell, (u, width) in enumerate(real(sys, trunc, steps, widen,
+                                                  floor)):
                 if ell == 5:            # 3 d q^7, packed
                     u = u[:7] + [u[7] + (3 << width)] + u[8:]
                 yield u, width
@@ -1566,11 +1613,16 @@ class TestChainWidth:
             widths.append(width)
             return real(sys, ys, M, width, trunc)
 
-        def iterates(sys, trunc, steps, widen=None):
+        def iterates(sys, trunc, steps, widen=None, floor=2):
+            # the reduced iterates, which mu is compared with, come out at
+            # the run's width too
             def kept(majorants):
                 bounds.append(widen(majorants))
                 return bounds[-1]
-            return real_iterates(sys, trunc, steps, widen and kept)
+            for u, width in real_iterates(sys, trunc, steps, widen and kept,
+                                          floor):
+                widths.append(width)
+                yield u, width
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(recurrence_engine, "_coeff_residuals", spy)
             patch.setattr(recurrence_engine, "_iterates", iterates)
@@ -1594,7 +1646,7 @@ class TestChainWidth:
             x_factor_product(sys_, x_trunc, trunc)).coeffs)
         mus = [x * d for x, d in zip(s, dens)]
         assert (state.u, state.beta, state.s, state.mu) == (us, betas, s, mus)
-        left, right, e = _chain_tables(sys_, trunc)
+        left, right, e = _chain_maps(sys_)
         sums = [*residual_sums(sys_, betas, left),
                 *residual_sums(sys_, betas[:x_trunc + 1], right),
                 *residual_sums(sys_, s, e)]

@@ -17,7 +17,7 @@ from overpart import (
 )
 
 from conftest import (admissible_systems, brute_table, d0, div_packed,
-                      divide, factor_product, mul_packed)
+                      divide, factor_product, mul_packed, packed)
 
 
 # -- independent oracles ----------------------------------------------
@@ -433,8 +433,8 @@ class TestPacked:
     @given(packable_series())
     def test_round_trip(self, case):
         width, series = case
-        packed = series._packed(width)
-        assert QLaurent._from_packed(12, packed.items(), width) == series
+        slots = packed(series, width)
+        assert QLaurent._from_packed(12, slots.items(), width) == series
 
     @pytest.mark.parametrize("width", [2, 3, 29, 64])
     def test_slot_edges_next_to_each_other(self, width):
@@ -442,9 +442,9 @@ class TestPacked:
         row = {0: -top, 1: top - 1, 2: -(top - 1), 3: -top, 4: -1, 6: 1}
         series = QLaurent.from_terms(
             3, [(e, k, c) for e in (-1, 3) for k, c in row.items()])
-        packed = series._packed(width)
-        assert set(packed) == {-1, 3}
-        assert QLaurent._from_packed(3, packed.items(), width) == series
+        slots = packed(series, width)
+        assert set(slots) == {-1, 3}
+        assert QLaurent._from_packed(3, slots.items(), width) == series
 
     def test_sums_and_products_stay_exact(self):
         # d -> 2^width is a ring map: the packed product of two series
@@ -452,7 +452,7 @@ class TestPacked:
         width = 12
         a = QLaurent.from_terms(6, [(0, 0, 1), (1, 1, -3), (2, 3, 7)])
         b = QLaurent.from_terms(6, [(0, 2, -5), (3, 0, 2), (4, 1, 1)])
-        pa, pb = a._packed(width), b._packed(width)
+        pa, pb = packed(a, width), packed(b, width)
         prod = {}
         for e1, x in pa.items():
             for e2, y in pb.items():
