@@ -425,7 +425,7 @@ def _mul_rows(pairs, trunc):
 
 def _mul_maps(a, b, out, e=0, k=0):
     """Add ``q^e d^k a b`` to ``out`` and return it, for ``{(e, k): c}`` maps
-    of exact Laurent polynomials; a zero entry is dropped, nothing else."""
+    of exact Laurent polynomials: nothing is truncated, and a 0 is dropped."""
     for (e1, k1), c1 in a.items():
         for (e2, k2), c2 in b.items():
             key = e + e1 + e2, k + k1 + k2
